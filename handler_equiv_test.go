@@ -1,12 +1,14 @@
-// Handler-proc equivalence suite: run-to-completion handler dispatch
-// (sim.SetDefaultHandlerProcs) is a pure execution-strategy change —
-// the same events at the same instants with the same seq tie-breaking,
-// minus the goroutine park/resume handoffs. Every observable of a run
-// must therefore be byte-identical with the knob on or off, across
-// fusion, wire fidelity, shard decomposition, and the seed matrix. CI
-// runs this file under -race: handler bodies execute inline on the
-// dispatcher, so the detector must stay as silent as it is for the
-// goroutine flavor.
+// Handler-proc equivalence suite: the model loops run as
+// run-to-completion handler procs (DESIGN.md §16), an execution
+// strategy that must leave every observable of a run exactly where
+// the goroutine-proc loops they replaced put it — the same events at
+// the same instants with the same seq tie-breaking. The goroutine
+// loops are gone, so their schedule survives as frozen goldens: an
+// 8-node rack's fingerprint, makespan, and event count per (seed,
+// domain count), recorded from the goroutine loops when both flavors
+// still existed and matched byte-for-byte. CI runs this file under
+// -race: handler bodies execute inline on the dispatcher, so the
+// detector must stay silent.
 package dcsctrl_test
 
 import (
@@ -16,89 +18,92 @@ import (
 	"dcsctrl/internal/sim"
 )
 
-// withHandlerProcs runs fn with handler-proc dispatch forced on or
-// off, restoring the previous default afterwards.
-func withHandlerProcs(t *testing.T, on bool, fn func()) {
-	t.Helper()
-	prev := sim.DefaultHandlerProcs()
-	sim.SetDefaultHandlerProcs(on)
-	defer sim.SetDefaultHandlerProcs(prev)
-	fn()
+// rackGolden is one frozen cell of the 8-node, 4 KB-per-flow rack.
+// The fingerprint and makespan are the same at every decomposition;
+// the event count is not (fusion depends on which nodes share an
+// Env). dispatches is the handler-proc dispatch count, which pins how
+// much of the schedule runs through handlers.
+type rackGolden struct {
+	seed       uint64
+	domains    int
+	fp         string
+	makespan   sim.Time
+	events     uint64
+	dispatches uint64
 }
 
-// TestHandlerEquivRack pins knob invariance across shard
-// decompositions: for every seed and domain count, the handler-mode
-// rack must reproduce the goroutine-mode fingerprint, makespan, and
-// event count exactly — and the knob must be demonstrably alive
-// (handler mode dispatches handlers and parks less; goroutine mode
-// dispatches none).
+var rackGoldens = []rackGolden{
+	{0, 1, "6d409c25f458e50af80f4e59aaf03be4", 94326, 6083, 2240},
+	{0, 2, "6d409c25f458e50af80f4e59aaf03be4", 94326, 6080, 2240},
+	{0, 4, "6d409c25f458e50af80f4e59aaf03be4", 94326, 6078, 2240},
+	{7, 1, "282b9d90989f7031969b61e262443006", 97325, 5867, 2148},
+	{7, 2, "282b9d90989f7031969b61e262443006", 97325, 5867, 2148},
+	{7, 4, "282b9d90989f7031969b61e262443006", 97325, 5867, 2148},
+	{42, 1, "a66e29271e381a9670cc818b647a1a36", 95386, 5948, 2173},
+	{42, 2, "a66e29271e381a9670cc818b647a1a36", 95386, 5948, 2173},
+	{42, 4, "a66e29271e381a9670cc818b647a1a36", 95386, 5946, 2173},
+	{0xBADCAFE, 1, "2429496e8abf72da7c970b6b849ff815", 91856, 5813, 2095},
+	{0xBADCAFE, 2, "2429496e8abf72da7c970b6b849ff815", 91856, 5812, 2095},
+	{0xBADCAFE, 4, "2429496e8abf72da7c970b6b849ff815", 91856, 5811, 2095},
+	{20260808, 1, "939bfd799cc8156969e29e5a860f865c", 96428, 5908, 2139},
+	{20260808, 2, "939bfd799cc8156969e29e5a860f865c", 96428, 5908, 2139},
+	{20260808, 4, "939bfd799cc8156969e29e5a860f865c", 96428, 5906, 2139},
+}
+
+func rackGoldenConfig(g rackGolden) bench.RackConfig {
+	return bench.RackConfig{Nodes: 8, Domains: g.domains, Bytes: 4 << 10, Seed: g.seed}
+}
+
+// TestHandlerEquivRack pins the schedule across shard decompositions:
+// for every seed and domain count, the rack must reproduce the frozen
+// fingerprint, makespan, event count, and handler dispatch count
+// exactly.
 func TestHandlerEquivRack(t *testing.T) {
-	seeds := equivSeeds
-	domainCounts := []int{1, 2, 4}
+	cells := rackGoldens
 	if testing.Short() {
-		seeds = seeds[:1]
-		domainCounts = []int{2}
+		cells = []rackGolden{rackGoldens[1]} // first seed, 2 domains
 	}
-	for _, seed := range seeds {
-		for _, domains := range domainCounts {
-			cfg := bench.RackConfig{Nodes: 8, Domains: domains, Bytes: 4 << 10, Seed: seed}
-			var ref, res bench.RackResult
-			withHandlerProcs(t, false, func() { ref = bench.RunRack(cfg) })
-			withHandlerProcs(t, true, func() { res = bench.RunRack(cfg) })
-			if got, want := res.Fingerprint(), ref.Fingerprint(); got != want {
-				t.Fatalf("seed %d domains %d: handler fingerprint %s != goroutine %s", seed, domains, got, want)
-			}
-			if res.Makespan != ref.Makespan {
-				t.Fatalf("seed %d domains %d: handler makespan %v != %v", seed, domains, res.Makespan, ref.Makespan)
-			}
-			if res.Events != ref.Events {
-				t.Fatalf("seed %d domains %d: handler events %d != %d", seed, domains, res.Events, ref.Events)
-			}
-			if ref.ShardStats.HandlerDispatches != 0 {
-				t.Fatalf("seed %d domains %d: goroutine mode dispatched %d handlers (knob leak)",
-					seed, domains, ref.ShardStats.HandlerDispatches)
-			}
-			if res.ShardStats.HandlerDispatches == 0 {
-				t.Fatalf("seed %d domains %d: handler mode dispatched no handlers (knob dead)", seed, domains)
-			}
-			if res.ShardStats.Handoffs >= ref.ShardStats.Handoffs {
-				t.Fatalf("seed %d domains %d: handler mode handoffs %d not below goroutine %d (conversion dead)",
-					seed, domains, res.ShardStats.Handoffs, ref.ShardStats.Handoffs)
-			}
+	for _, g := range cells {
+		res := bench.RunRack(rackGoldenConfig(g))
+		if fp := res.Fingerprint(); fp != g.fp {
+			t.Fatalf("seed %d domains %d: fingerprint %s != golden %s", g.seed, g.domains, fp, g.fp)
+		}
+		if res.Makespan != g.makespan {
+			t.Fatalf("seed %d domains %d: makespan %v != golden %v", g.seed, g.domains, res.Makespan, g.makespan)
+		}
+		if res.Events != g.events {
+			t.Fatalf("seed %d domains %d: events %d != golden %d", g.seed, g.domains, res.Events, g.events)
+		}
+		if d := res.ShardStats.HandlerDispatches; d != g.dispatches {
+			t.Fatalf("seed %d domains %d: handler dispatches %d != golden %d", g.seed, g.domains, d, g.dispatches)
 		}
 	}
 }
 
-// TestHandlerEquivMatrix crosses the knob with the other two kernel
-// fast paths — continuation fusion and the flow-level wire model —
-// over the seed matrix. All three are schedule-preserving, so every
-// cell must reproduce the per-seed reference fingerprint (goroutine
-// dispatch, fusion on, flow wire) byte-for-byte.
+// TestHandlerEquivMatrix crosses the two remaining kernel fast paths —
+// continuation fusion and the flow-level wire model — over the seed
+// matrix at 2 domains. Both are schedule-preserving, so every cell
+// must reproduce the seed's frozen fingerprint byte-for-byte.
 func TestHandlerEquivMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full knob × fusion × fidelity × seed matrix")
+		t.Skip("full fusion × fidelity × seed matrix")
 	}
-	for _, seed := range equivSeeds {
-		cfg := bench.RackConfig{Nodes: 8, Domains: 2, Bytes: 4 << 10, Seed: seed}
-		var ref bench.RackResult
-		withHandlerProcs(t, false, func() { ref = bench.RunRack(cfg) })
-		refFP := ref.Fingerprint()
-		for _, handler := range []bool{false, true} {
-			for _, fusion := range []bool{true, false} {
-				for _, wire := range []sim.WireFidelity{sim.WireFlow, sim.WireFrame} {
-					withHandlerProcs(t, handler, func() {
-						withFusion(t, fusion, func() {
-							prev := sim.DefaultWireFidelity()
-							sim.SetDefaultWireFidelity(wire)
-							defer sim.SetDefaultWireFidelity(prev)
-							res := bench.RunRack(cfg)
-							if fp := res.Fingerprint(); fp != refFP {
-								t.Fatalf("seed %d handler=%v fusion=%v wire=%v: fingerprint %s != reference %s",
-									seed, handler, fusion, wire, fp, refFP)
-							}
-						})
-					})
-				}
+	for _, g := range rackGoldens {
+		if g.domains != 2 {
+			continue
+		}
+		for _, fusion := range []bool{true, false} {
+			for _, wire := range []sim.WireFidelity{sim.WireFlow, sim.WireFrame} {
+				withFusion(t, fusion, func() {
+					prev := sim.DefaultWireFidelity()
+					sim.SetDefaultWireFidelity(wire)
+					defer sim.SetDefaultWireFidelity(prev)
+					res := bench.RunRack(rackGoldenConfig(g))
+					if fp := res.Fingerprint(); fp != g.fp {
+						t.Fatalf("seed %d fusion=%v wire=%v: fingerprint %s != golden %s",
+							g.seed, fusion, wire, fp, g.fp)
+					}
+				})
 			}
 		}
 	}

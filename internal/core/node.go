@@ -100,7 +100,7 @@ type hostConn struct {
 // compacting the consumed prefix and growing by doubling: Go's native
 // large-slice growth (~1.25x) plus the capacity bleed of reslicing on
 // consume made reassembly a top copy cost at 40 GbE. Segment-
-// granularity deliveries (netRxLoop) reserve a whole frame run up
+// granularity deliveries (deliverNetRx) reserve a whole frame run up
 // front so the compact/grow decision runs once per run, not per frame.
 func (c *hostConn) reserveStream(extra int) {
 	if len(c.stream)+extra > cap(c.stream) && c.rd > 0 {
@@ -358,11 +358,7 @@ func (n *Node) setupHostNIC() {
 				n.rxWake.Broadcast()
 			})
 		})
-		if n.Env.HandlerProcs() {
-			n.Env.SpawnHandler(fmt.Sprintf("%s-net-rx%d", n.Name, q), (&netRxMachine{n: n, recv: recv}).run)
-		} else {
-			n.Env.Spawn(fmt.Sprintf("%s-net-rx%d", n.Name, q), func(p *sim.Proc) { n.netRxLoop(p, recv) })
-		}
+		n.Env.SpawnHandler(fmt.Sprintf("%s-net-rx%d", n.Name, q), (&netRxMachine{n: n, recv: recv}).run)
 		n.postRecvBuffers(recv)
 		recv.Arm()
 	}
@@ -450,36 +446,8 @@ func (n *Node) issueHostNVMe(p *sim.Proc, dev uint8, cmd nvme.Command, attempt i
 // host-driver command: success fires the caller's signal, a retryable
 // media error arranges a backed-off re-submission. Completion
 // callbacks run on the scheduler and cannot block, so the re-issue
-// runs in its own proc — a run-to-completion retry machine under
-// handler procs, a spawned goroutine proc otherwise (the two are
-// schedule-identical; the handler skips the goroutine park/resume
-// handoffs).
+// runs in its own run-to-completion retry machine.
 func (n *Node) hostNVMeCplFn(dev uint8, cmd nvme.Command, attempt int, done *sim.Signal) func(nvme.Completion) {
-	if n.Env.HandlerProcs() {
-		return n.hostNVMeCplFnH(dev, cmd, attempt, done)
-	}
-	return func(cpl nvme.Completion) {
-		switch {
-		case cpl.Status == nvme.StatusSuccess:
-			done.Fire(nil)
-		case nvme.Retryable(cpl.Status) && attempt < hostNVMeMaxRetries:
-			n.hostNVMeRetries++
-			n.Env.Spawn(fmt.Sprintf("%s-nvme%d-retry", n.Name, dev), func(rp *sim.Proc) {
-				rp.Sleep(hostNVMeRetryBackoff << uint(attempt))
-				n.issueHostNVMe(rp, dev, cmd, attempt+1, done)
-			})
-		default:
-			panic(fmt.Sprintf("core: nvme status %#x after %d attempts", cpl.Status, attempt+1))
-		}
-	}
-}
-
-// hostNVMeCplFnH is the handler-proc flavor of hostNVMeCplFn: the
-// re-submission runs as a run-to-completion retry machine. It is a
-// separate constructor (rather than a branch inside the shared one)
-// so the machine's own re-submission path never reaches the goroutine
-// flavor's blocking Sleep even syntactically.
-func (n *Node) hostNVMeCplFnH(dev uint8, cmd nvme.Command, attempt int, done *sim.Signal) func(nvme.Completion) {
 	return func(cpl nvme.Completion) {
 		switch {
 		case cpl.Status == nvme.StatusSuccess:
@@ -494,10 +462,10 @@ func (n *Node) hostNVMeCplFnH(dev uint8, cmd nvme.Command, attempt int, done *si
 	}
 }
 
-// nvmeRetryMachine is the handler-proc form of the retry spawn in
-// hostNVMeCplFn: first dispatch re-arms for the exponential backoff,
-// subsequent dispatches re-check ring space (enrolling on nvmeWait
-// exactly where a goroutine would park) and re-submit.
+// nvmeRetryMachine re-submits one retried host NVMe command: first
+// dispatch re-arms for the exponential backoff, subsequent dispatches
+// re-check ring space (enrolling on nvmeWait while the ring is full,
+// as issueHostNVMe waits) and re-submit.
 type nvmeRetryMachine struct {
 	n       *Node
 	dev     uint8
@@ -518,7 +486,7 @@ func (m *nvmeRetryMachine) run(h *sim.HandlerCtx) {
 		m.n.nvmeWait.WaitH(h)
 		return
 	}
-	if _, err := ring.Submit(m.cmd, m.n.hostNVMeCplFnH(m.dev, m.cmd, m.attempt, m.done)); err != nil {
+	if _, err := ring.Submit(m.cmd, m.n.hostNVMeCplFn(m.dev, m.cmd, m.attempt, m.done)); err != nil {
 		panic(err)
 	}
 	ring.RingDoorbell()

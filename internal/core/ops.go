@@ -254,13 +254,19 @@ func (n *Node) CopyFileOp(p *sim.Proc, srcF *hostos.File, srcOff int, dstF *host
 // already reassembled in engine DDR3) seeds host connections so
 // streams continue without loss. The reconfiguration cost is charged
 // to trace.CatFallback so fail-overs show up in breakdowns.
+//
+// Every connection is installed before the first charge: a concurrent
+// op that also saw the failure returns at once (adopted is set) and
+// may use any adopted connection while this one is still paying for
+// the setup.
 func (n *Node) failoverToHost(p *sim.Proc, bd *trace.Breakdown) {
 	n.Host.Exec(p, trace.CatFallback, n.Params.Host.CtxSwitch, bd)
 	if n.adopted {
 		return
 	}
 	n.adopted = true
-	for _, ac := range n.Engine.AdoptConnections() {
+	adopted := n.Engine.AdoptConnections()
+	for _, ac := range adopted {
 		// Dropping the steering rule sends subsequent frames to host
 		// queue 0 (the RSS default).
 		n.NIC.ClearSteering(ac.Flow.Reverse().Tuple())
@@ -273,6 +279,8 @@ func (n *Node) failoverToHost(p *sim.Proc, bd *trace.Breakdown) {
 		}
 		n.conns[ac.ID] = c
 		n.connsRx[ac.Flow.Reverse().Tuple()] = c
+	}
+	for range adopted {
 		n.Host.Exec(p, trace.CatFallback, n.Params.Host.SockSendSetup, bd)
 	}
 }

@@ -161,14 +161,13 @@ func (c *Cluster) restore(data []byte, verify bool) error {
 }
 
 // snapFlags encodes the kernel knobs the schedule depends on; a
-// snapshot only restores into a cluster running the same knobs.
+// snapshot only restores into a cluster running the same knobs. The
+// handler-proc bit is constant — the model loops always run as handler
+// procs — and stays so that a checkpoint without it fails the check.
 func (c *Cluster) snapFlags() uint32 {
-	var f uint32
+	f := snap.FlagHandlerProcs
 	if c.Env.Fusion() {
 		f |= snap.FlagFusion
-	}
-	if c.Env.HandlerProcs() {
-		f |= snap.FlagHandlerProcs
 	}
 	if c.Env.WireFidelity() == sim.WireFlow {
 		f |= snap.FlagWireFlow

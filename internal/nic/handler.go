@@ -1,11 +1,10 @@
 package nic
 
-// Run-to-completion handler-proc flavors of the NIC receive loops
-// (DESIGN.md §16). Each machine replays its goroutine twin statement
-// for statement: the same queue operations in the same order, the
-// same occupancy sleeps (as re-arms), and the same flush DMA (as a
-// pcie.XferVec) — so the event sequence, and therefore every golden
-// fingerprint, is byte-identical across flavors.
+// The NIC's receive demux and completion stages, written as
+// run-to-completion handler procs (DESIGN.md §16): explicit state
+// machines that re-arm for occupancy charges and drive the flush DMA
+// as a pcie.XferVec instead of parking a goroutine. Frozen goldens in
+// handler_equiv_test.go pin the event schedule they produce.
 
 import (
 	"dcsctrl/internal/ether"
@@ -22,9 +21,10 @@ const (
 	rxsStall                     // a queue FIFO is full; waiting for space
 )
 
-// rxDemuxMachine is the handler flavor of rxLoop: verify, parse,
-// steer. The burst slice persists across dispatches, exactly like the
-// goroutine's loop-local scratch.
+// rxDemuxMachine is the shared demux stage: verify, parse, steer.
+// Heavy per-frame work (descriptor fetch, payload DMA, completions)
+// happens in per-queue pipelines so receive throughput scales with
+// queues. The burst slice is scratch that persists across dispatches.
 type rxDemuxMachine struct {
 	n     *NIC
 	st    rxDemuxState
@@ -54,9 +54,11 @@ func (m *rxDemuxMachine) run(h *sim.HandlerCtx) {
 				}
 				m.burst = append(m.burst, f2)
 			}
-			// One demux occupancy per arrival burst, mirroring the
-			// goroutine's Sleep (a zero charge falls through inline the
-			// way Sleep(0) returns without an event).
+			// One demux occupancy per arrival burst (interrupt-
+			// coalescing analogue): the per-frame cost is uniform, so
+			// the charge is the same k*RxDemux a per-frame loop would
+			// accumulate. A zero charge falls through inline, the way
+			// Sleep(0) returns without an event.
 			m.i = 0
 			m.st = rxsDemux
 			if d := sim.Time(len(m.burst)) * n.params.RxDemux; d > 0 {
@@ -98,8 +100,8 @@ func (m *rxDemuxMachine) run(h *sim.HandlerCtx) {
 			}
 			m.st = rxsGet
 		case rxsStall:
-			// Re-check on every broadcast, like the goroutine's
-			// for-Wait loop; the frame was already parsed.
+			// Re-check on every broadcast (a for-Wait loop); the
+			// frame was already parsed.
 			q := m.stallQ
 			if q.rxFIFO.Len() >= rxQueueCap {
 				q.rxSpace.WaitH(h)
@@ -122,8 +124,8 @@ const (
 	csFlush                     // flush DMA in progress
 )
 
-// rxCplMachine is the handler flavor of rxCplLoop: in-order DMA
-// retirement, slot recycling, coalesced completion flushes.
+// rxCplMachine is a queue's completer: in-order DMA retirement, slot
+// recycling, coalesced completion flushes.
 type rxCplMachine struct {
 	n    *NIC
 	q    *nicQueue

@@ -118,7 +118,7 @@ type nicQueue struct {
 	sbdHead     int
 	sendFetched uint64
 	sendExts    []mem.Extent // merged gather extents scratch (txLoop only)
-	cplExts     []mem.Extent // completion-flush extents scratch (rxCplLoop only)
+	cplExts     []mem.Extent // completion-flush extents scratch (rxCplMachine only)
 
 	// irqQueued coalesces same-instant arm doorbells into one deferred
 	// interrupt check (irqFn bound once; see Env.Chain).
@@ -270,11 +270,7 @@ func NewNIC(env *sim.Env, fab *pcie.Fabric, name string, params Params) *NIC {
 	n.txFIFO = sim.NewQueue[outFrame](env, name+"-txfifo")
 	n.txSpace = sim.NewCond(env)
 	n.Doorbells.SetWriteHook(n.onDoorbell)
-	if env.HandlerProcs() {
-		env.SpawnHandler(name+"-rx", (&rxDemuxMachine{n: n}).run)
-	} else {
-		env.Spawn(name+"-rx", n.rxLoop)
-	}
+	env.SpawnHandler(name+"-rx", (&rxDemuxMachine{n: n}).run)
 	env.Spawn(name+"-tx-wire", n.txWireLoop)
 	return n
 }
@@ -457,11 +453,7 @@ func (n *NIC) ConfigureQueue(cfg QueueConfig) {
 	n.queueList = append(n.queueList, q)
 	n.env.Spawn(fmt.Sprintf("%s-tx-q%d", n.Name, cfg.QID), func(p *sim.Proc) { n.txLoop(p, q) })
 	n.env.Spawn(fmt.Sprintf("%s-rx-q%d", n.Name, cfg.QID), func(p *sim.Proc) { n.rxQueueLoop(p, q) })
-	if n.env.HandlerProcs() {
-		n.env.SpawnHandler(fmt.Sprintf("%s-rxcpl-q%d", n.Name, cfg.QID), (&rxCplMachine{n: n, q: q}).run)
-	} else {
-		n.env.Spawn(fmt.Sprintf("%s-rxcpl-q%d", n.Name, cfg.QID), func(p *sim.Proc) { n.rxCplLoop(p, q) })
-	}
+	n.env.SpawnHandler(fmt.Sprintf("%s-rxcpl-q%d", n.Name, cfg.QID), (&rxCplMachine{n: n, q: q}).run)
 }
 
 // DoorbellAddrs returns the four doorbell addresses for a queue.
@@ -798,23 +790,12 @@ func (n *NIC) fetchRecvBDs(p *sim.Proc, q *nicQueue) {
 	q.recvHead += uint64(batch)
 }
 
-// flushCompletions writes pending completion entries and the status
-// counter in one vectored DMA (completion runs first, status counter
-// last, so a consumer woken by the status write always sees every
-// entry), then fires the (armed) interrupt.
-func (n *NIC) flushCompletions(p *sim.Proc, q *nicQueue) {
-	if n.prepFlush(q) == 0 {
-		return
-	}
-	n.fab.MustDMAVec(p, n.port, q.cplStage, q.cplExts, false)
-	n.finishFlush(q)
-}
-
-// prepFlush stages the pending completion entries for the flush DMA —
-// everything flushCompletions does before the vectored transfer — and
-// returns the entry count (0: nothing to flush). Shared by the
-// goroutine and handler flavors of the completer so the two stay
-// byte-identical.
+// prepFlush stages the pending completion entries for the completer's
+// flush DMA and returns the entry count (0: nothing to flush). The
+// flush writes the entries and the status counter in one vectored DMA
+// (completion run first, status counter last, so a consumer woken by
+// the status write always sees every entry); finishFlush then fires
+// the (armed) interrupt.
 func (n *NIC) prepFlush(q *nicQueue) int {
 	k := len(q.cplBuf)
 	if k == 0 {
@@ -872,52 +853,6 @@ type rxPending struct {
 	pay  int
 }
 
-// rxLoop is the shared demux stage: verify, parse, steer. Heavy
-// per-frame work (descriptor fetch, payload DMA, completions) happens
-// in per-queue pipelines so receive throughput scales with queues.
-func (n *NIC) rxLoop(p *sim.Proc) {
-	var burst [][]byte // scratch: same-instant arrival batch
-	for {
-		burst = append(burst[:0], n.rxQ.Get(p))
-		for len(burst) < rxBatch {
-			frame, ok := n.rxQ.TryGet()
-			if !ok {
-				break
-			}
-			burst = append(burst, frame)
-		}
-		// One demux occupancy per arrival burst (interrupt-coalescing
-		// analogue): the per-frame cost is uniform, so the charge is
-		// the same k*RxDemux the serial loop would accumulate.
-		p.Sleep(sim.Time(len(burst)) * n.params.RxDemux)
-		for _, frame := range burst {
-			// The view-parsed payload aliases frame; both travel
-			// together in the rxFrame and the payload is copied into
-			// the receive buffer before the frame is recycled.
-			seg, err := ether.ParseView(frame)
-			if err != nil {
-				n.rxErrors++
-				n.putFrameBuf(frame)
-				continue
-			}
-			qid, ok := n.steering[seg.Flow.Tuple()]
-			if !ok {
-				qid = 0
-			}
-			q, exists := n.queues[qid]
-			if !exists {
-				n.drops++
-				n.putFrameBuf(frame)
-				continue
-			}
-			for q.rxFIFO.Len() >= rxQueueCap {
-				q.rxSpace.Wait(p)
-			}
-			q.rxFIFO.Put(rxFrame{frame: frame, seg: seg})
-		}
-	}
-}
-
 // rxQueueLoop is one queue's receive pipeline: it takes parsed frames,
 // fills posted buffers (pausing, PFC-style, while none are posted),
 // and writes coalesced completions.
@@ -934,7 +869,7 @@ func (n *NIC) rxQueueLoop(p *sim.Proc, q *nicQueue) {
 		}
 		q.rxSpace.Broadcast()
 		// One pipeline occupancy per burst; same uniform-cost argument
-		// as the demux stage above.
+		// as the demux stage (rxDemuxMachine).
 		p.Sleep(sim.Time(len(burst)) * n.params.RxOverhead)
 		for _, rf := range burst {
 			n.rxFill(p, q, rf)
@@ -999,28 +934,6 @@ func (n *NIC) rxFill(p *sim.Proc, q *nicQueue, rf rxFrame) {
 	}
 	q.cplIssued++
 	q.rxPend.Put(rxPending{cpl: cpl, sig: sig, slot: slot, pay: len(pay)})
-}
-
-// rxCplLoop retires receive DMAs in order, recycles tag slots, and
-// writes coalesced completion entries.
-func (n *NIC) rxCplLoop(p *sim.Proc, q *nicQueue) {
-	for {
-		pend := q.rxPend.Get(p)
-		pend.sig.Wait(p)
-		// This loop is the signal's only waiter, so it can be recycled
-		// as soon as the completion is observed.
-		n.fab.RecycleAsyncSignal(pend.sig)
-		q.rxSlots.Put(pend.slot)
-		n.rxFrames++
-		n.rxPayload += int64(pend.pay)
-		n.RxPerQueue[q.cfg.QID]++
-		q.cplBuf = append(q.cplBuf, pend.cpl)
-		// Flush when the batch fills or no more DMAs are in flight
-		// (the queue may be paused waiting for these completions).
-		if len(q.cplBuf) >= rxBatch || q.rxPend.Len() == 0 {
-			n.flushCompletions(p, q)
-		}
-	}
 }
 
 // DebugQueues reports per-queue ring state (diagnostics).

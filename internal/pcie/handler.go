@@ -5,14 +5,14 @@ package pcie
 // call as an explicit state machine a handler proc can drive without
 // ever parking: every Sleep becomes a Rearm, every bandwidth-server
 // Transfer becomes the staged AcquireH / HoldTime / CompleteH triple,
-// and fault draws happen at exactly the instants the goroutine path
-// draws them — so the two flavors consume identical event sequences
-// and the deterministic fault streams never diverge.
+// and fault draws happen at exactly the instants the blocking call
+// draws them — so a transfer consumes the same event sequence whether
+// a goroutine proc calls DMA or a handler steps an Xfer, and the
+// deterministic fault streams never diverge.
 //
-// The pooled async-DMA worker has both flavors: DMAAsync spawns the
-// handler machine (dmaWorker) when the environment runs handler procs
-// and the classic goroutine loop otherwise. Both park on the same
-// asyncJobs queue, so the warm hand-off path is flavor-blind.
+// The pooled async-DMA worker (dmaWorker) is always a handler proc:
+// DMAAsync spawns one only when every pooled worker is busy, and idle
+// workers park on the asyncJobs queue for the warm hand-off path.
 
 import (
 	"fmt"
@@ -24,7 +24,7 @@ import (
 
 // xferState enumerates where an Xfer resumes after a re-arm. States
 // are ordered along the store-and-forward pipeline; zero-duration
-// stages fall through inline exactly where the goroutine path's
+// stages fall through inline exactly where the blocking DMA call's
 // Sleep(0) would return without an event.
 type xferState int
 
@@ -84,8 +84,8 @@ func (x *Xfer) Active() bool { return x.st != xferIdle }
 // Step advances the transfer and reports whether it completed. On
 // false the handler body must return: the machine has re-armed h or
 // enrolled it on a bandwidth server and will make progress on the
-// next dispatch. The event sequence is identical to the goroutine
-// MustDMA call it replaces — same fault draws, same per-stage sleeps,
+// next dispatch. The event sequence is identical to the blocking
+// MustDMA call it replays — same fault draws, same per-stage sleeps,
 // same FIFO positions on every server.
 //
 //dcslint:hotpath
@@ -283,9 +283,9 @@ func (v *XferVec) Step(h *sim.HandlerCtx) bool {
 	}
 }
 
-// dmaWorker is the handler flavor of the pooled async-DMA worker: the
-// same fire / re-pool / fetch-next-job loop as the goroutine worker in
-// DMAAsync, with the blocking MustDMA replaced by the Xfer machine.
+// dmaWorker is a pooled async-DMA worker: it runs its job's transfer
+// on the Xfer machine, fires the job's signal, re-pools itself, and
+// fetches the next job.
 type dmaWorker struct {
 	f       *Fabric
 	x       Xfer
@@ -301,7 +301,7 @@ func (w *dmaWorker) run(h *sim.HandlerCtx) {
 		if !w.hasJob {
 			job, ok := f.asyncJobs.GetH(h)
 			if !ok {
-				return // parked on the job queue, flavor-blind with the goroutine pool
+				return // parked on the job queue until DMAAsync hands it a job
 			}
 			w.job = job
 			w.hasJob = true

@@ -349,23 +349,12 @@ func (f *Fabric) DMAAsync(initiator *Port, dst, src mem.Addr, n int) *sim.Signal
 		f.asyncJobs.Put(asyncJob{initiator: initiator, dst: dst, src: src, n: n, sig: sig})
 		return sig
 	}
+	// A new worker is a handler proc: no goroutine and no park/resume
+	// handoffs. The machine and its bound body are created once per
+	// pooled worker.
 	job := asyncJob{initiator: initiator, dst: dst, src: src, n: n, sig: sig}
-	if f.env.HandlerProcs() {
-		// Handler flavor: same pool discipline, no goroutine and no
-		// park/resume handoffs. The machine and its bound body are
-		// created once per pooled worker, like the goroutine's stack.
-		w := &dmaWorker{f: f, job: job, hasJob: true}
-		f.env.SpawnHandler("dma-async", w.run)
-		return sig
-	}
-	f.env.Spawn("dma-async", func(p *sim.Proc) {
-		for {
-			f.MustDMA(p, job.initiator, job.dst, job.src, job.n)
-			job.sig.Fire(nil)
-			f.asyncIdle++
-			job = f.asyncJobs.Get(p)
-		}
-	})
+	w := &dmaWorker{f: f, job: job, hasJob: true}
+	f.env.SpawnHandler("dma-async", w.run)
 	return sig
 }
 
@@ -380,20 +369,8 @@ func (f *Fabric) DMAAsync(initiator *Port, dst, src mem.Addr, n int) *sim.Signal
 func (f *Fabric) PrimeAsyncPool(n int) {
 	for i := 0; i < n; i++ {
 		f.asyncIdle++
-		if f.env.HandlerProcs() {
-			w := &dmaWorker{f: f}
-			f.env.SpawnHandler("dma-async", w.run)
-			continue
-		}
-		f.env.Spawn("dma-async", func(p *sim.Proc) {
-			job := f.asyncJobs.Get(p)
-			for {
-				f.MustDMA(p, job.initiator, job.dst, job.src, job.n)
-				job.sig.Fire(nil)
-				f.asyncIdle++
-				job = f.asyncJobs.Get(p)
-			}
-		})
+		w := &dmaWorker{f: f}
+		f.env.SpawnHandler("dma-async", w.run)
 	}
 }
 
