@@ -80,31 +80,28 @@ func TestHandlerEquivRack(t *testing.T) {
 	}
 }
 
-// TestHandlerEquivMatrix crosses the two remaining kernel fast paths —
-// continuation fusion and the flow-level wire model — over the seed
-// matrix at 2 domains. Both are schedule-preserving, so every cell
-// must reproduce the seed's frozen fingerprint byte-for-byte.
+// TestHandlerEquivMatrix runs the seed matrix at 2 domains under both
+// wire fidelities: the flow-level wire model is schedule-preserving,
+// so every cell must reproduce the seed's frozen fingerprint
+// byte-for-byte.
 func TestHandlerEquivMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full fusion × fidelity × seed matrix")
+		t.Skip("full fidelity × seed matrix")
 	}
 	for _, g := range rackGoldens {
 		if g.domains != 2 {
 			continue
 		}
-		for _, fusion := range []bool{true, false} {
-			for _, wire := range []sim.WireFidelity{sim.WireFlow, sim.WireFrame} {
-				withFusion(t, fusion, func() {
-					prev := sim.DefaultWireFidelity()
-					sim.SetDefaultWireFidelity(wire)
-					defer sim.SetDefaultWireFidelity(prev)
-					res := bench.RunRack(rackGoldenConfig(g))
-					if fp := res.Fingerprint(); fp != g.fp {
-						t.Fatalf("seed %d fusion=%v wire=%v: fingerprint %s != golden %s",
-							g.seed, fusion, wire, fp, g.fp)
-					}
-				})
-			}
+		for _, wire := range []sim.WireFidelity{sim.WireFlow, sim.WireFrame} {
+			func() {
+				prev := sim.DefaultWireFidelity()
+				sim.SetDefaultWireFidelity(wire)
+				defer sim.SetDefaultWireFidelity(prev)
+				res := bench.RunRack(rackGoldenConfig(g))
+				if fp := res.Fingerprint(); fp != g.fp {
+					t.Fatalf("seed %d wire=%v: fingerprint %s != golden %s", g.seed, wire, fp, g.fp)
+				}
+			}()
 		}
 	}
 }

@@ -257,12 +257,6 @@ func newNicNode(env *sim.Env, name string) *nicNode {
 	port := fab.AddPort(name + "-root")
 	dram := mm.AddRegion(name+"-dram", mem.HostDRAM, 16<<20, true)
 	fab.Attach(port, dram)
-	// Private fabric, one initiator, and a completion-driven rig (the
-	// echo driver only sends after the previous reply lands): the
-	// analytic flow path including plan bookings is legal end-to-end
-	// (falls back per-frame automatically under WireFrame).
-	fab.SetFlowExclusive()
-	fab.SetFlowReactive()
 	n := nic.NewNIC(env, fab, name+"-nic", nic.DefaultParams())
 	const entries = 256
 	sring := mm.AddRegion(name+"-sring", mem.HostDRAM, entries*nic.SendBDSize, true)
@@ -383,9 +377,8 @@ func benchNICEcho() DataplaneStat {
 // node A posts a two-BD LSO chain, the NIC segments it into 45 frames,
 // the flow fast path collapses the steady-state run into analytic
 // claims, and the op completes when B's completion hook has seen every
-// frame of the job. Completion-driven like the echo, so the reactive
-// analytic rig stays legal; the per-frame fidelity cost of the same
-// job is the events_per_op baseline this bench exists to guard.
+// frame of the job. Completion-driven like the echo; the events_per_op
+// baseline guards the claim crossover on the path workloads run.
 func benchNICBulkStream() DataplaneStat {
 	env := sim.NewEnv()
 	a := newNicNode(env, "a")

@@ -54,11 +54,11 @@ func DefaultWarmForkConfig() WarmForkConfig {
 
 // WarmForkCell is one (seed) cell's verdict.
 type WarmForkCell struct {
-	Seed       uint64 `json:"seed"`
-	StraightFP string `json:"straight_fp"`
-	ForkedFP   string `json:"forked_fp"`
-	Match      bool   `json:"match"`
-	Requests   int    `json:"requests"`
+	Seed       uint64  `json:"seed"`
+	StraightFP string  `json:"straight_fp"`
+	ForkedFP   string  `json:"forked_fp"`
+	Match      bool    `json:"match"`
+	Requests   int     `json:"requests"`
 	StraightMs float64 `json:"straight_ms"`
 	ForkedMs   float64 `json:"forked_ms"`
 	RestoreNs  int64   `json:"restore_ns"`

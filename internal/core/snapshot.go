@@ -161,18 +161,12 @@ func (c *Cluster) restore(data []byte, verify bool) error {
 }
 
 // snapFlags encodes the kernel knobs the schedule depends on; a
-// snapshot only restores into a cluster running the same knobs. The
-// handler-proc bit is constant — the model loops always run as handler
-// procs — and stays so that a checkpoint without it fails the check.
+// snapshot only restores into a cluster running the same knobs.
 func (c *Cluster) snapFlags() uint32 {
-	f := snap.FlagHandlerProcs
-	if c.Env.Fusion() {
-		f |= snap.FlagFusion
-	}
 	if c.Env.WireFidelity() == sim.WireFlow {
-		f |= snap.FlagWireFlow
+		return snap.FlagWireFlow
 	}
-	return f
+	return 0
 }
 
 // ConfigFingerprint hashes the structural configuration — everything

@@ -32,7 +32,7 @@ func (l ChainLink) String() string {
 // summaries, with parent edges for shortest-chain reconstruction.
 type reach struct {
 	facts  *Facts
-	order  []*FuncFacts            // BFS visit order (roots first)
+	order  []*FuncFacts // BFS visit order (roots first)
 	parent map[*FuncFacts]*FuncFacts
 	site   map[*FuncFacts]token.Pos // call site in parent that first reached it
 	seen   map[*FuncFacts]bool

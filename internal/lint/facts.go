@@ -756,8 +756,8 @@ func (s *summarizer) methodOnGlobal(call *ast.CallExpr, fn *types.Func) {
 		return
 	}
 	// sync/atomic Load* takes a pointer receiver but only reads; the
-	// default-knob pattern (fusionOff.Load() on the kernel fast path)
-	// must not count as a cross-domain write.
+	// default-knob pattern (wireFrameOnly.Load() in sim.NewEnv) must
+	// not count as a cross-domain write.
 	if fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && strings.HasPrefix(fn.Name(), "Load") {
 		return
 	}

@@ -13,7 +13,6 @@ package nic
 import (
 	"dcsctrl/internal/ether"
 	"dcsctrl/internal/fault"
-	"dcsctrl/internal/mem"
 	"dcsctrl/internal/sim"
 )
 
@@ -95,11 +94,6 @@ func (n *NIC) claimRun(segs []ether.Segment) bool {
 	if start < now {
 		start = now
 	}
-	e := peer.engine()
-	var w *wireBatch
-	if e != nil {
-		w = peer.getWireBatch()
-	}
 	wireBytes := 0
 	var busy sim.Time
 	for i := range segs {
@@ -113,207 +107,12 @@ func (n *NIC) claimRun(segs []ether.Segment) bool {
 		n.claimExits = append(n.claimExits, start)
 		n.txFrames++
 		n.txPayload += int64(len(s.Payload))
-		if w != nil {
-			w.frames = append(w.frames, frame)
-			w.arrivals = append(w.arrivals, start+n.params.PropDelay)
-		} else {
-			n.scheduleDeliveryAt(peer.rxQ, frame, start+n.params.PropDelay-now)
-		}
+		n.scheduleDelivery(peer.rxQ, frame, start+n.params.PropDelay-now)
 	}
 	n.wireFree = start
 	n.segFrames += int64(len(segs))
 	n.txBW.AccrueFlow(wireBytes, len(segs), busy)
 	env.CountIO(len(segs))
 	env.CountSegment(len(segs))
-	if w != nil {
-		e.pendingAccepts++
-		env.Schedule(w.arrivals[0]-now, w.fn)
-	}
 	return true
-}
-
-// scheduleDeliveryAt is scheduleDelivery with an explicit delay, used
-// by claims whose frames exit the wire in the future.
-func (n *NIC) scheduleDeliveryAt(q *sim.Queue[[]byte], frame []byte, d sim.Time) {
-	var fd *frameDelivery
-	if k := len(n.fdFree); k > 0 {
-		fd = n.fdFree[k-1]
-		n.fdFree = n.fdFree[:k-1]
-	} else {
-		fd = &frameDelivery{nic: n}
-		fd.fn = fd.deliver
-	}
-	fd.to, fd.frame = q, frame
-	n.env.Schedule(d, fd.fn)
-}
-
-// wireBatch is one scheduled hand-off of claimed frames to the peer's
-// analytic receive engine: a single event at the first frame's arrival
-// carrying every frame with its own arrival instant. Owned (and
-// free-listed) by the receiving NIC.
-type wireBatch struct {
-	n        *NIC
-	frames   [][]byte
-	arrivals []sim.Time
-	fn       func()
-}
-
-func (w *wireBatch) accept() {
-	e := w.n.eng
-	e.pendingAccepts--
-	e.acceptBatch(w.frames, w.arrivals)
-	w.frames = w.frames[:0]
-	w.arrivals = w.arrivals[:0]
-	w.n.wbFree = append(w.n.wbFree, w)
-}
-
-func (n *NIC) getWireBatch() *wireBatch {
-	if k := len(n.wbFree); k > 0 {
-		w := n.wbFree[k-1]
-		n.wbFree = n.wbFree[:k-1]
-		return w
-	}
-	w := &wireBatch{n: n}
-	w.fn = w.accept
-	return w
-}
-
-// txPlanOK reports whether this NIC may book future charge entries on
-// its fabric right now (the quiescence test of DESIGN.md §13): the
-// fabric is a private one (this device plus the root complex, so no
-// unregistered initiator can slip a charge into the plan window), no
-// posted write or MSI is in flight, the link-degrade site cannot fire,
-// the receive engine is idle, and every other transmit queue is parked
-// with nothing fetchable. The plan window itself must stay under
-// PropDelay — any foreign wire arrival charges later than that — which
-// each caller bound-checks per booking.
-func (n *NIC) txPlanOK(q *nicQueue) bool {
-	if !n.fab.FlowReactive() {
-		return false
-	}
-	if n.fab.PortCount() != 2 || !n.fab.FlowQuiet() || n.fab.FlowDegradeArmed() {
-		return false
-	}
-	if n.eng != nil && !n.eng.idle() {
-		return false
-	}
-	for _, o := range n.queueList {
-		if o == q {
-			continue
-		}
-		if !o.txIdle || o.sendFetched != o.sendTail {
-			return false
-		}
-	}
-	return true
-}
-
-// flowGatherTransmit gathers the chain into the staging buffer and
-// transmits it. When the plan quiescence test passes, the per-extent
-// DMAs are charged as one analytic plan — extent k issues at extent
-// k-1's completion, exactly the per-frame hand-off — and transmit runs
-// immediately with the outstanding gather time folded into its first
-// build sleep. Sources are read early under the posted-buffer
-// stability contract; the destination is hook-free device-internal
-// staging memory, so nothing host-visible moves in time. A booking
-// that would leave the legality window falls back to sleeping to that
-// instant and continuing sequentially, which is always legal because
-// every charged extent is then in the past.
-func (n *NIC) flowGatherTransmit(p *sim.Proc, q *nicQueue, first SendBD, exts []mem.Extent, off int) {
-	mm := n.fab.Mem()
-	if len(exts) > 1 && n.txPlanOK(q) {
-		limit := n.env.Now() + n.params.PropDelay
-		dst := q.txStage
-		var done sim.Time
-		for i, e := range exts {
-			if e.Len == 0 {
-				continue
-			}
-			switch {
-			case i == 0:
-				done = n.fab.FlowCopyNow(n.port, dst, e.Addr, e.Len)
-			case done < limit:
-				d := n.fab.FlowChargeAt(n.port, dst, e.Addr, e.Len, done)
-				mm.Copy(dst, e.Addr, e.Len)
-				done = d
-			default:
-				p.Sleep(done - n.env.Now())
-				done = n.fab.FlowCopyNow(n.port, dst, e.Addr, e.Len)
-			}
-			dst += mem.Addr(e.Len)
-		}
-		pre := sim.Time(0)
-		if now := n.env.Now(); done > now {
-			pre = done - now
-		}
-		n.transmit(p, q, first, mm.View(q.txStage, off), pre)
-		return
-	}
-	// Sequential: identical to the per-frame gather, one event per
-	// extent (flowXfer), internal fault draws at the exact instants.
-	n.fab.MustDMAVec(p, n.port, q.txStage, exts, true)
-	n.transmit(p, q, first, mm.View(q.txStage, off), 0)
-}
-
-// fetchSendBDsAuto fetches send descriptors through the analytic path
-// when the fabric allows it, else the per-frame path. The analytic
-// variant must not run while link degradation can fire: the per-frame
-// fetch draws that site inside each DMA at instants the folded sleep
-// below would not reproduce.
-func (n *NIC) fetchSendBDsAuto(p *sim.Proc, q *nicQueue) {
-	if n.fab.FlowMode() && !n.fab.FlowDegradeArmed() {
-		n.flowFetchSendBDs(p, q)
-		return
-	}
-	n.fetchSendBDs(p, q)
-}
-
-// flowFetchSendBDs mirrors fetchSendBDs with the descriptor DMA
-// charged analytically and the decode latency folded into the same
-// sleep — one event for the common single-extent burst. Stuck-BD
-// faults are drawn at the identical post-fetch instant, so injection
-// statistics and recovery timing match the per-frame path exactly.
-func (n *NIC) flowFetchSendBDs(p *sim.Proc, q *nicQueue) {
-	avail := int(q.sendTail - q.sendFetched)
-	if avail == 0 {
-		return
-	}
-	slot := int(q.sendFetched % uint64(q.cfg.SendEntries))
-	exts := ringExtents(q.sendExts[:0], q.cfg.SendRing.Base, slot, avail, q.cfg.SendEntries, SendBDSize)
-	q.sendExts = exts
-	dst := q.bdStage
-	var done sim.Time
-	for i, e := range exts {
-		if i > 0 {
-			p.Sleep(done - n.env.Now())
-		}
-		done = n.fab.FlowCopyNow(n.port, dst, e.Addr, e.Len)
-		dst += mem.Addr(e.Len)
-	}
-	p.Sleep(done + n.params.BDFetch - n.env.Now())
-	stuck := 0
-	for i := 0; i < avail; i++ {
-		if n.params.Faults.Hit(fault.NICStuckBD) {
-			stuck++
-		}
-	}
-	if stuck > 0 {
-		n.bdRefetches += int64(stuck)
-		p.Sleep(sim.Time(stuck) * stuckBDRecovery)
-		n.fab.MustDMAVec(p, n.port, q.bdStage, exts, true)
-		p.Sleep(n.params.BDFetch)
-	}
-	if q.sbdHead == len(q.sbdCache) {
-		q.sbdCache = q.sbdCache[:0]
-		q.sbdHead = 0
-	}
-	raw := n.fab.Mem().View(q.bdStage, avail*SendBDSize)
-	for i := 0; i < avail; i++ {
-		bd, err := DecodeSendBD(raw[i*SendBDSize:])
-		if err != nil {
-			panic(err) // corrupted ring memory is a modelling bug
-		}
-		q.sbdCache = append(q.sbdCache, bd)
-	}
-	q.sendFetched += uint64(avail)
 }

@@ -125,11 +125,6 @@ type nicQueue struct {
 	irqQueued bool
 	irqFn     func()
 
-	// txIdle is true while txLoop is parked on sendKick with no staged
-	// work it could progress without a doorbell — part of the transmit-
-	// quiescence test gating analytic multi-charge plans (DESIGN.md §13).
-	txIdle bool
-
 	// Reused per-packet LSO segment scratch: one packet is in flight
 	// per queue at a time, so a single slice makes the transmit path
 	// allocation-free in steady state.
@@ -187,11 +182,6 @@ type NIC struct {
 	claimHead    int
 	realInFlight int
 	segFrames    int64 // frames accounted through flow segments
-	wbFree       []*wireBatch
-
-	// eng is the analytic receive engine, created lazily on flow-
-	// exclusive fabrics (flow.go).
-	eng *rxEngine
 
 	// RxPerQueue counts delivered frames per queue (diagnostics).
 	RxPerQueue map[uint16]int64
@@ -232,19 +222,19 @@ func (d *frameDelivery) deliver() {
 	d.nic.fdFree = append(d.nic.fdFree, d)
 }
 
-// scheduleDelivery hands frame to q after the wire propagation delay
-// without allocating a closure per frame.
-func (n *NIC) scheduleDelivery(q *sim.Queue[[]byte], frame []byte) {
-	var d *frameDelivery
+// scheduleDelivery hands frame to q after delay d without allocating a
+// closure per frame.
+func (n *NIC) scheduleDelivery(q *sim.Queue[[]byte], frame []byte, d sim.Time) {
+	var fd *frameDelivery
 	if k := len(n.fdFree); k > 0 {
-		d = n.fdFree[k-1]
+		fd = n.fdFree[k-1]
 		n.fdFree = n.fdFree[:k-1]
 	} else {
-		d = &frameDelivery{nic: n}
-		d.fn = d.deliver
+		fd = &frameDelivery{nic: n}
+		fd.fn = fd.deliver
 	}
-	d.to, d.frame = q, frame
-	n.env.Schedule(n.params.PropDelay, d.fn)
+	fd.to, fd.frame = q, frame
+	n.env.Schedule(d, fd.fn)
 }
 
 // NewNIC builds the device on a new fabric port.
@@ -321,7 +311,7 @@ func (n *NIC) txWireLoop(p *sim.Proc) {
 				if up != nil {
 					up.SendFrame(bad, f.wireLen, 0)
 				} else {
-					n.deliverFrame(peer, bad)
+					n.scheduleDelivery(peer.rxQ, bad, n.params.PropDelay)
 				}
 				p.Sleep(2 * n.params.PropDelay) // NAK round trip
 				continue
@@ -330,7 +320,7 @@ func (n *NIC) txWireLoop(p *sim.Proc) {
 			if up != nil {
 				up.SendFrame(f.frame, f.wireLen, f.payLen)
 			} else {
-				n.deliverFrame(peer, f.frame)
+				n.scheduleDelivery(peer.rxQ, f.frame, n.params.PropDelay)
 			}
 			break
 		}
@@ -338,16 +328,6 @@ func (n *NIC) txWireLoop(p *sim.Proc) {
 		n.realInFlight--
 		n.env.CountIO(1) // one wire frame left the device
 	}
-}
-
-// deliverFrame hands one wire frame to the peer after propagation,
-// through the peer's analytic receive engine when it has one.
-func (n *NIC) deliverFrame(peer *NIC, frame []byte) {
-	if e := peer.engine(); e != nil {
-		e.scheduleArrival(frame, n.env.Now()+n.params.PropDelay)
-		return
-	}
-	n.scheduleDelivery(peer.rxQ, frame)
 }
 
 // Port returns the NIC's fabric port.
@@ -414,12 +394,6 @@ func (n *NIC) ConfigureQueue(cfg QueueConfig) {
 	if _, dup := n.queues[cfg.QID]; dup {
 		panic(fmt.Sprintf("nic: queue %d exists on %s", cfg.QID, n.Name))
 	}
-	if n.eng != nil {
-		// The analytic receive engine replicates a single queue's
-		// pipeline; reconfiguring after it has carried traffic would
-		// strand its state.
-		panic(fmt.Sprintf("nic: %s: cannot add queues after the flow receive engine started", n.Name))
-	}
 	if cfg.SendEntries < 2 || cfg.RecvEntries < 2 {
 		panic("nic: queue too small")
 	}
@@ -480,9 +454,6 @@ func (n *NIC) onDoorbell(off uint64, _ int) {
 	case dbRecvTail:
 		q.recvTail = val
 		q.recvKick.Broadcast()
-		if n.eng != nil && n.eng.q == q {
-			n.eng.kick()
-		}
 	case dbRecvArm:
 		q.recvAck = val
 		q.armed = true
@@ -582,11 +553,9 @@ func (n *NIC) txLoop(p *sim.Proc, q *nicQueue) {
 	mm := n.fab.Mem()
 	for {
 		for q.sendHead == q.sendTail {
-			q.txIdle = true
 			q.sendKick.Wait(p)
-			q.txIdle = false
 		}
-		n.fetchSendBDsAuto(p, q)
+		n.fetchSendBDs(p, q)
 		sent := false
 		for {
 			// Find one complete chain (through its END flag) in the cache.
@@ -602,17 +571,13 @@ func (n *NIC) txLoop(p *sim.Proc, q *nicQueue) {
 			}
 			if end < 0 {
 				if q.sendFetched != q.sendTail {
-					n.fetchSendBDsAuto(p, q)
+					n.fetchSendBDs(p, q)
 					continue
 				}
 				if !sent {
-					// Incomplete chain posted; wait for the rest. Nothing
-					// here can progress without a doorbell, so the queue
-					// counts as transmit-quiescent for plan gating.
-					q.txIdle = true
+					// Incomplete chain posted; wait for the rest.
 					q.sendKick.Wait(p)
-					q.txIdle = false
-					n.fetchSendBDsAuto(p, q)
+					n.fetchSendBDs(p, q)
 					continue
 				}
 				break // flush what was consumed; outer loop waits for more
@@ -639,13 +604,8 @@ func (n *NIC) txLoop(p *sim.Proc, q *nicQueue) {
 			// The staging view is stable for the whole transmit: only this
 			// queue's txLoop writes q.txStage, and Marshal copies each
 			// segment before it reaches the FIFO.
-			if n.fab.FlowMode() {
-				n.flowGatherTransmit(p, q, chain[0], exts, off)
-			} else {
-				n.fab.MustDMAVec(p, n.port, q.txStage, exts, true)
-				raw := mm.View(q.txStage, off)
-				n.transmit(p, q, chain[0], raw, 0)
-			}
+			n.fab.MustDMAVec(p, n.port, q.txStage, exts, true)
+			n.transmit(p, q, chain[0], mm.View(q.txStage, off))
 			q.sendHead += uint64(len(chain))
 
 			// BD completion: buffers were fully fetched into the FIFO, so
@@ -667,10 +627,8 @@ func (n *NIC) txLoop(p *sim.Proc, q *nicQueue) {
 // transmit parses the header template, segments, and puts frames on
 // the wire — per-frame through the FIFO, or as analytic flow-segment
 // claims when the connection's state machine and the mechanical
-// crossover conditions allow (flow.go). pre is wire-gather time still
-// outstanding when a plan called transmit early; it is folded into the
-// first build sleep so the frames land at the per-frame instants.
-func (n *NIC) transmit(p *sim.Proc, q *nicQueue, first SendBD, raw []byte, pre sim.Time) {
+// crossover conditions allow (flow.go).
+func (n *NIC) transmit(p *sim.Proc, q *nicQueue, first SendBD, raw []byte) {
 	if len(raw) < ether.HeadersLen {
 		n.drops++
 		return
@@ -697,7 +655,6 @@ func (n *NIC) transmit(p *sim.Proc, q *nicQueue, first SendBD, raw []byte, pre s
 	}
 	q.segs = segs
 	claimable := n.observeBurst(proto.Flow.Tuple(), segs)
-	target := n.env.Now() + pre
 	// The LSO segment loop runs in batched events: each pass pays the
 	// pipeline cost for a run of frames in one sleep and marshals the
 	// run back-to-back. Run sizes ramp up exponentially so the wire is
@@ -726,11 +683,7 @@ func (n *NIC) transmit(p *sim.Proc, q *nicQueue, first SendBD, raw []byte, pre s
 		}
 		// Per-frame pipeline cost overlaps wire serialization: it is
 		// paid here, in the build stage, not on the wire.
-		d := n.params.TxOverhead * sim.Time(run)
-		if now := n.env.Now(); now < target {
-			d += target - now
-		}
-		p.Sleep(d)
+		p.Sleep(n.params.TxOverhead * sim.Time(run))
 		if claimable && n.claimRun(segs[i:i+run]) {
 			i += run
 		} else {

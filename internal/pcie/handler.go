@@ -29,20 +29,18 @@ import (
 type xferState int
 
 const (
-	xferIdle       xferState = iota // no transfer staged
-	xferStart                       // validate, resolve, draw degrade fault
-	xferSetup                       // degrade stall elapsed; charge DMA setup
-	xferAcqUp                       // acquire the source up-link
-	xferUpHold                      // up-link occupancy elapsed
-	xferAcqCore                     // acquire the switch core
-	xferCoreHold                    // core occupancy elapsed
-	xferAcqDown                     // acquire the destination down-link
-	xferDownHold                    // down-link occupancy elapsed
-	xferProp                        // propagation elapsed; copy and account
-	xferLocal                       // device-local: setup elapsed; copy
-	xferFlowCharge                  // flow mode: stall elapsed; charge clocks
-	xferFlowDone                    // flow mode: completion instant reached
-	xferDone                        // terminal
+	xferIdle     xferState = iota // no transfer staged
+	xferStart                     // validate, resolve, draw degrade fault
+	xferSetup                     // degrade stall elapsed; charge DMA setup
+	xferAcqUp                     // acquire the source up-link
+	xferUpHold                    // up-link occupancy elapsed
+	xferAcqCore                   // acquire the switch core
+	xferCoreHold                  // core occupancy elapsed
+	xferAcqDown                   // acquire the destination down-link
+	xferDownHold                  // down-link occupancy elapsed
+	xferProp                      // propagation elapsed; copy and account
+	xferLocal                     // device-local: setup elapsed; copy
+	xferDone                      // terminal
 )
 
 // Xfer is one in-flight DMA transaction driven by a handler proc: a
@@ -114,16 +112,6 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 				}
 				continue
 			}
-			if f.FlowMode() {
-				// Analytic arm, mirroring flowXfer: draw the degrade
-				// fault first, stall if hit, then charge the clocks.
-				x.st = xferFlowCharge
-				if f.params.Faults.Hit(fault.PCIeLinkDegrade) {
-					h.Rearm(linkRetrainStall)
-					return false
-				}
-				continue
-			}
 			x.st = xferSetup
 			if f.params.Faults.Hit(fault.PCIeLinkDegrade) {
 				h.Rearm(linkRetrainStall)
@@ -178,30 +166,11 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 			}
 		case xferProp:
 			f.mem.Copy(x.dst, x.src, x.n)
-			x.srcPort.bytesOut += int64(x.n)
-			x.dstPort.bytesIn += int64(x.n)
-			if x.srcReg.Kind == mem.HostDRAM || x.dstReg.Kind == mem.HostDRAM {
-				f.hostBytes += int64(x.n)
-			} else {
-				f.p2pBytes += int64(x.n)
-			}
+			f.account(x.srcPort, x.srcReg, x.dstPort, x.dstReg, x.n)
 			x.finish()
 			return true
 		case xferLocal:
 			f.mem.Copy(x.dst, x.src, x.n)
-			x.finish()
-			return true
-		case xferFlowCharge:
-			now := f.env.Now()
-			done := f.flowCharge(x.srcPort, x.dstPort, x.n, now+f.params.DMASetup)
-			x.st = xferFlowDone
-			if d := done - now; d > 0 {
-				h.Rearm(d)
-				return false
-			}
-		case xferFlowDone:
-			f.mem.Copy(x.dst, x.src, x.n)
-			f.flowAccount(x.srcPort, x.srcReg, x.dstPort, x.dstReg, x.n)
 			x.finish()
 			return true
 		default:

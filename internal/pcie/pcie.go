@@ -70,13 +70,6 @@ type Port struct {
 	up   *sim.BandwidthServer // device -> switch
 	down *sim.BandwidthServer // switch -> device
 
-	// Analytic link clocks for flow-exclusive fidelity: the time each
-	// simplex link becomes free. Maintained only while FlowMode is on,
-	// where they are the sole serialization state (the real servers are
-	// never acquired, only accrued into for utilization reports).
-	upFree   sim.Time
-	downFree sim.Time
-
 	bytesIn  int64
 	bytesOut int64
 }
@@ -121,26 +114,11 @@ type Fabric struct {
 	// callbacks) so every doorbell ring doesn't allocate a closure.
 	pwFree []*postedWrite
 
-	// flowExclusive marks this fabric as opted in to analytic DMA under
-	// flow wire fidelity (SetFlowExclusive). coreFree is the analytic
-	// switch-core clock, the core-server counterpart of Port.upFree.
-	// flowHorizon is the highest entry time ever charged: analytic
-	// exactness requires charges in entry order, so a charge below the
-	// horizon is a scheduling bug and panics (loud beats silently
-	// divergent). msiPending counts scheduled-but-undelivered MSIs,
-	// part of the quiescence test gating multi-charge plans.
-	flowExclusive bool
-	// flowReactive marks every initiator as completion-driven, the
-	// precondition for future-issue plan bookings (SetFlowReactive).
-	flowReactive bool
-	coreFree     sim.Time
-	flowHorizon  sim.Time
-	msiPending   int
-
-	// faFree recycles analytic async-DMA completion records, msiFree
-	// the MSI-delivery records that keep msiPending countable.
-	faFree  []*flowAsync
-	msiFree []*msiEvent
+	// msiPending counts scheduled-but-undelivered MSIs (a checkpoint
+	// refuses an interrupt in flight); msiFree recycles the delivery
+	// records that keep it countable.
+	msiPending int
+	msiFree    []*msiEvent
 }
 
 // postedWrite is one in-flight posted write. fn is the record's bound
@@ -188,13 +166,6 @@ func (f *Fabric) Mem() *mem.Map { return f.mem }
 
 // Params returns the fabric parameters.
 func (f *Fabric) Params() Params { return f.params }
-
-// PortCount returns the number of slots on the fabric. Analytic plans
-// that book future charge entries use it as part of their quiescence
-// test: on a fabric whose only initiators are one device and the root
-// complex, the device can locally rule out foreign charges inside the
-// plan window (DESIGN.md §13).
-func (f *Fabric) PortCount() int { return len(f.ports) }
 
 // AddPort creates a new slot.
 func (f *Fabric) AddPort(name string) *Port {
@@ -285,11 +256,6 @@ func (f *Fabric) DMA(p *sim.Proc, initiator *Port, dst, src mem.Addr, n int) err
 		return nil
 	}
 
-	if f.FlowMode() {
-		f.flowXfer(p, srcPort, srcReg, dstPort, dstReg, dst, src, n)
-		return nil
-	}
-
 	// Store-and-forward through the switch: serialize on the source
 	// link, the switch core, and the destination link in turn. Each
 	// stage is an independent bandwidth server, so concurrent
@@ -306,6 +272,13 @@ func (f *Fabric) DMA(p *sim.Proc, initiator *Port, dst, src mem.Addr, n int) err
 	p.Sleep(f.params.PropLatency)
 
 	f.mem.Copy(dst, src, n)
+	f.account(srcPort, srcReg, dstPort, dstReg, n)
+	return nil
+}
+
+// account credits one completed cross-port transfer to the port and
+// fabric byte counters.
+func (f *Fabric) account(srcPort *Port, srcReg *mem.Region, dstPort *Port, dstReg *mem.Region, n int) {
 	srcPort.bytesOut += int64(n)
 	dstPort.bytesIn += int64(n)
 	if srcReg.Kind == mem.HostDRAM || dstReg.Kind == mem.HostDRAM {
@@ -313,7 +286,6 @@ func (f *Fabric) DMA(p *sim.Proc, initiator *Port, dst, src mem.Addr, n int) err
 	} else {
 		f.p2pBytes += int64(n)
 	}
-	return nil
 }
 
 // DMAAsync starts a DMA and returns a signal that fires when it
@@ -336,10 +308,6 @@ func (f *Fabric) DMAAsync(initiator *Port, dst, src mem.Addr, n int) *sim.Signal
 		f.sigFree = f.sigFree[:k-1]
 	} else {
 		sig = sim.NewSignal(f.env)
-	}
-	if f.FlowMode() {
-		f.flowDMAAsync(initiator, dst, src, n, sig)
-		return sig
 	}
 	if f.asyncIdle > 0 {
 		// Reserve the worker now: a second DMAAsync in the same instant
@@ -376,8 +344,8 @@ func (f *Fabric) PrimeAsyncPool(n int) {
 
 // RecycleAsyncSignal returns a consumed DMAAsync completion signal to
 // the free list. Optional — callers that retain the signal simply let
-// the GC have it — but hot async paths (the NIC receive engine) call
-// it to make async DMA allocation-free in steady state. The caller
+// the GC have it — but hot async paths (the NIC receive completer)
+// call it to make async DMA allocation-free in steady state. The caller
 // must be the sole waiter and must have already observed the fire.
 func (f *Fabric) RecycleAsyncSignal(sig *sim.Signal) {
 	sig.Reset()
@@ -433,204 +401,8 @@ func (f *Fabric) MustDMAVec(p *sim.Proc, initiator *Port, base mem.Addr, exts []
 	}
 }
 
-// SetFlowExclusive opts this fabric into analytic DMA when the
-// environment runs at flow wire fidelity: cross-port transactions
-// charge scalar per-server clocks and sleep once for the computed
-// total instead of walking the three bandwidth servers, cutting ~5
-// events per transaction to 1 while producing bit-identical times.
-//
-// The mode is exact because every transaction enters the fabric a
-// uniform DMASetup after it is issued, so charge order equals
-// wire-entry order and the scalar clocks replay the FIFO servers'
-// hand-off decisions precisely; fault draws stay at the per-frame
-// path's instants because vectored transfers compose extent-by-extent
-// (see DESIGN.md §13). Intended for benchmark and equivalence-test
-// rigs; workload fabrics stay per-frame. Call before any traffic —
-// the fidelity of in-flight transfers must never change.
-func (f *Fabric) SetFlowExclusive() { f.flowExclusive = true }
-
-// FlowMode reports whether DMA on this fabric is analytic right now.
-func (f *Fabric) FlowMode() bool {
-	return f.flowExclusive && f.env.WireFidelity() == sim.WireFlow
-}
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a >= b {
-		return a
-	}
-	return b
-}
-
-// flowCharge advances the analytic clocks for one cross-port transfer
-// entering the fabric at entry and returns its completion time
-// (propagation included). Counters and busy time accrue exactly as the
-// three real Transfer calls would have.
-//
-// Exactness requires charges in entry order: a scalar clock cannot
-// backfill a gap, so charging a later entry first would push an earlier
-// one behind it even when their occupancies do not overlap. Every
-// charge site keeps the uniform issue→entry lag of DMASetup, and
-// multi-charge plans must pass the quiescence test (FlowQuiet plus the
-// device's own idle checks) before booking future entries. The horizon
-// panic turns any violation of that discipline into a crash instead of
-// a silently divergent timeline.
-func (f *Fabric) flowCharge(srcPort, dstPort *Port, n int, entry sim.Time) sim.Time {
-	if entry < f.flowHorizon {
-		panic(fmt.Sprintf("pcie: flow charge entry %v below horizon %v (out-of-order analytic charge)",
-			entry, f.flowHorizon))
-	}
-	f.flowHorizon = entry
-	linkT := sim.BpsToTime(n, f.params.LinkBps)
-	coreT := sim.BpsToTime(n, f.params.CoreBps)
-	upEnd := maxTime(entry, srcPort.upFree) + linkT
-	coreEnd := maxTime(upEnd, f.coreFree) + coreT
-	downEnd := maxTime(coreEnd, dstPort.downFree) + linkT
-	srcPort.upFree, f.coreFree, dstPort.downFree = upEnd, coreEnd, downEnd
-	srcPort.up.AccrueFlow(n, 1, linkT)
-	f.core.AccrueFlow(n, 1, coreT)
-	dstPort.down.AccrueFlow(n, 1, linkT)
-	return downEnd + f.params.PropLatency
-}
-
-// flowXfer is the analytic body of a cross-port DMA: identical fault
-// draw, identical completion time, identical counters — one sleep.
-func (f *Fabric) flowXfer(p *sim.Proc, srcPort *Port, srcReg *mem.Region, dstPort *Port, dstReg *mem.Region, dst, src mem.Addr, n int) {
-	if f.params.Faults.Hit(fault.PCIeLinkDegrade) {
-		p.Sleep(linkRetrainStall)
-	}
-	now := f.env.Now()
-	done := f.flowCharge(srcPort, dstPort, n, now+f.params.DMASetup)
-	p.Sleep(done - now)
-	f.mem.Copy(dst, src, n)
-	f.flowAccount(srcPort, srcReg, dstPort, dstReg, n)
-}
-
-func (f *Fabric) flowAccount(srcPort *Port, srcReg *mem.Region, dstPort *Port, dstReg *mem.Region, n int) {
-	srcPort.bytesOut += int64(n)
-	dstPort.bytesIn += int64(n)
-	if srcReg.Kind == mem.HostDRAM || dstReg.Kind == mem.HostDRAM {
-		f.hostBytes += int64(n)
-	} else {
-		f.p2pBytes += int64(n)
-	}
-}
-
-// FlowCopyNow charges one cross-port transfer issued at the current
-// instant, copies the data immediately, and returns the completion
-// time — the building block for device fast paths reading into private
-// staging memory (BD fetch, frame gather). Because the copy lands at
-// issue rather than completion, the destination must be hook-free
-// device-internal memory and the source must obey the posted-buffer
-// stability contract (DESIGN.md §13): submitters must not mutate a
-// buffer they have handed to the device until its completion is
-// reported, the same contract real DMA hardware imposes.
-//
-// FlowCopyNow draws no fault site. Callers on degrade-prone paths must
-// draw fault.PCIeLinkDegrade themselves, sleep the stall, and only
-// then issue — keeping the draw and the entry at the slow path's
-// instants. Panics outside FlowMode or on an illegal path.
-func (f *Fabric) FlowCopyNow(initiator *Port, dst, src mem.Addr, n int) sim.Time {
-	if !f.FlowMode() {
-		panic("pcie: FlowCopyNow outside flow mode")
-	}
-	srcPort, srcReg, dstPort, dstReg := f.mustResolvePair(initiator, dst, src)
-	now := f.env.Now()
-	if srcPort == dstPort {
-		f.mem.Copy(dst, src, n)
-		return now + f.params.DMASetup
-	}
-	done := f.flowCharge(srcPort, dstPort, n, now+f.params.DMASetup)
-	f.mem.Copy(dst, src, n)
-	f.flowAccount(srcPort, srcReg, dstPort, dstReg, n)
-	return done
-}
-
-// FlowChargeAt charges one cross-port transfer issued at the given
-// instant (now or later) and returns its completion time without
-// copying — the plan-grade primitive for completion writes whose
-// memory effects must land at completion (status, completion rings,
-// payload deliveries with host-visible hooks). The caller applies the
-// copy and side effects at the returned time via a scheduled event.
-//
-// Booking a future issue is only legal behind a quiescence check (see
-// flowCharge): the caller must have established that no other charge
-// can reach this fabric before the booked entry. FlowChargeAt draws no
-// fault site — same contract as FlowCopyNow. Panics outside FlowMode,
-// on an illegal path, or when issue precedes the current instant.
-func (f *Fabric) FlowChargeAt(initiator *Port, dst, src mem.Addr, n int, issue sim.Time) sim.Time {
-	if !f.FlowMode() {
-		panic("pcie: FlowChargeAt outside flow mode")
-	}
-	if now := f.env.Now(); issue < now {
-		panic(fmt.Sprintf("pcie: FlowChargeAt issue %v in the past (now %v)", issue, now))
-	}
-	srcPort, srcReg, dstPort, dstReg := f.mustResolvePair(initiator, dst, src)
-	if srcPort == dstPort {
-		return issue + f.params.DMASetup
-	}
-	done := f.flowCharge(srcPort, dstPort, n, issue+f.params.DMASetup)
-	f.flowAccount(srcPort, srcReg, dstPort, dstReg, n)
-	return done
-}
-
-// FlowQuiet reports whether the fabric itself could interleave a
-// charge before a plan booked now: false while a posted write is in
-// flight (its delivery may ring a doorbell and wake a charging proc)
-// or an MSI is scheduled but undelivered. Devices combine this with
-// their own idle checks before booking future entries.
-func (f *Fabric) FlowQuiet() bool {
-	return f.postedClock <= f.env.Now() && f.msiPending == 0
-}
-
-// SetFlowReactive declares that every initiator on this fabric issues
-// new work only in reaction to device completions (completion-ring
-// writes, status updates, MSIs) — never on its own clock. Future-issue
-// plan bookings (the NIC's solo receive plan, transmit gather plans)
-// require this declaration on top of SetFlowExclusive: with autonomous
-// initiators, a doorbell can arrive inside a plan's window and its DMA
-// would have to charge below the booked horizon, which the scalar
-// clocks cannot express (the horizon panic would fire). Sequential
-// analytic DMA and wire-level claims stay legal without it.
-func (f *Fabric) SetFlowReactive() { f.flowReactive = true }
-
-// FlowReactive reports whether future-issue plan bookings are allowed.
-func (f *Fabric) FlowReactive() bool { return f.flowReactive }
-
-// FlowClocksIdle reports whether every analytic server clock (links,
-// switch core) is at or behind the current instant. Plans that
-// dry-run a charge cascade before booking it require this: with idle
-// clocks every sequential charge completes in exactly FlowXferTime,
-// so the plan can verify its legality window without mutating state.
-func (f *Fabric) FlowClocksIdle() bool {
-	now := f.env.Now()
-	if f.coreFree > now {
-		return false
-	}
-	for _, p := range f.ports {
-		if p.upFree > now || p.downFree > now {
-			return false
-		}
-	}
-	return true
-}
-
-// FlowXferTime returns the uncontended analytic duration of one
-// cross-port transfer of n bytes from issue to completion — the value
-// flowCharge produces when no clock is ahead of the entry.
-func (f *Fabric) FlowXferTime(n int) sim.Time {
-	return f.params.DMASetup + 2*sim.BpsToTime(n, f.params.LinkBps) +
-		sim.BpsToTime(n, f.params.CoreBps) + f.params.PropLatency
-}
-
-// FlowDegradeArmed reports whether the link-degrade fault site can
-// still fire on this fabric. Device fast paths that would skip the
-// slow path's internal fault draws consult this and fall back to the
-// per-transaction primitives (which draw at the exact slow-path
-// instants) while the hazard is live.
-func (f *Fabric) FlowDegradeArmed() bool {
-	return f.params.Faults.Armed(fault.PCIeLinkDegrade)
-}
-
+// mustResolvePair resolves and policy-checks both ends of a transfer,
+// panicking on error (the MustDMA contract).
 func (f *Fabric) mustResolvePair(initiator *Port, dst, src mem.Addr) (srcPort *Port, srcReg *mem.Region, dstPort *Port, dstReg *mem.Region) {
 	var err error
 	srcPort, srcReg, err = f.OwnerOf(src)
@@ -648,67 +420,6 @@ func (f *Fabric) mustResolvePair(initiator *Port, dst, src mem.Addr) (srcPort *P
 		panic(err)
 	}
 	return srcPort, srcReg, dstPort, dstReg
-}
-
-// flowAsync is one analytic async-DMA completion in flight: the copy,
-// the counters, and the signal fire all happen at the charged
-// completion instant, exactly where the worker-proc path lands them.
-type flowAsync struct {
-	f        *Fabric
-	srcPort  *Port
-	srcReg   *mem.Region
-	dstPort  *Port
-	dstReg   *mem.Region
-	dst, src mem.Addr
-	n        int
-	sig      *sim.Signal
-	chargeFn func() // bound delayedCharge (degrade-stall path)
-	doneFn   func() // bound complete
-}
-
-func (fa *flowAsync) delayedCharge() {
-	f := fa.f
-	done := f.flowCharge(fa.srcPort, fa.dstPort, fa.n, f.env.Now()+f.params.DMASetup)
-	f.env.Schedule(done-f.env.Now(), fa.doneFn)
-}
-
-func (fa *flowAsync) complete() {
-	f := fa.f
-	f.mem.Copy(fa.dst, fa.src, fa.n)
-	if fa.srcPort == fa.dstPort {
-		fa.sig.Fire(nil)
-	} else {
-		f.flowAccount(fa.srcPort, fa.srcReg, fa.dstPort, fa.dstReg, fa.n)
-		fa.sig.Fire(nil)
-	}
-	f.faFree = append(f.faFree, fa)
-}
-
-// flowDMAAsync is the analytic DMAAsync body: one scheduled event per
-// transfer (two when a degrade stall fires, mirroring the worker's
-// pre-entry stall sleep).
-func (f *Fabric) flowDMAAsync(initiator *Port, dst, src mem.Addr, n int, sig *sim.Signal) {
-	var fa *flowAsync
-	if k := len(f.faFree); k > 0 {
-		fa = f.faFree[k-1]
-		f.faFree = f.faFree[:k-1]
-	} else {
-		fa = &flowAsync{f: f}
-		fa.chargeFn = fa.delayedCharge
-		fa.doneFn = fa.complete
-	}
-	fa.srcPort, fa.srcReg, fa.dstPort, fa.dstReg = f.mustResolvePair(initiator, dst, src)
-	fa.dst, fa.src, fa.n, fa.sig = dst, src, n, sig
-	if fa.srcPort == fa.dstPort {
-		f.env.Schedule(f.params.DMASetup, fa.doneFn)
-		return
-	}
-	if f.params.Faults.Hit(fault.PCIeLinkDegrade) {
-		f.env.Schedule(linkRetrainStall, fa.chargeFn)
-		return
-	}
-	done := f.flowCharge(fa.srcPort, fa.dstPort, n, f.env.Now()+f.params.DMASetup)
-	f.env.Schedule(done-f.env.Now(), fa.doneFn)
 }
 
 // CheckPath verifies, without simulating, that initiator may move data
@@ -779,8 +490,8 @@ func (f *Fabric) OnMSI(vector int, fn func()) {
 	f.msi[vector] = fn
 }
 
-// msiEvent is one in-flight MSI delivery, counted so FlowQuiet can
-// tell whether an interrupt handler might still charge the fabric.
+// msiEvent is one in-flight MSI delivery, counted so a checkpoint can
+// refuse an interrupt still in flight.
 type msiEvent struct {
 	f  *Fabric
 	hn func() // registered handler

@@ -9,8 +9,8 @@ import (
 
 // Checkpoint support (DESIGN.md §17). A quiescent fabric has every
 // posted write delivered (postedClock at or behind now), no MSI in
-// flight, and no DMA in any stage, so the state reduces to the
-// analytic clocks, byte counters, and bandwidth-server accounting.
+// flight, and no DMA in any stage, so the state reduces to the byte
+// counters and bandwidth-server accounting.
 // The object free lists (recycled signals, posted-write and MSI
 // records) restore empty: they trade allocations, not schedule. The
 // async-DMA worker pool is different — a parked worker woken by a
@@ -30,8 +30,6 @@ func (f *Fabric) SnapSave(w *snap.Writer) error {
 		return fmt.Errorf("pcie: checkpoint with %d MSIs in flight", f.msiPending)
 	}
 	w.I64(int64(f.postedClock))
-	w.I64(int64(f.coreFree))
-	w.I64(int64(f.flowHorizon))
 	w.I64(f.p2pBytes)
 	w.I64(f.hostBytes)
 	w.Int(f.asyncIdle)
@@ -41,8 +39,6 @@ func (f *Fabric) SnapSave(w *snap.Writer) error {
 	w.U32(uint32(len(f.ports)))
 	for _, p := range f.ports {
 		w.Str(p.Name)
-		w.I64(int64(p.upFree))
-		w.I64(int64(p.downFree))
 		w.I64(p.bytesIn)
 		w.I64(p.bytesOut)
 		if err := sim.CheckpointBWInto(w, p.up); err != nil {
@@ -59,8 +55,6 @@ func (f *Fabric) SnapSave(w *snap.Writer) error {
 // with the identical port layout.
 func (f *Fabric) SnapLoad(r *snap.Reader) error {
 	f.postedClock = sim.Time(r.I64())
-	f.coreFree = sim.Time(r.I64())
-	f.flowHorizon = sim.Time(r.I64())
 	f.p2pBytes = r.I64()
 	f.hostBytes = r.I64()
 	idle := r.Int()
@@ -86,8 +80,6 @@ func (f *Fabric) SnapLoad(r *snap.Reader) error {
 		if name != p.Name {
 			return fmt.Errorf("pcie: snapshot port %q, fabric port %q (configuration mismatch)", name, p.Name)
 		}
-		p.upFree = sim.Time(r.I64())
-		p.downFree = sim.Time(r.I64())
 		p.bytesIn = r.I64()
 		p.bytesOut = r.I64()
 		if err := sim.RestoreBWFrom(r, p.up); err != nil {

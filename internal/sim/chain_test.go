@@ -6,51 +6,35 @@ import (
 	"testing"
 )
 
-// traceRun executes body against a fresh env with fusion set as given
-// and returns the observable trace it produced.
-func traceRun(fuse bool, body func(env *Env, trace *strings.Builder)) string {
+// TestChainScheduleIdentical checks that a tail-position Chain produces
+// the schedule enqueueing would: same relative order of continuations
+// vs. already-queued and later-queued events, same timestamps.
+func TestChainScheduleIdentical(t *testing.T) {
 	env := NewEnv()
-	env.SetFusion(fuse)
 	var trace strings.Builder
-	body(env, &trace)
+	log := func(s string) func() {
+		return func() { fmt.Fprintf(&trace, "|%s@%d", s, env.Now()) }
+	}
+	env.Schedule(0, func() {
+		log("a")()
+		// Tail position: nothing observable after Chain returns.
+		env.Chain(func() {
+			log("b")()
+			env.Chain(log("c"))
+		})
+	})
+	env.Schedule(0, log("d"))
+	env.Schedule(5, func() {
+		log("e")()
+		env.Chain(log("f"))
+	})
 	env.Run(-1)
 	fmt.Fprintf(&trace, "|end@%d", env.Now())
-	return trace.String()
-}
-
-// TestChainScheduleIdentical checks that a tail-position Chain produces
-// the same observable schedule fused and unfused: same relative order
-// of continuations vs. already-queued and later-queued events, same
-// timestamps.
-func TestChainScheduleIdentical(t *testing.T) {
-	body := func(env *Env, trace *strings.Builder) {
-		log := func(s string) func() {
-			return func() { fmt.Fprintf(trace, "|%s@%d", s, env.Now()) }
-		}
-		env.Schedule(0, func() {
-			log("a")()
-			// Tail position: nothing observable after Chain returns.
-			env.Chain(func() {
-				log("b")()
-				env.Chain(log("c"))
-			})
-		})
-		env.Schedule(0, log("d"))
-		env.Schedule(5, func() {
-			log("e")()
-			env.Chain(log("f"))
-		})
-	}
-	fused := traceRun(true, body)
-	unfused := traceRun(false, body)
-	if fused != unfused {
-		t.Fatalf("schedules differ:\n fused:   %s\n unfused: %s", fused, unfused)
-	}
 	// With d queued at the same instant, the first Chain must defer so b
-	// runs after d in both modes.
+	// runs after d, exactly where the enqueued continuation would run.
 	want := "|a@0|d@0|b@0|c@0|e@5|f@5|end@5"
-	if fused != want {
-		t.Fatalf("trace = %s, want %s", fused, want)
+	if got := trace.String(); got != want {
+		t.Fatalf("trace = %s, want %s", got, want)
 	}
 }
 
@@ -58,7 +42,6 @@ func TestChainScheduleIdentical(t *testing.T) {
 // and that Chain defers when same-instant work is pending.
 func TestChainInlineCounting(t *testing.T) {
 	env := NewEnv()
-	env.SetFusion(true)
 	ran := 0
 	env.Schedule(0, func() {
 		env.Chain(func() { ran++ }) // nothing pending: inline
@@ -76,57 +59,26 @@ func TestChainInlineCounting(t *testing.T) {
 	}
 }
 
-// TestChainUnfusedEnqueues checks that with fusion off every Chain goes
-// through the queue and is counted as a dispatched event.
-func TestChainUnfusedEnqueues(t *testing.T) {
+// TestYieldFastPath checks that a lone Yield with nothing pending skips
+// the queue, and still lets pending same-instant work run first when
+// there is any.
+func TestYieldFastPath(t *testing.T) {
 	env := NewEnv()
-	env.SetFusion(false)
-	ran := false
-	env.Schedule(0, func() {
-		env.Chain(func() { ran = true })
+	var order []string
+	env.Spawn("p", func(p *Proc) {
+		p.Sleep(10)
+		p.Yield() // nothing else pending at t=10: fast path
+		order = append(order, "p1")
+		env.Schedule(0, func() { order = append(order, "cb") })
+		p.Yield() // cb is pending: must run before we continue
+		order = append(order, "p2")
 	})
 	env.Run(-1)
-	if !ran {
-		t.Fatal("chained fn did not run")
+	if got := strings.Join(order, ","); got != "p1,cb,p2" {
+		t.Fatalf("order = %s, want p1,cb,p2", got)
 	}
-	st := env.Stats()
-	if st.Fused != 0 {
-		t.Fatalf("Fused = %d, want 0", st.Fused)
-	}
-	if st.Events != 2 {
-		t.Fatalf("Events = %d, want 2", st.Events)
-	}
-}
-
-// TestYieldFastPath checks that a lone Yield with nothing pending skips
-// the queue under fusion, and still lets pending same-instant work run
-// first when there is any — in both modes, in the same order.
-func TestYieldFastPath(t *testing.T) {
-	for _, fuse := range []bool{true, false} {
-		env := NewEnv()
-		env.SetFusion(fuse)
-		var order []string
-		env.Spawn("p", func(p *Proc) {
-			p.Sleep(10)
-			// Nothing else pending at t=10: fast path (fused) or
-			// self-resume round trip (unfused) — either way we continue.
-			p.Yield()
-			order = append(order, "p1")
-			env.Schedule(0, func() { order = append(order, "cb") })
-			p.Yield() // cb is pending: must run before we continue
-			order = append(order, "p2")
-		})
-		env.Run(-1)
-		got := strings.Join(order, ",")
-		if got != "p1,cb,p2" {
-			t.Fatalf("fuse=%v: order = %s, want p1,cb,p2", fuse, got)
-		}
-		if fuse && env.Stats().Fused == 0 {
-			t.Fatal("fused Yield not counted")
-		}
-		if !fuse && env.Stats().Fused != 0 {
-			t.Fatal("unfused env recorded fused continuations")
-		}
+	if env.Stats().Fused == 0 {
+		t.Fatal("fused Yield not counted")
 	}
 }
 
@@ -151,27 +103,10 @@ func TestStatsEventsPerIO(t *testing.T) {
 	}
 }
 
-// TestDefaultFusion checks the package-wide default plumbing.
-func TestDefaultFusion(t *testing.T) {
-	if !DefaultFusion() {
-		t.Fatal("fusion should default on")
-	}
-	SetDefaultFusion(false)
-	defer SetDefaultFusion(true)
-	if NewEnv().Fusion() {
-		t.Fatal("NewEnv ignored SetDefaultFusion(false)")
-	}
-	SetDefaultFusion(true)
-	if !NewEnv().Fusion() {
-		t.Fatal("NewEnv ignored SetDefaultFusion(true)")
-	}
-}
-
 // TestChainDepthGuard checks that unbounded same-instant recursion is
 // caught instead of overflowing the stack.
 func TestChainDepthGuard(t *testing.T) {
 	env := NewEnv()
-	env.SetFusion(true)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic from unbounded Chain recursion")

@@ -90,7 +90,6 @@ type Env struct {
 	live  int    // processes spawned and not yet terminated
 	steps uint64 // events dispatched (diagnostics)
 
-	fuse       bool         // zero-delay fusion enabled (Chain inline, Yield fast path)
 	fused      uint64       // continuations run inline instead of enqueued
 	ios        uint64       // protocol-level I/O completions (CountIO)
 	wireFid    WireFidelity // wire model fidelity (per-frame vs flow segments)
@@ -101,19 +100,6 @@ type Env struct {
 	hdispatch  uint64       // handler-proc bodies dispatched inline
 	chainDepth int          // live inline Chain nesting (runaway-recursion guard)
 }
-
-// fusionOff inverts the package default so the zero value means fusion
-// is ON; SetDefaultFusion(false) lets the equivalence suite build
-// unfused environments without threading a flag through every model.
-var fusionOff atomic.Bool
-
-// SetDefaultFusion sets whether environments created after this call
-// run zero-delay fusion (Chain inline + Yield fast path). It exists for
-// A/B equivalence testing; production code leaves fusion on.
-func SetDefaultFusion(on bool) { fusionOff.Store(!on) }
-
-// DefaultFusion reports the current package-wide default.
-func DefaultFusion() bool { return !fusionOff.Load() }
 
 // WireFidelity selects how the wire/NIC stack models steady-state
 // transmit streams: per-frame (every frame is its own wire occupancy,
@@ -135,7 +121,9 @@ const (
 )
 
 // wireFrameOnly inverts the package default so the zero value means
-// flow fidelity is ON, mirroring fusionOff above.
+// flow fidelity is ON; SetDefaultWireFidelity(WireFrame) lets the
+// equivalence suites build per-frame environments without threading a
+// flag through every model.
 var wireFrameOnly atomic.Bool
 
 // SetDefaultWireFidelity sets the wire fidelity of environments created
@@ -153,7 +141,7 @@ func DefaultWireFidelity() WireFidelity {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	e := &Env{yield: make(chan struct{}), horizon: -1, fuse: !fusionOff.Load()}
+	e := &Env{yield: make(chan struct{}), horizon: -1}
 	if wireFrameOnly.Load() {
 		e.wireFid = WireFrame
 	} else {
@@ -161,12 +149,6 @@ func NewEnv() *Env {
 	}
 	return e
 }
-
-// SetFusion overrides zero-delay fusion for this environment only.
-func (e *Env) SetFusion(on bool) { e.fuse = on }
-
-// Fusion reports whether zero-delay fusion is enabled for this env.
-func (e *Env) Fusion() bool { return e.fuse }
 
 // SetWireFidelity overrides the wire fidelity for this environment
 // only. Call it before any model activity: devices latch per-flow
@@ -332,17 +314,17 @@ func (e *Env) pendingNow() bool {
 const maxChainDepth = 1 << 16
 
 // Chain schedules fn at the current instant, running it inline when
-// that is schedule-identical to enqueueing: fusion is on and no queued
-// event is due now (so fn would be dispatched next anyway). Callers
-// must only Chain continuations that are either in tail position of the
-// current event or pure scheduling actions (wakes/broadcasts with no
-// other observable effect) — otherwise inline execution could reorder
-// observable work relative to the unfused schedule. With fusion off, or
-// when same-instant work is already queued, fn is enqueued normally.
+// that is schedule-identical to enqueueing: no queued event is due now
+// (so fn would be dispatched next anyway). Callers must only Chain
+// continuations that are either in tail position of the current event
+// or pure scheduling actions (wakes/broadcasts with no other observable
+// effect) — otherwise inline execution could reorder observable work
+// relative to the enqueued schedule. When same-instant work is already
+// queued, fn is enqueued normally.
 //
 //dcslint:hotpath
 func (e *Env) Chain(fn func()) {
-	if e.fuse && !e.pendingNow() {
+	if !e.pendingNow() {
 		e.fused++
 		e.chainDepth++
 		if e.chainDepth > maxChainDepth {
@@ -618,16 +600,15 @@ func (p *Proc) Sleep(d Time) {
 }
 
 // Yield lets every event already scheduled for the current instant run
-// before the process continues. When fusion is on and nothing is due at
-// the current instant, the round trip through the queue is skipped
-// entirely: the unfused schedule would pop our own resume straight back
-// (dispatchFrom's proc == self case), so returning immediately is
-// schedule-identical.
+// before the process continues. When nothing is due at the current
+// instant, the round trip through the queue is skipped entirely: an
+// enqueued resume would pop straight back (dispatchFrom's proc == self
+// case), so returning immediately is schedule-identical.
 //
 //dcslint:hotpath
 func (p *Proc) Yield() {
 	e := p.env
-	if e.fuse && !e.pendingNow() {
+	if !e.pendingNow() {
 		e.fused++
 		return
 	}

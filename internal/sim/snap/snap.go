@@ -30,21 +30,18 @@ const Magic uint32 = 0x53534344
 // Version is the current format version. Readers refuse other
 // versions: state layouts change with the models, and decoding an old
 // checkpoint into new structs would corrupt a run silently.
-const Version uint32 = 1
+const Version uint32 = 2
 
-// Knob flag bits carried in the header. A checkpoint taken under one
-// schedule-affecting knob setting cannot restore into an environment
-// running another: the event timelines diverge from the first event.
-const (
-	FlagFusion       uint32 = 1 << 0 // zero-delay fusion enabled
-	FlagHandlerProcs uint32 = 1 << 1 // handler-proc model loops (constant: every writer sets it)
-	FlagWireFlow     uint32 = 1 << 2 // flow-level wire fidelity
-)
+// FlagWireFlow is the one knob bit carried in the header: flow-level
+// wire fidelity. A checkpoint taken under one schedule-affecting knob
+// setting cannot restore into an environment running another: the
+// event timelines diverge from the first event.
+const FlagWireFlow uint32 = 1 << 0
 
 // Header is the fixed-size preamble of every checkpoint.
 type Header struct {
 	Version uint32
-	Flags   uint32 // knob bits (FlagFusion | ...)
+	Flags   uint32 // knob bits (FlagWireFlow)
 	Config  uint64 // configuration fingerprint (FNV-1a of the config string)
 }
 
