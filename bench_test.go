@@ -35,7 +35,7 @@ func BenchmarkFigure2Timeline(b *testing.B) {
 func BenchmarkFigure3Motivation(b *testing.B) {
 	var f bench.Figure3
 	for i := 0; i < b.N; i++ {
-		f = bench.RunFigure3()
+		f = bench.RunFigure3Parallel(1)
 	}
 	b.ReportMetric(f.Lat[core.SWOpt].Latency.Microseconds(), "sw-opt-µs")
 	b.ReportMetric(f.Lat[core.SWP2P].Latency.Microseconds(), "sw-p2p-µs")
@@ -50,7 +50,7 @@ func BenchmarkFigure3Motivation(b *testing.B) {
 func BenchmarkFigure8KernelCPU(b *testing.B) {
 	var f bench.Figure8
 	for i := 0; i < b.N; i++ {
-		f = bench.RunFigure8()
+		f = bench.RunFigure8Parallel(1)
 	}
 	total := func(k core.Config) float64 {
 		var t sim.Time
@@ -69,7 +69,7 @@ func BenchmarkFigure8KernelCPU(b *testing.B) {
 func BenchmarkFigure11aSSDToNIC(b *testing.B) {
 	var f bench.Figure11
 	for i := 0; i < b.N; i++ {
-		f = bench.Figure11a()
+		f = bench.Figure11aParallel(1)
 	}
 	b.ReportMetric(f.Results[core.SWP2P].Latency.Microseconds(), "sw-p2p-µs")
 	b.ReportMetric(f.Results[core.DCSCtrl].Latency.Microseconds(), "dcs-µs")
@@ -81,7 +81,7 @@ func BenchmarkFigure11aSSDToNIC(b *testing.B) {
 func BenchmarkFigure11bWithProcessing(b *testing.B) {
 	var f bench.Figure11
 	for i := 0; i < b.N; i++ {
-		f = bench.Figure11b()
+		f = bench.Figure11bParallel(1)
 	}
 	b.ReportMetric(f.Results[core.SWP2P].Latency.Microseconds(), "sw-p2p-µs")
 	b.ReportMetric(f.Results[core.DCSCtrl].Latency.Microseconds(), "dcs-µs")
@@ -91,7 +91,7 @@ func BenchmarkFigure11bWithProcessing(b *testing.B) {
 // fig12Once runs the Figure 12 applications once with harness-scale
 // configs (shared by the Figure 12 and 13 benchmarks).
 func fig12Once() bench.Figure12 {
-	return bench.RunFigure12(bench.DefaultFig12Swift(), bench.DefaultFig12HDFS())
+	return bench.RunFigure12Parallel(bench.DefaultFig12Swift(), bench.DefaultFig12HDFS(), 1)
 }
 
 // BenchmarkFigure12aSwift regenerates Figure 12a: Swift server CPU at
@@ -197,7 +197,7 @@ func BenchmarkTables(b *testing.B) {
 func BenchmarkFigure13SimSaturation(b *testing.B) {
 	var f bench.Figure13Sim
 	for i := 0; i < b.N; i++ {
-		f = bench.RunFigure13Sim()
+		f = bench.RunFigure13SimParallel(1)
 	}
 	for name, gain := range f.Gains {
 		metric := "gen2-gain-x"
@@ -213,7 +213,7 @@ func BenchmarkFigure13SimSaturation(b *testing.B) {
 func BenchmarkSizeSweep(b *testing.B) {
 	var sw bench.SizeSweep
 	for i := 0; i < b.N; i++ {
-		sw = bench.RunSizeSweep(core.ProcNone)
+		sw = bench.RunSizeSweepParallel(core.ProcNone, 1)
 	}
 	b.ReportMetric(sw.Reduction(0)*100, "reduction-4KB-%")
 	b.ReportMetric(sw.Reduction(len(sw.Sizes)-1)*100, "reduction-1MB-%")

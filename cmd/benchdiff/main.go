@@ -1,286 +1,186 @@
 // Command benchdiff compares a freshly generated benchmark report
-// against a checked-in baseline and exits non-zero on regressions:
+// against a checked-in baseline and exits non-zero on a regression.
 //
-//   - any ns/op (or ns/event) metric more than -tolerance (default
-//     25%) slower than the baseline,
-//   - ANY allocations on a path whose baseline is zero allocs/op —
-//     zero-allocation paths are a hard invariant, not a budget — and
-//   - any events-per-op / events-per-I/O count more than 10% above the
-//     baseline. Event counts are deterministic (they come from the
-//     simulation schedule, not the wall clock), so this gate is immune
-//     to runner noise and catches protocol-efficiency regressions that
-//     ns/op tolerances would absorb, and
-//   - any path whose baseline collapses frames into analytic flow
-//     segments (seg_frames_per_op > 0) that stops collapsing them —
-//     the knob-not-dead gate for the wire fast path. A silently dead
-//     fast path would also trip the events gate, but this one names
-//     the cause instead of the symptom, and
-//   - handoffs-per-event (the goroutine park/resume tax the handler-
-//     proc conversion exists to kill) more than 10% above the baseline
-//     — the counter is deterministic, so growth means converted loops
-//     regressed to goroutine dispatch (HANDOFF), and
-//   - the handler-dispatch knob going dead: a fresh kernel report's
-//     kernel_park_resume_handler entry must actually dispatch handlers
-//     with zero handoffs and beat the goroutine flavor's ns/event by
-//     the ≥25% the conversion promises (NOHANDLER), and
-//   - rack entries (the sharded parallel kernel): a fresh multi-domain
-//     multi-worker rack whose par_windows is zero ran silently serial
-//     (NOPAR — the parallel knob went dead), and rack entries for the
-//     same workload (same name up to the domain-count suffix) must
-//     carry identical result fingerprints (FPDIV — a decomposition
-//     changed the simulated schedule, a determinism violation).
-//     Fingerprint drift against the BASELINE is informational only:
-//     it means the workload or timing model changed and the baseline
-//     needs regenerating, which ns gates already force, and
-//   - the checkpoint/restore knob going dead (NOCKPT): a fresh kernel
-//     report's checkpoint section must show warm-fork cells running
-//     with every forked fingerprint byte-identical to its
-//     straight-through reference, a non-empty snapshot, and a
-//     warm-fork wall-clock speedup of at least 1.3x — and the section
-//     itself must not vanish when the baseline carries one.
+// It reads both report shapes cmd/dcsbench emits (BENCH_kernel.json
+// and BENCH_dataplane.json) the same way: one JSON walk flattens a
+// report into named entries, each top-level object under its key
+// ("kernel_schedule", "checkpoint") and each array element under
+// key/name ("benches/nic_frame_echo", "racks/rack_alltoall_64x4").
+// The gates are two tables, rules (per-metric baseline-vs-fresh
+// gates: SLOWER, ALLOCS, EVENTS, HANDOFF, NOSEG) and checks
+// (single-entry verdicts on the fresh report: NOHANDLER, NOCKPT),
+// plus four cross-entry gates in code: nopar, fpdiv, hotpaths and
+// NOHANDLER's ≥25% ratio in run. Gating a new metric takes one row.
 //
-// It understands both report shapes emitted by cmd/dcsbench:
-// BENCH_dataplane.json (data-plane microbenchmarks) and
-// BENCH_kernel.json (kernel microbenchmarks + figure wall times).
-// Metrics present in only one file are reported but never fail the
-// diff, so CI can regenerate a subset of the baseline's figures.
+// A field a report omits reads as 0, so an omitempty counter that
+// went dead fails its gate instead of skipping it. Fields no rule
+// names (figure and rack wall_ms, sweep and checkpoint timings) are
+// informational, and entries in only one report fail no rule, so CI
+// can regenerate a subset of the baseline's figures.
 //
 // Usage:
 //
-//	benchdiff -baseline BENCH_dataplane.json -fresh fresh_dataplane.json
-//	benchdiff -baseline BENCH_kernel.json -fresh fresh_kernel.json -tolerance 0.5
+//	benchdiff -baseline BENCH_kernel.json -fresh fresh_kernel.json
+//	benchdiff -baseline BENCH_dataplane.json -fresh fresh_dataplane.json -hotpaths hotpaths.json
 //
-// With -hotpaths (the JSON emitted by `dcslint -hotpaths`), benchdiff
-// also cross-checks the baseline's zero-allocation promises against
-// the //dcslint:hotpath roots the prover actually guards: every bench
-// with allocs_per_op == 0 must be named by some root's directive, and
-// every bench a directive names must exist and be zero-alloc. This
-// keeps the static proof and the measured invariant from drifting
-// apart — a new zero-alloc bench without a prover root, or a root
-// still naming a bench that grew allocations, both fail CI.
+// The output is one block per entry, every field as baseline ->
+// fresh with failing fields marked, then the other findings; each
+// failure line starts with its gate code. -hotpaths names the JSON
+// `dcslint -hotpaths` prints, to check that the prover's
+// //dcslint:hotpath roots and the zero-alloc benches agree.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 )
 
-// metric is one comparable measurement extracted from a report.
-type metric struct {
-	ns        float64 // time per op/event; 0 = absent
-	allocs    float64
-	events    float64 // kernel events per op / per I/O; 0 = absent
-	segFrames float64 // frames collapsed into flow segments per op
-	hasNs     bool
-	zeroed    bool // baseline promises zero allocs on this path
-	soft      bool // informational only (whole-run wall clocks): never fails
+// entry is one flattened report object.
+type entry map[string]any
 
-	handoffs   float64 // goroutine park/resume handoffs (deterministic)
-	hdispatch  float64 // run-to-completion handler dispatches
-	handoffsPE float64 // handoffs per event; 0 = absent
-
-	rack        bool // entry is a sharded rack measurement
-	domains     int
-	workers     int
-	parWindows  float64
-	fingerprint string
+// num reads a numeric or boolean (1/0) field; an absent field reads
+// as 0.
+func (e entry) num(field string) float64 {
+	switch v := e[field].(type) {
+	case float64:
+		return v
+	case bool:
+		if v {
+			return 1
+		}
+	}
+	return 0
 }
 
-// eventTolerance is the hard ceiling on deterministic event-count
-// growth: more than 10% over baseline fails regardless of -tolerance.
-const eventTolerance = 0.10
-
-type kernelStats struct {
-	NsPerEvent        float64 `json:"ns_per_event"`
-	AllocsPerEvent    float64 `json:"allocs_per_event"`
-	Handoffs          float64 `json:"handoffs"`
-	HandlerDispatches float64 `json:"handler_dispatches"`
-	HandoffsPerEvent  float64 `json:"handoffs_per_event"`
+// rule gates one metric of an entry both reports carry.
+type rule struct {
+	field, code string
+	fails       func(base, fresh float64) bool
 }
 
-type kernelReport struct {
-	KernelSchedule          *kernelStats `json:"kernel_schedule"`
-	KernelParkResume        *kernelStats `json:"kernel_park_resume"`
-	KernelParkResumeHandler *kernelStats `json:"kernel_park_resume_handler"`
-	Protocol                []struct {
-		Name        string  `json:"name"`
-		EventsPerIO float64 `json:"events_per_io"`
-	} `json:"protocol"`
-	Figures []struct {
-		Name   string  `json:"name"`
-		WallMs float64 `json:"wall_ms"`
-	} `json:"figures"`
-	Racks []struct {
-		Name              string  `json:"name"`
-		Domains           int     `json:"domains"`
-		Workers           int     `json:"workers"`
-		NsPerFlow         float64 `json:"ns_per_flow"`
-		EventsPerFlow     float64 `json:"events_per_flow"`
-		ParWindows        float64 `json:"par_windows"`
-		Handoffs          float64 `json:"handoffs"`
-		HandlerDispatches float64 `json:"handler_dispatches"`
-		HandoffsPerEvent  float64 `json:"handoffs_per_event"`
-		Fingerprint       string  `json:"fingerprint"`
-	} `json:"racks"`
-	Checkpoint *checkpointPerf `json:"checkpoint"`
+// grew fails a metric that rose more than tol over a non-zero
+// baseline.
+func grew(tol float64) func(base, fresh float64) bool {
+	return func(b, c float64) bool { return b > 0 && c > b*(1+tol) }
 }
 
-// checkpointPerf mirrors the kernel report's checkpoint section: the
-// warm-fork grid's codec cost and the straight-vs-forked verdict.
-type checkpointPerf struct {
-	Config        string  `json:"config"`
-	Cells         int     `json:"cells"`
-	SnapshotBytes int     `json:"snapshot_bytes"`
-	SaveNs        float64 `json:"save_ns"`
-	RestoreNs     float64 `json:"restore_ns"`
-	StraightMs    float64 `json:"straight_ms"`
-	ForkedMs      float64 `json:"forked_ms"`
-	Speedup       float64 `json:"speedup"`
-	AllMatch      bool    `json:"all_match"`
+// rules are the per-metric gates, applied in order; when several fail
+// on one entry the last names it. Wall-clock ns get 25% for runner
+// noise. Event and handoff counts come from the simulated schedule,
+// not the wall clock, so they get a hard 10%: growth is a protocol
+// regression, or converted loops falling back to goroutine
+// park/resume. A zero-alloc baseline is an invariant, not a budget.
+// A baseline that collapses frames into flow segments must keep
+// collapsing some, or the wire fast path went dead.
+var rules = []rule{
+	{"ns_per_op", "SLOWER", grew(0.25)},
+	{"ns_per_event", "SLOWER", grew(0.25)},
+	{"ns_per_flow", "SLOWER", grew(0.25)},
+	{"allocs_per_op", "ALLOCS", func(b, c float64) bool { return b == 0 && c > 0 }},
+	{"events_per_op", "EVENTS", grew(0.10)},
+	{"events_per_io", "EVENTS", grew(0.10)},
+	{"events_per_flow", "EVENTS", grew(0.10)},
+	{"handoffs_per_event", "HANDOFF", grew(0.10)},
+	{"seg_frames_per_op", "NOSEG", func(b, c float64) bool { return b > 0 && c == 0 }},
 }
 
-type dataplaneReport struct {
-	Benches []struct {
-		Name           string  `json:"name"`
-		NsPerOp        float64 `json:"ns_per_op"`
-		AllocsPerOp    float64 `json:"allocs_per_op"`
-		EventsPerOp    float64 `json:"events_per_op"`
-		SegFramesPerOp float64 `json:"seg_frames_per_op"`
-	} `json:"benches"`
+// check is a verdict on one entry of the fresh report; reports without
+// the entry pass. A check with no test instead requires the entry: the
+// fresh report must keep it whenever the baseline has it.
+type check struct {
+	entry, field, code string
+	fails              func(v float64) bool
+	why                string
 }
 
-// load parses path into name→metric plus the optional checkpoint
-// section, detecting the report shape.
-func load(path string) (map[string]metric, *checkpointPerf, error) {
+func isZero(v float64) bool { return v == 0 }
+
+var checks = []check{
+	// The run-to-completion dispatch path is live: the handler flavor
+	// of the park/resume microbench dispatches handlers and never
+	// falls back to a goroutine handoff.
+	{"kernel_park_resume_handler", "handler_dispatches", "NOHANDLER", isZero, "no handler dispatched"},
+	{"kernel_park_resume_handler", "handoffs", "NOHANDLER", func(v float64) bool { return v > 0 },
+		"goroutine handoffs in handler mode (run-to-completion broken)"},
+	// The warm-fork grid runs, every forked fingerprint matches its
+	// straight-through reference, the snapshot is non-empty, and the
+	// fork pays. The grid measures 1.3-1.4x on a quiet machine; the
+	// floor is 1.1x so runner noise cannot flake the build while a
+	// dead fork (restore as slow as re-warming, ~1.0x) still trips it.
+	{"checkpoint", "", "NOCKPT", nil, "baseline has a warm-fork section but the fresh report has none (grid not running)"},
+	{"checkpoint", "cells", "NOCKPT", isZero, "no warm-fork cell ran"},
+	{"checkpoint", "all_match", "NOCKPT", isZero, "forked fingerprints diverged from straight-through (restore broken)"},
+	{"checkpoint", "snapshot_bytes", "NOCKPT", isZero, "empty snapshot (codec dead)"},
+	{"checkpoint", "speedup", "NOCKPT", func(v float64) bool { return v < 1.1 },
+		"warm-fork speedup below the 1.1x floor (forking no longer pays)"},
+}
+
+// load reads a report and flattens it into entries.
+func load(path string) (map[string]entry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	out := map[string]metric{}
-
-	var dp dataplaneReport
-	if err := json.Unmarshal(data, &dp); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	var top map[string]any
+	if err := json.Unmarshal(data, &top); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(dp.Benches) > 0 {
-		for _, b := range dp.Benches {
-			out[b.Name] = metric{ns: b.NsPerOp, allocs: b.AllocsPerOp, events: b.EventsPerOp,
-				segFrames: b.SegFramesPerOp, hasNs: true, zeroed: b.AllocsPerOp == 0}
-		}
-		return out, nil, nil
-	}
-
-	var kr kernelReport
-	if err := json.Unmarshal(data, &kr); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if kr.KernelSchedule == nil && kr.KernelParkResume == nil {
-		return nil, nil, fmt.Errorf("%s: neither a dataplane nor a kernel report", path)
-	}
-	kernelMetric := func(s *kernelStats) metric {
-		return metric{ns: s.NsPerEvent, allocs: s.AllocsPerEvent, hasNs: true,
-			handoffs: s.Handoffs, hdispatch: s.HandlerDispatches, handoffsPE: s.HandoffsPerEvent}
-	}
-	if s := kr.KernelSchedule; s != nil {
-		out["kernel_schedule"] = kernelMetric(s)
-	}
-	if s := kr.KernelParkResume; s != nil {
-		out["kernel_park_resume"] = kernelMetric(s)
-	}
-	if s := kr.KernelParkResumeHandler; s != nil {
-		out["kernel_park_resume_handler"] = kernelMetric(s)
-	}
-	for _, pr := range kr.Protocol {
-		out["protocol:"+pr.Name] = metric{events: pr.EventsPerIO}
-	}
-	// Figure wall times ride along informationally: they are whole-run
-	// wall clocks, far too noisy on shared CI runners to gate on, so
-	// they are printed in the table but never fail the diff.
-	for _, f := range kr.Figures {
-		out["figure:"+f.Name] = metric{ns: f.WallMs * 1e6, hasNs: true, soft: true}
-	}
-	// Rack entries: ns_per_flow gates like any other ns metric,
-	// events_per_flow is deterministic and gets the hard event gate,
-	// and the shard counters feed the NOPAR/FPDIV checks.
-	for _, r := range kr.Racks {
-		out[r.Name] = metric{
-			ns: r.NsPerFlow, hasNs: true, events: r.EventsPerFlow,
-			rack: true, domains: r.Domains, workers: r.Workers,
-			parWindows: r.ParWindows, fingerprint: r.Fingerprint,
-			handoffs: r.Handoffs, hdispatch: r.HandlerDispatches,
-			handoffsPE: r.HandoffsPerEvent,
+	out := map[string]entry{}
+	for key, v := range top {
+		switch v := v.(type) {
+		case map[string]any:
+			out[key] = v
+		case []any:
+			for _, el := range v {
+				if e, ok := el.(map[string]any); ok {
+					name, _ := e["name"].(string)
+					out[key+"/"+name] = e
+				}
+			}
 		}
 	}
-	return out, kr.Checkpoint, nil
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s: no report entries", path)
+	}
+	return out, nil
 }
 
-// checkCheckpointKnob is the knob-not-dead gate for the snapshot/
-// restore path (NOCKPT). A fresh kernel report that carries a
-// checkpoint section must show a live, correct, paying warm-fork
-// grid: cells ran, every forked fingerprint matched its straight
-// reference, the snapshot is non-trivial, and the fork is at least
-// 30% faster wall-clock than straight-through at equal cell count.
-// AllMatch and the cell count are deterministic; the speedup is a
-// same-machine wall-clock ratio, so it holds on slow runners too. A
-// baseline with a checkpoint section also pins the section's
-// presence: a fresh report without one means the grid silently
-// stopped running.
-func checkCheckpointKnob(base, cur *checkpointPerf) []string {
-	if cur == nil {
-		if base != nil {
-			return []string{"NOCKPT checkpoint: baseline has a warm-fork section but fresh report has none (grid not running)"}
-		}
-		return nil
-	}
-	var bad []string
-	if cur.Cells == 0 {
-		bad = append(bad, "NOCKPT checkpoint: zero warm-fork cells ran (knob dead)")
-	}
-	if !cur.AllMatch {
-		bad = append(bad, "NOCKPT checkpoint: forked cell fingerprints diverged from straight-through (restore broken)")
-	}
-	if cur.SnapshotBytes == 0 {
-		bad = append(bad, "NOCKPT checkpoint: empty snapshot (codec dead)")
-	}
-	// The default grid targets >=1.3x (and measures 1.3-1.4x on a quiet
-	// machine); the gate floors at 1.1x so shared-runner noise cannot
-	// flake the build while a genuinely dead knob (restore as slow as
-	// re-warming, ~1.0x) still trips it.
-	if cur.Cells > 0 && cur.Speedup < 1.1 {
-		bad = append(bad, fmt.Sprintf(
-			"NOCKPT checkpoint: warm-fork speedup %.2fx below the 1.1x floor (forking no longer pays)", cur.Speedup))
-	}
-	return bad
+// nopar is the shard kernel's knob-not-dead gate: a fresh rack run
+// with more than one worker that dispatched no window in parallel ran
+// silently serial, if it has several domains or its baseline ran
+// parallel windows. A single-core runner legitimately clamps the pool
+// to one worker.
+func nopar(b, c entry) bool {
+	return c.num("workers") > 1 && c.num("par_windows") == 0 &&
+		(b.num("par_windows") > 0 || c.num("domains") > 1)
 }
 
-// rackGroup keys a rack entry by workload: the name minus its
-// trailing domain-count suffix ("rack_alltoall_64x4" → workload
-// "rack_alltoall_64"). Entries in one group ran the same flows, so
-// their fingerprints must match whatever the decomposition.
-func rackGroup(name string) string {
-	for i := len(name) - 1; i >= 0; i-- {
-		if name[i] == 'x' {
-			return name[:i]
-		}
-	}
-	return name
-}
-
-// checkRackFingerprints verifies fingerprint equality within each
-// same-workload group of one report, returning findings.
-func checkRackFingerprints(label string, m map[string]metric) []string {
+// fpdiv is the determinism gate: every decomposition of one workload
+// (entry names equal up to the domain-count suffix, "…_64x4" → "…_64")
+// must land on the same fingerprint. Fingerprint drift against the
+// baseline is only informational: the workload or timing model
+// changed, and the baseline needs regenerating.
+func fpdiv(label string, m map[string]entry) []string {
 	groups := map[string]map[string]bool{}
-	for name, mt := range m {
-		if !mt.rack || mt.fingerprint == "" {
+	for name, e := range m {
+		fp, _ := e["fingerprint"].(string)
+		if fp == "" {
 			continue
 		}
-		if groups[rackGroup(name)] == nil {
-			groups[rackGroup(name)] = map[string]bool{}
+		if i := strings.LastIndexByte(name, 'x'); i >= 0 {
+			name = name[:i]
 		}
-		groups[rackGroup(name)][mt.fingerprint] = true
+		if groups[name] == nil {
+			groups[name] = map[string]bool{}
+		}
+		groups[name][fp] = true
 	}
 	var bad []string
 	for g, fps := range groups {
@@ -288,230 +188,156 @@ func checkRackFingerprints(label string, m map[string]metric) []string {
 			bad = append(bad, fmt.Sprintf("FPDIV %s: %d distinct fingerprints across %s decompositions", label, len(fps), g))
 		}
 	}
-	sort.Strings(bad)
 	return bad
 }
 
-// checkHandlerKnob verifies the run-to-completion dispatch path is
-// alive in the fresh kernel report: kernel_park_resume_handler must
-// actually dispatch handlers, complete them without a single
-// goroutine handoff, and beat the goroutine flavor's ns/event by at
-// least the 25% the conversion promises. All three counters are
-// deterministic (and the ns margin is ~15x in practice), so this is a
-// hard gate; reports without the entry (dataplane, partial
-// regenerations) pass untouched.
-func checkHandlerKnob(cur map[string]metric) []string {
-	h, ok := cur["kernel_park_resume_handler"]
-	if !ok {
-		return nil
-	}
-	var bad []string
-	if h.hdispatch == 0 {
-		bad = append(bad, "NOHANDLER kernel_park_resume_handler: zero handler dispatches (knob dead)")
-	}
-	if h.handoffs > 0 {
-		bad = append(bad, fmt.Sprintf(
-			"NOHANDLER kernel_park_resume_handler: %g goroutine handoffs in handler mode (run-to-completion broken)", h.handoffs))
-	}
-	if g, ok := cur["kernel_park_resume"]; ok && g.ns > 0 && h.ns > 0.75*g.ns {
-		bad = append(bad, fmt.Sprintf(
-			"NOHANDLER kernel_park_resume_handler: %.2f ns/event is not >=25%% under goroutine %.2f (handoff tax not killed)", h.ns, g.ns))
-	}
-	return bad
-}
-
-// hotpathRoot mirrors one entry of `dcslint -hotpaths` output: a
-// //dcslint:hotpath-tagged function and the benches its directive
-// names.
-type hotpathRoot struct {
-	Func    string   `json:"func"`
-	File    string   `json:"file"`
-	Line    int      `json:"line"`
-	Benches []string `json:"benches"`
-}
-
-// checkHotpaths cross-checks the baseline's zero-alloc benches against
-// the prover's root set, in both directions:
-//
-//   - a zero-alloc bench no root names is an unguarded invariant: the
-//     allocation-freedom BENCH_dataplane.json asserts is not being
-//     proven by dcslint, so a regression would only surface at bench
-//     time (or never, on a noisy runner);
-//   - a root naming a bench that is missing or has allocs_per_op > 0
-//     is a stale claim: the directive promises a proof the numbers
-//     contradict.
-func checkHotpaths(base map[string]metric, path string) []string {
+// hotpaths cross-checks the baseline's zero-alloc benches against the
+// roots in path, both ways: a zero-alloc bench no root names is an
+// invariant nothing proves, and a root naming a bench that is missing
+// or allocates is a claim the numbers contradict.
+func hotpaths(base map[string]entry, path string) []string {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return []string{fmt.Sprintf("HOTPATH cannot read root list: %v", err)}
 	}
-	var roots []hotpathRoot
+	var roots []struct {
+		Func    string   `json:"func"`
+		Benches []string `json:"benches"`
+	}
 	if err := json.Unmarshal(data, &roots); err != nil {
 		return []string{fmt.Sprintf("HOTPATH %s: %v", path, err)}
 	}
-	tagged := map[string]string{} // bench name -> tagged func
+	tagged := map[string]string{} // bench entry -> tagged func
 	for _, r := range roots {
 		for _, b := range r.Benches {
-			tagged[b] = r.Func
+			tagged["benches/"+b] = r.Func
 		}
 	}
 	var bad []string
-	for name, m := range base {
-		if m.zeroed && tagged[name] == "" {
+	for name, e := range base {
+		if strings.HasPrefix(name, "benches/") && e.num("allocs_per_op") == 0 && tagged[name] == "" {
 			bad = append(bad, fmt.Sprintf(
 				"HOTPATH %s: allocs_per_op == 0 but no //dcslint:hotpath root names it; tag the bench's fast-path entry point", name))
 		}
 	}
-	for bench, fn := range tagged {
-		m, ok := base[bench]
-		switch {
-		case !ok:
+	for name, fn := range tagged {
+		if e, ok := base[name]; !ok {
+			bad = append(bad, fmt.Sprintf("HOTPATH %s: //dcslint:hotpath on %s names a bench missing from the baseline", name, fn))
+		} else if a := e.num("allocs_per_op"); a != 0 {
 			bad = append(bad, fmt.Sprintf(
-				"HOTPATH %s: //dcslint:hotpath on %s names a bench missing from the baseline", bench, fn))
-		case !m.zeroed:
-			bad = append(bad, fmt.Sprintf(
-				"HOTPATH %s: //dcslint:hotpath on %s claims zero allocs but baseline has allocs_per_op %g", bench, fn, m.allocs))
+				"HOTPATH %s: //dcslint:hotpath on %s claims zero allocs but baseline has allocs_per_op %g", name, fn, a))
 		}
 	}
-	sort.Strings(bad)
 	return bad
 }
 
-func main() {
-	baseline := flag.String("baseline", "", "checked-in baseline report (JSON)")
-	fresh := flag.String("fresh", "", "freshly generated report (JSON)")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns/op slowdown before failing")
-	hotpaths := flag.String("hotpaths", "", "dcslint -hotpaths output to cross-check zero-alloc benches against prover roots")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run diffs the reports args name, writing the per-entry blocks and
+// findings to out. It returns 0 when clean, 1 on a regression and 2
+// on bad usage or an unreadable report.
+func run(args []string, out io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	baseline := fs.String("baseline", "", "checked-in baseline report (JSON)")
+	fresh := fs.String("fresh", "", "freshly generated report (JSON)")
+	roots := fs.String("hotpaths", "", "dcslint -hotpaths output to cross-check zero-alloc benches against prover roots")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *baseline == "" || *fresh == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -baseline and -fresh are required")
-		os.Exit(2)
+		return 2
 	}
-	base, baseCkpt, err := load(*baseline)
-	if err != nil {
+	base, errBase := load(*baseline)
+	cur, errFresh := load(*fresh)
+	if err := errors.Join(errBase, errFresh); err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
-	cur, curCkpt, err := load(*fresh)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
-		os.Exit(2)
-	}
-
-	names := make([]string, 0, len(base))
-	for name := range base {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 
 	failed := false
-	for _, name := range names {
-		b := base[name]
-		c, ok := cur[name]
-		if !ok {
-			fmt.Printf("SKIP  %-24s not in fresh report\n", name)
-			continue
-		}
-		status := "ok"
-		ratio := 0.0
-		if b.ns > 0 {
-			ratio = c.ns / b.ns
-			if ratio > 1+*tolerance && !b.soft {
-				status = "SLOWER"
-				failed = true
+	for _, name := range union(base, cur) {
+		b, inBase := base[name]
+		c, inCur := cur[name]
+		status, marks := "ok", map[string]string{}
+		switch {
+		case !inCur:
+			status = "SKIP"
+		case !inBase:
+			status = "NEW"
+		default:
+			for _, r := range rules {
+				if r.fails(b.num(r.field), c.num(r.field)) {
+					status, marks[r.field] = r.code, "  "+r.code
+				}
 			}
 		}
-		if b.zeroed && c.allocs > 0 {
-			status = "ALLOCS"
-			failed = true
+		if inCur && strings.HasPrefix(name, "racks/") && nopar(b, c) {
+			status, marks["par_windows"] = "NOPAR", "  NOPAR"
 		}
-		if b.events > 0 && c.events > b.events*(1+eventTolerance) {
-			status = "EVENTS"
-			failed = true
-		}
-		// Handoffs are deterministic like event counts, so growth past
-		// the same hard ceiling means simulated loops fell off the
-		// run-to-completion path back onto goroutine park/resume.
-		if b.handoffsPE > 0 && c.handoffsPE > b.handoffsPE*(1+eventTolerance) {
-			status = "HANDOFF"
-			failed = true
-		}
-		if b.segFrames > 0 && c.segFrames == 0 {
-			status = "NOSEG" // flow fast path went dead on this bench
-			failed = true
-		}
-		// Knob-not-dead for the shard kernel: a multi-domain multi-worker
-		// rack that never dispatched domains in parallel ran silently
-		// serial — as did one whose baseline had parallel windows but
-		// now reports none. Both arms require fresh workers > 1: a
-		// single-core runner legitimately clamps the pool away.
-		if c.rack && c.workers > 1 && c.parWindows == 0 &&
-			(b.parWindows > 0 || c.domains > 1) {
-			status = "NOPAR"
-			failed = true
-		}
-		line := fmt.Sprintf("%-6s %-24s ns %12.2f -> %12.2f (%.2fx)  allocs %g -> %g",
-			status, name, b.ns, c.ns, ratio, b.allocs, c.allocs)
-		if b.events > 0 || c.events > 0 {
-			line += fmt.Sprintf("  events %.2f -> %.2f", b.events, c.events)
-		}
-		if c.rack && b.fingerprint != "" && c.fingerprint != b.fingerprint {
-			// Informational: the ns/events gates decide pass/fail; this
-			// names why the baseline needs regenerating.
-			line += "  fp changed (baseline regen needed)"
-		}
-		fmt.Println(line)
-	}
-	// Determinism gate: every decomposition of one rack workload must
-	// land on the same fingerprint. Checked per report side so a bad
-	// baseline is caught too.
-	for _, side := range []struct {
-		label string
-		m     map[string]metric
-	}{{"baseline", base}, {"fresh", cur}} {
-		for _, f := range checkRackFingerprints(side.label, side.m) {
-			fmt.Println(f)
-			failed = true
+		failed = failed || len(marks) > 0
+		fmt.Fprintf(out, "%-6s %s\n", status, name)
+		for _, f := range union(b, c) {
+			if f == "name" {
+				continue
+			}
+			fmt.Fprintf(out, "       %-18s %s -> %s%s\n", f, show(b[f]), show(c[f]), marks[f])
 		}
 	}
-	for _, f := range checkHandlerKnob(cur) {
-		fmt.Println(f)
-		failed = true
-	}
-	if curCkpt != nil {
-		fmt.Printf("ckpt  %-24s cells %d  snapshot %d B  save %.2f ms  restore %.2f ms  speedup %.2fx  fingerprints %v\n",
-			curCkpt.Config, curCkpt.Cells, curCkpt.SnapshotBytes,
-			curCkpt.SaveNs/1e6, curCkpt.RestoreNs/1e6, curCkpt.Speedup, curCkpt.AllMatch)
-	}
-	for _, f := range checkCheckpointKnob(baseCkpt, curCkpt) {
-		fmt.Println(f)
-		failed = true
-	}
-	if *hotpaths != "" {
-		for _, f := range checkHotpaths(base, *hotpaths) {
-			fmt.Println(f)
-			failed = true
+
+	bad := append(fpdiv("baseline", base), fpdiv("fresh", cur)...)
+	for _, k := range checks {
+		c, inCur := cur[k.entry]
+		_, inBase := base[k.entry]
+		if k.fails == nil && inBase && !inCur {
+			bad = append(bad, fmt.Sprintf("%s %s: %s", k.code, k.entry, k.why))
+		} else if k.fails != nil && inCur && k.fails(c.num(k.field)) {
+			bad = append(bad, fmt.Sprintf("%s %s: %s %s, %s", k.code, k.entry, k.field, show(c[k.field]), k.why))
 		}
 	}
-	var added []string
-	for name := range cur {
-		if _, ok := base[name]; !ok {
-			added = append(added, name)
+	// The conversion to run-to-completion handlers promises at least
+	// 25% off the goroutine flavor's ns/event (~24x in practice).
+	if h, g := cur["kernel_park_resume_handler"].num("ns_per_event"), cur["kernel_park_resume"].num("ns_per_event"); g > 0 && h > 0.75*g {
+		bad = append(bad, fmt.Sprintf(
+			"NOHANDLER kernel_park_resume_handler: %.2f ns/event is not >=25%% under goroutine %.2f (handoff tax not killed)", h, g))
+	}
+	if *roots != "" {
+		bad = append(bad, hotpaths(base, *roots)...)
+	}
+	sort.Strings(bad)
+	for _, f := range bad {
+		fmt.Fprintln(out, f)
+	}
+	if failed || len(bad) > 0 {
+		fmt.Fprintln(out, "benchdiff: regression detected")
+		return 1
+	}
+	return 0
+}
+
+// show formats a field value; numbers print exactly, without exponents.
+func show(v any) string {
+	switch v := v.(type) {
+	case nil:
+		return "-"
+	case float64:
+		return strconv.FormatFloat(v, 'f', -1, 64)
+	}
+	return fmt.Sprint(v)
+}
+
+// union returns the keys of a and b, sorted.
+func union[V any](a, b map[string]V) []string {
+	seen := map[string]bool{}
+	var keys []string
+	for _, m := range []map[string]V{a, b} {
+		for k := range m {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
 		}
 	}
-	sort.Strings(added)
-	for _, name := range added {
-		// Baseline-less rack entries still get the NOPAR gate: dead
-		// parallelism is a property of the fresh run alone.
-		if c := cur[name]; c.rack && c.domains > 1 && c.workers > 1 && c.parWindows == 0 {
-			fmt.Printf("NOPAR %-24s (no baseline) multi-domain rack ran serial\n", name)
-			failed = true
-			continue
-		}
-		fmt.Printf("NEW   %-24s (no baseline)\n", name)
-	}
-	if failed {
-		fmt.Fprintln(os.Stderr, "benchdiff: regression detected")
-		os.Exit(1)
-	}
+	sort.Strings(keys)
+	return keys
 }

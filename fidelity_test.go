@@ -138,10 +138,10 @@ func TestFidelityFigureRenders(t *testing.T) {
 		sim.SetDefaultWireFidelity(fid)
 		defer sim.SetDefaultWireFidelity(sim.WireFlow)
 		var buf bytes.Buffer
-		bench.RunFigure3().Render(&buf)
-		bench.RunFigure8().Render(&buf)
-		bench.Figure11a().Render(&buf)
-		bench.Figure11b().Render(&buf)
+		bench.RunFigure3Parallel(1).Render(&buf)
+		bench.RunFigure8Parallel(1).Render(&buf)
+		bench.Figure11aParallel(1).Render(&buf)
+		bench.Figure11bParallel(1).Render(&buf)
 		return buf.String()
 	}
 	frame := render(sim.WireFrame)

@@ -40,13 +40,13 @@ func TestFusionEquivalenceFigures(t *testing.T) {
 		render     func(*bytes.Buffer)
 	}{
 		{"fig3", "e6bc1a35fd40f73d07153a1db16c30fc7e1a34b1c682cc1087783b8d9be1fbaa",
-			func(b *bytes.Buffer) { bench.RunFigure3().Render(b) }},
+			func(b *bytes.Buffer) { bench.RunFigure3Parallel(1).Render(b) }},
 		{"fig8", "e34b20302744e4a7955170c93be7e7e835535d09b364f93ef5d7f53386e8b174",
-			func(b *bytes.Buffer) { bench.RunFigure8().Render(b) }},
+			func(b *bytes.Buffer) { bench.RunFigure8Parallel(1).Render(b) }},
 		{"fig11a", "d5d8fc5b8751beb1628250d8d3b3327f998e52d4671a2288dfc889953961f4b7",
-			func(b *bytes.Buffer) { bench.Figure11a().Render(b) }},
+			func(b *bytes.Buffer) { bench.Figure11aParallel(1).Render(b) }},
 		{"fig11b", "ca885e37e6ad9f7f75a6cf0585ab15109be17657b827d1b4c63a55041c8216d0",
-			func(b *bytes.Buffer) { bench.Figure11b().Render(b) }},
+			func(b *bytes.Buffer) { bench.Figure11bParallel(1).Render(b) }},
 	}
 	for _, fig := range figures {
 		t.Run(fig.name, func(t *testing.T) {

@@ -32,7 +32,7 @@ func TestGoldenFigure11a(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden benchmark run")
 	}
-	assertGolden(t, "Figure 11a reduction", bench.Figure11a().Reduction, goldenFig11aReduction)
+	assertGolden(t, "Figure 11a reduction", bench.Figure11aParallel(1).Reduction, goldenFig11aReduction)
 }
 
 // TestGoldenFigure11b pins the SSD→MD5→NIC microbenchmark reduction.
@@ -40,7 +40,7 @@ func TestGoldenFigure11b(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden benchmark run")
 	}
-	assertGolden(t, "Figure 11b reduction", bench.Figure11b().Reduction, goldenFig11bReduction)
+	assertGolden(t, "Figure 11b reduction", bench.Figure11bParallel(1).Reduction, goldenFig11bReduction)
 }
 
 // TestGoldenFigure12 pins the Swift CPU-utilization saving of
@@ -49,7 +49,7 @@ func TestGoldenFigure12(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden benchmark run")
 	}
-	f12 := bench.RunFigure12(bench.DefaultFig12Swift(), bench.DefaultFig12HDFS())
+	f12 := bench.RunFigure12Parallel(bench.DefaultFig12Swift(), bench.DefaultFig12HDFS(), 1)
 	assertGolden(t, "Figure 12 CPU reduction", f12.CPUReduction, goldenFig12CPUSaving)
 	for _, k := range bench.Fig12Configs {
 		if f12.Swift[k].Errors != 0 {

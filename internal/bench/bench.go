@@ -60,22 +60,14 @@ type Figure11 struct {
 	Reduction float64 // DCS-ctrl vs SW-ctrl P2P
 }
 
-// Figure11a runs the SSD→NIC microbenchmark.
-func Figure11a() Figure11 {
-	return Figure11aParallel(1)
-}
-
-// Figure11aParallel runs Figure 11a's config cells across workers.
+// Figure11aParallel runs the SSD→NIC microbenchmark's config cells
+// across up to workers goroutines.
 func Figure11aParallel(workers int) Figure11 {
 	return figure11("Figure 11a: latency breakdown, SSD->NIC (4 KB)", core.ProcNone, workers)
 }
 
-// Figure11b runs the SSD→Processing→NIC microbenchmark (MD5).
-func Figure11b() Figure11 {
-	return Figure11bParallel(1)
-}
-
-// Figure11bParallel runs Figure 11b's config cells across workers.
+// Figure11bParallel runs the SSD→Processing→NIC microbenchmark (MD5)
+// config cells across up to workers goroutines.
 func Figure11bParallel(workers int) Figure11 {
 	return figure11("Figure 11b: latency breakdown, SSD->MD5->NIC (4 KB)", core.ProcMD5, workers)
 }
@@ -118,11 +110,6 @@ type Figure3 struct {
 	Configs []core.Config
 	Lat     map[core.Config]core.OpResult
 	CPU     map[core.Config]sim.Time // server CPU busy per op
-}
-
-// RunFigure3 executes the motivation microbenchmark.
-func RunFigure3() Figure3 {
-	return RunFigure3Parallel(1)
 }
 
 // RunFigure3Parallel executes the motivation microbenchmark's config
@@ -191,13 +178,8 @@ type Figure8 struct {
 	Cores   int
 }
 
-// RunFigure8 executes the kernel-overhead comparison: a fixed batch
-// of 64 KB SSD→NIC transfers per configuration.
-func RunFigure8() Figure8 {
-	return RunFigure8Parallel(1)
-}
-
-// RunFigure8Parallel executes the kernel-overhead comparison's config
+// RunFigure8Parallel executes the kernel-overhead comparison, a fixed
+// batch of 64 KB SSD→NIC transfers per configuration, with the config
 // cells across up to workers goroutines.
 func RunFigure8Parallel(workers int) Figure8 {
 	f := Figure8{
@@ -267,11 +249,6 @@ type Figure12 struct {
 
 // SwiftConfigs and HDFSConfigs list the compared designs.
 var Fig12Configs = []core.Config{core.SWOpt, core.SWP2P, core.DCSCtrl}
-
-// RunFigure12 executes both applications on every design.
-func RunFigure12(swiftCfg apps.SwiftConfig, hdfsCfg apps.HDFSConfig) Figure12 {
-	return RunFigure12Parallel(swiftCfg, hdfsCfg, 1)
-}
 
 // RunFigure12Parallel fans the experiment's application×config cells
 // (Swift and HDFS on every design, six independent clusters) across

@@ -47,11 +47,6 @@ var FaultMatrixProfiles = []string{"light", "heavy", "engine-fail"}
 // faultMatrixSeed keeps the matrix deterministic run to run.
 const faultMatrixSeed = 42
 
-// RunFaultMatrix executes the matrix serially.
-func RunFaultMatrix() FaultMatrix {
-	return RunFaultMatrixParallel(1)
-}
-
 // RunFaultMatrixParallel fans the matrix's independent cells across up
 // to workers goroutines, one cluster and one injector per cell.
 func RunFaultMatrixParallel(workers int) FaultMatrix {

@@ -98,11 +98,6 @@ func fig13Stream(kind core.Config, params core.Params) float64 {
 	return float64(done*size) * 8 / end.Seconds() / 1e9
 }
 
-// RunFigure13Sim executes the saturation measurement.
-func RunFigure13Sim() Figure13Sim {
-	return RunFigure13SimParallel(1)
-}
-
 // RunFigure13SimParallel fans the fabric×config saturation cells
 // across up to workers goroutines.
 func RunFigure13SimParallel(workers int) Figure13Sim {

@@ -24,11 +24,6 @@ type SizeSweep struct {
 // DefaultSweepSizes are the measured transfer sizes.
 var DefaultSweepSizes = []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
 
-// RunSizeSweep executes the sweep serially.
-func RunSizeSweep(proc core.Processing) SizeSweep {
-	return RunSizeSweepParallel(proc, 1)
-}
-
 // RunSizeSweepParallel executes the sweep's config×size trial cells
 // across up to workers goroutines, each cell in its own sim.Env.
 // Results are keyed by cell index, so the output is identical to a

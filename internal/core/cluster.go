@@ -70,17 +70,24 @@ func (c *Cluster) OpenConn(dataPlane bool) Conn {
 		SrcIP: serverIP, DstIP: clientIP,
 		SrcPort: srcPort, DstPort: dstPort,
 	}
-	engineOwned := dataPlane && c.Server.Kind == DCSCtrl
-	if engineOwned {
-		c.Server.Driver.Connect(id, serverFlow, 0, 0)
-	} else {
-		c.Server.OpenHostConn(id, serverFlow)
+	return connect(c.Server, c.Client, id, serverFlow, dataPlane)
+}
+
+// connect wires both endpoints of connection id, server first. With
+// dataPlane set, a DCS-ctrl node's end is handed to its HDC Engine
+// through the driver; any other end is terminated by the host stack.
+// The client's flow is the server's reversed.
+func connect(server, client *Node, id uint64, serverFlow ether.Flow, dataPlane bool) Conn {
+	open := func(n *Node, flow ether.Flow) bool {
+		if dataPlane && n.Kind == DCSCtrl {
+			n.Driver.Connect(id, flow, 0, 0)
+			return true
+		}
+		n.OpenHostConn(id, flow)
+		return false
 	}
-	if dataPlane && c.Client.Kind == DCSCtrl {
-		c.Client.Driver.Connect(id, serverFlow.Reverse(), 0, 0)
-	} else {
-		c.Client.OpenHostConn(id, serverFlow.Reverse())
-	}
+	engineOwned := open(server, serverFlow)
+	open(client, serverFlow.Reverse())
 	return Conn{ID: id, ServerData: engineOwned}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dcsctrl/internal/ether"
-	"dcsctrl/internal/gpu"
 	"dcsctrl/internal/hdc"
 	"dcsctrl/internal/hostos"
 	"dcsctrl/internal/mem"
@@ -374,6 +373,3 @@ func (n *Node) deviceSend(p *sim.Proc, c *hostConn, src mem.Addr, nbytes int) {
 		n.waitSendCompleted(p, sig)
 	}
 }
-
-// GPUForNode exposes the node's GPU (nil on DCS/integration nodes).
-func (n *Node) GPUForNode() *gpu.GPU { return n.GPU }

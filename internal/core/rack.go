@@ -131,19 +131,7 @@ func (r *Rack) OpenConn(client, server int, dataPlane bool) Conn {
 		SrcIP: r.Topo.NodeIP(server), DstIP: r.Topo.NodeIP(client),
 		SrcPort: srvPort, DstPort: cliPort,
 	}
-	s, c := r.Nodes[server], r.Nodes[client]
-	engineOwned := dataPlane && s.Kind == DCSCtrl
-	if engineOwned {
-		s.Driver.Connect(id, serverFlow, 0, 0)
-	} else {
-		s.OpenHostConn(id, serverFlow)
-	}
-	if dataPlane && c.Kind == DCSCtrl {
-		c.Driver.Connect(id, serverFlow.Reverse(), 0, 0)
-	} else {
-		c.OpenHostConn(id, serverFlow.Reverse())
-	}
-	return Conn{ID: id, ServerData: engineOwned}
+	return connect(r.Nodes[server], r.Nodes[client], id, serverFlow, dataPlane)
 }
 
 // NodeSend transmits payload bytes from a node on a host-terminated

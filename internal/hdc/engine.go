@@ -14,7 +14,6 @@ import (
 	"dcsctrl/internal/nvme"
 	"dcsctrl/internal/pcie"
 	"dcsctrl/internal/sim"
-	"dcsctrl/internal/trace"
 )
 
 // Completion statuses the engine writes to the host completion ring.
@@ -149,17 +148,6 @@ type Engine struct {
 
 	cmdsDone int64
 	dead     bool // parser suffered a hard failure; no command makes progress
-
-	tracing bool
-	traces  map[uint32]*CmdTrace
-}
-
-// CmdTrace stamps one command's milestones (for latency-decomposition
-// reporting, Figure 11's DCS-ctrl bar).
-type CmdTrace struct {
-	Posted  sim.Time // parser admitted the command
-	SrcDone sim.Time // first source chunk completed (≈ media read time)
-	Done    sim.Time // all destination operations completed
 }
 
 // NewEngine creates the engine, claims the base design's FPGA
@@ -204,7 +192,6 @@ func NewEngine(env *sim.Env, fab *pcie.Fabric, name string, params Params) *Engi
 		e.extBufs = append(e.extBufs, e.ddr3.Alloc(4096, 64))
 	}
 
-	e.traces = map[uint32]*CmdTrace{}
 	e.kickFn = func() {
 		e.kickQueued = false
 		e.cmdKick.Broadcast()
@@ -223,9 +210,6 @@ func (e *Engine) Scoreboard() *Scoreboard { return e.sb }
 
 // Port returns the engine's fabric port.
 func (e *Engine) Port() *pcie.Port { return e.port }
-
-// DDR3 returns the on-board memory region.
-func (e *Engine) DDR3() *mem.Region { return e.ddr3 }
 
 // CommandsDone returns the number of completed D2D commands.
 func (e *Engine) CommandsDone() int64 { return e.cmdsDone }
@@ -550,18 +534,6 @@ func (e *Engine) AdoptConnections() []AdoptedConn {
 	return out
 }
 
-// EnableTracing records per-command milestone stamps.
-func (e *Engine) EnableTracing() { e.tracing = true }
-
-// TraceOf returns the recorded milestones of a command.
-func (e *Engine) TraceOf(id uint32) (CmdTrace, bool) {
-	t, ok := e.traces[id]
-	if !ok {
-		return CmdTrace{}, false
-	}
-	return *t, true
-}
-
 // DebugState prints engine state (diagnostics).
 func (e *Engine) DebugState() string {
 	out := fmt.Sprintf("cmds: head=%d tail=%d done=%d submitted=%v finishedIDs=%d chunks(free=%d low=%d) sbLive=%d",
@@ -570,23 +542,4 @@ func (e *Engine) DebugState() string {
 		out += "\n" + ctl.DebugState()
 	}
 	return out
-}
-
-// Counters exposes key engine counters for reporting.
-func (e *Engine) Counters() *trace.Counter {
-	c := trace.NewCounter()
-	c.Inc("cmds-done", e.cmdsDone)
-	issued, done := e.sb.Stats()
-	c.Inc("sb-issued", issued)
-	c.Inc("sb-done", done)
-	for i, ctl := range e.nvmeCtls {
-		c.Inc(fmt.Sprintf("nvme%d-cmds", i), ctl.cmds)
-		c.Inc(fmt.Sprintf("nvme%d-retries", i), ctl.retries)
-	}
-	for i, ctl := range e.nicCtls {
-		c.Inc(fmt.Sprintf("nic%d-send-jobs", i), ctl.sendJobs)
-		c.Inc(fmt.Sprintf("nic%d-recv-pkts", i), ctl.recvPkts)
-		c.Inc(fmt.Sprintf("nic%d-gathered-bytes", i), ctl.gatheredBytes)
-	}
-	return c
 }

@@ -92,10 +92,6 @@ func NewScoreboard(env *sim.Env, capacity int, opCost sim.Time) *Scoreboard {
 	return s
 }
 
-// OpCost returns the per-transition cost (charged by the caller's
-// process to keep timing attribution at the call site).
-func (s *Scoreboard) OpCost() sim.Time { return s.opCost }
-
 // Live returns the number of allocated, not-yet-retired entries.
 func (s *Scoreboard) Live() int { return s.live }
 

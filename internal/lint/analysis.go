@@ -110,18 +110,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// isPkgFunc reports whether fn is the package-level function
-// path.name (methods never match).
-func isPkgFunc(fn *types.Func, path, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		return false
-	}
-	return fn.Pkg().Path() == path && fn.Name() == name
-}
-
 // isSimType reports whether t (or the named type it points to) is the
 // named type `name` declared in the simulation kernel package.
 func isSimType(t types.Type, name string) bool {
@@ -134,10 +122,4 @@ func isSimType(t types.Type, name string) bool {
 	}
 	obj := named.Obj()
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == SimKernelPath && obj.Name() == name
-}
-
-// fromSimKernel reports whether obj is declared in the simulation
-// kernel package.
-func fromSimKernel(obj types.Object) bool {
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == SimKernelPath
 }

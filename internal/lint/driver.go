@@ -55,21 +55,6 @@ func Run(dir string, patterns ...string) ([]Finding, error) {
 	return findings, nil
 }
 
-// RunPackage applies the applicable per-package analyzers to one
-// loaded package and returns the unsuppressed findings. Module
-// analyzers need the whole load set and do not run here.
-func RunPackage(pkg *Package) []Finding {
-	allows, bad := parseAllows(pkg.Fset, pkg.Files)
-	diags := append([]Diagnostic{}, bad...)
-	for _, a := range Analyzers() {
-		if !Applies(a, pkg.Path) {
-			continue
-		}
-		diags = append(diags, runAnalyzer(a, pkg, allows)...)
-	}
-	return toFindings(pkg.Fset, diags)
-}
-
 // Apply runs a single analyzer over one loaded package, honouring
 // //dcslint:allow directives and reporting malformed directives, but
 // ignoring the package-scope policy. This is the hook the

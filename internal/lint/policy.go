@@ -44,18 +44,6 @@ var simPackages = []string{
 	"internal/apps",
 }
 
-// hostPackages are host-side measurement and tooling code: they may
-// read the wall clock (perf timing) and spawn goroutines (the
-// parallel experiment pool), because nothing on the simulated
-// timeline depends on them.
-var hostPackages = []string{
-	"internal/bench",
-	"internal/report",
-	"internal/trace",
-	"cmd/", // cmd/* — all binaries
-	"examples/",
-}
-
 // orderExempt are the packages even maporder/simtime skip: pure
 // driver/tooling code whose output never feeds a golden file.
 // Reporting and trace code stay covered — their output IS the golden
@@ -87,9 +75,6 @@ func inList(pkgPath string, list []string) bool {
 // IsSimPackage reports whether pkgPath is simulation-model code.
 func IsSimPackage(pkgPath string) bool { return inList(pkgPath, simPackages) }
 
-// IsHostPackage reports whether pkgPath is allowlisted host-side code.
-func IsHostPackage(pkgPath string) bool { return inList(pkgPath, hostPackages) }
-
 // Applies reports whether analyzer a should run over pkgPath.
 //
 //   - nowallclock: simulation packages only — bench/report/cmd
@@ -98,8 +83,8 @@ func IsHostPackage(pkgPath string) bool { return inList(pkgPath, hostPackages) }
 //     the shard kernel, which own all concurrency.
 //   - nochainrecursion: all simulation packages including the kernel —
 //     a self-chaining continuation is a stack bomb wherever it lives.
-//   - maporder and simtime: everywhere in the module except
-//     allowlisted host packages — reporting and facade code feed
+//   - maporder and simtime: everywhere in the module except the
+//     orderExempt tooling packages — reporting and facade code feed
 //     golden output too, and sim.Time hygiene is global.
 func Applies(a *Analyzer, pkgPath string) bool {
 	if !strings.HasPrefix(pkgPath, ModulePath) {

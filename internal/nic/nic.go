@@ -889,16 +889,6 @@ func (n *NIC) rxFill(p *sim.Proc, q *nicQueue, rf rxFrame) {
 	q.rxPend.Put(rxPending{cpl: cpl, sig: sig, slot: slot, pay: len(pay)})
 }
 
-// DebugQueues reports per-queue ring state (diagnostics).
-func (n *NIC) DebugQueues() string {
-	out := fmt.Sprintf("%s: rxQ=%d txFIFO=%d", n.Name, n.rxQ.Len(), n.txFIFO.Len())
-	for _, q := range n.queueList {
-		out += fmt.Sprintf("\n  q%d: sendTail=%d sendHead=%d recvTail=%d recvHead=%d bdCache=%d cplBuf=%d cplN=%d rxFIFO=%d armed=%v",
-			q.cfg.QID, q.sendTail, q.sendHead, q.recvTail, q.recvHead, q.bdLen(), len(q.cplBuf), q.recvCplN, q.rxFIFO.Len(), q.armed)
-	}
-	return out
-}
-
 func le64(b []byte) uint64 {
 	var v uint64
 	for i := 0; i < 8 && i < len(b); i++ {

