@@ -32,7 +32,19 @@ const (
 // zeroAllocBenches are the data-plane benches the baseline records at
 // zero allocs/op, i.e. the ones a clean -hotpaths list must name.
 var zeroAllocBenches = []string{"mem_copy_same_map_4k", "mem_read_into_4k", "pcie_dma_4k",
-	"hdc_gather_8x512", "nvme_read_4k", "nic_frame_echo"}
+	"hdc_gather_8x512", "nvme_read_4k", "nic_frame_echo", "nic_bulk_stream_64k"}
+
+// allocatingBulk gives nic_bulk_stream_64k the 51 allocs/op it made
+// before back-to-back NICs shared a frame pool. Every checked-in bench
+// is zero-alloc now, so the cases about an allocating path build one.
+var allocatingBulk = set("benches", "nic_bulk_stream_64k", "allocs_per_op", 51.001)
+
+// baseEdits edit the baseline itself (and so the fresh copy made from
+// it) for the cases whose premise the checked-in report lacks.
+var baseEdits = map[string]func(map[string]any){
+	"dataplane/allocs-grow-on-allocating-path": allocatingBulk,
+	"hotpaths/root-names-allocating-bench":     allocatingBulk,
+}
 
 var gateCases = []gateCase{
 	{"dataplane/self-diff", dataplane, nil, nil, 0, nil},
@@ -91,7 +103,7 @@ var gateCases = []gateCase{
 
 	{"hotpaths/clean", dataplane, nil, zeroAllocBenches, 0, nil},
 	{"hotpaths/root-names-missing-bench", dataplane, nil, append(slices.Clip(zeroAllocBenches), "no_such_bench"), 1, []string{"HOTPATH"}},
-	{"hotpaths/root-names-allocating-bench", dataplane, nil, append(slices.Clip(zeroAllocBenches), "nic_bulk_stream_64k"), 1, []string{"HOTPATH"}},
+	{"hotpaths/root-names-allocating-bench", dataplane, nil, zeroAllocBenches, 1, []string{"HOTPATH"}},
 	{"hotpaths/zero-alloc-bench-untagged", dataplane, nil, zeroAllocBenches[:5], 1, []string{"HOTPATH"}},
 }
 
@@ -106,6 +118,10 @@ func TestGateVerdicts(t *testing.T) {
 			var fresh map[string]any
 			if err := json.Unmarshal(data, &fresh); err != nil {
 				t.Fatal(err)
+			}
+			if edit := baseEdits[c.name]; edit != nil {
+				edit(fresh)
+				baseline = writeJSON(t, "baseline.json", fresh)
 			}
 			if c.mutate != nil {
 				c.mutate(fresh)

@@ -5,7 +5,7 @@
 //
 //	nowallclock       no wall-clock time or global math/rand in sim packages
 //	maporder          no map-range bodies that leak iteration order
-//	nogoroutine       no goroutines or raw channels outside the DES kernel
+//	nogoroutine       no goroutines or raw channels outside the DES kernel, no Env.Spawn in device packages
 //	nochainrecursion  no continuations that re-enter sim.Env.Chain
 //	simtime           no raw integer literals in sim.Time arithmetic
 //

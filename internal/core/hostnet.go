@@ -61,6 +61,9 @@ func (n *Node) netRxCost(k int) sim.Time {
 func (n *Node) deliverNetRx(recv *nic.RecvRing, fills []nic.Filled, segs []rxSeg) []rxSeg {
 	segs = segs[:0]
 	for _, f := range fills {
+		if f.Cpl.HdrLen == 0 {
+			continue // undersized buffer: the NIC dropped the frame; reposted below
+		}
 		// View: the payload is copied into c.stream before the
 		// buffer is reposted by postRecvBuffers below.
 		frame := n.MM.View(f.Addr, int(f.Cpl.HdrLen)+int(f.Cpl.PayLen))

@@ -103,6 +103,7 @@ func (s *Segment) Marshal() []byte { return s.MarshalTo(nil) }
 func (s *Segment) MarshalTo(b []byte) []byte {
 	total := HeadersLen + len(s.Payload)
 	if cap(b) < total {
+		//dcslint:allow noalloc pool-miss arm: the NIC passes recycled frame buffers, so steady state reuses them (nic_bulk_stream_64k: 0 allocs/op)
 		b = make([]byte, total)
 	} else {
 		b = b[:total]

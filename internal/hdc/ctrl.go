@@ -499,6 +499,12 @@ func (c *NICCtrl) recvLoop(p *sim.Proc) {
 		}
 		for _, f := range fills {
 			p.Sleep(c.eng.params.RecvParse)
+			if f.Cpl.HdrLen == 0 {
+				// Zero-length completion: the buffer was too small and
+				// the NIC dropped the frame. Recycle it for restocking.
+				c.eng.recvPool.Put(f.Addr)
+				continue
+			}
 			hdr := mm.View(f.Addr, int(f.Cpl.HdrLen))
 			seg, err := ether.ParseHeaders(hdr)
 			if err != nil {

@@ -79,7 +79,7 @@ type irqWork struct {
 }
 
 // NewHost builds a host with params.Cores cores and starts the IRQ
-// service process.
+// service handler proc.
 func NewHost(env *sim.Env, params Params) *Host {
 	if params.Cores <= 0 {
 		panic(fmt.Sprintf("hostos: %d cores", params.Cores))
@@ -91,16 +91,40 @@ func NewHost(env *sim.Env, params Params) *Host {
 		Acct:   trace.NewCPUAccount(env),
 		irqQ:   sim.NewQueue[irqWork](env, "irq"),
 	}
-	env.Spawn("irq-service", h.irqLoop)
+	env.SpawnHandler("irq-service", (&irqMachine{host: h}).run)
 	return h
 }
 
-func (h *Host) irqLoop(p *sim.Proc) {
+// irqMachine is the IRQ service, a run-to-completion handler proc
+// (DESIGN.md §16): it takes queued interrupt work, charges the IRQ
+// overhead plus the work's cost on a core, then runs the bottom half.
+type irqMachine struct {
+	host *Host
+	w    irqWork
+	busy bool // w's charge is staged or in flight
+	exec ExecH
+}
+
+// run is the machine's handler body.
+func (m *irqMachine) run(hc *sim.HandlerCtx) {
+	h := m.host
 	for {
-		w := h.irqQ.Get(p)
-		h.Exec(p, w.cat, h.Params.IRQOverhead+w.cost, nil)
-		if w.fn != nil {
-			w.fn()
+		if !m.busy {
+			w, ok := h.irqQ.GetH(hc)
+			if !ok {
+				return
+			}
+			m.w, m.busy = w, true
+			m.exec.Start(h, w.cat, h.Params.IRQOverhead+w.cost, nil)
+		}
+		if !m.exec.Step(hc) {
+			return
+		}
+		fn := m.w.fn
+		m.w, m.busy = irqWork{}, false
+		if fn != nil {
+			//dcslint:allow noblockhandler IRQ bottom halves take no Proc and cannot park; they fire signals, broadcast conds and ring doorbells only
+			fn()
 		}
 	}
 }
@@ -142,7 +166,6 @@ type ExecH struct {
 	cat  trace.Category
 	d    sim.Time
 	bd   *trace.Breakdown
-	tick sim.ResTicket
 	st   execHState
 }
 
@@ -169,7 +192,7 @@ func (x *ExecH) Step(h *sim.HandlerCtx) bool {
 	case execIdle:
 		return true // zero-cost charge: completed at Start
 	case execAcq:
-		if !x.host.Cores.AcquireH(h, &x.tick) {
+		if !x.host.Cores.AcquireH(h) {
 			return false
 		}
 		x.st = execHold

@@ -38,10 +38,19 @@ var (
 )
 
 // Run applies analyzer a to the single package rooted at dir and
-// compares diagnostics with // want expectations.
+// compares diagnostics with // want expectations. The package's import
+// path is the directory's base name.
 func Run(t *testing.T, a *lint.Analyzer, dir string) {
 	t.Helper()
-	check(t, dir, func(pkg *lint.Package) []lint.Finding {
+	RunAs(t, a, dir, filepath.Base(dir))
+}
+
+// RunAs is Run with the testdata package type-checked under import
+// path pkgPath, for analyzers whose checks depend on which package
+// they run in (nogoroutine's device-package Spawn ban).
+func RunAs(t *testing.T, a *lint.Analyzer, dir, pkgPath string) {
+	t.Helper()
+	check(t, dir, pkgPath, func(pkg *lint.Package) []lint.Finding {
 		return lint.Apply(a, pkg)
 	})
 }
@@ -66,15 +75,15 @@ func RunModule(t *testing.T, ma *lint.ModuleAnalyzer, dir string, deps ...string
 			t.Fatalf("loading deps %v: %v", deps, err)
 		}
 	}
-	check(t, dir, func(pkg *lint.Package) []lint.Finding {
+	check(t, dir, filepath.Base(dir), func(pkg *lint.Package) []lint.Finding {
 		return lint.ApplyModule(ma, append([]*lint.Package{pkg}, extra...)...)
 	})
 }
 
-func check(t *testing.T, dir string, apply func(*lint.Package) []lint.Finding) {
+func check(t *testing.T, dir, pkgPath string, apply func(*lint.Package) []lint.Finding) {
 	t.Helper()
 	loaderOnce.Do(func() { sharedLoader = lint.NewLoader("") })
-	pkg, err := sharedLoader.CheckDir(dir, filepath.Base(dir))
+	pkg, err := sharedLoader.CheckDir(dir, pkgPath)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}

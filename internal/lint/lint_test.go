@@ -21,6 +21,13 @@ func TestNoGoroutine(t *testing.T) {
 	analysistest.Run(t, lint.NoGoroutine, filepath.Join("testdata", "src", "nogoroutine"))
 }
 
+// The device-package Spawn ban depends on the package path, so its
+// fixture is checked as the NIC package it stands in for.
+func TestNoGoroutineDevicePumps(t *testing.T) {
+	analysistest.RunAs(t, lint.NoGoroutine,
+		filepath.Join("testdata", "src", "nogoroutine", "nic"), lint.ModulePath+"/internal/nic")
+}
+
 func TestNoChainRecursion(t *testing.T) {
 	analysistest.Run(t, lint.NoChainRecursion, filepath.Join("testdata", "src", "nochainrecursion"))
 }

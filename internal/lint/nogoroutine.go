@@ -12,18 +12,36 @@ import (
 // A stray goroutine or ad-hoc channel in a device model reintroduces
 // scheduler nondeterminism and can deadlock the single-runnable-
 // process handoff. Models spawn concurrent activities with
-// sim.Env.Spawn and synchronise through sim.Queue / sim.Resource /
-// sim.Signal.
+// sim.Env.Spawn / SpawnHandler and synchronise through sim.Queue /
+// sim.Resource / sim.Signal.
+//
+// In the device packages (devicePumpPackages) it also flags every
+// reference to (*sim.Env).Spawn: their procs are flat pumps, which are
+// run-to-completion handler procs (DESIGN.md §16), so a goroutine proc
+// there brings back the park/resume handoff the conversion removed.
 var NoGoroutine = &Analyzer{
 	Name: "nogoroutine",
 	Doc: "forbid go statements and channel makes outside the DES kernel\n\n" +
-		"Model concurrency must go through sim.Env.Spawn and the kernel's " +
-		"synchronisation types; raw goroutines break the single-runnable-" +
-		"process invariant the park/resume handoff depends on.",
+		"Model concurrency must go through sim.Env.Spawn/SpawnHandler and " +
+		"the kernel's synchronisation types; raw goroutines break the single-" +
+		"runnable-process invariant the park/resume handoff depends on. The " +
+		"device packages (nic, pcie, ether, hostos) may not spawn goroutine " +
+		"procs at all: their pumps are handler procs.",
 	Run: runNoGoroutine,
 }
 
+// devicePumpPackages are the device-model packages whose every proc is
+// a flat pump and so a handler proc. Goroutine procs stay legal in
+// apps, bench, test drivers and the multi-stage hdc/nvme task paths.
+var devicePumpPackages = []string{
+	"internal/nic",
+	"internal/pcie",
+	"internal/ether",
+	"internal/hostos",
+}
+
 func runNoGoroutine(pass *Pass) error {
+	noSpawn := inList(pass.Pkg.Path(), devicePumpPackages)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -39,11 +57,26 @@ func runNoGoroutine(pass *Pass) error {
 							"kernel's sim.Queue / sim.Resource / sim.Signal so event "+
 							"ordering stays deterministic")
 				}
+			case *ast.SelectorExpr:
+				if noSpawn && isEnvSpawn(pass.TypesInfo, n) {
+					pass.Reportf(n.Pos(),
+						"goroutine proc spawned in device package %s; device pumps are "+
+							"handler procs — use sim.Env.SpawnHandler with a Start/Step "+
+							"machine (DESIGN.md §16)", pass.Pkg.Path())
+				}
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// isEnvSpawn reports whether sel refers to the kernel's goroutine-proc
+// spawn, (*sim.Env).Spawn — called or taken as a method value.
+func isEnvSpawn(info *types.Info, sel *ast.SelectorExpr) bool {
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Name() == "Spawn" && fn.Pkg() != nil &&
+		fn.Pkg().Path() == SimKernelPath && recvTypeName(fn) == "Env"
 }
 
 // isChanMake reports whether call is make(chan ...). The builtin make

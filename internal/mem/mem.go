@@ -136,6 +136,7 @@ func (r *Region) Zero(off uint64, n int) {
 	}
 	if r.writeHook != nil {
 		//dcslint:allow noalloc hook bodies are model code vetted by shardsafe; benched paths run hook-free
+		//dcslint:allow noblockhandler hooks take no Proc and cannot park; they fire signals and schedule events only
 		r.writeHook(off, n)
 	}
 }

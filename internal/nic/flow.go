@@ -6,7 +6,7 @@ package nic
 // run of frames is collapsed into one analytic claim — the wire clock,
 // byte counters, core occupancy, and FIFO budget advance exactly as
 // the per-frame schedule would have advanced them, but no frame walks
-// the transmit FIFO or the wire loop. Everything not provably
+// the transmit FIFO or the wire machine. Everything not provably
 // collapsible stays per-frame; the two paths produce identical
 // timelines, so falling back is always safe.
 
@@ -71,7 +71,7 @@ func (n *NIC) nextClaimExit() (sim.Time, bool) {
 // claimRun books one run of frames analytically. It returns false —
 // and the caller transmits the run per-frame — when a real frame is
 // anywhere between FIFO insertion and wire exit (claims must never
-// interleave with the per-frame wire loop), when the virtual FIFO
+// interleave with the per-frame wire machine), when the virtual FIFO
 // budget would be exceeded, or when there is no peer to deliver to.
 //
 // The booking replays the per-frame schedule exactly: each frame
@@ -104,6 +104,7 @@ func (n *NIC) claimRun(segs []ether.Segment) bool {
 		start += t
 		busy += t
 		wireBytes += wl
+		//dcslint:allow noalloc exit ring rewinds when drained (pendingClaimedFrames), keeping its backing array
 		n.claimExits = append(n.claimExits, start)
 		n.txFrames++
 		n.txPayload += int64(len(s.Payload))

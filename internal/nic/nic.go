@@ -117,7 +117,7 @@ type nicQueue struct {
 	sbdCache    []SendBD
 	sbdHead     int
 	sendFetched uint64
-	sendExts    []mem.Extent // merged gather extents scratch (txLoop only)
+	sendExts    []mem.Extent // fetch/gather extents scratch (txMachine only)
 	cplExts     []mem.Extent // completion-flush extents scratch (rxCplMachine only)
 
 	// irqQueued coalesces same-instant arm doorbells into one deferred
@@ -163,12 +163,13 @@ type NIC struct {
 	txReplays            int64 // wire corruptions replayed by the link layer
 	bdRefetches          int64 // stuck descriptor fetches re-read
 
-	// Deterministic free lists (DESIGN.md §11): frameFree recycles
-	// consumed frame buffers back to the marshalling side, fdFree
-	// recycles wire-delivery records and their bound callbacks. Both
-	// are LIFO lists driven only from the simulated timeline.
-	frameFree [][]byte
-	fdFree    []*frameDelivery
+	// Deterministic free lists (DESIGN.md §11): frames recycles
+	// consumed frame buffers back to the marshalling side (shared with
+	// a Connect'ed peer), fdFree recycles wire-delivery records and
+	// their bound callbacks. Both are LIFO lists driven only from the
+	// simulated timeline.
+	frames *framePool
+	fdFree []*frameDelivery
 
 	// Flow-fidelity transmit state (flow.go): per-connection phase
 	// machines deciding segment eligibility, the analytic wire clock,
@@ -187,22 +188,32 @@ type NIC struct {
 	RxPerQueue map[uint16]int64
 }
 
+// framePool is a LIFO free list of frame buffers. A frame is
+// marshalled on the sending NIC and consumed on the receiving one, so
+// back-to-back peers share one pool: with a pool per NIC, a one-way
+// stream would recycle every frame into the receiver's pool and drain
+// the sender's.
+type framePool struct {
+	free [][]byte
+}
+
 // framePoolCap bounds the recycled-frame list; one-directional traffic
-// would otherwise grow the receiver's pool without bound.
+// would otherwise grow the receiving side's pool without bound.
 const framePoolCap = 256
 
 func (n *NIC) getFrameBuf() []byte {
-	if k := len(n.frameFree); k > 0 {
-		b := n.frameFree[k-1]
-		n.frameFree = n.frameFree[:k-1]
+	fp := n.frames
+	if k := len(fp.free); k > 0 {
+		b := fp.free[k-1]
+		fp.free = fp.free[:k-1]
 		return b
 	}
 	return nil
 }
 
 func (n *NIC) putFrameBuf(b []byte) {
-	if len(n.frameFree) < framePoolCap {
-		n.frameFree = append(n.frameFree, b)
+	if fp := n.frames; len(fp.free) < framePoolCap {
+		fp.free = append(fp.free, b)
 	}
 }
 
@@ -230,7 +241,9 @@ func (n *NIC) scheduleDelivery(q *sim.Queue[[]byte], frame []byte, d sim.Time) {
 		fd = n.fdFree[k-1]
 		n.fdFree = n.fdFree[:k-1]
 	} else {
+		//dcslint:allow noalloc pool-miss arm: each frameDelivery and its bound deliver are created once, then free-listed
 		fd = &frameDelivery{nic: n}
+		//dcslint:allow noalloc see above: one-time per pooled record, reused forever after
 		fd.fn = fd.deliver
 	}
 	fd.to, fd.frame = q, frame
@@ -248,6 +261,7 @@ func NewNIC(env *sim.Env, fab *pcie.Fabric, name string, params Params) *NIC {
 		steering:   map[ether.Tuple]uint16{},
 		flows:      map[ether.Tuple]*ether.FlowState{},
 		RxPerQueue: map[uint16]int64{},
+		frames:     &framePool{},
 	}
 	n.port = fab.AddPort(name)
 	mm := fab.Mem()
@@ -261,7 +275,7 @@ func NewNIC(env *sim.Env, fab *pcie.Fabric, name string, params Params) *NIC {
 	n.txSpace = sim.NewCond(env)
 	n.Doorbells.SetWriteHook(n.onDoorbell)
 	env.SpawnHandler(name+"-rx", (&rxDemuxMachine{n: n}).run)
-	env.Spawn(name+"-tx-wire", n.txWireLoop)
+	env.SpawnHandler(name+"-tx-wire", (&txWireMachine{n: n}).run)
 	return n
 }
 
@@ -276,58 +290,15 @@ type outFrame struct {
 // processing stalls when the wire falls behind, as on real hardware.
 const txFIFOCap = 64
 
-// txWireLoop drains built frames onto the wire at line rate.
-//
-// Under fault injection a frame may be corrupted on the wire: the
-// corrupted copy is still delivered (the receiver's checksum check
-// drops it and counts an rxError) and the link layer retransmits the
-// original after a NAK round trip. Replays happen here, before the
-// next frame is taken from the FIFO, so per-link FIFO delivery order
-// is preserved — receivers never see reordering, only latency.
-func (n *NIC) txWireLoop(p *sim.Proc) {
-	for {
-		f := n.txFIFO.Get(p)
-		n.txSpace.Broadcast()
-		// Queue behind analytic flow segments exactly as the FIFO would
-		// have queued behind their per-frame expansion: claims book the
-		// wire clock without occupying txBW (flow.go), so a real frame
-		// waits out the booked window first.
-		if w := n.wireFree; w > n.env.Now() {
-			p.Sleep(w - n.env.Now())
-		}
-		for attempt := 0; ; attempt++ {
-			n.txBW.Transfer(p, f.wireLen)
-			n.txFrames++
-			peer, up := n.peer, n.uplink
-			if peer == nil && up == nil {
-				n.drops++
-				n.putFrameBuf(f.frame)
-				break
-			}
-			if attempt < frameReplayCap && n.params.Faults.Hit(fault.NICCorruptFrame) {
-				n.txReplays++
-				bad := append([]byte(nil), f.frame...)
-				bad[len(bad)-1] ^= 0xFF // breaks the TCP checksum
-				if up != nil {
-					up.SendFrame(bad, f.wireLen, 0)
-				} else {
-					n.scheduleDelivery(peer.rxQ, bad, n.params.PropDelay)
-				}
-				p.Sleep(2 * n.params.PropDelay) // NAK round trip
-				continue
-			}
-			n.txPayload += int64(f.payLen)
-			if up != nil {
-				up.SendFrame(f.frame, f.wireLen, f.payLen)
-			} else {
-				n.scheduleDelivery(peer.rxQ, f.frame, n.params.PropDelay)
-			}
-			break
-		}
-		n.wireFree = n.env.Now()
-		n.realInFlight--
-		n.env.CountIO(1) // one wire frame left the device
+// wireOut hands one serialized frame to the attached fabric or,
+// propagation-delayed, to the back-to-back peer's demux queue.
+func (n *NIC) wireOut(frame []byte, wireLen, payLen int) {
+	if n.uplink != nil {
+		//dcslint:allow noblockhandler Uplink implementations (shard.Outbox) only buffer the frame for the window barrier; they take no Proc and cannot park
+		n.uplink.SendFrame(frame, wireLen, payLen)
+		return
 	}
+	n.scheduleDelivery(n.peer.rxQ, frame, n.params.PropDelay)
 }
 
 // Port returns the NIC's fabric port.
@@ -345,11 +316,17 @@ func (n *NIC) RecoveryStats() (txReplays, bdRefetches int64) {
 }
 
 // Connect wires two NICs back-to-back (the paper's two-node setup).
+// The two share one frame pool (framePool), which is why they must
+// share an Env: frames cross between them on one simulated timeline.
 func Connect(a, b *NIC) {
 	if a.uplink != nil || b.uplink != nil {
 		panic("nic: Connect on a NIC already attached to a switched fabric")
 	}
+	if a.env != b.env {
+		panic("nic: Connect across simulation environments (" + a.Name + ", " + b.Name + ")")
+	}
 	a.peer, b.peer = b, a
+	b.frames = a.frames
 }
 
 // Uplink is a switched-fabric attachment point: SendFrame takes
@@ -374,8 +351,9 @@ func (n *NIC) AttachUplink(u Uplink) {
 // InjectFrame hands one wire frame arriving from a switched fabric to
 // the receive path at the current instant — the fabric has already
 // charged serialization and propagation for every hop. The NIC takes
-// ownership of the frame buffer and recycles it through its free list
-// once consumed.
+// ownership of the frame buffer and recycles it through its own free
+// list once consumed: shard domains share nothing, so a fabric-attached
+// NIC never shares a pool.
 func (n *NIC) InjectFrame(frame []byte) {
 	n.rxQ.Put(frame)
 }
@@ -425,8 +403,8 @@ func (n *NIC) ConfigureQueue(cfg QueueConfig) {
 	}
 	n.queues[cfg.QID] = q
 	n.queueList = append(n.queueList, q)
-	n.env.Spawn(fmt.Sprintf("%s-tx-q%d", n.Name, cfg.QID), func(p *sim.Proc) { n.txLoop(p, q) })
-	n.env.Spawn(fmt.Sprintf("%s-rx-q%d", n.Name, cfg.QID), func(p *sim.Proc) { n.rxQueueLoop(p, q) })
+	n.env.SpawnHandler(fmt.Sprintf("%s-tx-q%d", n.Name, cfg.QID), (&txMachine{n: n, q: q}).run)
+	n.env.SpawnHandler(fmt.Sprintf("%s-rx-q%d", n.Name, cfg.QID), (&rxQueueMachine{n: n, q: q}).run)
 	n.env.SpawnHandler(fmt.Sprintf("%s-rxcpl-q%d", n.Name, cfg.QID), (&rxCplMachine{n: n, q: q}).run)
 }
 
@@ -486,34 +464,9 @@ func (n *NIC) maybeIRQ(q *nicQueue) {
 	}
 }
 
-// fetchSendBDs burst-fetches every posted-but-unfetched send BD in one
-// wrap-aware vectored DMA (at most two extents) and decodes the batch
-// into the queue's descriptor cache. Per-descriptor stuck-read faults
-// are still drawn individually so injection statistics are preserved;
-// recovery re-reads the whole burst once after the accumulated delay.
-func (n *NIC) fetchSendBDs(p *sim.Proc, q *nicQueue) {
-	avail := int(q.sendTail - q.sendFetched)
-	if avail == 0 {
-		return
-	}
-	slot := int(q.sendFetched % uint64(q.cfg.SendEntries))
-	exts := ringExtents(q.sendExts[:0], q.cfg.SendRing.Base, slot, avail, q.cfg.SendEntries, SendBDSize)
-	q.sendExts = exts
-	n.fab.MustDMAVec(p, n.port, q.bdStage, exts, true)
-	p.Sleep(n.params.BDFetch)
-	stuck := 0
-	for i := 0; i < avail; i++ {
-		if n.params.Faults.Hit(fault.NICStuckBD) {
-			stuck++
-		}
-	}
-	if stuck > 0 {
-		// Stale descriptor reads: re-fetch after the recovery delay.
-		n.bdRefetches += int64(stuck)
-		p.Sleep(sim.Time(stuck) * stuckBDRecovery)
-		n.fab.MustDMAVec(p, n.port, q.bdStage, exts, true)
-		p.Sleep(n.params.BDFetch)
-	}
+// decodeSendBDs decodes a completed burst fetch of avail send BDs
+// from the queue's staging buffer into its descriptor cache.
+func (n *NIC) decodeSendBDs(q *nicQueue, avail int) {
 	if q.sbdHead == len(q.sbdCache) {
 		q.sbdCache = q.sbdCache[:0]
 		q.sbdHead = 0
@@ -544,103 +497,62 @@ func ringExtents(exts []mem.Extent, base mem.Addr, head, n, entries, esz int) []
 	return exts
 }
 
-// txLoop consumes send BD chains, gathers buffers, applies LSO and
-// checksum offload, and serializes frames onto the wire. Descriptors
-// are burst-fetched and every complete chain in the burst is
-// transmitted before the single per-burst status write-back and
-// interrupt check — the descriptor-drain batching of real NICs.
-func (n *NIC) txLoop(p *sim.Proc, q *nicQueue) {
-	mm := n.fab.Mem()
-	for {
-		for q.sendHead == q.sendTail {
-			q.sendKick.Wait(p)
+// nextChain finds one complete chain (through its END flag) in the
+// queue's descriptor cache, consumes it, and stages its gather: the
+// physically adjacent fragments merge into one extent each, in
+// q.sendExts. It returns the chain's first BD, its length in BDs and
+// its byte count, or ok=false when the cache holds no complete chain.
+func (n *NIC) nextChain(q *nicQueue) (first SendBD, bds, size int, ok bool) {
+	end := -1
+	for i := q.sbdHead; i < len(q.sbdCache); i++ {
+		if i-q.sbdHead >= 64 {
+			panic("nic: runaway BD chain without END flag")
 		}
-		n.fetchSendBDs(p, q)
-		sent := false
-		for {
-			// Find one complete chain (through its END flag) in the cache.
-			end := -1
-			for i := q.sbdHead; i < len(q.sbdCache); i++ {
-				if i-q.sbdHead >= 64 {
-					panic("nic: runaway BD chain without END flag")
-				}
-				if q.sbdCache[i].Flags&SendFlagEnd != 0 {
-					end = i
-					break
-				}
-			}
-			if end < 0 {
-				if q.sendFetched != q.sendTail {
-					n.fetchSendBDs(p, q)
-					continue
-				}
-				if !sent {
-					// Incomplete chain posted; wait for the rest.
-					q.sendKick.Wait(p)
-					n.fetchSendBDs(p, q)
-					continue
-				}
-				break // flush what was consumed; outer loop waits for more
-			}
-			chain := q.sbdCache[q.sbdHead : end+1]
-			q.sbdHead = end + 1
-
-			// Gather the chain into the queue's staging buffer, merging
-			// physically adjacent fragments into one extent each.
-			off := 0
-			exts := q.sendExts[:0]
-			for _, bd := range chain {
-				if off+int(bd.Len) > 128<<10 {
-					panic("nic: send chain exceeds staging buffer")
-				}
-				if k := len(exts) - 1; k >= 0 && exts[k].Addr+mem.Addr(exts[k].Len) == bd.Addr {
-					exts[k].Len += int(bd.Len)
-				} else {
-					exts = append(exts, mem.Extent{Addr: bd.Addr, Len: int(bd.Len)})
-				}
-				off += int(bd.Len)
-			}
-			q.sendExts = exts
-			// The staging view is stable for the whole transmit: only this
-			// queue's txLoop writes q.txStage, and Marshal copies each
-			// segment before it reaches the FIFO.
-			n.fab.MustDMAVec(p, n.port, q.txStage, exts, true)
-			n.transmit(p, q, chain[0], mm.View(q.txStage, off))
-			q.sendHead += uint64(len(chain))
-
-			// BD completion: buffers were fully fetched into the FIFO, so
-			// the submitter may reuse them (wire transmission proceeds
-			// asynchronously, as on real hardware). The write-back stays
-			// per chain — withholding it until the whole burst drained
-			// would stall submitters waiting on completed chains while a
-			// later chain's frames trickle onto the wire.
-			var cnt [8]byte
-			putLE64(cnt[:], q.sendHead)
-			mm.Write(q.scratch, cnt[:])
-			n.fab.MustDMA(p, n.port, q.cfg.SendStatus, q.scratch, 8)
-			n.maybeIRQ(q)
-			sent = true
+		if q.sbdCache[i].Flags&SendFlagEnd != 0 {
+			end = i
+			break
 		}
 	}
+	if end < 0 {
+		return SendBD{}, 0, 0, false
+	}
+	chain := q.sbdCache[q.sbdHead : end+1]
+	q.sbdHead = end + 1
+	exts := q.sendExts[:0]
+	for _, bd := range chain {
+		if size+int(bd.Len) > 128<<10 {
+			panic("nic: send chain exceeds staging buffer")
+		}
+		if k := len(exts) - 1; k >= 0 && exts[k].Addr+mem.Addr(exts[k].Len) == bd.Addr {
+			exts[k].Len += int(bd.Len)
+		} else {
+			exts = append(exts, mem.Extent{Addr: bd.Addr, Len: int(bd.Len)})
+		}
+		size += int(bd.Len)
+	}
+	q.sendExts = exts
+	return chain[0], len(chain), size, true
 }
 
-// transmit parses the header template, segments, and puts frames on
-// the wire — per-frame through the FIFO, or as analytic flow-segment
-// claims when the connection's state machine and the mechanical
-// crossover conditions allow (flow.go).
-func (n *NIC) transmit(p *sim.Proc, q *nicQueue, first SendBD, raw []byte) {
+// prepTransmit parses the gathered chain's header template and
+// segments it into q.segs (LSO, or one segment) for the transmit
+// stage. It reports whether the chain's runs may be claimed by the
+// flow fast path (flow.go), and ok=false when the chain is dropped as
+// malformed.
+//
+// Segment payloads alias the staging buffer (raw); that is safe
+// because only this queue's transmit machine writes q.txStage, and
+// MarshalTo copies every byte into the frame before the next gather.
+func (n *NIC) prepTransmit(q *nicQueue, first SendBD, raw []byte) (claimable, ok bool) {
 	if len(raw) < ether.HeadersLen {
 		n.drops++
-		return
+		return false, false
 	}
 	proto, err := ether.ParseHeaders(raw[:ether.HeadersLen])
 	if err != nil {
 		n.drops++
-		return
+		return false, false
 	}
-	// Segment payloads alias the staging buffer (raw); that is safe
-	// because Marshal copies every byte into the frame before the
-	// staging buffer can be rewritten.
 	payload := raw[ether.HeadersLen:]
 	segs := q.segs[:0]
 	if first.Flags&SendFlagLSO != 0 {
@@ -648,58 +560,30 @@ func (n *NIC) transmit(p *sim.Proc, q *nicQueue, first SendBD, raw []byte) {
 	} else {
 		if len(payload) > ether.MSS {
 			n.drops++
-			return
+			return false, false
 		}
 		segs = append(segs, ether.Segment{Flow: proto.Flow, Seq: proto.Seq, Ack: proto.Ack,
 			Flags: proto.Flags | ether.FlagACK, Payload: payload})
 	}
 	q.segs = segs
-	claimable := n.observeBurst(proto.Flow.Tuple(), segs)
-	// The LSO segment loop runs in batched events: each pass pays the
-	// pipeline cost for a run of frames in one sleep and marshals the
-	// run back-to-back. Run sizes ramp up exponentially so the wire is
-	// fed after one frame's overhead and never starves while later,
-	// larger runs build (the total overhead charged is identical to the
-	// per-frame model); a full FIFO still parks the process.
-	ramp := 1
-	for i := 0; i < len(segs); {
-		// The FIFO budget counts claimed frames still on the analytic
-		// wire (virtualQueued): while claims are draining, space opens
-		// at their booked exits — the instants the wire loop's Get
-		// would broadcast txSpace in the per-frame schedule.
-		for n.txFIFO.Len()+n.virtualQueued() >= txFIFOCap {
-			if x, ok := n.nextClaimExit(); ok {
-				p.Sleep(x - n.env.Now())
-			} else {
-				n.txSpace.Wait(p)
-			}
-		}
-		run := txFIFOCap - n.txFIFO.Len() - n.virtualQueued()
-		if run > ramp {
-			run = ramp
-		}
-		if rem := len(segs) - i; run > rem {
-			run = rem
-		}
-		// Per-frame pipeline cost overlaps wire serialization: it is
-		// paid here, in the build stage, not on the wire.
-		p.Sleep(n.params.TxOverhead * sim.Time(run))
-		if claimable && n.claimRun(segs[i:i+run]) {
-			i += run
-		} else {
-			for j := 0; j < run; j++ {
-				s := &segs[i+j]
-				// Checksum offload happens in MarshalTo; recycled frame
-				// buffers make steady-state transmission allocation-free.
-				frame := s.MarshalTo(n.getFrameBuf())
-				n.realInFlight++
-				n.txFIFO.Put(outFrame{frame: frame, wireLen: s.WireLen(), payLen: len(s.Payload)})
-			}
-			i += run
-		}
-		if ramp < txFIFOCap {
-			ramp *= 2
-		}
+	return n.observeBurst(proto.Flow.Tuple(), segs), true
+}
+
+// emitRun puts one built run of segments on the wire: as an analytic
+// flow claim when allowed, else frame by frame through the FIFO.
+//
+//dcslint:hotpath nic_bulk_stream_64k
+func (n *NIC) emitRun(segs []ether.Segment, claimable bool) {
+	if claimable && n.claimRun(segs) {
+		return
+	}
+	for i := range segs {
+		s := &segs[i]
+		// Checksum offload happens in MarshalTo; recycled frame
+		// buffers make steady-state transmission allocation-free.
+		frame := s.MarshalTo(n.getFrameBuf())
+		n.realInFlight++
+		n.txFIFO.Put(outFrame{frame: frame, wireLen: s.WireLen(), payLen: len(s.Payload)})
 	}
 }
 
@@ -708,24 +592,25 @@ func (n *NIC) transmit(p *sim.Proc, q *nicQueue, first SendBD, raw []byte) {
 // as real NICs do to amortize DMA transactions.
 const rxBatch = 16
 
-// fetchRecvBDs refills the queue's descriptor cache with one batched
-// DMA (contiguous ring slots).
-func (n *NIC) fetchRecvBDs(p *sim.Proc, q *nicQueue) {
-	avail := int(q.recvTail - q.recvHead)
-	if avail == 0 {
-		return
-	}
-	batch := avail
+// recvRefill returns the receive-BD refill the queue's descriptor
+// cache can take now — one batched DMA of contiguous ring slots,
+// stopping at the ring wrap — as the ring address and BD count
+// (0: nothing posted).
+func (n *NIC) recvRefill(q *nicQueue) (mem.Addr, int) {
+	batch := int(q.recvTail - q.recvHead)
 	if batch > rxBatch {
 		batch = rxBatch
 	}
 	slot := q.recvHead % uint64(q.cfg.RecvEntries)
 	if room := q.cfg.RecvEntries - int(slot); batch > room {
-		batch = room // stop at the ring wrap
+		batch = room
 	}
-	bdAddr := q.cfg.RecvRing.Base + mem.Addr(slot*RecvBDSize)
-	n.fab.MustDMA(p, n.port, q.rxStage, bdAddr, batch*RecvBDSize)
-	p.Sleep(n.params.BDFetch)
+	return q.cfg.RecvRing.Base + mem.Addr(slot*RecvBDSize), batch
+}
+
+// decodeRecvBDs decodes a completed refill of batch receive BDs from
+// the queue's staging buffer into its descriptor cache.
+func (n *NIC) decodeRecvBDs(q *nicQueue, batch int) {
 	if q.bdHead == len(q.bdCache) {
 		// Fully drained: rewind so the cache's capacity is reused
 		// instead of resliced away.
@@ -798,7 +683,9 @@ const rxQueueCap = 128
 // DMAs per queue (hides per-transaction fabric latency).
 const rxDMATags = 16
 
-// rxPending is one in-flight receive DMA awaiting in-order retirement.
+// rxPending is one in-flight receive DMA awaiting in-order retirement
+// (sig nil: a dropped frame's zero-length completion, nothing in
+// flight).
 type rxPending struct {
 	cpl  RecvCpl
 	sig  *sim.Signal
@@ -806,86 +693,43 @@ type rxPending struct {
 	pay  int
 }
 
-// rxQueueLoop is one queue's receive pipeline: it takes parsed frames,
-// fills posted buffers (pausing, PFC-style, while none are posted),
-// and writes coalesced completions.
-func (n *NIC) rxQueueLoop(p *sim.Proc, q *nicQueue) {
-	var burst []rxFrame // scratch: same-instant frame batch
-	for {
-		burst = append(burst[:0], q.rxFIFO.Get(p))
-		for len(burst) < rxBatch {
-			rf, ok := q.rxFIFO.TryGet()
-			if !ok {
-				break
-			}
-			burst = append(burst, rf)
-		}
-		q.rxSpace.Broadcast()
-		// One pipeline occupancy per burst; same uniform-cost argument
-		// as the demux stage (rxDemuxMachine).
-		p.Sleep(sim.Time(len(burst)) * n.params.RxOverhead)
-		for _, rf := range burst {
-			n.rxFill(p, q, rf)
-		}
-	}
-}
-
-// rxFill lands one parsed frame in a posted receive buffer: BD
-// consumption, (header-split) staging copies, and the payload DMA.
-func (n *NIC) rxFill(p *sim.Proc, q *nicQueue, rf rxFrame) {
+// landFrame fills the consumed receive buffer bd with one parsed frame
+// through the DMA tag slot: (header-split) staging copies, then the
+// payload DMA, retired in order by the completer. A buffer too small
+// for the frame drops it with a zero-length completion (HdrLen and
+// PayLen 0): every consumed BD gets exactly one completion, so the
+// BD indices of later completions stay in lock-step with consumption
+// and the consumer can recycle the buffer.
+func (n *NIC) landFrame(q *nicQueue, rf rxFrame, bd RecvBD, bdIndex uint32, slot mem.Addr) {
 	mm := n.fab.Mem()
-	seg := rf.seg
-	// Per-queue (priority) flow control: with no posted buffer the
-	// queue pauses until the consumer recycles some. In-flight DMAs
-	// retire meanwhile and the completer flushes them, so the
-	// consumer always sees enough completions to make progress.
-	for q.bdLen() == 0 {
-		n.fetchRecvBDs(p, q)
-		if q.bdLen() > 0 {
-			break
-		}
-		q.recvKick.Wait(p)
-	}
-	bd := q.bdCache[q.bdHead]
-	q.bdHead++
-	bdIndex := uint32(q.cplIssued % uint64(q.cfg.RecvEntries))
-
 	hdr := rf.frame[:ether.HeadersLen]
-	pay := seg.Payload
-	cpl := RecvCpl{BDIndex: bdIndex, Seq: seg.Seq, Flags: seg.Flags, Valid: 1,
-		HdrLen: uint16(len(hdr)), PayLen: uint16(len(pay))}
-
-	// Issue the payload DMA on a free tag; retirement happens in
-	// order in the completer so completion entries stay FIFO.
-	slot := q.rxSlots.Get(p)
-	var sig *sim.Signal
+	pay := rf.seg.Payload
+	need := len(rf.frame)
 	if q.cfg.HeaderSplit {
-		// Header at offset 0, payload at HdrOff, moved as one DMA.
-		if int(bd.Len) < HdrOff+len(pay) {
-			n.drops++
-			q.rxSlots.Put(slot)
-			n.putFrameBuf(rf.frame)
-			return
-		}
+		need = HdrOff + len(pay) // header at offset 0, payload at HdrOff
+	}
+	q.cplIssued++
+	if int(bd.Len) < need {
+		n.drops++
+		q.rxSlots.Put(slot)
+		n.putFrameBuf(rf.frame)
+		q.rxPend.Put(rxPending{cpl: RecvCpl{BDIndex: bdIndex, Valid: 1}})
+		return
+	}
+	cpl := RecvCpl{BDIndex: bdIndex, Seq: rf.seg.Seq, Flags: rf.seg.Flags, Valid: 1,
+		HdrLen: uint16(len(hdr)), PayLen: uint16(len(pay))}
+	if q.cfg.HeaderSplit {
+		// Header and payload move as one DMA.
 		mm.Zero(slot, HdrOff)
 		mm.Write(slot, hdr)
 		if len(pay) > 0 {
 			mm.Write(slot+HdrOff, pay)
 		}
-		n.putFrameBuf(rf.frame) // hdr and pay copied into the slot
-		sig = n.fab.DMAAsync(n.port, bd.Addr, slot, HdrOff+len(pay))
 	} else {
-		if int(bd.Len) < len(rf.frame) {
-			n.drops++
-			q.rxSlots.Put(slot)
-			n.putFrameBuf(rf.frame)
-			return
-		}
 		mm.Write(slot, rf.frame)
-		n.putFrameBuf(rf.frame)
-		sig = n.fab.DMAAsync(n.port, bd.Addr, slot, len(rf.frame))
 	}
-	q.cplIssued++
+	n.putFrameBuf(rf.frame) // copied into the slot
+	sig := n.fab.DMAAsync(n.port, bd.Addr, slot, need)
 	q.rxPend.Put(rxPending{cpl: cpl, sig: sig, slot: slot, pay: len(pay)})
 }
 

@@ -234,6 +234,80 @@ func TestPauseWithoutRecvBuffers(t *testing.T) {
 	}
 }
 
+// TestUndersizedRecvBufferKeepsCompletionsInStep: a posted buffer too
+// small for the arriving frame drops that frame, but its BD is already
+// consumed — so the NIC must still complete it, zero-length, or every
+// later completion's BDIndex names the previous buffer and the dropped
+// buffer's slot leaks.
+func TestUndersizedRecvBufferKeepsCompletionsInStep(t *testing.T) {
+	for _, split := range []bool{false, true} {
+		env := sim.NewEnv()
+		a := newNode(env, "a", -1, false)
+		b := newNode(env, "b", -1, split)
+		Connect(a.nic, b.nic)
+		sizes := []uint32{2048, 32, 2048, 2048}
+		bds := make([]RecvBD, len(sizes))
+		for i, sz := range sizes {
+			bds[i] = RecvBD{Addr: b.dram.Alloc(uint64(sz), 64), Len: sz}
+		}
+		if err := b.recv.Post(bds); err != nil {
+			t.Fatal(err)
+		}
+		b.recv.RingDoorbell()
+		payloads := []string{"first frame", "second frame", "third frame"}
+		env.Spawn("tx", func(p *sim.Proc) {
+			seq := uint32(0)
+			for _, pay := range payloads {
+				sendJob(a, testFlow(), seq, []byte(pay), false)
+				seq += uint32(len(pay))
+			}
+		})
+		env.Run(-1)
+
+		fills := b.recv.Poll()
+		if len(fills) != len(payloads) {
+			t.Fatalf("split=%v: %d completions for %d consumed buffers", split, len(fills), len(payloads))
+		}
+		for i, f := range fills {
+			if f.Addr != bds[i].Addr {
+				t.Fatalf("split=%v: completion %d names buffer %#x, want %#x", split, i, f.Addr, bds[i].Addr)
+			}
+		}
+		if c := fills[1].Cpl; c.HdrLen != 0 || c.PayLen != 0 {
+			t.Fatalf("split=%v: undersized buffer's completion %+v, want zero-length", split, c)
+		}
+		for _, i := range []int{0, 2} {
+			f := fills[i]
+			payAt := f.Addr + mem.Addr(f.Cpl.HdrLen)
+			if split {
+				payAt = f.Addr + HdrOff
+			}
+			if got := string(b.mm.Read(payAt, int(f.Cpl.PayLen))); got != payloads[i] {
+				t.Fatalf("split=%v: completion %d payload %q, want %q", split, i, got, payloads[i])
+			}
+		}
+		if _, rx, _, _, drops, _ := b.nic.Stats(); rx != 2 || drops != 1 {
+			t.Fatalf("split=%v: rx=%d drops=%d, want 2 and 1", split, rx, drops)
+		}
+		if got := b.recv.Unconsumed(); got != 1 {
+			t.Fatalf("split=%v: %d buffers still posted, want 1", split, got)
+		}
+	}
+}
+
+// Back-to-back peers share one frame pool, so they must share one
+// simulated timeline: Connect refuses NICs on different Envs.
+func TestConnectAcrossEnvsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	a := newNode(sim.NewEnv(), "a", -1, false)
+	b := newNode(sim.NewEnv(), "b", -1, false)
+	Connect(a.nic, b.nic)
+}
+
 func TestDropWithoutPeer(t *testing.T) {
 	env := sim.NewEnv()
 	a := newNode(env, "a", -1, false)

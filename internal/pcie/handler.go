@@ -58,7 +58,6 @@ type Xfer struct {
 	initiator *Port
 	dst, src  mem.Addr
 	n         int
-	tick      sim.ResTicket
 
 	srcPort, dstPort *Port
 	srcReg, dstReg   *mem.Region
@@ -125,7 +124,7 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 				return false
 			}
 		case xferAcqUp:
-			if !x.srcPort.up.AcquireH(h, &x.tick) {
+			if !x.srcPort.up.AcquireH(h) {
 				return false
 			}
 			x.st = xferUpHold
@@ -137,7 +136,7 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 			x.srcPort.up.CompleteH(x.n)
 			x.st = xferAcqCore
 		case xferAcqCore:
-			if !f.core.AcquireH(h, &x.tick) {
+			if !f.core.AcquireH(h) {
 				return false
 			}
 			x.st = xferCoreHold
@@ -149,7 +148,7 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 			f.core.CompleteH(x.n)
 			x.st = xferAcqDown
 		case xferAcqDown:
-			if !x.dstPort.down.AcquireH(h, &x.tick) {
+			if !x.dstPort.down.AcquireH(h) {
 				return false
 			}
 			x.st = xferDownHold

@@ -53,8 +53,8 @@ func (b *BandwidthServer) Transfer(p *Proc, n int) {
 // Transfer performs (Acquire; Sleep; Release + account).
 //
 //dcslint:hotpath
-func (b *BandwidthServer) AcquireH(h *HandlerCtx, t *ResTicket) bool {
-	return b.res.AcquireH(h, t)
+func (b *BandwidthServer) AcquireH(h *HandlerCtx) bool {
+	return b.res.AcquireH(h)
 }
 
 // HoldTime returns the occupancy of an n-byte transfer: the fixed

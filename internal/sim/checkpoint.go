@@ -91,15 +91,15 @@ func (r *Resource) CheckpointAccum() (AccumState, error) {
 	if r.inUse != 0 {
 		return AccumState{}, fmt.Errorf("sim: checkpoint of resource %q with %d units in use", r.name, r.inUse)
 	}
-	if len(r.waiters) != 0 {
-		return AccumState{}, fmt.Errorf("sim: checkpoint of resource %q with %d waiters", r.name, len(r.waiters))
+	if n := r.waiters.len(); n != 0 {
+		return AccumState{}, fmt.Errorf("sim: checkpoint of resource %q with %d waiters", r.name, n)
 	}
 	return AccumState{Busy: r.busy, LastStamp: r.lastStamp}, nil
 }
 
 // RestoreAccum overlays captured busy accounting onto an idle resource.
 func (r *Resource) RestoreAccum(s AccumState) error {
-	if r.inUse != 0 || len(r.waiters) != 0 {
+	if r.inUse != 0 || r.waiters.len() != 0 {
 		return fmt.Errorf("sim: restore into busy resource %q", r.name)
 	}
 	r.busy = s.Busy
@@ -185,7 +185,7 @@ func CheckpointQueue[T any](q *Queue[T]) []T {
 // restore into a queue with parked waiters is inconsistent state — a
 // Put would have woken one — and errors.
 func RestoreQueue[T any](q *Queue[T], items []T) error {
-	if len(items) > 0 && q.waitHead < len(q.waiters) {
+	if len(items) > 0 && q.waiters.len() > 0 {
 		return fmt.Errorf("sim: restore of %d items into queue %q with waiters", len(items), q.name)
 	}
 	var zero T

@@ -478,6 +478,11 @@ type Proc struct {
 	resume chan struct{}
 	dead   bool
 
+	// The proc's Resource waiter record: a proc waits on one thing at
+	// a time, so enrolment needs no per-wait allocation.
+	resWait *Resource // resource the proc is enrolled on (nil: none)
+	granted bool      // Release passed resWait's unit to this proc
+
 	hfn  func(*HandlerCtx) // handler body; non-nil marks a handler proc
 	hctx *HandlerCtx       // the body's context, allocated once at spawn
 }

@@ -126,21 +126,59 @@ func (c *Cond) Broadcast() {
 	c.waiters = c.waiters[:0]
 }
 
+// waitFIFO is a FIFO of waiting procs, shared by Queue and Resource.
+// It dequeues by head index and rewinds when drained, and a FIFO that
+// never fully drains compacts its live window to the front instead of
+// growing past its capacity, so steady-state enrol/wake cycles reuse
+// one backing array forever. Reslicing (`s = s[1:]`) would instead
+// bleed one element of capacity per cycle and end up allocating on
+// every operation.
+type waitFIFO struct {
+	procs []*Proc
+	head  int
+}
+
+// len returns the number of enrolled procs.
+func (f *waitFIFO) len() int { return len(f.procs) - f.head }
+
+// push enrols p at the tail.
+func (f *waitFIFO) push(p *Proc) {
+	if f.head > 0 && len(f.procs) == cap(f.procs) {
+		n := copy(f.procs, f.procs[f.head:])
+		for i := n; i < len(f.procs); i++ {
+			f.procs[i] = nil
+		}
+		f.procs = f.procs[:n]
+		f.head = 0
+	}
+	//dcslint:allow noalloc waiter FIFO rewinds and compacts in place, keeping its backing array
+	f.procs = append(f.procs, p)
+}
+
+// pop removes and returns the longest-enrolled proc; the FIFO must be
+// non-empty.
+func (f *waitFIFO) pop() *Proc {
+	p := f.procs[f.head]
+	f.procs[f.head] = nil
+	f.head++
+	if f.head == len(f.procs) {
+		f.procs = f.procs[:0]
+		f.head = 0
+	}
+	return p
+}
+
 // Queue is an unbounded FIFO channel between processes. Put never
 // blocks; Get blocks until an item is available. Items are delivered
-// in insertion order and waiters are served in arrival order.
-//
-// Both the item and waiter FIFOs dequeue by head index and rewind when
-// drained, so a steady-state Put/Get cycle reuses one backing array
-// forever. Reslicing (`s = s[1:]`) would instead bleed one element of
-// capacity per cycle and end up allocating on every operation.
+// in insertion order and waiters are served in arrival order. The item
+// FIFO dequeues by head index and rewinds like the waiter FIFO
+// (waitFIFO), so a steady-state Put/Get cycle allocates nothing.
 type Queue[T any] struct {
 	env      *Env
 	name     string
 	items    []T
 	itemHead int
-	waiters  []*Proc
-	waitHead int
+	waiters  waitFIFO
 }
 
 // NewQueue returns an empty queue.
@@ -167,17 +205,9 @@ func (q *Queue[T]) takeItem() T {
 
 // wakeWaiter wakes the longest-parked waiter, if any.
 func (q *Queue[T]) wakeWaiter() {
-	if q.waitHead == len(q.waiters) {
-		return
+	if q.waiters.len() > 0 {
+		q.env.wake(q.waiters.pop())
 	}
-	w := q.waiters[q.waitHead]
-	q.waiters[q.waitHead] = nil
-	q.waitHead++
-	if q.waitHead == len(q.waiters) {
-		q.waiters = q.waiters[:0]
-		q.waitHead = 0
-	}
-	q.env.wake(w)
 }
 
 // Put appends an item and wakes the first waiter, if any.
@@ -194,6 +224,7 @@ func (q *Queue[T]) Put(v T) {
 		q.items = q.items[:n]
 		q.itemHead = 0
 	}
+	//dcslint:allow noalloc item FIFO rewinds and compacts in place, keeping its backing array
 	q.items = append(q.items, v)
 	q.wakeWaiter()
 }
@@ -201,15 +232,7 @@ func (q *Queue[T]) Put(v T) {
 // Get removes and returns the oldest item, blocking while empty.
 func (q *Queue[T]) Get(p *Proc) T {
 	for q.Len() == 0 {
-		if q.waitHead > 0 && len(q.waiters) == cap(q.waiters) {
-			n := copy(q.waiters, q.waiters[q.waitHead:])
-			for i := n; i < len(q.waiters); i++ {
-				q.waiters[i] = nil
-			}
-			q.waiters = q.waiters[:n]
-			q.waitHead = 0
-		}
-		q.waiters = append(q.waiters, p)
+		q.waiters.push(p)
 		p.park()
 	}
 	v := q.takeItem()
@@ -230,16 +253,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 //dcslint:hotpath
 func (q *Queue[T]) GetH(h *HandlerCtx) (T, bool) {
 	if q.Len() == 0 {
-		if q.waitHead > 0 && len(q.waiters) == cap(q.waiters) {
-			n := copy(q.waiters, q.waiters[q.waitHead:])
-			for i := n; i < len(q.waiters); i++ {
-				q.waiters[i] = nil
-			}
-			q.waiters = q.waiters[:n]
-			q.waitHead = 0
-		}
-		//dcslint:allow noalloc waiter list is capacity-preserving (wakeWaiter rewinds, keeps backing array)
-		q.waiters = append(q.waiters, h.proc)
+		q.waiters.push(h.proc)
 		var zero T
 		return zero, false
 	}
@@ -264,21 +278,22 @@ func (q *Queue[T]) TryGet() (T, bool) {
 // Resource is a counting semaphore with FIFO hand-off: Release grants
 // the resource directly to the longest-waiting Acquire, so no waiter
 // can be starved by late arrivals.
+//
+// A proc waits on one thing at a time, so its waiter record is the
+// Proc itself (resWait/granted) rather than a per-wait allocation, and
+// the waiters sit in Queue's capacity-preserving waitFIFO: contended
+// Acquire/Release cycles allocate nothing in steady state, on either
+// proc flavor.
 type Resource struct {
 	env     *Env
 	name    string
 	cap     int
 	inUse   int
-	waiters []*resWaiter
+	waiters waitFIFO
 
 	// busy-time accounting (for utilization reporting)
 	busy      Time // accumulated unit-busy time
 	lastStamp Time
-}
-
-type resWaiter struct {
-	p       *Proc
-	granted bool
 }
 
 // NewResource returns a resource with capacity units.
@@ -304,65 +319,58 @@ func (r *Resource) BusyTime() Time {
 	return r.busy
 }
 
+// enroll queues p for the next unit Release hands over.
+func (r *Resource) enroll(p *Proc) {
+	p.resWait, p.granted = r, false
+	r.waiters.push(p)
+}
+
 // Acquire blocks until a unit is available and takes it.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.cap && len(r.waiters) == 0 {
+	if r.inUse < r.cap && r.waiters.len() == 0 {
 		r.stamp()
 		r.inUse++
 		return
 	}
-	//dcslint:allow noalloc non-escaping waiter record, stack-allocated (pcie_dma_4k proves 0 allocs/op under contention)
-	w := &resWaiter{p: p}
-	//dcslint:allow noalloc waiter list is capacity-preserving (grant path truncates, keeps backing array)
-	r.waiters = append(r.waiters, w)
-	for !w.granted {
+	r.enroll(p)
+	for !p.granted {
 		p.park()
 	}
-}
-
-// ResTicket is a handler proc's pending Acquire: the waiter record a
-// goroutine Acquire would stack-allocate, held instead inside the
-// handler's long-lived state machine so enrolment survives across
-// dispatches without allocating. The zero value is an idle ticket.
-type ResTicket struct {
-	w       resWaiter
-	waiting bool
+	p.resWait, p.granted = nil, false
 }
 
 // AcquireH is the handler-proc analogue of Acquire: it reports true
 // once the caller holds a unit. On false the handler is enrolled (or
 // still enrolled) on the same FIFO waiter list a goroutine would park
-// on; the body must return and call AcquireH again with the same
-// ticket on its next dispatch. The grant path is identical: Release
-// passes ownership directly to the head waiter.
+// on; the body must return and call AcquireH again on its next
+// dispatch. The grant path is identical: Release passes ownership
+// directly to the head waiter.
 //
 //dcslint:hotpath
-func (r *Resource) AcquireH(h *HandlerCtx, t *ResTicket) bool {
-	if t.waiting {
-		if !t.w.granted {
+func (r *Resource) AcquireH(h *HandlerCtx) bool {
+	p := h.proc
+	if p.resWait == r {
+		if !p.granted {
 			return false // spurious dispatch: grant not ours yet
 		}
-		// Ownership was passed directly by Release; reset the ticket
-		// for reuse.
-		t.waiting = false
-		t.w = resWaiter{}
+		p.resWait, p.granted = nil, false
 		return true
 	}
-	if r.inUse < r.cap && len(r.waiters) == 0 {
+	if p.resWait != nil {
+		panic("sim: handler proc " + p.name + " acquiring " + r.name + " while enrolled on " + p.resWait.name)
+	}
+	if r.inUse < r.cap && r.waiters.len() == 0 {
 		r.stamp()
 		r.inUse++
 		return true
 	}
-	t.w = resWaiter{p: h.proc}
-	t.waiting = true
-	//dcslint:allow noalloc waiter record lives inside the caller's ticket; list is capacity-preserving
-	r.waiters = append(r.waiters, &t.w)
+	r.enroll(p)
 	return false
 }
 
 // TryAcquire takes a unit if one is free, without blocking.
 func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap && len(r.waiters) == 0 {
+	if r.inUse < r.cap && r.waiters.len() == 0 {
 		r.stamp()
 		r.inUse++
 		return true
@@ -376,11 +384,10 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)
 	}
-	if len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		w.granted = true
-		r.env.wake(w.p)
+	if r.waiters.len() > 0 {
+		p := r.waiters.pop()
+		p.granted = true
+		r.env.wake(p)
 		return
 	}
 	r.stamp()
