@@ -83,7 +83,11 @@ func (e *Engine) fetchExtents(p *sim.Proc, cmdID uint32, addr uint64, count uint
 	}
 	buf := e.extBufs[int(cmdID)%len(e.extBufs)]
 	n := int(count) * ExtentEntrySize
-	e.fab.MustDMA(p, e.port, buf, mem.Addr(addr), n)
+	// The table address comes from the host: an unmapped or
+	// unreachable one fails the command rather than the simulator.
+	if err := e.fab.DMA(p, e.port, buf, mem.Addr(addr), n); err != nil {
+		return nil, err
+	}
 	// View: DecodeExtents copies into its own []ExtentEntry, nothing
 	// aliases the staging buffer after it returns.
 	return DecodeExtents(e.fab.Mem().View(buf, n), int(count))

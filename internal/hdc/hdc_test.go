@@ -512,20 +512,32 @@ func TestDriverChargesLittleCPU(t *testing.T) {
 }
 
 func TestInvalidCommandCompletesWithError(t *testing.T) {
-	tb := newTestbed(t)
-	var res Result
-	tb.env.Spawn("app", func(p *sim.Proc) {
+	for _, tc := range []struct {
+		name string
+		cmd  Command
+	}{
 		// Zero-length transfer: rejected by the parser.
-		w := tb.drv.post(p, Command{ID: 999, SrcClass: ClassSSD, DstClass: ClassNIC, SrcCount: 1, Length: 0})
-		tb.drv.nextID = 1000
-		for !w.done {
-			w.cond.Wait(p)
-		}
-		res = w.res
-	})
-	tb.env.Run(-1)
-	if res.Status == 0 {
-		t.Fatal("invalid command reported success")
+		{"zero-length", Command{ID: 999, SrcClass: ClassSSD, DstClass: ClassNIC, SrcCount: 1, Length: 0}},
+		// Extent table at an unmapped host address: the table fetch
+		// DMA fails.
+		{"unmapped-extent-table", Command{ID: 999, SrcClass: ClassSSD, SrcArg: 0x10, SrcCount: 1, DstClass: ClassNIC, Length: 4096}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb := newTestbed(t)
+			var res Result
+			tb.env.Spawn("app", func(p *sim.Proc) {
+				w := tb.drv.post(p, tc.cmd)
+				tb.drv.nextID = 1000
+				for !w.done {
+					w.cond.Wait(p)
+				}
+				res = w.res
+			})
+			tb.env.Run(-1)
+			if res.Status != CplStatusInvalid {
+				t.Fatalf("status = %d, want CplStatusInvalid", res.Status)
+			}
+		})
 	}
 }
 

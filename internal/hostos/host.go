@@ -131,17 +131,13 @@ func (m *irqMachine) run(hc *sim.HandlerCtx) {
 
 // Exec occupies one core for d, charging category cat and, when bd is
 // non-nil, the latency breakdown too. This is the single choke point
-// through which all modelled software cost flows.
+// through which all modelled software cost flows: it drives an ExecH,
+// parking while the charge is in flight.
 func (h *Host) Exec(p *sim.Proc, cat trace.Category, d sim.Time, bd *trace.Breakdown) {
-	if d <= 0 {
-		return
-	}
-	h.Cores.Acquire(p)
-	p.Sleep(d)
-	h.Cores.Release()
-	h.Acct.Charge(cat, d)
-	if bd != nil {
-		bd.Add(cat, d)
+	var x ExecH
+	x.Start(h, cat, d, bd)
+	for !x.Step(p.Ctx()) {
+		p.Park()
 	}
 }
 
@@ -154,13 +150,14 @@ const (
 	execHold                   // core occupancy elapsing
 )
 
-// ExecH is the handler-proc replay of Exec (DESIGN.md §16): acquire a
-// core, advance time, release, charge — staged across dispatches so a
-// run-to-completion handler never parks. Start stages the charge, then
-// the owner calls Step until it reports true; a zero-or-negative cost
-// completes inline, exactly like Exec's early return. The zero value
-// is idle and reusable, so one machine per owner serves any number of
-// sequential charges without allocating.
+// ExecH is the one implementation of a core charge (DESIGN.md §16):
+// acquire a core, advance time, release, charge — staged across
+// dispatches so a run-to-completion handler never parks; Exec is the
+// same machine driven by a goroutine proc. Start stages the charge,
+// then the owner calls Step until it reports true; a zero-or-negative
+// cost completes at once, with no core, charge or event. The zero
+// value is idle and reusable, so one machine per owner serves any
+// number of sequential charges without allocating.
 type ExecH struct {
 	host *Host
 	cat  trace.Category
@@ -175,7 +172,7 @@ func (x *ExecH) Start(host *Host, cat trace.Category, d sim.Time, bd *trace.Brea
 		panic("hostos: ExecH started while a charge is in flight")
 	}
 	if d <= 0 {
-		return // mirrors Exec: no core, no charge, no event
+		return // no core, no charge, no event
 	}
 	x.host, x.cat, x.d, x.bd = host, cat, d, bd
 	x.st = execAcq
@@ -185,8 +182,9 @@ func (x *ExecH) Start(host *Host, cat trace.Category, d sim.Time, bd *trace.Brea
 func (x *ExecH) Active() bool { return x.st != execIdle }
 
 // Step advances the charge and reports whether it completed. On false
-// the handler body must return: the machine enrolled on the core pool
-// or re-armed for its occupancy and resumes on the next dispatch.
+// the caller must return (a handler) or park (a goroutine proc): the
+// machine enrolled on the core pool or re-armed for its occupancy and
+// resumes on the next dispatch.
 func (x *ExecH) Step(h *sim.HandlerCtx) bool {
 	switch x.st {
 	case execIdle:

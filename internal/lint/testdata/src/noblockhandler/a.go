@@ -97,3 +97,14 @@ func spawnLit(env *sim.Env, sig *sim.Signal) {
 		h.Exit()
 	})
 }
+
+// Proc.Park is the park point that blocking loops outside the kernel
+// call; a handler reaching it is flagged like any blocking API.
+func spawnPark(env *sim.Env) {
+	m := &machine{env: env}
+	env.SpawnHandler("park", m.runPark)
+}
+
+func (m *machine) runPark(h *sim.HandlerCtx) {
+	m.p.Park() // want `handler proc \(\*noblockhandler\.machine\)\.runPark reaches park-capable \(\*sim\.Proc\)\.Park`
+}

@@ -176,19 +176,28 @@ func BuildPRPs(mm *mem.Map, pages []mem.Addr, listBuf mem.Addr) (mem.Addr, mem.A
 }
 
 // ReadPRPList decodes n page addresses from a PRP list at addr.
-func ReadPRPList(mm *mem.Map, addr mem.Addr, n int) []mem.Addr {
+func ReadPRPList(mm *mem.Map, addr mem.Addr, n int) ([]mem.Addr, error) {
 	return AppendPRPList(make([]mem.Addr, 0, n), mm, addr, n)
 }
 
 // AppendPRPList is ReadPRPList into a caller-owned slice: it decodes
 // straight out of a memory view and allocates nothing when dst has
-// capacity.
-func AppendPRPList(dst []mem.Addr, mm *mem.Map, addr mem.Addr, n int) []mem.Addr {
-	raw := mm.View(addr, 8*n)
+// capacity. The list pointer comes from a submitted command, so a list
+// at an unmapped address, or one running past its region's end, is an
+// error.
+func AppendPRPList(dst []mem.Addr, mm *mem.Map, addr mem.Addr, n int) ([]mem.Addr, error) {
+	r, off, err := mm.Resolve(addr)
+	if err != nil {
+		return nil, fmt.Errorf("nvme: PRP list: %w", err)
+	}
+	if n < 0 || off+8*uint64(n) > r.Size {
+		return nil, fmt.Errorf("nvme: %d-entry PRP list at %#x runs past the end of %s", n, uint64(addr), r.Name)
+	}
+	raw := r.Bytes(off, 8*n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, mem.Addr(binary.LittleEndian.Uint64(raw[8*i:])))
 	}
-	return dst
+	return dst, nil
 }
 
 // DataPages resolves a command's PRP fields to the full page list.
@@ -212,7 +221,6 @@ func AppendDataPages(dst []mem.Addr, mm *mem.Map, cmd Command) ([]mem.Addr, erro
 		if cmd.PRP2 == 0 {
 			return nil, fmt.Errorf("nvme: %d-block command without PRP list", n)
 		}
-		dst = append(dst, cmd.PRP1)
-		return AppendPRPList(dst, mm, cmd.PRP2, n-1), nil
+		return AppendPRPList(append(dst, cmd.PRP1), mm, cmd.PRP2, n-1)
 	}
 }

@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"dcsctrl/internal/mem"
@@ -72,6 +73,48 @@ func FuzzCompletionRoundTrip(f *testing.F) {
 		}
 		if out != in {
 			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
+		}
+	})
+}
+
+// FuzzDataPages feeds arbitrary PRP fields to the PRP decoder against
+// a small map: it must never panic. Anything it accepts is the
+// command's page count led by PRP1, with a list tail decoded from
+// bytes that lie inside one mapped region.
+func FuzzDataPages(f *testing.F) {
+	base := uint64(mem.NewMap().AddRegion("probe", mem.HostDRAM, 1, true).Base)
+	f.Add(base, uint64(0), uint16(0))
+	f.Add(base, base+4096, uint16(1))
+	f.Add(base, base, uint16(7))
+	f.Add(base, base+2*4096-8, uint16(3))
+	f.Fuzz(func(t *testing.T, prp1, prp2 uint64, nlb uint16) {
+		mm := mem.NewMap()
+		dram := mm.AddRegion("dram", mem.HostDRAM, 2*4096, true)
+		list := make([]byte, dram.Size)
+		for i := range list {
+			list[i] = byte(i * 7)
+		}
+		dram.WriteAt(0, list)
+		cmd := Command{Opcode: OpRead, PRP1: mem.Addr(prp1), PRP2: mem.Addr(prp2), NLB: nlb}
+		pages, err := DataPages(mm, cmd)
+		if err != nil {
+			return
+		}
+		if len(pages) != cmd.Blocks() || pages[0] != cmd.PRP1 {
+			t.Fatalf("%+v: got %d pages led by %#x", cmd, len(pages), pages[0])
+		}
+		if len(pages) <= 2 {
+			return
+		}
+		n := len(pages) - 1
+		if !dram.Contains(cmd.PRP2) || cmd.PRP2+mem.Addr(8*n) > dram.End() {
+			t.Fatalf("%+v: %d-entry list accepted outside %s", cmd, n, dram.Name)
+		}
+		raw := mm.Read(cmd.PRP2, 8*n)
+		for i, pg := range pages[1:] {
+			if want := mem.Addr(binary.LittleEndian.Uint64(raw[8*i:])); pg != want {
+				t.Fatalf("%+v: entry %d = %#x, want %#x", cmd, i, pg, want)
+			}
 		}
 	})
 }

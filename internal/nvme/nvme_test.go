@@ -104,7 +104,10 @@ func TestBuildPRPs(t *testing.T) {
 	if err != nil || a != pages[0] || b != list {
 		t.Fatalf("5 pages: %v %v %v", a, b, err)
 	}
-	got := ReadPRPList(mm, list, 4)
+	got, err := ReadPRPList(mm, list, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, pg := range pages[1:] {
 		if got[i] != pg {
 			t.Fatalf("PRP list entry %d = %#x, want %#x", i, got[i], pg)
@@ -118,11 +121,19 @@ func TestBuildPRPs(t *testing.T) {
 
 func TestDataPagesErrors(t *testing.T) {
 	mm := mem.NewMap()
-	if _, err := DataPages(mm, Command{NLB: 1, PRP1: 100, PRP2: 0}); err == nil {
-		t.Fatal("2-block without PRP2 accepted")
-	}
-	if _, err := DataPages(mm, Command{NLB: 7, PRP1: 100, PRP2: 0}); err == nil {
-		t.Fatal("8-block without PRP list accepted")
+	dram := mm.AddRegion("dram", mem.HostDRAM, 4096, true)
+	for _, tc := range []struct {
+		name string
+		cmd  Command
+	}{
+		{"2-block without PRP2", Command{NLB: 1, PRP1: 100, PRP2: 0}},
+		{"8-block without PRP list", Command{NLB: 7, PRP1: 100, PRP2: 0}},
+		{"PRP list at an unmapped address", Command{NLB: 3, PRP1: dram.Base, PRP2: 0x10}},
+		{"PRP list past its region's end", Command{NLB: 3, PRP1: dram.Base, PRP2: dram.End() - 8}},
+	} {
+		if _, err := DataPages(mm, tc.cmd); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -285,6 +296,38 @@ func TestOversizeCommandRejected(t *testing.T) {
 	tb.env.Run(-1)
 	if status != StatusInvalidPRP {
 		t.Fatalf("status = %#x", status)
+	}
+}
+
+// A host-posted PRP list pointer or data page that lies outside mapped
+// memory fails the command with StatusInvalidPRP instead of crashing
+// the device model.
+func TestBadPRPStatus(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cmd  func(dram *mem.Region) Command
+	}{
+		{"unmapped PRP list", func(d *mem.Region) Command {
+			return Command{PRP1: d.Base, PRP2: 0x10, NLB: 3}
+		}},
+		{"PRP list past its region's end", func(d *mem.Region) Command {
+			return Command{PRP1: d.Base, PRP2: d.End() - 8, NLB: 3}
+		}},
+		{"data page past its region's end", func(d *mem.Region) Command {
+			return Command{PRP1: d.End() - 100, NLB: 0}
+		}},
+	} {
+		tb := newTestbed(t, 64, true)
+		cmd := tc.cmd(tb.dram)
+		cmd.Opcode, cmd.NSID = OpRead, 1
+		var status uint16
+		tb.env.Spawn("driver", func(p *sim.Proc) {
+			status = tb.issue(cmd).Wait(p).(uint16)
+		})
+		tb.env.Run(-1)
+		if status != StatusInvalidPRP {
+			t.Errorf("%s: status = %#x, want StatusInvalidPRP", tc.name, status)
+		}
 	}
 }
 

@@ -1,14 +1,13 @@
 package pcie
 
-// Run-to-completion handler-proc machinery for the fabric (DESIGN.md
-// §16). Xfer and XferVec replay one (*Fabric).DMA / (*Fabric).DMAVec
-// call as an explicit state machine a handler proc can drive without
-// ever parking: every Sleep becomes a Rearm, every bandwidth-server
-// Transfer becomes the staged AcquireH / HoldTime / CompleteH triple,
-// and fault draws happen at exactly the instants the blocking call
-// draws them — so a transfer consumes the same event sequence whether
-// a goroutine proc calls DMA or a handler steps an Xfer, and the
-// deterministic fault streams never diverge.
+// The fabric's DMA state machines (DESIGN.md §16). Xfer and XferVec
+// are the one implementation of a transfer: every stage is a Rearm or
+// a bandwidth server's staged AcquireH / HoldTime / CompleteH triple,
+// so a run-to-completion handler proc drives them without ever
+// parking. The blocking (*Fabric).DMA and (*Fabric).DMAVec are the same
+// machines driven by a goroutine proc that parks while Step reports
+// not done, so a transfer consumes the same event sequence and the
+// same fault draws whichever flavor of proc moves it.
 //
 // The pooled async-DMA worker (dmaWorker) is always a handler proc:
 // DMAAsync spawns one only when every pooled worker is busy, and idle
@@ -23,14 +22,18 @@ import (
 )
 
 // xferState enumerates where an Xfer resumes after a re-arm. States
-// are ordered along the store-and-forward pipeline; zero-duration
-// stages fall through inline exactly where the blocking DMA call's
-// Sleep(0) would return without an event.
+// are ordered along the store-and-forward pipeline: the source link,
+// the switch core and the destination link serialize the transfer in
+// turn. Each stage is an independent bandwidth server, so concurrent
+// transactions on disjoint links pipeline freely — no transfer ever
+// holds one link while waiting for another (which would convoy the
+// whole fabric). Zero-duration stages fall through inline with no
+// event, as Sleep(0) does.
 type xferState int
 
 const (
 	xferIdle     xferState = iota // no transfer staged
-	xferStart                     // validate, resolve, draw degrade fault
+	xferStart                     // ends resolved; draw degrade fault
 	xferSetup                     // degrade stall elapsed; charge DMA setup
 	xferAcqUp                     // acquire the source up-link
 	xferUpHold                    // up-link occupancy elapsed
@@ -40,50 +43,71 @@ const (
 	xferDownHold                  // down-link occupancy elapsed
 	xferProp                      // propagation elapsed; copy and account
 	xferLocal                     // device-local: setup elapsed; copy
-	xferDone                      // terminal
 )
 
-// Xfer is one in-flight DMA transaction driven by a handler proc: a
-// run-to-completion replay of (*Fabric).MustDMA. Start stages the
-// transfer, then the owner calls Step from its handler body until Step
-// reports true; every false return means the machine re-armed itself
-// (or enrolled on a resource) and the body must return.
+// Xfer is one DMA transaction as a state machine. Start stages the
+// transfer, then the owner calls Step until it reports true; every
+// false return means the machine re-armed the proc (or enrolled it on
+// a bandwidth server) and the caller must return (a handler body) or
+// park (a goroutine proc, which is how DMA runs it).
 //
 // The zero value is idle and reusable: a completed Xfer may be
 // Started again, so one machine per owner serves any number of
 // sequential transfers without allocating.
 type Xfer struct {
-	f         *Fabric
-	st        xferState
-	initiator *Port
-	dst, src  mem.Addr
-	n         int
+	f        *Fabric
+	st       xferState
+	dst, src mem.Addr
+	n        int
 
 	srcPort, dstPort *Port
 	srcReg, dstReg   *mem.Region
 }
 
-// Start stages one transfer. Policy errors panic (the MustDMA
-// contract: handler paths are validated at configuration time).
+// Start stages one transfer. An end that fails to resolve, the P2P
+// policy or the bounds check panics (the MustDMA contract: handler
+// paths are validated at configuration time).
 func (x *Xfer) Start(f *Fabric, initiator *Port, dst, src mem.Addr, n int) {
+	if err := x.start(f, initiator, dst, src, n); err != nil {
+		panic(err)
+	}
+}
+
+// start stages one transfer after resolving and checking both ends
+// (endpoint) — the one resolution every DMA form shares. It stages
+// nothing and returns the error when a check fails. A zero-length
+// transfer touches no address and checks nothing.
+func (x *Xfer) start(f *Fabric, initiator *Port, dst, src mem.Addr, n int) error {
 	if x.st != xferIdle {
 		panic("pcie: Xfer started while a transfer is in flight")
 	}
+	if n < 0 {
+		panic("pcie: negative DMA length")
+	}
+	if n > 0 {
+		srcPort, srcReg, err := f.endpoint(initiator, src, n)
+		if err != nil {
+			return err
+		}
+		dstPort, dstReg, err := f.endpoint(initiator, dst, n)
+		if err != nil {
+			return err
+		}
+		x.srcPort, x.srcReg, x.dstPort, x.dstReg = srcPort, srcReg, dstPort, dstReg
+	}
 	x.f = f
-	x.initiator = initiator
 	x.dst, x.src, x.n = dst, src, n
 	x.st = xferStart
+	return nil
 }
 
-// Active reports whether a transfer is staged or in flight.
-func (x *Xfer) Active() bool { return x.st != xferIdle }
+// active reports whether a transfer is staged or in flight.
+func (x *Xfer) active() bool { return x.st != xferIdle }
 
 // Step advances the transfer and reports whether it completed. On
-// false the handler body must return: the machine has re-armed h or
+// false the caller must return or park: the machine has re-armed h or
 // enrolled it on a bandwidth server and will make progress on the
-// next dispatch. The event sequence is identical to the blocking
-// MustDMA call it replays — same fault draws, same per-stage sleeps,
-// same FIFO positions on every server.
+// next dispatch.
 //
 //dcslint:hotpath
 func (x *Xfer) Step(h *sim.HandlerCtx) bool {
@@ -97,10 +121,6 @@ func (x *Xfer) Step(h *sim.HandlerCtx) bool {
 				x.finish()
 				return true
 			}
-			if x.n < 0 {
-				panic("pcie: negative DMA length")
-			}
-			x.srcPort, x.srcReg, x.dstPort, x.dstReg = f.mustResolvePair(x.initiator, x.dst, x.src)
 			if x.srcPort == x.dstPort {
 				// Device-local move: no bus traffic, only internal copy
 				// time.
@@ -185,10 +205,11 @@ func (x *Xfer) finish() {
 	x.srcReg, x.dstReg = nil, nil
 }
 
-// XferVec is the handler-proc replay of (*Fabric).MustDMAVec: the
-// extents run strictly in order, each charged exactly as the
-// equivalent DMA call, with zero-length extents skipped inline. Like
-// Xfer, the zero value is idle and reusable.
+// XferVec is a scatter-gather list as a state machine: the extents
+// run strictly in order, each an Xfer charged exactly as the
+// equivalent DMA call, with zero-length extents skipped inline.
+// DMAVec runs it from a goroutine proc. Like Xfer, the zero value is
+// idle and reusable.
 type XferVec struct {
 	x         Xfer
 	f         *Fabric
@@ -205,7 +226,7 @@ type XferVec struct {
 // unmutated until Step reports completion (the posted-buffer
 // stability contract DMA hardware imposes anyway).
 func (v *XferVec) Start(f *Fabric, initiator *Port, base mem.Addr, exts []mem.Extent, gather bool) {
-	if v.active || v.x.Active() {
+	if v.active {
 		panic("pcie: XferVec started while a transfer is in flight")
 	}
 	v.f = f
@@ -217,34 +238,45 @@ func (v *XferVec) Start(f *Fabric, initiator *Port, base mem.Addr, exts []mem.Ex
 	v.active = true
 }
 
-// Active reports whether a vectored transfer is in flight.
-func (v *XferVec) Active() bool { return v.active }
-
 // Step advances the vectored transfer and reports whether every
-// extent completed. On false the handler body must return, exactly as
-// with Xfer.Step.
+// extent completed. On false the caller must return or park, exactly
+// as with Xfer.Step. An extent that fails its Start checks panics.
 //
 //dcslint:hotpath
 func (v *XferVec) Step(h *sim.HandlerCtx) bool {
+	done, err := v.step(h)
+	if err != nil {
+		panic(err)
+	}
+	return done
+}
+
+// step is Step with the failing extent's error returned instead: the
+// machine is then idle again, with every earlier extent moved.
+func (v *XferVec) step(h *sim.HandlerCtx) (bool, error) {
 	if !v.active {
 		panic("pcie: Step on idle XferVec")
 	}
 	for {
-		if !v.x.Active() {
+		if !v.x.active() {
 			if v.i == len(v.exts) {
 				v.active = false
 				v.exts = nil
-				return true
+				return true, nil
 			}
 			e := v.exts[v.i]
-			if v.gather {
-				v.x.Start(v.f, v.initiator, v.base+v.off, e.Addr, e.Len)
-			} else {
-				v.x.Start(v.f, v.initiator, e.Addr, v.base+v.off, e.Len)
+			dst, src := v.base+v.off, e.Addr
+			if !v.gather {
+				dst, src = src, dst
+			}
+			if err := v.x.start(v.f, v.initiator, dst, src, e.Len); err != nil {
+				v.active = false
+				v.exts = nil
+				return false, err
 			}
 		}
 		if !v.x.Step(h) {
-			return false
+			return false, nil
 		}
 		v.off += mem.Addr(v.exts[v.i].Len)
 		v.i++

@@ -207,6 +207,22 @@ func (f *Fabric) P2PBytes() int64 { return f.p2pBytes }
 // HostBytes returns payload bytes moved with host DRAM as an endpoint.
 func (f *Fabric) HostBytes() int64 { return f.hostBytes }
 
+// endpoint resolves one end of an n-byte transfer and checks that
+// initiator may reach it and that the n bytes lie inside its region.
+func (f *Fabric) endpoint(initiator *Port, addr mem.Addr, n int) (*Port, *mem.Region, error) {
+	port, r, err := f.OwnerOf(addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := canReach(initiator, port, r); err != nil {
+		return nil, nil, err
+	}
+	if addr+mem.Addr(n) > r.End() {
+		return nil, nil, fmt.Errorf("pcie: %d-byte DMA at %#x runs past the end of %s", n, uint64(addr), r.Name)
+	}
+	return port, r, nil
+}
+
 // canReach checks the P2P policy for initiator touching region r.
 func canReach(initiator *Port, owner *Port, r *mem.Region) error {
 	if owner == initiator {
@@ -225,54 +241,18 @@ func canReach(initiator *Port, owner *Port, r *mem.Region) error {
 // DMA moves n bytes from src to dst on behalf of initiator, charging
 // link and switch-core occupancy plus propagation latency, then
 // copying the real bytes. It returns an error (without moving data)
-// when the P2P policy forbids the access — the condition that makes
-// direct SSD↔NIC impossible.
+// when an end is unmapped or runs past its region, or when the P2P
+// policy forbids the access — the condition that makes direct
+// SSD↔NIC impossible. The transfer is an Xfer, stepped with a park
+// while it reports not done.
 func (f *Fabric) DMA(p *sim.Proc, initiator *Port, dst, src mem.Addr, n int) error {
-	if n == 0 {
-		return nil
-	}
-	if n < 0 {
-		panic("pcie: negative DMA length")
-	}
-	srcPort, srcReg, err := f.OwnerOf(src)
-	if err != nil {
+	var x Xfer
+	if err := x.start(f, initiator, dst, src, n); err != nil {
 		return err
 	}
-	dstPort, dstReg, err := f.OwnerOf(dst)
-	if err != nil {
-		return err
+	for !x.Step(p.Ctx()) {
+		p.Park()
 	}
-	if err := canReach(initiator, srcPort, srcReg); err != nil {
-		return err
-	}
-	if err := canReach(initiator, dstPort, dstReg); err != nil {
-		return err
-	}
-
-	if srcPort == dstPort {
-		// Device-local move: no bus traffic, only internal copy time.
-		p.Sleep(f.params.DMASetup)
-		f.mem.Copy(dst, src, n)
-		return nil
-	}
-
-	// Store-and-forward through the switch: serialize on the source
-	// link, the switch core, and the destination link in turn. Each
-	// stage is an independent bandwidth server, so concurrent
-	// transactions on disjoint links pipeline freely — no transfer
-	// ever holds one link while waiting for another (which would
-	// convoy the whole fabric).
-	if f.params.Faults.Hit(fault.PCIeLinkDegrade) {
-		p.Sleep(linkRetrainStall)
-	}
-	p.Sleep(f.params.DMASetup)
-	srcPort.up.Transfer(p, n)
-	f.core.Transfer(p, n)
-	dstPort.down.Transfer(p, n)
-	p.Sleep(f.params.PropLatency)
-
-	f.mem.Copy(dst, src, n)
-	f.account(srcPort, srcReg, dstPort, dstReg, n)
 	return nil
 }
 
@@ -368,28 +348,24 @@ func (f *Fabric) MustDMA(p *sim.Proc, initiator *Port, dst, src mem.Addr, n int)
 // across the extents. Zero-length extents are skipped, like a
 // zero-length DMA.
 //
-// Each extent is charged exactly as the equivalent DMA call would be —
-// per-extent setup, link/core occupancy, byte counters, and fault
-// behaviour are all identical to the hand-written DMA loop it
-// replaces (the equivalence test in pcie_test.go pins this down).
-// What the vectored form buys is the memory mechanics: extent-by-
-// extent region-to-region copies with zero intermediate buffers and
-// no per-extent closure or signal state.
+// The list runs as an XferVec, stepped with a park while it reports
+// not done, so each extent is charged exactly as the equivalent DMA
+// call would be — per-extent setup, link/core occupancy, byte
+// counters, and fault behaviour. An extent that fails to resolve or
+// the policy check stops the list with its error, after every earlier
+// extent has moved. What the vectored form buys is the memory
+// mechanics: extent-by-extent region-to-region copies with zero
+// intermediate buffers and no per-extent closure or signal state.
 func (f *Fabric) DMAVec(p *sim.Proc, initiator *Port, base mem.Addr, exts []mem.Extent, gather bool) error {
-	off := mem.Addr(0)
-	for _, e := range exts {
-		var err error
-		if gather {
-			err = f.DMA(p, initiator, base+off, e.Addr, e.Len)
-		} else {
-			err = f.DMA(p, initiator, e.Addr, base+off, e.Len)
-		}
-		if err != nil {
+	var v XferVec
+	v.Start(f, initiator, base, exts, gather)
+	for {
+		done, err := v.step(p.Ctx())
+		if done || err != nil {
 			return err
 		}
-		off += mem.Addr(e.Len)
+		p.Park()
 	}
-	return nil
 }
 
 // MustDMAVec is DMAVec that panics on policy errors.
@@ -399,45 +375,6 @@ func (f *Fabric) MustDMAVec(p *sim.Proc, initiator *Port, base mem.Addr, exts []
 	if err := f.DMAVec(p, initiator, base, exts, gather); err != nil {
 		panic(err)
 	}
-}
-
-// mustResolvePair resolves and policy-checks both ends of a transfer,
-// panicking on error (the MustDMA contract).
-func (f *Fabric) mustResolvePair(initiator *Port, dst, src mem.Addr) (srcPort *Port, srcReg *mem.Region, dstPort *Port, dstReg *mem.Region) {
-	var err error
-	srcPort, srcReg, err = f.OwnerOf(src)
-	if err != nil {
-		panic(err)
-	}
-	dstPort, dstReg, err = f.OwnerOf(dst)
-	if err != nil {
-		panic(err)
-	}
-	if err = canReach(initiator, srcPort, srcReg); err != nil {
-		panic(err)
-	}
-	if err = canReach(initiator, dstPort, dstReg); err != nil {
-		panic(err)
-	}
-	return srcPort, srcReg, dstPort, dstReg
-}
-
-// CheckPath verifies, without simulating, that initiator may move data
-// between the two addresses — used by configuration code to decide
-// whether a direct path exists (e.g. SW-P2P feasibility probing).
-func (f *Fabric) CheckPath(initiator *Port, a, b mem.Addr) error {
-	pa, ra, err := f.OwnerOf(a)
-	if err != nil {
-		return err
-	}
-	pb, rb, err := f.OwnerOf(b)
-	if err != nil {
-		return err
-	}
-	if err := canReach(initiator, pa, ra); err != nil {
-		return err
-	}
-	return canReach(initiator, pb, rb)
 }
 
 // PostedWrite delivers a small write (a doorbell ring) to addr after
@@ -472,13 +409,6 @@ func (f *Fabric) PostedWrite(addr mem.Addr, val uint64) {
 	}
 	pw.addr, pw.val = addr, val
 	f.env.Schedule(deliverAt-f.env.Now(), pw.fn)
-}
-
-// ReadReg performs a non-posted register read: the caller blocks for a
-// round trip and receives the current value.
-func (f *Fabric) ReadReg(p *sim.Proc, addr mem.Addr) uint64 {
-	p.Sleep(2 * f.params.MMIOLatency)
-	return le64(f.mem.View(addr, 8))
 }
 
 // OnMSI registers a handler for an interrupt vector. Handlers run on
@@ -530,12 +460,4 @@ func putLE64(b []byte, v uint64) {
 	for i := 0; i < 8; i++ {
 		b[i] = byte(v >> (8 * i))
 	}
-}
-
-func le64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }

@@ -110,9 +110,11 @@ func TestDMAVecEquivalence(t *testing.T) {
 	}
 }
 
-// TestDMAVecEmptyAndErrors: zero extents is a no-op; a bad extent
-// reports an error without panicking.
-func TestDMAVecEmpty(t *testing.T) {
+// TestDMAVecEmptyAndBadExtent: zero extents is a no-op. A bad extent
+// in the middle of a list stops it with the error the equivalent DMA
+// loop returns, without panicking, after moving and charging every
+// earlier extent exactly as that loop does; the fabric stays usable.
+func TestDMAVecEmptyAndBadExtent(t *testing.T) {
 	r := newRig()
 	var err error
 	r.env.Spawn("vec", func(p *sim.Proc) {
@@ -124,5 +126,70 @@ func TestDMAVecEmpty(t *testing.T) {
 	}
 	if r.env.Now() != 0 {
 		t.Fatalf("empty vec advanced time to %v", r.env.Now())
+	}
+
+	for _, bad := range []struct {
+		name string
+		ext  func(r *rig) mem.Extent
+	}{
+		{"unmapped", func(*rig) mem.Extent { return mem.Extent{Addr: 0x10, Len: 64} }},
+		{"not a P2P target", func(r *rig) mem.Extent { return mem.Extent{Addr: r.nicBuf.Base, Len: 64} }},
+		{"past its region's end", func(r *rig) mem.Extent { return mem.Extent{Addr: r.ssdBuf.End() - 8, Len: 64} }},
+	} {
+		vec, loop := newRig(), newRig()
+		good := scatterExtents(vec)
+		scatterExtents(loop)
+		// Both rigs share one address layout, so one list serves both.
+		exts := append(append(good[:2:2], bad.ext(vec)), good[2:]...)
+
+		var vecErr, loopErr error
+		vec.env.Spawn("vec", func(p *sim.Proc) {
+			vecErr = vec.fab.DMAVec(p, vec.ssd, vec.dram.Base, exts, true)
+		})
+		loop.env.Spawn("loop", func(p *sim.Proc) {
+			off := 0
+			for _, e := range exts {
+				if loopErr = loop.fab.DMA(p, loop.ssd, loop.dram.Base+mem.Addr(off), e.Addr, e.Len); loopErr != nil {
+					return
+				}
+				off += e.Len
+			}
+		})
+		vec.env.Run(-1)
+		loop.env.Run(-1)
+		if vecErr == nil || loopErr == nil || vecErr.Error() != loopErr.Error() {
+			t.Fatalf("%s: vec err=%v, loop err=%v", bad.name, vecErr, loopErr)
+		}
+		if vn, ln := vec.env.Now(), loop.env.Now(); vn != ln || vn == 0 {
+			t.Errorf("%s: stopped at %v, loop at %v", bad.name, vn, ln)
+		}
+		moved := good[0].Len + good[1].Len
+		if !bytes.Equal(vec.mm.Read(vec.dram.Base, moved), loop.mm.Read(loop.dram.Base, moved)) ||
+			!bytes.Equal(vec.mm.Read(vec.dram.Base, moved)[good[0].Len:], vec.mm.Read(good[1].Addr, good[1].Len)) {
+			t.Errorf("%s: earlier extents not moved", bad.name)
+		}
+		if vec.ssd.BytesOut() != int64(moved) || loop.ssd.BytesOut() != int64(moved) ||
+			vec.host.BytesIn() != loop.host.BytesIn() || vec.fab.HostBytes() != loop.fab.HostBytes() {
+			t.Errorf("%s: counters vec=(%d,%d,%d) loop=(%d,%d,%d)", bad.name,
+				vec.ssd.BytesOut(), vec.host.BytesIn(), vec.fab.HostBytes(),
+				loop.ssd.BytesOut(), loop.host.BytesIn(), loop.fab.HostBytes())
+		}
+
+		// The fabric is still usable: the good list runs to completion.
+		stopped := vec.env.Now()
+		vec.env.Spawn("again", func(p *sim.Proc) {
+			vecErr = vec.fab.DMAVec(p, vec.ssd, vec.ddr3.Base, good, true)
+		})
+		vec.env.Run(-1)
+		if vecErr != nil || vec.env.Now() <= stopped {
+			t.Fatalf("%s: retry err=%v, time %v -> %v", bad.name, vecErr, stopped, vec.env.Now())
+		}
+		off := 0
+		for _, e := range good {
+			if !bytes.Equal(vec.mm.Read(vec.ddr3.Base+mem.Addr(off), e.Len), vec.mm.Read(e.Addr, e.Len)) {
+				t.Errorf("%s: retry extent at %#x not moved", bad.name, e.Addr)
+			}
+			off += e.Len
+		}
 	}
 }

@@ -35,22 +35,18 @@ func NewBandwidthServer(e *Env, name string, bitsPerSecond float64, overhead Tim
 // Rate returns the configured bit rate.
 func (b *BandwidthServer) Rate() float64 { return b.bps }
 
-// Transfer occupies the server for the serialization time of n bytes.
+// Transfer occupies the server for the serialization time of n bytes:
+// the staged triple AcquireH, HoldTime and CompleteH, blocking.
 func (b *BandwidthServer) Transfer(p *Proc, n int) {
-	if n < 0 {
-		panic("sim: negative transfer size")
-	}
+	d := b.HoldTime(n)
 	b.res.Acquire(p)
-	p.Sleep(b.overhead + BpsToTime(n, b.bps))
-	b.res.Release()
-	b.bytes += int64(n)
-	b.xfers++
+	p.Sleep(d)
+	b.CompleteH(n)
 }
 
-// AcquireH is the handler-staged first leg of Transfer: it reports
-// true once the handler holds the server. The caller then re-arms for
-// HoldTime(n) and finishes with CompleteH(n) — the exact decomposition
-// Transfer performs (Acquire; Sleep; Release + account).
+// AcquireH is the staged first leg of Transfer: it reports true once
+// the caller holds the server. The caller then re-arms for HoldTime(n)
+// and finishes with CompleteH(n).
 //
 //dcslint:hotpath
 func (b *BandwidthServer) AcquireH(h *HandlerCtx) bool {
@@ -68,8 +64,8 @@ func (b *BandwidthServer) HoldTime(n int) Time {
 	return b.overhead + BpsToTime(n, b.bps)
 }
 
-// CompleteH is the handler-staged last leg of Transfer: it releases
-// the server and accounts the n bytes moved.
+// CompleteH is the staged last leg of Transfer: it releases the server
+// and accounts the n bytes moved.
 //
 //dcslint:hotpath
 func (b *BandwidthServer) CompleteH(n int) {

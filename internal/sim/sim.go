@@ -1,12 +1,22 @@
 // Package sim implements a deterministic discrete-event simulation
 // kernel in the style of SimPy: a single logical timeline, an event
-// queue ordered by (time, sequence), and cooperative goroutine-backed
-// processes that park on the scheduler and are resumed one at a time.
+// queue ordered by (time, sequence), and two flavors of process that
+// wait through the same state machines.
 //
 // Exactly one goroutine (either the Run caller or the currently
 // running process) executes model code at any instant, so model code
 // needs no locking and every run with the same inputs produces the
 // same event order.
+//
+// Every wait is implemented once, as a non-blocking step over a
+// HandlerCtx: Rearm, the H calls (Signal.WaitH, Cond.WaitH,
+// Queue.GetH, Resource.AcquireH, the BandwidthServer staged triple)
+// and the Start/Step machines built on them in device packages. A
+// handler proc (SpawnHandler) calls them from a run-to-completion body
+// and returns while they report not done. A goroutine proc (Spawn)
+// calls the blocking forms — Sleep, Wait, Get, Acquire, Transfer —
+// each of which is the same step in a loop around one park point
+// (Proc.Park), so both flavors produce the same schedule.
 //
 // The dispatch core is built for throughput — simulated experiments
 // are embarrassingly parallel across environments (see
@@ -19,8 +29,10 @@
 //     hot park/resume paths (Sleep, Yield, wake) allocate nothing;
 //   - events scheduled for the current instant bypass the heap through
 //     a FIFO lane (Yield/wake bursts are O(1) per event);
-//   - control transfers directly from the parking process to the next
-//     process (one channel handoff) instead of bouncing through a
+//   - one event loop (dispatch) runs on whichever goroutine holds the
+//     dispatch role; callbacks and handler procs run inline, and control
+//     transfers directly from the parking process to the next goroutine
+//     proc (one channel handoff) instead of bouncing through a
 //     scheduler goroutine (two handoffs).
 package sim
 
@@ -255,27 +267,11 @@ func (e *Env) Run(horizon Time) Time {
 	e.running = true
 	defer func() { e.running = false }()
 	e.horizon = horizon
-	for {
-		ev, ok := e.next()
-		if !ok {
-			break
-		}
-		e.now = ev.at
-		e.steps++
-		if ev.proc != nil {
-			if ev.proc.hfn != nil {
-				// Handler procs run to completion right here on the
-				// dispatching goroutine: no handoff, no channel ops.
-				e.runHandler(ev.proc)
-				continue
-			}
-			// Hand the dispatch role to the process; control returns
-			// here only when the whole chain of handoffs ends.
-			e.handoff(ev.proc)
-			<-e.yield
-			continue
-		}
-		ev.fn()
+	// Hand the dispatch role to each goroutine proc the loop reaches;
+	// control returns here only when the whole chain of handoffs ends.
+	for p := e.dispatch(); p != nil; p = e.dispatch() {
+		e.pass(p)
+		<-e.yield
 	}
 	if horizon > e.now {
 		e.now = horizon
@@ -384,12 +380,43 @@ func (e *Env) Stats() Stats {
 	}
 }
 
-// handoff resumes p, transferring the dispatch role to its goroutine.
-func (e *Env) handoff(p *Proc) {
+// dispatch is the kernel's event loop. It runs on whichever goroutine
+// holds the dispatch role, dispatching events in (at, seq) order —
+// callbacks and handler procs inline — until one resumes a goroutine
+// proc, which it returns: the caller either keeps the role (its own
+// wake) or passes it on. It returns nil when the queue is exhausted or
+// the next event lies beyond the horizon.
+func (e *Env) dispatch() *Proc {
+	for {
+		ev, ok := e.next()
+		if !ok {
+			return nil
+		}
+		e.now = ev.at
+		e.steps++
+		if p := ev.proc; p != nil {
+			if p.hfn == nil {
+				return p
+			}
+			e.runHandler(p)
+			continue
+		}
+		//dcslint:allow noalloc kernel event dispatch; scheduled fns are judged at their creation sites
+		ev.fn()
+	}
+}
+
+// pass hands the dispatch role to goroutine proc p, or back to the Run
+// caller when p is nil (the chain of events has ended).
+func (e *Env) pass(p *Proc) {
+	e.handoffs++
+	if p == nil {
+		e.yield <- struct{}{}
+		return
+	}
 	if p.dead {
 		panic("sim: resuming terminated process " + p.name)
 	}
-	e.handoffs++
 	p.resume <- struct{}{}
 }
 
@@ -402,65 +429,7 @@ func (e *Env) runHandler(p *Proc) {
 	}
 	e.hdispatch++
 	//dcslint:allow noalloc handler bodies are judged at their creation sites (noblockhandler walks them)
-	p.hfn(p.hctx)
-}
-
-// dispatchFrom runs the event loop on the goroutine of the parked
-// process self: either the next events belong to other processes or
-// callbacks (self keeps dispatching, then hands off and waits), or the
-// chain ends (self signals the Run caller and waits). It returns when
-// self has been resumed.
-func (e *Env) dispatchFrom(self *Proc) {
-	for {
-		ev, ok := e.next()
-		if !ok {
-			e.handoffs++
-			e.yield <- struct{}{}
-			<-self.resume
-			return
-		}
-		e.now = ev.at
-		e.steps++
-		if ev.proc != nil {
-			if ev.proc == self {
-				return // our own wakeup: just keep running
-			}
-			if ev.proc.hfn != nil {
-				e.runHandler(ev.proc)
-				continue
-			}
-			e.handoff(ev.proc)
-			<-self.resume
-			return
-		}
-		//dcslint:allow noalloc kernel event dispatch; scheduled fns are judged at their creation sites
-		ev.fn()
-	}
-}
-
-// dispatchExit runs the event loop on the goroutine of a terminating
-// process until the dispatch role can be handed to another process or
-// back to the Run caller; the goroutine then exits.
-func (e *Env) dispatchExit() {
-	for {
-		ev, ok := e.next()
-		if !ok {
-			e.handoffs++
-			e.yield <- struct{}{}
-			return
-		}
-		e.now = ev.at
-		e.steps++
-		if ev.proc != nil {
-			if ev.proc.hfn != nil {
-				e.runHandler(ev.proc)
-				continue
-			}
-			e.handoff(ev.proc)
-			return
-		}
-		ev.fn()
-	}
+	p.hfn(&p.ctx)
 }
 
 // Proc is a simulation process: a goroutine that runs model logic and
@@ -470,8 +439,9 @@ func (e *Env) dispatchExit() {
 // A Proc with hfn set is the second flavor — a handler proc (see
 // SpawnHandler): it has no goroutine and no resume channel, and its
 // wake events invoke hfn inline on the dispatching goroutine. Both
-// flavors share one wake/enqueue path and one waiter representation,
-// so sync primitives and schedules are identical across flavors.
+// flavors wait through the same HandlerCtx steps, the same wake path
+// and the same waiter records, so schedules are identical across
+// flavors.
 type Proc struct {
 	env    *Env
 	name   string
@@ -483,8 +453,8 @@ type Proc struct {
 	resWait *Resource // resource the proc is enrolled on (nil: none)
 	granted bool      // Release passed resWait's unit to this proc
 
-	hfn  func(*HandlerCtx) // handler body; non-nil marks a handler proc
-	hctx *HandlerCtx       // the body's context, allocated once at spawn
+	hfn func(*HandlerCtx) // handler body; non-nil marks a handler proc
+	ctx HandlerCtx        // the proc's wait context (ctx.proc is the proc)
 }
 
 // Name returns the process name given at Spawn time.
@@ -496,32 +466,41 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current simulation time.
 func (p *Proc) Now() Time { return p.env.now }
 
+// Ctx returns the process's wait context, the handle every H call and
+// Start/Step machine takes. A goroutine proc that drives one parks
+// (Park) each time it reports not done, then calls it again.
+func (p *Proc) Ctx() *HandlerCtx { return &p.ctx }
+
 // Spawn creates a process and schedules it to start immediately (at
 // the current simulation time, after already-queued events).
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p.ctx.proc = p
 	e.live++
 	go func() {
 		<-p.resume // wait for the scheduler to start us
 		fn(p)
 		p.dead = true
 		e.live--
-		e.dispatchExit()
+		e.pass(e.dispatch())
 	}()
 	e.enqueue(e.now, event{proc: p})
 	return p
 }
 
-// HandlerCtx is the context of one handler proc: a run-to-completion
-// state machine dispatched inline by the event loop (see SpawnHandler).
-// The body may schedule events, ring doorbells, fire signals, and
-// re-arm itself, but it must never block — every park-capable API
-// panics on a handler proc (and dcslint noblockhandler proves the
-// absence statically). Waiting is expressed by enrolling on a
-// Signal/Cond/Queue/Resource edge through the non-blocking H variants
-// and returning; the next wake re-invokes the body, which re-checks
-// its state exactly like a goroutine proc re-checks its predicate
-// after a park.
+// HandlerCtx is a proc's wait context. Every proc embeds one; a
+// handler proc's body receives it on each dispatch, and a goroutine
+// proc's is Proc.Ctx.
+//
+// A handler proc is a run-to-completion state machine dispatched
+// inline by the event loop (see SpawnHandler). The body may schedule
+// events, ring doorbells, fire signals, and re-arm itself, but it must
+// never block — every park-capable API panics on a handler proc (and
+// dcslint noblockhandler proves the absence statically). Waiting is
+// expressed by enrolling on a Signal/Cond/Queue/Resource edge through
+// the non-blocking H variants and returning; the next wake re-invokes
+// the body, which re-checks its state exactly like a goroutine proc
+// re-checks its predicate after a park.
 type HandlerCtx struct {
 	proc *Proc
 }
@@ -532,10 +511,10 @@ type HandlerCtx struct {
 // two flavors are schedule-identical from birth.
 func (e *Env) SpawnHandler(name string, fn func(*HandlerCtx)) *HandlerCtx {
 	p := &Proc{env: e, name: name, hfn: fn}
-	p.hctx = &HandlerCtx{proc: p}
+	p.ctx.proc = p
 	e.live++
 	e.enqueue(e.now, event{proc: p})
-	return p.hctx
+	return &p.ctx
 }
 
 // Name returns the handler proc's name given at SpawnHandler time.
@@ -547,16 +526,16 @@ func (h *HandlerCtx) Env() *Env { return h.proc.env }
 // Now returns the current simulation time.
 func (h *HandlerCtx) Now() Time { return h.proc.env.now }
 
-// Rearm schedules the handler body to be re-invoked after d — the
-// handler analogue of Sleep: the caller saves its continuation state
-// and returns. Rearm(0) re-arms at the current instant behind
-// already-queued events (the Yield analogue); a body that may legally
-// continue inline should simply keep running instead.
+// Rearm schedules the proc's next wake after d. A handler body saves
+// its continuation state and returns, to be re-invoked then; Sleep is
+// Rearm followed by a park. Rearm(0) re-arms at the current instant
+// behind already-queued events (what Yield waits on); a body that may
+// legally continue inline should simply keep running instead.
 //
 //dcslint:hotpath
 func (h *HandlerCtx) Rearm(d Time) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: negative rearm %v in %s", d, h.proc.name))
+		panic(fmt.Sprintf("sim: negative delay %v in %s", d, h.proc.name))
 	}
 	e := h.proc.env
 	e.enqueue(e.now+d, event{proc: h.proc})
@@ -573,15 +552,28 @@ func (h *HandlerCtx) Exit() {
 	h.proc.env.live--
 }
 
-// park returns control to the scheduler until the process is woken.
-// The parking goroutine itself becomes the dispatcher, so the common
-// case (another process runs next) costs one channel handoff.
+// Park blocks a goroutine proc until its next wake. It is the one park
+// point of every blocking call: the caller has just enrolled the proc
+// through an H call or a machine's Step that reported not done, and
+// calls it again after Park returns. Parking a handler proc panics.
+func (p *Proc) Park() { p.park() }
+
+// park runs the event loop on the parking goroutine until the loop
+// reaches the proc's own wake (keep running) or another goroutine
+// proc's (hand it the dispatch role and wait to be resumed), so the
+// common case costs one channel handoff.
 func (p *Proc) park() {
 	if p.hfn != nil {
 		panic("sim: handler proc " + p.name + " called a blocking API (re-arm on a Signal/Cond edge or use the non-blocking H variants instead)")
 	}
-	p.env.parks++
-	p.env.dispatchFrom(p)
+	e := p.env
+	e.parks++
+	next := e.dispatch()
+	if next == p {
+		return
+	}
+	e.pass(next)
+	<-p.resume
 }
 
 // wake schedules p to resume at the current time.
@@ -589,26 +581,23 @@ func (e *Env) wake(p *Proc) {
 	e.enqueue(e.now, event{proc: p})
 }
 
-// Sleep advances the process by d of simulated time.
+// Sleep advances the process by d of simulated time: Rearm(d) and
+// park. A zero sleep returns at once, with no event.
 //
 //dcslint:hotpath
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative sleep %v in %s", d, p.name))
-	}
 	if d == 0 {
 		return
 	}
-	e := p.env
-	e.enqueue(e.now+d, event{proc: p})
+	p.ctx.Rearm(d)
 	p.park()
 }
 
 // Yield lets every event already scheduled for the current instant run
 // before the process continues. When nothing is due at the current
 // instant, the round trip through the queue is skipped entirely: an
-// enqueued resume would pop straight back (dispatchFrom's proc == self
-// case), so returning immediately is schedule-identical.
+// enqueued resume would pop straight back (park's own-wake case), so
+// returning immediately is schedule-identical.
 //
 //dcslint:hotpath
 func (p *Proc) Yield() {
@@ -617,6 +606,6 @@ func (p *Proc) Yield() {
 		e.fused++
 		return
 	}
-	e.enqueue(e.now, event{proc: p})
+	p.ctx.Rearm(0)
 	p.park()
 }

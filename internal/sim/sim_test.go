@@ -300,21 +300,6 @@ func TestResourceBusyTime(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEnv()
-	r := NewResource(e, "r", 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on free resource failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on held resource succeeded")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
 func TestReleaseIdlePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -39,21 +39,18 @@ func (s *Signal) Fire(val any) {
 }
 
 // Wait blocks the process until the signal fires and returns the
-// fired value.
+// fired value: WaitH, parking while it reports false.
 func (s *Signal) Wait(p *Proc) any {
-	for !s.done {
-		s.waiters = append(s.waiters, p)
+	for !s.WaitH(&p.ctx) {
 		p.park()
 	}
 	return s.val
 }
 
-// WaitH is the handler-proc analogue of Wait: when the signal has
-// already fired it reports true and the body proceeds inline (exactly
-// where a goroutine Wait would return without parking); otherwise it
-// enrolls the handler on the same waiter list a goroutine would park
-// on and reports false — the body must return and re-check on its
-// next dispatch, mirroring Wait's re-check loop.
+// WaitH is the non-blocking form of Wait: when the signal has already
+// fired it reports true and the caller proceeds inline; otherwise it
+// enrolls the proc on the waiter list and reports false — a handler
+// body must return and re-check on its next dispatch.
 //
 //dcslint:hotpath
 func (s *Signal) WaitH(h *HandlerCtx) bool {
@@ -93,18 +90,18 @@ type Cond struct {
 // NewCond returns a condition bound to e.
 func NewCond(e *Env) *Cond { return &Cond{env: e} }
 
-// Wait parks until the next Broadcast. Callers must loop:
+// Wait parks until the next Broadcast: WaitH, then park. Callers must
+// loop:
 //
 //	for !predicate() { cond.Wait(p) }
 func (c *Cond) Wait(p *Proc) {
-	//dcslint:allow noalloc waiter list is capacity-preserving (Broadcast truncates, keeps backing array)
-	c.waiters = append(c.waiters, p)
+	c.WaitH(&p.ctx)
 	p.park()
 }
 
-// WaitH is the handler-proc analogue of Wait: it enrolls the handler
-// for the next Broadcast and returns. The body must return after
-// calling it and re-check its predicate on the next dispatch:
+// WaitH is the non-blocking form of Wait: it enrolls the proc for the
+// next Broadcast and returns. A handler body must return after calling
+// it and re-check its predicate on the next dispatch:
 //
 //	if !predicate() { cond.WaitH(h); return }
 //
@@ -229,26 +226,21 @@ func (q *Queue[T]) Put(v T) {
 	q.wakeWaiter()
 }
 
-// Get removes and returns the oldest item, blocking while empty.
+// Get removes and returns the oldest item, blocking while empty:
+// GetH, parking while it reports false.
 func (q *Queue[T]) Get(p *Proc) T {
-	for q.Len() == 0 {
-		q.waiters.push(p)
+	for {
+		if v, ok := q.GetH(&p.ctx); ok {
+			return v
+		}
 		p.park()
 	}
-	v := q.takeItem()
-	// If items remain and more waiters are parked, keep the chain going:
-	// the wake that freed us may have raced with multiple Puts.
-	if q.Len() > 0 {
-		q.wakeWaiter()
-	}
-	return v
 }
 
-// GetH is the handler-proc analogue of Get: when an item is available
-// it is taken (with the identical chain-wake behaviour) and returned
-// with ok=true; otherwise the handler is enrolled on the same waiter
-// FIFO a goroutine would park on and ok=false — the body must return
-// and retry on its next dispatch, mirroring Get's re-check loop.
+// GetH is the non-blocking form of Get: when an item is available it
+// is taken and returned with ok=true; otherwise the proc is enrolled on
+// the waiter FIFO and ok=false — a handler body must return and retry
+// on its next dispatch.
 //
 //dcslint:hotpath
 func (q *Queue[T]) GetH(h *HandlerCtx) (T, bool) {
@@ -258,8 +250,8 @@ func (q *Queue[T]) GetH(h *HandlerCtx) (T, bool) {
 		return zero, false
 	}
 	v := q.takeItem()
-	// Identical to Get: if items remain and more waiters are parked,
-	// keep the chain going.
+	// If items remain and more waiters are parked, keep the chain going:
+	// the wake that freed us may have raced with multiple Puts.
 	if q.Len() > 0 {
 		q.wakeWaiter()
 	}
@@ -319,31 +311,18 @@ func (r *Resource) BusyTime() Time {
 	return r.busy
 }
 
-// enroll queues p for the next unit Release hands over.
-func (r *Resource) enroll(p *Proc) {
-	p.resWait, p.granted = r, false
-	r.waiters.push(p)
-}
-
-// Acquire blocks until a unit is available and takes it.
+// Acquire blocks until a unit is available and takes it: AcquireH,
+// parking while it reports false.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.cap && r.waiters.len() == 0 {
-		r.stamp()
-		r.inUse++
-		return
-	}
-	r.enroll(p)
-	for !p.granted {
+	for !r.AcquireH(&p.ctx) {
 		p.park()
 	}
-	p.resWait, p.granted = nil, false
 }
 
-// AcquireH is the handler-proc analogue of Acquire: it reports true
-// once the caller holds a unit. On false the handler is enrolled (or
-// still enrolled) on the same FIFO waiter list a goroutine would park
-// on; the body must return and call AcquireH again on its next
-// dispatch. The grant path is identical: Release passes ownership
+// AcquireH is the non-blocking form of Acquire: it reports true once
+// the caller holds a unit. On false the proc is enrolled (or still
+// enrolled) on the FIFO waiter list; a handler body must return and
+// call AcquireH again on its next dispatch. Release passes ownership
 // directly to the head waiter.
 //
 //dcslint:hotpath
@@ -357,24 +336,15 @@ func (r *Resource) AcquireH(h *HandlerCtx) bool {
 		return true
 	}
 	if p.resWait != nil {
-		panic("sim: handler proc " + p.name + " acquiring " + r.name + " while enrolled on " + p.resWait.name)
+		panic("sim: proc " + p.name + " acquiring " + r.name + " while enrolled on " + p.resWait.name)
 	}
 	if r.inUse < r.cap && r.waiters.len() == 0 {
 		r.stamp()
 		r.inUse++
 		return true
 	}
-	r.enroll(p)
-	return false
-}
-
-// TryAcquire takes a unit if one is free, without blocking.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap && r.waiters.len() == 0 {
-		r.stamp()
-		r.inUse++
-		return true
-	}
+	p.resWait, p.granted = r, false
+	r.waiters.push(p)
 	return false
 }
 
