@@ -54,18 +54,24 @@ func (n *Node) netRxCost(k int) sim.Time {
 	return cost
 }
 
-// deliverNetRx is the charge-free tail of one receive poll, run by
-// netRxMachine once the batch stack charge has elapsed: parse,
-// reassemble connection streams, wake readers, repost buffers. segs is
-// caller-owned scratch, returned for reuse.
-func (n *Node) deliverNetRx(recv *nic.RecvRing, fills []nic.Filled, segs []rxSeg) []rxSeg {
-	segs = segs[:0]
-	for _, f := range fills {
+// deliverNetRx is the charge-free tail of one receive poll, run once
+// the batch stack charge has elapsed: parse, reassemble connection
+// streams, wake readers, and repost the consumed buffers. Every
+// completion's buffer is reposted, in consumption order, including
+// the zero-length ones of dropped frames, so the ring cycles through
+// its setup stock (postRecvBuffers) and never touches a fresh page.
+// fills, segs and bds are the machine's scratch slices.
+func (m *netRxMachine) deliverNetRx() {
+	n := m.n
+	segs, bds := m.segs[:0], m.bds[:0]
+	for _, f := range m.fills {
+		bds = append(bds, nic.RecvBD{Addr: f.Addr, Len: hostRxBufLen})
 		if f.Cpl.HdrLen == 0 {
-			continue // undersized buffer: the NIC dropped the frame; reposted below
+			continue // undersized buffer: the NIC dropped the frame
 		}
 		// View: the payload is copied into c.stream before the
-		// buffer is reposted by postRecvBuffers below.
+		// buffer is reposted below. Reuse is invisible to timing,
+		// which never depends on a buffer's address.
 		frame := n.MM.View(f.Addr, int(f.Cpl.HdrLen)+int(f.Cpl.PayLen))
 		seg, err := ether.ParseView(frame)
 		if err != nil {
@@ -101,8 +107,11 @@ func (n *Node) deliverNetRx(recv *nic.RecvRing, fills []nic.Filled, segs []rxSeg
 		// Wake only this connection's readers, once per run.
 		c.avail.Broadcast()
 	}
-	n.postRecvBuffers(recv)
-	return segs
+	if err := m.recv.Post(bds); err != nil {
+		panic(err)
+	}
+	m.recv.RingDoorbell()
+	m.segs, m.bds = segs, bds
 }
 
 // netRxState enumerates where the handler receive service resumes.
@@ -123,6 +132,7 @@ type netRxMachine struct {
 	st    netRxState
 	fills []nic.Filled
 	segs  []rxSeg
+	bds   []nic.RecvBD
 	exec  hostos.ExecH
 }
 
@@ -149,7 +159,7 @@ func (m *netRxMachine) run(h *sim.HandlerCtx) {
 			if !m.exec.Step(h) {
 				return
 			}
-			m.segs = n.deliverNetRx(m.recv, m.fills, m.segs)
+			m.deliverNetRx()
 			m.st = nrPoll
 		}
 	}
@@ -159,6 +169,27 @@ func (m *netRxMachine) run(h *sim.HandlerCtx) {
 // available and consumes them, charging the receive-path costs (the
 // user-copy "gathering" of scattered packet payloads).
 func (n *Node) hostNetRecv(p *sim.Proc, bd *trace.Breakdown, connID uint64, want int) []byte {
+	out := n.awaitStream(p, bd, connID, want).takeStream(want)
+	n.finishRecv(p, bd, want)
+	return out
+}
+
+// hostNetRecvTo is hostNetRecv that lands the bytes at a bus address
+// (the contiguous buffer later ops DMA from). They go from the stream
+// straight into dst through MM.Write, so dst's write hook fires, and
+// the connection keeps its buffer.
+func (n *Node) hostNetRecvTo(p *sim.Proc, bd *trace.Breakdown, connID uint64, want int, dst mem.Addr) {
+	c := n.awaitStream(p, bd, connID, want)
+	n.MM.Write(dst, c.stream[c.rd:c.rd+want])
+	c.consumeStream(want)
+	n.finishRecv(p, bd, want)
+}
+
+// awaitStream charges a receive call's entry and blocks until want
+// bytes of the connection's stream are buffered. Before it waits it
+// reserves the bytes still missing, so the stream grows at most once
+// for this message.
+func (n *Node) awaitStream(p *sim.Proc, bd *trace.Breakdown, connID uint64, want int) *hostConn {
 	c, ok := n.conns[connID]
 	if !ok {
 		panic(fmt.Sprintf("core: recv on unknown conn %d", connID))
@@ -166,26 +197,26 @@ func (n *Node) hostNetRecv(p *sim.Proc, bd *trace.Breakdown, connID uint64, want
 	hp := n.Params.Host
 	n.Host.Exec(p, trace.CatNetStack, hp.SyscallEntry+hp.SockRecvSetup, bd)
 	start := p.Now()
+	if missing := want - c.streamLen(); missing > 0 {
+		c.reserveStream(missing)
+	}
 	for c.streamLen() < want {
 		c.avail.Wait(p)
 	}
 	bd.Add(trace.CatIdleWait, p.Now()-start)
-	out := c.takeStream(want)
+	return c
+}
+
+// finishRecv charges the rest of a receive call once its bytes are
+// consumed: the copy out of kernel buffers into the caller's
+// contiguous buffer, and the exit.
+func (n *Node) finishRecv(p *sim.Proc, bd *trace.Breakdown, want int) {
+	hp := n.Params.Host
 	if n.Kind == Vanilla {
 		n.Host.Exec(p, trace.CatSockBuf, hp.SockBufOp, bd)
 	}
-	// Copy out of kernel buffers into the caller's contiguous buffer.
 	n.Host.Copy(p, trace.CatDataCopy, want, bd)
 	n.Host.Exec(p, trace.CatNetStack, hp.SyscallExit, bd)
-	return out
-}
-
-// hostNetRecvTo is hostNetRecv that also lands the bytes at a bus
-// address (the contiguous buffer later ops DMA from).
-func (n *Node) hostNetRecvTo(p *sim.Proc, bd *trace.Breakdown, connID uint64, want int, dst mem.Addr) []byte {
-	data := n.hostNetRecv(p, bd, connID, want)
-	n.MM.Write(dst, data)
-	return data
 }
 
 // hostNetSend transmits nbytes from src (host DRAM, or GPU VRAM under
@@ -258,7 +289,11 @@ func (n *Node) sweepSendCompletions() {
 		ps.sig.Fire(nil)
 		k++
 	}
-	n.pendTx = n.pendTx[k:]
+	// Compact in place: reslicing the front would bleed capacity
+	// (DESIGN.md §11), and hostNetSend's append would reallocate.
+	m := copy(n.pendTx, n.pendTx[k:])
+	clear(n.pendTx[m:])
+	n.pendTx = n.pendTx[:m]
 }
 
 // waitSendCompleted blocks until the job's fetch completion; the IRQ

@@ -65,7 +65,11 @@ type Node struct {
 	rxWake   *sim.Cond
 	arena    *mem.Region // host DRAM staging buffers
 	arenaOff uint64
-	vramOff  uint64 // GPU staging ring cursor
+	// arenaFloor is where allocHost's ring restarts: the offsets below
+	// it hold the receive-buffer stock, which the NIC rings own for
+	// the node's lifetime (postRecvBuffers).
+	arenaFloor uint64
+	vramOff    uint64 // GPU staging ring cursor
 
 	adopted         bool  // engine connections taken over by the host
 	fallbacks       int64 // ops completed on the host-mediated path
@@ -97,11 +101,14 @@ type hostConn struct {
 }
 
 // reserveStream guarantees room for extra more unconsumed bytes,
-// compacting the consumed prefix and growing by doubling: Go's native
-// large-slice growth (~1.25x) plus the capacity bleed of reslicing on
-// consume made reassembly a top copy cost at 40 GbE. Segment-
-// granularity deliveries (deliverNetRx) reserve a whole frame run up
-// front so the compact/grow decision runs once per run, not per frame.
+// compacting the consumed prefix and growing to at least double the
+// capacity: Go's native large-slice growth (~1.25x) plus the capacity
+// bleed of reslicing on consume made reassembly a top copy cost at
+// 40 GbE. Two callers size it: a reader reserves the bytes its message
+// still misses before it waits (awaitStream), so after a hand-off
+// (takeStream) the buffer grows once, to the exact message size; and
+// deliverNetRx reserves each frame run up front, so bytes nobody waits
+// for yet grow it once per run, not per frame.
 func (c *hostConn) reserveStream(extra int) {
 	if len(c.stream)+extra > cap(c.stream) && c.rd > 0 {
 		m := copy(c.stream, c.stream[c.rd:])
@@ -109,14 +116,7 @@ func (c *hostConn) reserveStream(extra int) {
 		c.rd = 0
 	}
 	if need := len(c.stream) + extra; need > cap(c.stream) {
-		newCap := 2 * cap(c.stream)
-		if newCap < need {
-			newCap = need
-		}
-		if newCap < 4096 {
-			newCap = 4096
-		}
-		ns := make([]byte, len(c.stream), newCap)
+		ns := make([]byte, len(c.stream), max(need, 2*cap(c.stream)))
 		copy(ns, c.stream)
 		c.stream = ns
 	}
@@ -131,15 +131,29 @@ func (c *hostConn) pushStream(b []byte) {
 // streamLen returns the unconsumed byte count.
 func (c *hostConn) streamLen() int { return len(c.stream) - c.rd }
 
-// takeStream consumes want bytes into a fresh slice, preserving the
-// buffer's capacity for the next reassembly round.
+// takeStream consumes want bytes. A take that drains the stream from
+// offset 0 hands the caller the backing array itself, its capacity
+// clipped to want, and the connection drops it: later pushes land in a
+// fresh buffer, never in the caller's bytes. Any other take copies,
+// keeping the buffer's capacity for the next reassembly round.
 func (c *hostConn) takeStream(want int) []byte {
+	if c.rd == 0 && want == len(c.stream) {
+		out := c.stream[:want:want]
+		c.stream = nil
+		return out
+	}
 	out := append([]byte(nil), c.stream[c.rd:c.rd+want]...)
+	c.consumeStream(want)
+	return out
+}
+
+// consumeStream drops want bytes from the head of the stream; a
+// drained buffer rewinds and keeps its capacity.
+func (c *hostConn) consumeStream(want int) {
 	c.rd += want
 	if c.rd == len(c.stream) {
 		c.stream, c.rd = c.stream[:0], 0
 	}
-	return out
 }
 
 // TimelineEvent is a Figure 2-style trace point.
@@ -279,11 +293,12 @@ func (n *Node) allocVRAM(size uint64) mem.Addr {
 }
 
 // allocHost carves a staging buffer out of the node's DRAM arena.
-// The arena recycles in a ring: workloads bound their working set.
+// The arena recycles in a ring above arenaFloor: workloads bound their
+// working set.
 func (n *Node) allocHost(size uint64) mem.Addr {
 	size = (size + 4095) &^ 4095
 	if n.arenaOff+size > n.arena.Size {
-		n.arenaOff = 0
+		n.arenaOff = n.arenaFloor
 	}
 	a := n.arena.Base + mem.Addr(n.arenaOff)
 	n.arenaOff += size
@@ -362,6 +377,7 @@ func (n *Node) setupHostNIC() {
 		n.postRecvBuffers(recv)
 		recv.Arm()
 	}
+	n.arenaFloor = n.arenaOff
 	n.sendRing.Arm()
 }
 
@@ -374,19 +390,28 @@ func hostQID(q int) uint16 {
 	return uint16(q + 1) // 2, 3, 4, ...
 }
 
-// postRecvBuffers keeps a host receive ring stocked with MTU-sized
-// kernel buffers.
+// Host receive-buffer stock: one ring's worth of MTU-sized kernel
+// buffers (the ring holds one slot fewer than its 1024 entries), two
+// to each 4 KB arena page.
+const (
+	hostRxBufs   = 1023
+	hostRxBufLen = 2048
+)
+
+// postRecvBuffers stocks a host receive ring at setup. The stock is
+// carved from the arena below arenaFloor, so the staging ring never
+// reuses it; deliverNetRx reposts each buffer it consumes, so the
+// stock is every buffer the ring ever holds.
 func (n *Node) postRecvBuffers(r *nic.RecvRing) {
-	var bds []nic.RecvBD
-	for r.Unconsumed()+len(bds) < 1023 {
-		bds = append(bds, nic.RecvBD{Addr: n.allocHost(2048), Len: 2048})
+	base := n.allocHost(hostRxBufs * hostRxBufLen)
+	bds := make([]nic.RecvBD, hostRxBufs)
+	for i := range bds {
+		bds[i] = nic.RecvBD{Addr: base + mem.Addr(i*hostRxBufLen), Len: hostRxBufLen}
 	}
-	if len(bds) > 0 {
-		if err := r.Post(bds); err != nil {
-			panic(err)
-		}
-		r.RingDoorbell()
+	if err := r.Post(bds); err != nil {
+		panic(err)
 	}
+	r.RingDoorbell()
 }
 
 // writebackPage flushes one dirty page to the SSD via the host NVMe

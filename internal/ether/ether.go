@@ -8,6 +8,7 @@ package ether
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Frame geometry.
@@ -310,23 +311,47 @@ func tcpChecksum(src, dst IP, tcp []byte) uint16 {
 	return onesComplement(sum16(tcp, sum16(pseudo[:], 0)))
 }
 
+// sum16 returns the ones'-complement sum of b's big-endian 16-bit
+// words (a trailing odd byte is padded with a zero) plus acc, folded
+// to 16 bits. It adds little-endian 64-bit words with end-around carry,
+// 32 bytes per iteration, then folds and byte-swaps the sum: the sum is
+// byte-order independent up to that swap (RFC 1071 §2(B)), and 2^16 ≡ 1
+// modulo 0xFFFF makes the 64-bit word sum congruent to the 16-bit one
+// (§2(C)). A non-zero input never folds to zero, so the result is the
+// same representative the plain 16-bit loop folds to; every caller
+// folds through onesComplement.
 func sum16(b []byte, acc uint32) uint32 {
-	// Fold four big-endian words per 8-byte load. uint32 addition is
-	// associative and commutative mod 2^32, so any regrouping of the
-	// word sums — including this one — is bit-identical to the
-	// two-bytes-at-a-time loop below.
+	var s, c uint64
+	for len(b) >= 32 {
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[8:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[16:]), c)
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b[24:]), c)
+		b = b[32:]
+	}
 	for len(b) >= 8 {
-		v := binary.BigEndian.Uint64(b)
-		acc += uint32(v>>48) + uint32(v>>32)&0xFFFF + uint32(v>>16)&0xFFFF + uint32(v)&0xFFFF
+		s, c = bits.Add64(s, binary.LittleEndian.Uint64(b), c)
 		b = b[8:]
 	}
-	for i := 0; i+1 < len(b); i += 2 {
-		acc += uint32(binary.BigEndian.Uint16(b[i : i+2]))
+	var tail uint64 // at most 7 bytes, little-endian
+	for i := len(b) - 1; i >= 0; i-- {
+		tail = tail<<8 | uint64(b[i])
 	}
-	if len(b)%2 == 1 {
-		acc += uint32(b[len(b)-1]) << 8
+	s, c = bits.Add64(s, tail, c)
+	s, c = bits.Add64(s, 0, c)
+	s += c
+	s = fold16(s)
+	return uint32(fold16(uint64(bits.ReverseBytes16(uint16(s))) + uint64(acc)))
+}
+
+// fold16 reduces a ones'-complement sum to 16 bits with end-around
+// carry; it maps zero to zero and any other value to [1, 0xFFFF].
+func fold16(s uint64) uint64 {
+	s = s>>32 + s&0xFFFFFFFF
+	for s>>16 != 0 {
+		s = s>>16 + s&0xFFFF
 	}
-	return acc
+	return s
 }
 
 func onesComplement(sum uint32) uint16 {
