@@ -13,7 +13,7 @@ import (
 // produce a byte-identical fingerprint whether the measured phase
 // continues from an in-process warm phase or from a restored
 // checkpoint of that warm phase. Engine-fail profiles are excluded by
-// design: a dead command parser cannot be checkpointed (SnapSave
+// design: a dead command parser cannot be checkpointed (Engine.Snap
 // rejects it), so such runs always go straight through.
 func TestWarmForkEquivalenceMatrix(t *testing.T) {
 	kinds := []core.Config{core.DCSCtrl, core.SWOpt}

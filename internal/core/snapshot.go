@@ -14,7 +14,8 @@ import (
 // memory images, device cursors, per-connection stream state — in a
 // versioned, length-prefixed, digest-trailed binary format whose
 // encode order is fully deterministic (map state goes through
-// sim.SortedKeys everywhere).
+// sim.SortedKeys or sim.SnapMap everywhere). Each object describes
+// its state once, in a Snap method that both saves and loads.
 //
 // Restore never rebuilds processes from bytes. The caller constructs
 // a fresh cluster from the identical configuration, replays the
@@ -26,50 +27,17 @@ import (
 
 // Snapshot serializes the cluster at a quiescent instant.
 func (c *Cluster) Snapshot() ([]byte, error) {
-	if !c.Env.Quiescent() {
-		return nil, fmt.Errorf("core: snapshot of non-quiescent cluster")
-	}
 	es, err := c.Env.CheckpointState()
 	if err != nil {
 		return nil, err
 	}
-	w := snap.NewWriter(snap.Header{
+	sc := snap.NewSaver(snap.Header{
 		Version: snap.Version,
 		Flags:   c.snapFlags(),
 		Config:  c.ConfigFingerprint(),
 	})
-
-	w.Section("env")
-	w.I64(int64(es.Now))
-	w.U64(es.Seq)
-	w.U64(es.Steps)
-	w.U64(es.Fused)
-	w.U64(es.IOs)
-	w.U64(es.Segments)
-	w.U64(es.SegFrames)
-	w.EndSection()
-
-	w.Section("cluster")
-	w.U64(c.nextConn)
-	w.U64(c.ports.Allocated())
-	w.EndSection()
-
-	w.Section("fault")
-	inj := c.Server.Params.Faults
-	w.Bool(inj != nil)
-	if inj != nil {
-		if err := inj.SnapSave(w); err != nil {
-			return nil, err
-		}
-	}
-	w.EndSection()
-
-	for _, n := range []*Node{c.Server, c.Client} {
-		if err := n.snapSave(w); err != nil {
-			return nil, err
-		}
-	}
-	return w.Finish(), nil
+	c.snap(sc, &es)
+	return sc.Finish()
 }
 
 // Restore overlays a snapshot onto a freshly built, identically
@@ -90,7 +58,7 @@ func (c *Cluster) restore(data []byte, verify bool) error {
 	if verify {
 		open = snap.Open
 	}
-	r, h, err := open(data)
+	sc, h, err := open(data)
 	if err != nil {
 		return err
 	}
@@ -100,64 +68,43 @@ func (c *Cluster) restore(data []byte, verify bool) error {
 	if h.Config != c.ConfigFingerprint() {
 		return fmt.Errorf("core: snapshot config %#x, cluster is %#x (configuration differs)", h.Config, c.ConfigFingerprint())
 	}
-
-	if err := r.Section("env"); err != nil {
+	var es sim.EnvState
+	c.snap(sc, &es)
+	if err := sc.Err(); err != nil {
 		return err
 	}
-	es := sim.EnvState{
-		Now: sim.Time(r.I64()), Seq: r.U64(), Steps: r.U64(),
-		Fused: r.U64(), IOs: r.U64(), Segments: r.U64(), SegFrames: r.U64(),
-	}
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-
-	if err := r.Section("cluster"); err != nil {
-		return err
-	}
-	nextConn, alloced := r.U64(), r.U64()
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-	if nextConn != c.nextConn {
-		return fmt.Errorf("core: snapshot has %d connections opened, cluster has %d (setup differs)", nextConn-1, c.nextConn-1)
-	}
-	if alloced != c.ports.Allocated() {
-		return fmt.Errorf("core: snapshot allocated %d port pairs, cluster %d (setup differs)", alloced, c.ports.Allocated())
-	}
-
-	if err := r.Section("fault"); err != nil {
-		return err
-	}
-	hasInj := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasInj != (c.Server.Params.Faults != nil) {
-		return fmt.Errorf("core: snapshot fault injection %v, cluster %v", hasInj, c.Server.Params.Faults != nil)
-	}
-	if hasInj {
-		if err := c.Server.Params.Faults.SnapLoad(r); err != nil {
-			return err
-		}
-	}
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-
-	for _, n := range []*Node{c.Server, c.Client} {
-		if err := n.snapLoad(r); err != nil {
-			return err
-		}
-	}
-	// The overlays above prime worker pools (SSD exec, async DMA) by
-	// spawning workers that park on their job queues; settle those
-	// spawn events now so every pool reaches its checkpointed
-	// population. Forcing the kernel counters comes last: it erases
-	// the settle dispatches from the clock and counters, and a failed
-	// restore leaves the clock untouched.
+	// The overlay primes worker pools (SSD exec, async DMA) by spawning
+	// workers that park on their job queues; settle those spawn events
+	// now so every pool reaches its checkpointed population. Forcing
+	// the kernel counters comes last: it erases the settle dispatches
+	// from the clock and counters, and a failed restore leaves the
+	// clock untouched.
 	c.Env.Run(-1)
 	return c.Env.ForceCheckpointState(es)
+}
+
+// snap codes the cluster: kernel counters, setup cursors, the fault
+// injector, then each node.
+func (c *Cluster) snap(sc *snap.Codec, es *sim.EnvState) {
+	sc.Section("env")
+	es.Snap(sc)
+	sc.EndSection()
+
+	sc.Section("cluster")
+	snap.Check(sc, "connections opened", c.nextConn, sc.U64)
+	snap.Check(sc, "port pairs allocated", c.ports.Allocated(), sc.U64)
+	sc.EndSection()
+
+	sc.Section("fault")
+	inj := c.Server.Params.Faults
+	snap.Check(sc, "fault injection", inj != nil, sc.Bool)
+	if inj != nil {
+		inj.Snap(sc)
+	}
+	sc.EndSection()
+
+	c.Server.snap(sc)
+	c.Client.snap(sc)
 }
 
 // snapFlags encodes the kernel knobs the schedule depends on; a
@@ -184,352 +131,102 @@ func (c *Cluster) ConfigFingerprint() uint64 {
 		c.Server.Params.EngineNICQueues, c.Server.Params.HostArenaBytes, prof))
 }
 
-// snapSave encodes one node, one section per subsystem, in fixed
-// order. Section names are prefixed with the node name so server and
-// client state can never be transposed.
-func (n *Node) snapSave(w *snap.Writer) error {
-	sec := func(s string) { w.Section(n.Name + "." + s) }
+// snap codes one node, one section per subsystem, in fixed order.
+// Section names are prefixed with the node name so server and client
+// state can never be transposed.
+func (n *Node) snap(c *snap.Codec) {
+	sec := func(s string) { c.Section(n.Name + "." + s) }
 
 	sec("node")
-	if err := n.saveNodeState(w); err != nil {
-		return err
-	}
-	w.EndSection()
+	n.snapState(c)
+	c.EndSection()
 
 	sec("mem")
-	if err := n.MM.SnapSave(w); err != nil {
-		return fmt.Errorf("%s: %w", n.Name, err)
-	}
-	w.EndSection()
+	n.MM.Snap(c)
+	c.EndSection()
 
 	sec("host")
-	if err := n.Host.SnapSave(w); err != nil {
-		return fmt.Errorf("%s: %w", n.Name, err)
-	}
-	w.EndSection()
+	n.Host.Snap(c)
+	c.EndSection()
 
 	sec("fs")
-	w.U32(uint32(len(n.FSs)))
+	snap.Check(c, "filesystems", uint32(len(n.FSs)), c.U32)
 	for _, fs := range n.FSs {
-		if err := fs.SnapSave(w); err != nil {
-			return fmt.Errorf("%s: %w", n.Name, err)
-		}
+		fs.Snap(c)
 	}
-	w.EndSection()
+	c.EndSection()
 
 	sec("ssd")
-	w.U32(uint32(len(n.SSDs)))
+	snap.Check(c, "SSDs", uint32(len(n.SSDs)), c.U32)
 	for _, ssd := range n.SSDs {
-		if err := ssd.SnapSave(w); err != nil {
-			return fmt.Errorf("%s: %w", n.Name, err)
-		}
+		ssd.Snap(c)
 	}
-	w.EndSection()
+	c.EndSection()
 
 	sec("pcie")
-	if err := n.Fab.SnapSave(w); err != nil {
-		return fmt.Errorf("%s: %w", n.Name, err)
-	}
-	w.EndSection()
+	n.Fab.Snap(c, n.NIC.RxDMATagSlots())
+	c.EndSection()
 
 	sec("nic")
-	if err := n.NIC.SnapSave(w); err != nil {
-		return err
-	}
-	w.EndSection()
+	n.NIC.Snap(c)
+	c.EndSection()
 
 	sec("rings")
 	if len(n.pendTx) != 0 {
-		return fmt.Errorf("core: %s: checkpoint with %d unswept transmit jobs", n.Name, len(n.pendTx))
+		c.Failf("%d unswept transmit jobs", len(n.pendTx))
 	}
-	w.U32(uint32(len(n.nvmeRings)))
+	snap.Check(c, "NVMe rings", uint32(len(n.nvmeRings)), c.U32)
 	for _, ring := range n.nvmeRings {
-		if err := ring.SnapSave(w); err != nil {
-			return fmt.Errorf("%s: %w", n.Name, err)
-		}
+		ring.Snap(c)
 	}
-	if err := n.sendRing.SnapSave(w); err != nil {
-		return err
-	}
-	w.U32(uint32(len(n.recvRings)))
+	n.sendRing.Snap(c)
+	snap.Check(c, "receive rings", uint32(len(n.recvRings)), c.U32)
 	for _, rr := range n.recvRings {
-		if err := rr.SnapSave(w); err != nil {
-			return err
-		}
+		rr.Snap(c)
 	}
-	w.EndSection()
+	c.EndSection()
 
 	sec("gpu")
-	w.Bool(n.GPU != nil)
+	snap.Check(c, "GPU presence", n.GPU != nil, c.Bool)
 	if n.GPU != nil {
-		if err := n.GPU.SnapSave(w); err != nil {
-			return err
-		}
+		n.GPU.Snap(c)
 	}
-	w.EndSection()
+	c.EndSection()
 
 	sec("hdc")
-	w.Bool(n.Engine != nil)
+	snap.Check(c, "engine presence", n.Engine != nil, c.Bool)
 	if n.Engine != nil {
-		if err := n.Engine.SnapSave(w); err != nil {
-			return err
-		}
-		if err := n.Driver.SnapSave(w); err != nil {
-			return err
-		}
+		n.Engine.Snap(c)
+		n.Driver.Snap(c)
 	}
-	w.EndSection()
-	return nil
+	c.EndSection()
 }
 
-// saveNodeState encodes the node-local software state: host-stack
+// snapState codes the node-local software state: host-stack
 // connections (sequence numbers plus the unconsumed reassembled
 // stream), staging-arena cursors, fallback/retry counters, and the
 // receive-wake park order (park order is wake order; see
-// sim.Cond.WaiterNames).
-func (n *Node) saveNodeState(w *snap.Writer) error {
-	w.Bool(n.adopted)
-	w.I64(n.fallbacks)
-	w.I64(n.hostNVMeRetries)
-	w.U64(n.arenaOff)
-	w.U64(n.vramOff)
-	w.Int(n.nextDev)
-	w.Int(n.nextRSS)
-
+// sim.Cond.SnapWaiters).
+func (n *Node) snapState(c *snap.Codec) {
+	c.Bool(&n.adopted)
+	c.I64(&n.fallbacks)
+	c.I64(&n.hostNVMeRetries)
+	c.U64(&n.arenaOff)
+	c.U64(&n.vramOff)
+	snap.Check(c, "file-placement cursor", n.nextDev, c.Int)
+	snap.Check(c, "RSS cursor", n.nextRSS, c.Int)
 	ids := sim.SortedKeys(n.conns)
-	w.U32(uint32(len(ids)))
+	snap.Check(c, "host connections", uint32(len(ids)), c.U32)
 	for _, id := range ids {
 		cn := n.conns[id]
-		w.U64(id)
-		w.U32(cn.txSeq)
-		w.U32(cn.rxSeq)
-		w.Bytes(cn.stream[cn.rd:])
-	}
-
-	names := n.rxWake.WaiterNames()
-	w.U32(uint32(len(names)))
-	for _, name := range names {
-		w.Str(name)
-	}
-	return nil
-}
-
-// snapLoad decodes one node, verifying that setup-determined
-// structure matches before overlaying captured state.
-func (n *Node) snapLoad(r *snap.Reader) error {
-	sec := func(s string) error { return r.Section(n.Name + "." + s) }
-
-	if err := sec("node"); err != nil {
-		return err
-	}
-	if err := n.loadNodeState(r); err != nil {
-		return err
-	}
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-
-	if err := sec("mem"); err != nil {
-		return err
-	}
-	if err := n.MM.SnapLoad(r); err != nil {
-		return fmt.Errorf("%s: %w", n.Name, err)
-	}
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-
-	if err := sec("host"); err != nil {
-		return err
-	}
-	if err := n.Host.SnapLoad(r); err != nil {
-		return fmt.Errorf("%s: %w", n.Name, err)
-	}
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-
-	if err := sec("fs"); err != nil {
-		return err
-	}
-	nFS := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nFS != len(n.FSs) {
-		return fmt.Errorf("core: %s: snapshot has %d filesystems, node has %d", n.Name, nFS, len(n.FSs))
-	}
-	for _, fs := range n.FSs {
-		if err := fs.SnapLoad(r); err != nil {
-			return fmt.Errorf("%s: %w", n.Name, err)
+		snap.Check(c, "host connection", id, c.U64)
+		c.U32(&cn.txSeq)
+		c.U32(&cn.rxSeq)
+		stream := cn.stream[cn.rd:]
+		c.Bytes(&stream)
+		if c.Loading() {
+			cn.stream, cn.rd = stream, 0
 		}
 	}
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-
-	if err := sec("ssd"); err != nil {
-		return err
-	}
-	nSSD := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nSSD != len(n.SSDs) {
-		return fmt.Errorf("core: %s: snapshot has %d SSDs, node has %d", n.Name, nSSD, len(n.SSDs))
-	}
-	for _, ssd := range n.SSDs {
-		if err := ssd.SnapLoad(r); err != nil {
-			return fmt.Errorf("%s: %w", n.Name, err)
-		}
-	}
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-
-	if err := sec("pcie"); err != nil {
-		return err
-	}
-	if err := n.Fab.SnapLoad(r); err != nil {
-		return fmt.Errorf("%s: %w", n.Name, err)
-	}
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-
-	if err := sec("nic"); err != nil {
-		return err
-	}
-	if err := n.NIC.SnapLoad(r); err != nil {
-		return err
-	}
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-
-	if err := sec("rings"); err != nil {
-		return err
-	}
-	nRings := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nRings != len(n.nvmeRings) {
-		return fmt.Errorf("core: %s: snapshot has %d NVMe rings, node has %d", n.Name, nRings, len(n.nvmeRings))
-	}
-	for _, ring := range n.nvmeRings {
-		if err := ring.SnapLoad(r); err != nil {
-			return fmt.Errorf("%s: %w", n.Name, err)
-		}
-	}
-	if err := n.sendRing.SnapLoad(r); err != nil {
-		return err
-	}
-	nRR := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nRR != len(n.recvRings) {
-		return fmt.Errorf("core: %s: snapshot has %d receive rings, node has %d", n.Name, nRR, len(n.recvRings))
-	}
-	for _, rr := range n.recvRings {
-		if err := rr.SnapLoad(r); err != nil {
-			return err
-		}
-	}
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-
-	if err := sec("gpu"); err != nil {
-		return err
-	}
-	hasGPU := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasGPU != (n.GPU != nil) {
-		return fmt.Errorf("core: %s: snapshot GPU presence %v, node %v", n.Name, hasGPU, n.GPU != nil)
-	}
-	if hasGPU {
-		if err := n.GPU.SnapLoad(r); err != nil {
-			return err
-		}
-	}
-	if err := r.EndSection(); err != nil {
-		return err
-	}
-
-	if err := sec("hdc"); err != nil {
-		return err
-	}
-	hasHDC := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasHDC != (n.Engine != nil) {
-		return fmt.Errorf("core: %s: snapshot engine presence %v, node %v", n.Name, hasHDC, n.Engine != nil)
-	}
-	if hasHDC {
-		if err := n.Engine.SnapLoad(r); err != nil {
-			return err
-		}
-		if err := n.Driver.SnapLoad(r); err != nil {
-			return err
-		}
-	}
-	return r.EndSection()
-}
-
-func (n *Node) loadNodeState(r *snap.Reader) error {
-	n.adopted = r.Bool()
-	n.fallbacks = r.I64()
-	n.hostNVMeRetries = r.I64()
-	n.arenaOff = r.U64()
-	n.vramOff = r.U64()
-	nextDev, nextRSS := r.Int(), r.Int()
-	nConn := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nextDev != n.nextDev {
-		return fmt.Errorf("core: %s: snapshot file-placement cursor %d, node %d (setup differs)", n.Name, nextDev, n.nextDev)
-	}
-	if nextRSS != n.nextRSS {
-		return fmt.Errorf("core: %s: snapshot RSS cursor %d, node %d (setup differs)", n.Name, nextRSS, n.nextRSS)
-	}
-	if nConn != len(n.conns) {
-		return fmt.Errorf("core: %s: snapshot has %d host connections, node has %d", n.Name, nConn, len(n.conns))
-	}
-	for i := 0; i < nConn; i++ {
-		id := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		cn, ok := n.conns[id]
-		if !ok {
-			return fmt.Errorf("core: %s: snapshot connection %d absent on node", n.Name, id)
-		}
-		cn.txSeq = r.U32()
-		cn.rxSeq = r.U32()
-		stream := r.Bytes()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		cn.stream = append(cn.stream[:0], stream...)
-		cn.rd = 0
-	}
-
-	nNames := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	names := make([]string, nNames)
-	for i := range names {
-		names[i] = r.Str()
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return n.rxWake.ReorderWaiters(names)
+	n.rxWake.SnapWaiters(c)
 }

@@ -1,14 +1,16 @@
 package ether
 
-// Checkpoint accessors (DESIGN.md §17). The flow state machine's two
+import "dcsctrl/internal/sim/snap"
+
+// Checkpoint support (DESIGN.md §17). The flow state machine's two
 // fields are schedule state — the phase decides whether the next burst
-// collapses to a flow segment — so checkpoints must carry them. The
-// package stays codec-free; the NIC snapshot encodes the pair.
+// collapses to a flow segment — so checkpoints must carry them.
 
-// CheckpointFlow returns the machine's phase and ramp run count.
-func (s *FlowState) CheckpointFlow() (FlowPhase, int) { return s.phase, s.runs }
-
-// RestoreFlow overlays a captured phase and ramp run count.
-func (s *FlowState) RestoreFlow(phase FlowPhase, runs int) {
-	s.phase, s.runs = phase, runs
+// Snap codes the machine's phase and ramp run count.
+func (s *FlowState) Snap(c *snap.Codec) {
+	c.Int((*int)(&s.phase))
+	c.Int(&s.runs)
+	if s.phase < FlowIdle || s.phase > FlowDrain {
+		c.Failf("flow phase %d out of range", s.phase)
+	}
 }

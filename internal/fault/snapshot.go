@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"fmt"
-
-	"dcsctrl/internal/sim/snap"
-)
+import "dcsctrl/internal/sim/snap"
 
 // Checkpoint support (DESIGN.md §17). The injector's schedule (seed +
 // profile) is configuration — the restore target is built with the
@@ -13,64 +9,21 @@ import (
 // the registered site list (stable order), never the streams map, so
 // encode order cannot leak map iteration order.
 
-// SnapSection implements snap.Snapshotter.
-func (in *Injector) SnapSection() string { return "fault" }
-
-// SnapSave encodes the per-site stream positions. Sites without a
-// stream (absent from the profile) encode a presence bit of zero.
-func (in *Injector) SnapSave(w *snap.Writer) error {
-	w.U64(in.seed)
-	w.Str(in.profile.Name)
+// Snap codes the per-site stream positions. Sites without a stream
+// (absent from the profile) encode a presence bit of zero.
+func (in *Injector) Snap(c *snap.Codec) {
+	snap.Check(c, "injector seed", in.seed, c.U64)
+	snap.Check(c, "injector profile", in.profile.Name, c.Str)
 	sites := Sites()
-	w.U32(uint32(len(sites)))
+	snap.Check(c, "fault sites", uint32(len(sites)), c.U32)
 	for _, s := range sites {
-		w.Str(string(s))
+		snap.Check(c, "fault site", string(s), c.Str)
 		st, ok := in.streams[s]
-		w.Bool(ok)
+		snap.Check(c, string(s)+" stream presence", ok, c.Bool)
 		if ok {
-			w.U64(st.state)
-			w.I64(st.draws)
-			w.I64(st.hits)
+			c.U64(&st.state)
+			c.I64(&st.draws)
+			c.I64(&st.hits)
 		}
 	}
-	return nil
-}
-
-// SnapLoad overlays the captured stream positions onto an injector
-// built from the identical (seed, profile).
-func (in *Injector) SnapLoad(r *snap.Reader) error {
-	seed := r.U64()
-	profName := r.Str()
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if seed != in.seed || profName != in.profile.Name {
-		return fmt.Errorf("fault: snapshot injector (seed=%d profile=%q), target (seed=%d profile=%q)",
-			seed, profName, in.seed, in.profile.Name)
-	}
-	sites := Sites()
-	if n != len(sites) {
-		return fmt.Errorf("fault: snapshot has %d sites, build registers %d", n, len(sites))
-	}
-	for _, s := range sites {
-		name := r.Str()
-		present := r.Bool()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if name != string(s) {
-			return fmt.Errorf("fault: snapshot site %q, build registers %q", name, s)
-		}
-		st, ok := in.streams[s]
-		if present != ok {
-			return fmt.Errorf("fault: site %q stream presence mismatch (snapshot=%v target=%v)", s, present, ok)
-		}
-		if present {
-			st.state = r.U64()
-			st.draws = r.I64()
-			st.hits = r.I64()
-		}
-	}
-	return r.Err()
 }

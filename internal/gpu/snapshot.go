@@ -1,38 +1,15 @@
 package gpu
 
-import (
-	"fmt"
-
-	"dcsctrl/internal/sim"
-	"dcsctrl/internal/sim/snap"
-)
+import "dcsctrl/internal/sim/snap"
 
 // Checkpoint support (DESIGN.md §17). A quiescent GPU runs no kernel
 // and no copy, so the state is the two resource accumulators and the
 // counters. VRAM content is captured by the memory-map snapshot.
 
-// SnapSave encodes the device state.
-func (g *GPU) SnapSave(w *snap.Writer) error {
-	if err := sim.CheckpointAccumInto(w, g.copyEng); err != nil {
-		return fmt.Errorf("gpu: %s: %w", g.Name, err)
-	}
-	if err := sim.CheckpointAccumInto(w, g.smUnits); err != nil {
-		return fmt.Errorf("gpu: %s: %w", g.Name, err)
-	}
-	w.I64(g.kernels)
-	w.I64(g.copied)
-	return nil
-}
-
-// SnapLoad overlays the captured state onto an idle GPU.
-func (g *GPU) SnapLoad(r *snap.Reader) error {
-	if err := sim.RestoreAccumFrom(r, g.copyEng); err != nil {
-		return err
-	}
-	if err := sim.RestoreAccumFrom(r, g.smUnits); err != nil {
-		return err
-	}
-	g.kernels = r.I64()
-	g.copied = r.I64()
-	return r.Err()
+// Snap codes the device state.
+func (g *GPU) Snap(c *snap.Codec) {
+	g.copyEng.Snap(c)
+	g.smUnits.Snap(c)
+	c.I64(&g.kernels)
+	c.I64(&g.copied)
 }

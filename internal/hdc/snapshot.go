@@ -1,9 +1,8 @@
 package hdc
 
 import (
-	"fmt"
+	"slices"
 
-	"dcsctrl/internal/mem"
 	"dcsctrl/internal/sim"
 	"dcsctrl/internal/sim/snap"
 )
@@ -19,256 +18,114 @@ import (
 // ring cursors, the BRAM header-slot rotation, and counters.
 // Setup-determined structure — controller lists, connection
 // ownership, NDP streamers, AES keys — is rebuilt by running the
-// identical configuration and only verified here.
+// identical configuration and only checked here.
 
-// SnapSave encodes the engine state. Controllers iterate in
-// attachment order, connections in sorted-ID order.
-func (e *Engine) SnapSave(w *snap.Writer) error {
-	if e.dead {
-		return fmt.Errorf("hdc: %s: checkpoint of a failed engine is unsupported", e.name)
+// Snap codes the engine state. Controllers iterate in attachment
+// order, connections in sorted-ID order.
+func (e *Engine) Snap(c *snap.Codec) {
+	switch {
+	case e.dead:
+		c.Failf("%s: checkpoint of a failed engine is unsupported", e.name)
+	case e.cmdHead != e.cmdTail:
+		c.Failf("%s: unparsed commands (head=%d tail=%d)", e.name, e.cmdHead, e.cmdTail)
+	case e.kickQueued:
+		c.Failf("%s: a queued parser kick", e.name)
+	case len(e.submitted) != 0 || len(e.finished) != 0:
+		c.Failf("%s: %d submitted / %d finished commands in flight", e.name, len(e.submitted), len(e.finished))
+	case e.sb.live != 0 || len(e.sb.pendDone) != 0:
+		c.Failf("%s: %d live / %d retiring scoreboard entries", e.name, e.sb.live, len(e.sb.pendDone))
 	}
-	if e.cmdHead != e.cmdTail {
-		return fmt.Errorf("hdc: %s: checkpoint with unparsed commands (head=%d tail=%d)", e.name, e.cmdHead, e.cmdTail)
+	c.U64(&e.cmdTail)
+	if c.Loading() {
+		e.cmdHead = e.cmdTail
 	}
-	if e.kickQueued {
-		return fmt.Errorf("hdc: %s: checkpoint with a queued parser kick", e.name)
+	c.U64(&e.cplCount)
+	c.I64(&e.cmdsDone)
+	snap.Check(c, "NIC round-robin cursor", e.nextNICRR, c.Int)
+	snap.Check(c, "connections", uint32(len(e.connOwner)), c.U32)
+	e.chunks.Snap(c)
+	e.recvPool.Snap(c)
+	c.I64(&e.sb.issued)
+	c.I64(&e.sb.done)
+	c.Int(&e.sb.maxLive)
+	snap.Check(c, "NVMe controllers", uint32(len(e.nvmeCtls)), c.U32)
+	for _, ctl := range e.nvmeCtls {
+		ctl.snap(c)
 	}
-	if len(e.submitted) != 0 || len(e.finished) != 0 {
-		return fmt.Errorf("hdc: %s: checkpoint with %d submitted / %d finished commands in flight",
-			e.name, len(e.submitted), len(e.finished))
+	snap.Check(c, "NIC controllers", uint32(len(e.nicCtls)), c.U32)
+	for _, ctl := range e.nicCtls {
+		ctl.snap(c)
 	}
-	if e.sb.live != 0 || len(e.sb.pendDone) != 0 {
-		return fmt.Errorf("hdc: %s: checkpoint with %d live / %d retiring scoreboard entries",
-			e.name, e.sb.live, len(e.sb.pendDone))
-	}
-	w.U64(e.cmdTail)
-	w.U64(e.cplCount)
-	w.I64(e.cmdsDone)
-	w.Int(e.nextNICRR)
-	w.U32(uint32(len(e.connOwner))) // setup-determined; verified at load
-	if err := e.chunks.SnapSave(w); err != nil {
-		return fmt.Errorf("hdc: %s chunks: %w", e.name, err)
-	}
-	if err := e.recvPool.SnapSave(w); err != nil {
-		return fmt.Errorf("hdc: %s recvPool: %w", e.name, err)
-	}
-	w.I64(e.sb.issued)
-	w.I64(e.sb.done)
-	w.Int(e.sb.maxLive)
-
-	w.U32(uint32(len(e.nvmeCtls)))
-	for _, c := range e.nvmeCtls {
-		if err := c.snapSave(w); err != nil {
-			return err
-		}
-	}
-	w.U32(uint32(len(e.nicCtls)))
-	for _, c := range e.nicCtls {
-		if err := c.snapSave(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-// SnapLoad overlays the captured state onto a freshly built engine
-// with the identical device attachments and registered connections.
-func (e *Engine) SnapLoad(r *snap.Reader) error {
-	tail := r.U64()
-	e.cplCount = r.U64()
-	e.cmdsDone = r.I64()
-	rr := r.Int()
-	nConn := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	e.cmdHead, e.cmdTail = tail, tail
-	if rr != e.nextNICRR {
-		return fmt.Errorf("hdc: %s: snapshot NIC round-robin cursor %d, engine has %d (connection setup differs)",
-			e.name, rr, e.nextNICRR)
-	}
-	if nConn != len(e.connOwner) {
-		return fmt.Errorf("hdc: %s: snapshot has %d connections, engine has %d", e.name, nConn, len(e.connOwner))
-	}
-	if err := e.chunks.SnapLoad(r); err != nil {
-		return err
-	}
-	if err := e.recvPool.SnapLoad(r); err != nil {
-		return err
-	}
-	e.sb.issued = r.I64()
-	e.sb.done = r.I64()
-	e.sb.maxLive = r.Int()
-
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(e.nvmeCtls) {
-		return fmt.Errorf("hdc: %s: snapshot has %d NVMe controllers, engine has %d", e.name, n, len(e.nvmeCtls))
-	}
-	for _, c := range e.nvmeCtls {
-		if err := c.snapLoad(r); err != nil {
-			return err
-		}
-	}
-	n = int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(e.nicCtls) {
-		return fmt.Errorf("hdc: %s: snapshot has %d NIC controllers, engine has %d", e.name, n, len(e.nicCtls))
-	}
-	for _, c := range e.nicCtls {
-		if err := c.snapLoad(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
-func (c *NVMeCtrl) snapSave(w *snap.Writer) error {
+func (c *NVMeCtrl) snap(sc *snap.Codec) {
 	if l := c.reqQ.Len(); l != 0 {
-		return fmt.Errorf("hdc: checkpoint with %d queued NVMe requests", l)
+		sc.Failf("%d queued NVMe requests", l)
 	}
-	w.Int(c.prpNext)
-	w.I64(c.cmds)
-	w.I64(c.retries)
-	return c.ring.SnapSave(w)
+	sc.Int(&c.prpNext)
+	sc.I64(&c.cmds)
+	sc.I64(&c.retries)
+	c.ring.Snap(sc)
 }
 
-func (c *NVMeCtrl) snapLoad(r *snap.Reader) error {
-	c.prpNext = r.Int()
-	c.cmds = r.I64()
-	c.retries = r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	return c.ring.SnapLoad(r)
-}
-
-func (c *NICCtrl) snapSave(w *snap.Writer) error {
-	if l := c.sendQ.Len(); l != 0 {
-		return fmt.Errorf("hdc: q%d: checkpoint with %d queued sends", c.qid, l)
-	}
-	if l := c.recvQ.Len(); l != 0 {
-		return fmt.Errorf("hdc: q%d: checkpoint with %d queued receives", c.qid, l)
-	}
-	if len(c.pendTx) != 0 {
-		return fmt.Errorf("hdc: q%d: checkpoint with %d unacknowledged transmits", c.qid, len(c.pendTx))
-	}
-	w.Int(c.hdrNext)
-	w.I64(c.sendJobs)
-	w.I64(c.recvPkts)
-	w.I64(c.gatheredBytes)
-	if err := c.send.SnapSave(w); err != nil {
-		return err
-	}
-	if err := c.recv.SnapSave(w); err != nil {
-		return err
-	}
+func (c *NICCtrl) snap(sc *snap.Codec) {
 	ids := sim.SortedKeys(c.conns)
-	w.U32(uint32(len(ids)))
+	switch {
+	case c.sendQ.Len() != 0:
+		sc.Failf("q%d: %d queued sends", c.qid, c.sendQ.Len())
+	case c.recvQ.Len() != 0:
+		sc.Failf("q%d: %d queued receives", c.qid, c.recvQ.Len())
+	case len(c.pendTx) != 0:
+		sc.Failf("q%d: %d unacknowledged transmits", c.qid, len(c.pendTx))
+	}
+	for _, id := range ids {
+		if c.conns[id].waiter != nil {
+			sc.Failf("q%d: a receive waiter on connection %d", c.qid, id)
+		}
+	}
+	sc.Int(&c.hdrNext)
+	sc.I64(&c.sendJobs)
+	sc.I64(&c.recvPkts)
+	sc.I64(&c.gatheredBytes)
+	c.send.Snap(sc)
+	c.recv.Snap(sc)
+	snap.Check(sc, "connections", uint32(len(ids)), sc.U32)
 	for _, id := range ids {
 		cn := c.conns[id]
-		if cn.waiter != nil {
-			return fmt.Errorf("hdc: q%d: checkpoint with a receive waiter on connection %d", c.qid, id)
-		}
-		w.U64(id)
-		w.U32(cn.txSeq)
-		w.U32(cn.rxSeq)
+		snap.Check(sc, "connection", id, sc.U64)
+		sc.U32(&cn.txSeq)
+		sc.U32(&cn.rxSeq)
 		// Buffered, not-yet-consumed receive extents (live chunk data a
 		// future RecvFile drains first), in arrival order.
 		exts := cn.rxBufs[cn.rxHead:]
-		w.U32(uint32(len(exts)))
-		for _, x := range exts {
-			w.U64(uint64(x.addr))
-			w.Int(x.n)
-			w.U64(uint64(x.buf))
+		n := len(exts)
+		sc.Count(&n, 8+8+8)
+		if sc.Loading() {
+			cn.rxBufs, cn.rxHead = slices.Grow(cn.rxBufs[:0], n)[:n], 0
+			exts = cn.rxBufs
 		}
-		w.Int(cn.rxALen)
+		for i := range exts {
+			x := &exts[i]
+			sc.U64((*uint64)(&x.addr))
+			sc.Int(&x.n)
+			sc.U64((*uint64)(&x.buf))
+		}
+		sc.Int(&cn.rxALen)
 	}
-	return nil
 }
 
-func (c *NICCtrl) snapLoad(r *snap.Reader) error {
-	c.hdrNext = r.Int()
-	c.sendJobs = r.I64()
-	c.recvPkts = r.I64()
-	c.gatheredBytes = r.I64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := c.send.SnapLoad(r); err != nil {
-		return err
-	}
-	if err := c.recv.SnapLoad(r); err != nil {
-		return err
-	}
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(c.conns) {
-		return fmt.Errorf("hdc: q%d: snapshot has %d connections, controller has %d", c.qid, n, len(c.conns))
-	}
-	for i := 0; i < n; i++ {
-		id := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		cn, ok := c.conns[id]
-		if !ok {
-			return fmt.Errorf("hdc: q%d: snapshot connection %d absent on controller", c.qid, id)
-		}
-		cn.txSeq = r.U32()
-		cn.rxSeq = r.U32()
-		ne := int(r.U32())
-		if err := r.Err(); err != nil {
-			return err
-		}
-		cn.rxBufs = cn.rxBufs[:0]
-		cn.rxHead = 0
-		for j := 0; j < ne; j++ {
-			cn.rxBufs = append(cn.rxBufs, rxExtent{
-				addr: mem.Addr(r.U64()),
-				n:    r.Int(),
-				buf:  mem.Addr(r.U64()),
-			})
-		}
-		cn.rxALen = r.Int()
-	}
-	return r.Err()
-}
-
-// SnapSave encodes the driver state. A quiescent driver has every
-// library call returned: no command waiting on a completion and no
-// queue slot held.
-func (d *Driver) SnapSave(w *snap.Writer) error {
+// Snap codes the driver state. A quiescent driver has every library
+// call returned: no command waiting on a completion and no queue slot
+// held.
+func (d *Driver) Snap(c *snap.Codec) {
 	if d.outstanding != 0 || len(d.waiting) != 0 {
-		return fmt.Errorf("hdc: driver checkpoint with %d outstanding commands", d.outstanding)
+		c.Failf("driver has %d outstanding commands", d.outstanding)
 	}
-	w.U32(d.nextID)
-	w.U64(d.tail)
-	w.U64(d.cplHead)
-	w.Bool(d.failed)
-	w.I64(d.retries)
-	w.I64(d.timeouts)
-	w.I64(d.orphans)
-	return nil
-}
-
-// SnapLoad overlays the captured driver state.
-func (d *Driver) SnapLoad(r *snap.Reader) error {
-	if d.outstanding != 0 || len(d.waiting) != 0 {
-		return fmt.Errorf("hdc: driver restore with %d outstanding commands", d.outstanding)
-	}
-	d.nextID = r.U32()
-	d.tail = r.U64()
-	d.cplHead = r.U64()
-	d.failed = r.Bool()
-	d.retries = r.I64()
-	d.timeouts = r.I64()
-	d.orphans = r.I64()
-	return r.Err()
+	c.U32(&d.nextID)
+	c.U64(&d.tail)
+	c.U64(&d.cplHead)
+	c.Bool(&d.failed)
+	c.I64(&d.retries)
+	c.I64(&d.timeouts)
+	c.I64(&d.orphans)
 }

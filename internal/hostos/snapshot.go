@@ -1,8 +1,7 @@
 package hostos
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
 
 	"dcsctrl/internal/sim"
 	"dcsctrl/internal/sim/snap"
@@ -16,122 +15,44 @@ import (
 // resident page-cache content — data and dirty bits both decide future
 // behaviour (cache hits, HDC writeback reconciliation).
 
-// SnapSave encodes the host's accounting state.
-func (h *Host) SnapSave(w *snap.Writer) error {
-	if n := len(sim.CheckpointQueue(h.irqQ)); n != 0 {
-		return fmt.Errorf("hostos: checkpoint with %d IRQs queued", n)
+// Snap codes the host's accounting state.
+func (h *Host) Snap(c *snap.Codec) {
+	if n := h.irqQ.Len(); n != 0 {
+		c.Failf("%d IRQs queued", n)
 	}
-	acc, err := h.Cores.CheckpointAccum()
-	if err != nil {
-		return err
-	}
-	w.I64(int64(acc.Busy))
-	w.I64(int64(acc.LastStamp))
-	return h.Acct.SnapSave(w)
+	h.Cores.Snap(c)
+	h.Acct.Snap(c)
 }
 
-// SnapLoad overlays the captured accounting onto an idle host.
-func (h *Host) SnapLoad(r *snap.Reader) error {
-	acc := sim.AccumState{Busy: sim.Time(r.I64()), LastStamp: sim.Time(r.I64())}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := h.Cores.RestoreAccum(acc); err != nil {
-		return err
-	}
-	return h.Acct.SnapLoad(r)
-}
-
-// SnapSave encodes the file system: allocator cursor and cache stats
-// (verified/overlaid), then the resident pages. File metadata is
-// setup-determined — the restore target stages the identical files —
-// so names and sizes are verified, not transplanted. Cache iteration
-// collects and sorts names and page indices so encode order never
-// leaks map iteration order.
-func (fs *FileSystem) SnapSave(w *snap.Writer) error {
-	w.U64(fs.nextLBA)
-	w.I64(fs.hits)
-	w.I64(fs.misses)
+// Snap codes the file system: allocator cursor and cache stats, then
+// the resident pages. File metadata is setup-determined — the restore
+// target stages the identical files — so names and sizes are checked,
+// not transplanted. Names and page indices go in sorted order so
+// encode order never leaks map iteration order; a load replaces the
+// cache.
+func (fs *FileSystem) Snap(c *snap.Codec) {
+	snap.Check(c, "allocator LBA", fs.nextLBA, c.U64)
+	c.I64(&fs.hits)
+	c.I64(&fs.misses)
 	names := fs.Files()
-	w.U32(uint32(len(names)))
+	snap.Check(c, "files", uint32(len(names)), c.U32)
 	for _, n := range names {
-		w.Str(n)
-		w.U64(uint64(fs.files[n].Size))
+		snap.Check(c, "file", n, c.Str)
+		snap.Check(c, n+" size", uint64(fs.files[n].Size), c.U64)
 	}
-	cached := make([]string, 0, len(fs.cache))
-	for n := range fs.cache {
-		if len(fs.cache[n]) > 0 {
-			cached = append(cached, n)
-		}
+	if c.Loading() {
+		fs.cachePages = 0
 	}
-	sort.Strings(cached)
-	w.U32(uint32(len(cached)))
-	for _, n := range cached {
-		pages := fs.cache[n]
-		idxs := make([]int, 0, len(pages))
-		for i := range pages {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		w.Str(n)
-		w.U32(uint32(len(idxs)))
-		for _, i := range idxs {
-			ps := pages[i]
-			w.Int(i)
-			w.Bool(ps.dirty)
-			w.Bytes(ps.data)
-		}
-	}
-	return nil
-}
-
-// SnapLoad verifies the file layout and overlays the cache content.
-func (fs *FileSystem) SnapLoad(r *snap.Reader) error {
-	nextLBA := r.U64()
-	hits, misses := r.I64(), r.I64()
-	nf := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nextLBA != fs.nextLBA {
-		return fmt.Errorf("hostos: snapshot allocator at LBA %d, fs at %d (file layout mismatch)", nextLBA, fs.nextLBA)
-	}
-	if nf != len(fs.files) {
-		return fmt.Errorf("hostos: snapshot has %d files, fs has %d", nf, len(fs.files))
-	}
-	for i := 0; i < nf; i++ {
-		name := r.Str()
-		size := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		f, ok := fs.files[name]
-		if !ok || uint64(f.Size) != size {
-			return fmt.Errorf("hostos: snapshot file %q/%d absent or resized in fs", name, size)
-		}
-	}
-	fs.hits, fs.misses = hits, misses
-	fs.cache = map[string]map[int]*pageState{}
-	fs.cachePages = 0
-	nc := int(r.U32())
-	for i := 0; i < nc; i++ {
-		name := r.Str()
-		np := int(r.U32())
-		if err := r.Err(); err != nil {
-			return err
-		}
-		m := make(map[int]*pageState, np)
-		fs.cache[name] = m
-		for j := 0; j < np; j++ {
-			idx := r.Int()
-			dirty := r.Bool()
-			data := r.Bytes()
-			if err := r.Err(); err != nil {
-				return err
+	sim.SnapMap(c, &fs.cache, cmp.Less[string], 4+4, func(name *string, pages *map[int]*pageState) {
+		c.Str(name)
+		sim.SnapMap(c, pages, cmp.Less[int], 8+1+4, func(idx *int, ps **pageState) {
+			if c.Loading() {
+				*ps = &pageState{}
+				fs.cachePages++
 			}
-			m[idx] = &pageState{data: data, dirty: dirty}
-			fs.cachePages++
-		}
-	}
-	return r.Err()
+			c.Int(idx)
+			c.Bool(&(*ps).dirty)
+			c.Bytes(&(*ps).data)
+		})
+	})
 }

@@ -120,10 +120,11 @@ func checkMapRangeBody(pass *Pass, rng *ast.RangeStmt, funcBody *ast.BlockStmt) 
 // checkWriterCall flags method calls inside a map range that append
 // to position-significant output owned outside the loop: the
 // Write/WriteString/... family (strings.Builder, bytes.Buffer,
-// io.Writer) and every encode method of the checkpoint codec's
-// snap.Writer. Each iteration appends to shared output, so the order
-// of iterations is the order of the output — for the snap codec that
-// means the snapshot bytes themselves become schedule lottery.
+// io.Writer) and every accessor of the checkpoint codec, snap.Codec.
+// Each iteration appends to shared output, so the order of iterations
+// is the order of the output — for the snap codec that means the
+// snapshot bytes themselves become schedule lottery (and a load reads
+// them back into randomly ordered targets).
 func checkWriterCall(pass *Pass, rng *ast.RangeStmt, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -131,7 +132,7 @@ func checkWriterCall(pass *Pass, rng *ast.RangeStmt, call *ast.CallExpr) {
 	}
 	fn := calleeFunc(pass.TypesInfo, call)
 	snapCodec := fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == SnapCodecPath &&
-		recvTypeName(fn) == "Writer"
+		recvTypeName(fn) == "Codec"
 	if !snapCodec {
 		switch sel.Sel.Name {
 		case "Write", "WriteString", "WriteByte", "WriteRune":

@@ -9,11 +9,11 @@ const ModulePath = "dcsctrl"
 // and channels are allowed, and the home of the sim.Time type.
 const SimKernelPath = ModulePath + "/internal/sim"
 
-// SnapCodecPath is the checkpoint codec package. Its Writer appends
-// to a position-significant byte stream, so every encode call made
-// while ranging a map leaks the randomized iteration order straight
-// into the snapshot bytes — and snapshot bytes must be identical run
-// to run (DESIGN.md §17).
+// SnapCodecPath is the checkpoint codec package. Its Codec codes
+// values at positions of one byte stream, saving and loading alike,
+// so every accessor call made while ranging a map leaks the
+// randomized iteration order straight into the snapshot bytes — and
+// snapshot bytes must be identical run to run (DESIGN.md §17).
 const SnapCodecPath = SimKernelPath + "/snap"
 
 // ShardKernelPath is the conservative-parallel shard kernel. It is

@@ -1,7 +1,7 @@
 package mem
 
 import (
-	"fmt"
+	"slices"
 
 	"dcsctrl/internal/sim/snap"
 )
@@ -16,92 +16,47 @@ import (
 // deliberately bypassed: a restore is state transplantation, not
 // simulated traffic, and must not schedule events.
 
-// SnapSection implements snap.Snapshotter (the section carries no
-// node prefix; core registers maps under per-node names via
-// snap wrappers — see internal/core/snapshot.go).
-func (m *Map) SnapSection() string { return "mem" }
-
-// SnapSave encodes every region: name and size (verified at load),
-// allocator cursor, write high-water mark, and sparse data image, in
-// address order — the regions slice is append-ordered by
-// construction, so the encode order is deterministic without sorting.
-// The high-water mark bounds the sparse scan: regions are sized like
-// hardware, but only the written prefix can hold non-zero pages.
-func (m *Map) SnapSave(w *snap.Writer) error {
-	w.U32(uint32(len(m.regions)))
+// Snap codes every region: name and size (setup-determined), allocator
+// cursor, write high-water mark, and sparse data image, in address
+// order — the regions slice is append-ordered by construction, so the
+// encode order is deterministic without sorting. The high-water mark
+// bounds the sparse scan: regions are sized like hardware, but only
+// the written prefix can hold non-zero pages.
+func (m *Map) Snap(c *snap.Codec) {
+	snap.Check(c, "regions", uint32(len(m.regions)), c.U32)
 	for _, r := range m.regions {
-		w.Str(r.Name)
-		w.U64(r.Size)
-		w.U64(r.allocOff)
-		w.U64(r.hiWater)
-		w.Grow(int(r.hiWater) + 64) // upper bound: every live page non-zero
-		w.SparseBytesLive(r.data, r.hiWater)
+		snap.Check(c, "region", r.Name, c.Str)
+		snap.Check(c, r.Name+" size", r.Size, c.U64)
+		c.U64(&r.allocOff)
+		hiWater := r.hiWater
+		c.U64(&hiWater)
+		if r.allocOff > r.Size || hiWater > r.Size {
+			c.Failf("region %s: cursor %d or high-water mark %d past its %d bytes", r.Name, r.allocOff, hiWater, r.Size)
+		}
+		c.Grow(int(r.hiWater) + 64) // upper bound: every live page non-zero
+		// Saving, the region's own mark is the live bound. Loading, it
+		// is the destination's and bounds the scrub of uncaptured
+		// pages; the captured mark then becomes this region's, so a
+		// re-snapshot reproduces the source bytes.
+		c.Sparse(r.data, r.hiWater)
+		if c.Loading() {
+			r.hiWater = hiWater
+		}
 	}
-	return nil
 }
 
-// SnapLoad overlays the captured images onto a freshly built map of
-// the identical configuration: same regions, same order, same sizes.
-func (m *Map) SnapLoad(r *snap.Reader) error {
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(m.regions) {
-		return fmt.Errorf("mem: snapshot has %d regions, map has %d", n, len(m.regions))
-	}
-	for _, reg := range m.regions {
-		name := r.Str()
-		size := r.U64()
-		off := r.U64()
-		hiWater := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if name != reg.Name || size != reg.Size {
-			return fmt.Errorf("mem: snapshot region %q/%d, map region %q/%d (configuration mismatch)",
-				name, size, reg.Name, reg.Size)
-		}
-		reg.allocOff = off
-		// The destination's own high-water mark bounds the scrub of
-		// uncaptured pages; the captured mark then becomes this
-		// region's, so a re-snapshot reproduces the source bytes.
-		if err := r.LoadSparseBytesDirty(reg.data, reg.hiWater); err != nil {
-			return err
-		}
-		reg.hiWater = hiWater
-	}
-	return nil
-}
-
-// SnapSave encodes the pool's free list in exact order. The list is
-// LIFO and order is schedule state: which chunk address a future Get
+// Snap codes the pool's free list in exact order. The list is LIFO
+// and order is schedule state: which chunk address a future Get
 // returns decides the PRP extents and DMA event shapes downstream.
-func (p *ChunkPool) SnapSave(w *snap.Writer) error {
-	w.Int(p.total)
-	w.Int(p.outMin)
-	w.U32(uint32(len(p.free)))
-	for _, a := range p.free {
-		w.U64(uint64(a))
+func (p *ChunkPool) Snap(c *snap.Codec) {
+	snap.Check(c, "pool total", p.total, c.Int)
+	c.Int(&p.outMin)
+	n := len(p.free)
+	c.Count(&n, 8)
+	if c.Loading() {
+		p.free = slices.Grow(p.free[:0], n)[:n]
 	}
-	return nil
-}
-
-// SnapLoad overlays the captured free list.
-func (p *ChunkPool) SnapLoad(r *snap.Reader) error {
-	total := r.Int()
-	outMin := r.Int()
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
+	for i := range p.free {
+		c.U64((*uint64)(&p.free[i]))
 	}
-	if total != p.total {
-		return fmt.Errorf("mem: snapshot pool total %d, pool has %d", total, p.total)
-	}
-	p.outMin = outMin
-	p.free = p.free[:0]
-	for i := 0; i < n; i++ {
-		p.free = append(p.free, Addr(r.U64()))
-	}
-	return r.Err()
 }

@@ -1,8 +1,8 @@
 package nic
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 
 	"dcsctrl/internal/ether"
 	"dcsctrl/internal/mem"
@@ -20,288 +20,140 @@ import (
 // Free lists (frame buffers, delivery records) restore empty: a pool
 // miss and a pool hit produce identical event timelines.
 
-// tupleKey packs a connection tuple into a sortable pair.
-func tupleKey(t ether.Tuple) (uint64, uint64) {
+// tupleLess orders connection tuples by their packed addresses, then
+// ports.
+func tupleLess(a, b ether.Tuple) bool {
 	ip := func(a ether.IP) uint64 {
 		return uint64(a[0])<<24 | uint64(a[1])<<16 | uint64(a[2])<<8 | uint64(a[3])
 	}
-	return ip(t.SrcIP)<<32 | ip(t.DstIP), uint64(t.SrcPort)<<16 | uint64(t.DstPort)
+	a1, a2 := ip(a.SrcIP)<<32|ip(a.DstIP), uint64(a.SrcPort)<<16|uint64(a.DstPort)
+	b1, b2 := ip(b.SrcIP)<<32|ip(b.DstIP), uint64(b.SrcPort)<<16|uint64(b.DstPort)
+	return a1 < b1 || a1 == b1 && a2 < b2
 }
 
-func writeTuple(w *snap.Writer, t ether.Tuple) {
-	w.Bytes(t.SrcIP[:])
-	w.Bytes(t.DstIP[:])
-	w.U16(t.SrcPort)
-	w.U16(t.DstPort)
+// snapTuple codes a connection tuple, each address as a
+// length-prefixed byte string.
+func snapTuple(c *snap.Codec, t *ether.Tuple) {
+	for _, ip := range []*ether.IP{&t.SrcIP, &t.DstIP} {
+		b := ip[:] // a load of the right length lands in place
+		c.Bytes(&b)
+		if len(b) != len(ip) {
+			c.Failf("address of %d bytes", len(b))
+		}
+	}
+	c.U16(&t.SrcPort)
+	c.U16(&t.DstPort)
 }
 
-func readTuple(r *snap.Reader) ether.Tuple {
-	var t ether.Tuple
-	copy(t.SrcIP[:], r.Bytes())
-	copy(t.DstIP[:], r.Bytes())
-	t.SrcPort = r.U16()
-	t.DstPort = r.U16()
-	return t
-}
+// tupleSize is a coded tuple's size: two 4-byte addresses with length
+// prefixes and two ports.
+const tupleSize = 2*(4+4) + 2*2
 
-// SnapSave encodes the device state. Queues iterate in queueList
+// RxDMATagSlots is the number of receive DMA tag slots across the
+// NIC's queues. Each asynchronous receive DMA holds one until its
+// completion is consumed, which bounds the fabric's async-DMA pool.
+func (n *NIC) RxDMATagSlots() int { return rxDMATags * len(n.queueList) }
+
+// Snap codes the device state. Queues iterate in queueList
 // (configuration) order, flows in sorted-tuple order.
-func (n *NIC) SnapSave(w *snap.Writer) error {
-	if l := n.rxQ.Len(); l != 0 {
-		return fmt.Errorf("nic: %s: checkpoint with %d frames in the demux queue", n.Name, l)
+func (n *NIC) Snap(c *snap.Codec) {
+	switch {
+	case n.rxQ.Len() != 0:
+		c.Failf("%s: %d frames in the demux queue", n.Name, n.rxQ.Len())
+	case n.txFIFO.Len() != 0:
+		c.Failf("%s: %d frames in the transmit FIFO", n.Name, n.txFIFO.Len())
+	case n.realInFlight != 0:
+		c.Failf("%s: %d frames between FIFO and wire", n.Name, n.realInFlight)
+	case n.pendingClaimedFrames() != 0:
+		c.Failf("%s: undrained flow claims", n.Name)
 	}
-	if l := n.txFIFO.Len(); l != 0 {
-		return fmt.Errorf("nic: %s: checkpoint with %d frames in the transmit FIFO", n.Name, l)
-	}
-	if n.realInFlight != 0 {
-		return fmt.Errorf("nic: %s: checkpoint with %d frames between FIFO and wire", n.Name, n.realInFlight)
-	}
-	if n.pendingClaimedFrames() != 0 {
-		return fmt.Errorf("nic: %s: checkpoint with undrained flow claims", n.Name)
-	}
-	w.I64(int64(n.wireFree))
-	if err := sim.CheckpointBWInto(w, n.txBW); err != nil {
-		return fmt.Errorf("nic: %s: %w", n.Name, err)
-	}
-	w.I64(n.txFrames)
-	w.I64(n.rxFrames)
-	w.I64(n.txPayload)
-	w.I64(n.rxPayload)
-	w.I64(n.drops)
-	w.I64(n.rxErrors)
-	w.I64(n.txReplays)
-	w.I64(n.bdRefetches)
-	w.I64(n.segFrames)
-	w.U32(uint32(len(n.steering))) // setup-determined; verified at load
-
-	tuples := make([]ether.Tuple, 0, len(n.flows))
-	for t := range n.flows {
-		tuples = append(tuples, t)
-	}
-	sort.Slice(tuples, func(i, j int) bool {
-		a1, a2 := tupleKey(tuples[i])
-		b1, b2 := tupleKey(tuples[j])
-		if a1 != b1 {
-			return a1 < b1
+	c.I64((*int64)(&n.wireFree))
+	n.txBW.Snap(c)
+	c.I64(&n.txFrames)
+	c.I64(&n.rxFrames)
+	c.I64(&n.txPayload)
+	c.I64(&n.rxPayload)
+	c.I64(&n.drops)
+	c.I64(&n.rxErrors)
+	c.I64(&n.txReplays)
+	c.I64(&n.bdRefetches)
+	c.I64(&n.segFrames)
+	snap.Check(c, "steering rules", uint32(len(n.steering)), c.U32)
+	sim.SnapMap(c, &n.flows, tupleLess, tupleSize+16, func(t *ether.Tuple, st **ether.FlowState) {
+		snapTuple(c, t)
+		if c.Loading() {
+			*st = &ether.FlowState{}
 		}
-		return a2 < b2
+		(*st).Snap(c)
 	})
-	w.U32(uint32(len(tuples)))
-	for _, t := range tuples {
-		writeTuple(w, t)
-		phase, runs := n.flows[t].CheckpointFlow()
-		w.Int(int(phase))
-		w.Int(runs)
-	}
-
-	qids := sim.SortedKeys(n.RxPerQueue)
-	w.U32(uint32(len(qids)))
-	for _, qid := range qids {
-		w.U16(qid)
-		w.I64(n.RxPerQueue[qid])
-	}
-
-	w.U32(uint32(len(n.queueList)))
+	sim.SnapMap(c, &n.RxPerQueue, cmp.Less[uint16], 2+8, func(qid *uint16, frames *int64) {
+		c.U16(qid)
+		c.I64(frames)
+	})
+	snap.Check(c, "queues", uint32(len(n.queueList)), c.U32)
 	for _, q := range n.queueList {
-		if err := n.saveQueue(w, q); err != nil {
-			return err
-		}
+		n.snapQueue(c, q)
 	}
-	return nil
 }
 
-func (n *NIC) saveQueue(w *snap.Writer, q *nicQueue) error {
+func (n *NIC) snapQueue(c *snap.Codec, q *nicQueue) {
 	qid := q.cfg.QID
-	if q.sendHead != q.sendTail || q.sendFetched != q.sendTail {
-		return fmt.Errorf("nic: %s q%d: checkpoint with unconsumed send BDs (tail=%d head=%d fetched=%d)",
+	switch {
+	case q.sendHead != q.sendTail || q.sendFetched != q.sendTail:
+		c.Failf("%s q%d: unconsumed send BDs (tail=%d head=%d fetched=%d)",
 			n.Name, qid, q.sendTail, q.sendHead, q.sendFetched)
-	}
-	if q.sbdHead != len(q.sbdCache) {
-		return fmt.Errorf("nic: %s q%d: checkpoint with %d cached send BDs", n.Name, qid, len(q.sbdCache)-q.sbdHead)
-	}
-	if len(q.cplBuf) != 0 || q.cplFirst != q.recvCplN || q.cplIssued != q.recvCplN {
-		return fmt.Errorf("nic: %s q%d: checkpoint with unflushed completions (buf=%d first=%d issued=%d cplN=%d)",
+	case q.sbdHead != len(q.sbdCache):
+		c.Failf("%s q%d: %d cached send BDs", n.Name, qid, len(q.sbdCache)-q.sbdHead)
+	case len(q.cplBuf) != 0 || q.cplFirst != q.recvCplN || q.cplIssued != q.recvCplN:
+		c.Failf("%s q%d: unflushed completions (buf=%d first=%d issued=%d cplN=%d)",
 			n.Name, qid, len(q.cplBuf), q.cplFirst, q.cplIssued, q.recvCplN)
+	case q.rxFIFO.Len() != 0:
+		c.Failf("%s q%d: %d staged receive frames", n.Name, qid, q.rxFIFO.Len())
+	case q.rxPend.Len() != 0:
+		c.Failf("%s q%d: %d in-flight receive DMAs", n.Name, qid, q.rxPend.Len())
+	case q.irqQueued:
+		c.Failf("%s q%d: a queued interrupt check", n.Name, qid)
 	}
-	if l := q.rxFIFO.Len(); l != 0 {
-		return fmt.Errorf("nic: %s q%d: checkpoint with %d staged receive frames", n.Name, qid, l)
+	snap.Check(c, "queue", qid, c.U16)
+	c.U64(&q.sendTail)
+	c.U64(&q.recvTail)
+	c.U64(&q.recvHead)
+	c.U64(&q.recvCplN)
+	c.Bool(&q.armed)
+	c.U64(&q.sendAck)
+	c.U64(&q.recvAck)
+	if c.Loading() {
+		q.sendHead, q.sendFetched = q.sendTail, q.sendTail
+		q.cplFirst, q.cplIssued = q.recvCplN, q.recvCplN
 	}
-	if l := q.rxPend.Len(); l != 0 {
-		return fmt.Errorf("nic: %s q%d: checkpoint with %d in-flight receive DMAs", n.Name, qid, l)
-	}
-	if q.irqQueued {
-		return fmt.Errorf("nic: %s q%d: checkpoint with a queued interrupt check", n.Name, qid)
-	}
-	w.U16(qid)
-	w.U64(q.sendTail)
-	w.U64(q.recvTail)
-	w.U64(q.recvHead)
-	w.U64(q.recvCplN)
-	w.Bool(q.armed)
-	w.U64(q.sendAck)
-	w.U64(q.recvAck)
 	// Prefetched-but-unconsumed receive descriptors: posted buffers the
 	// device already pulled out of the ring, waiting for traffic.
 	bds := q.bdCache[q.bdHead:]
-	w.U32(uint32(len(bds)))
-	for _, bd := range bds {
-		w.U64(uint64(bd.Addr))
-		w.U32(bd.Len)
+	nbd := len(bds)
+	c.Count(&nbd, 8+4)
+	if c.Loading() {
+		q.bdCache, q.bdHead = slices.Grow(q.bdCache[:0], nbd)[:nbd], 0
+		bds = q.bdCache
+	}
+	for i := range bds {
+		c.U64((*uint64)(&bds[i].Addr))
+		c.U32(&bds[i].Len)
 	}
 	// DMA tag-slot free order: which staging slot a future frame gets.
-	slots := sim.CheckpointQueue(q.rxSlots)
-	w.U32(uint32(len(slots)))
-	for _, s := range slots {
-		w.U64(uint64(s))
-	}
-	return nil
+	sim.SnapQueue(c, q.rxSlots, 8, func(a *mem.Addr) { c.U64((*uint64)(a)) })
 }
 
-// SnapLoad overlays the captured state onto a freshly built NIC with
-// the identical queue configuration.
-func (n *NIC) SnapLoad(r *snap.Reader) error {
-	n.wireFree = sim.Time(r.I64())
-	if err := sim.RestoreBWFrom(r, n.txBW); err != nil {
-		return fmt.Errorf("nic: %s: %w", n.Name, err)
-	}
-	n.txFrames = r.I64()
-	n.rxFrames = r.I64()
-	n.txPayload = r.I64()
-	n.rxPayload = r.I64()
-	n.drops = r.I64()
-	n.rxErrors = r.I64()
-	n.txReplays = r.I64()
-	n.bdRefetches = r.I64()
-	n.segFrames = r.I64()
-	nSteer := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nSteer != len(n.steering) {
-		return fmt.Errorf("nic: %s: snapshot has %d steering rules, device has %d (configuration mismatch)",
-			n.Name, nSteer, len(n.steering))
-	}
+// Snap codes the submitter-side transmit ring cursor.
+func (r *SendRing) Snap(c *snap.Codec) { c.U64(&r.tail) }
 
-	nFlows := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	n.flows = make(map[ether.Tuple]*ether.FlowState, nFlows)
-	for i := 0; i < nFlows; i++ {
-		t := readTuple(r)
-		phase := ether.FlowPhase(r.Int())
-		runs := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		st := &ether.FlowState{}
-		st.RestoreFlow(phase, runs)
-		n.flows[t] = st
-	}
-
-	nRx := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	n.RxPerQueue = make(map[uint16]int64, nRx)
-	for i := 0; i < nRx; i++ {
-		qid := r.U16()
-		n.RxPerQueue[qid] = r.I64()
-	}
-
-	nq := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nq != len(n.queueList) {
-		return fmt.Errorf("nic: %s: snapshot has %d queues, device has %d", n.Name, nq, len(n.queueList))
-	}
-	for _, q := range n.queueList {
-		if err := n.loadQueue(r, q); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
-func (n *NIC) loadQueue(r *snap.Reader, q *nicQueue) error {
-	qid := r.U16()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if qid != q.cfg.QID {
-		return fmt.Errorf("nic: %s: snapshot queue %d, device queue %d", n.Name, qid, q.cfg.QID)
-	}
-	q.sendTail = r.U64()
-	q.sendHead, q.sendFetched = q.sendTail, q.sendTail
-	q.recvTail = r.U64()
-	q.recvHead = r.U64()
-	q.recvCplN = r.U64()
-	q.cplFirst, q.cplIssued = q.recvCplN, q.recvCplN
-	q.armed = r.Bool()
-	q.sendAck = r.U64()
-	q.recvAck = r.U64()
-	nbd := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	q.bdCache = q.bdCache[:0]
-	q.bdHead = 0
-	for i := 0; i < nbd; i++ {
-		q.bdCache = append(q.bdCache, RecvBD{Addr: mem.Addr(r.U64()), Len: r.U32()})
-	}
-	ns := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	slots := make([]mem.Addr, ns)
-	for i := range slots {
-		slots[i] = mem.Addr(r.U64())
-	}
-	if err := sim.RestoreQueue(q.rxSlots, slots); err != nil {
-		return err
-	}
-	return r.Err()
-}
-
-// SnapSave encodes the submitter-side transmit ring cursor.
-func (r *SendRing) SnapSave(w *snap.Writer) error {
-	w.U64(r.tail)
-	return nil
-}
-
-// SnapLoad overlays the captured cursor.
-func (r *SendRing) SnapLoad(rd *snap.Reader) error {
-	r.tail = rd.U64()
-	return rd.Err()
-}
-
-// SnapSave encodes the submitter-side receive ring state: cursors plus
-// the BD-index → buffer-address slot table future completions resolve
+// Snap codes the submitter-side receive ring state: cursors plus the
+// BD-index → buffer-address slot table future completions resolve
 // through.
-func (r *RecvRing) SnapSave(w *snap.Writer) error {
-	w.U64(r.tail)
-	w.U64(r.cplHead)
-	w.U32(uint32(len(r.addrs)))
-	for _, a := range r.addrs {
-		w.U64(uint64(a))
-	}
-	return nil
-}
-
-// SnapLoad overlays the captured ring state.
-func (r *RecvRing) SnapLoad(rd *snap.Reader) error {
-	r.tail = rd.U64()
-	r.cplHead = rd.U64()
-	n := int(rd.U32())
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	if n != len(r.addrs) {
-		return fmt.Errorf("nic: snapshot recv ring has %d slots, ring has %d", n, len(r.addrs))
-	}
+func (r *RecvRing) Snap(c *snap.Codec) {
+	c.U64(&r.tail)
+	c.U64(&r.cplHead)
+	snap.Check(c, "receive ring slots", uint32(len(r.addrs)), c.U32)
 	for i := range r.addrs {
-		r.addrs[i] = mem.Addr(rd.U64())
+		c.U64((*uint64)(&r.addrs[i]))
 	}
-	return rd.Err()
 }

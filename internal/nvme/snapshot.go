@@ -1,7 +1,7 @@
 package nvme
 
 import (
-	"fmt"
+	"cmp"
 
 	"dcsctrl/internal/mem"
 	"dcsctrl/internal/sim"
@@ -21,154 +21,79 @@ import (
 // idle-worker count and the restore path primes that many parked
 // workers (PrimeExecPool).
 
-// SnapSave encodes the device state. QPs iterate in sorted-QID order
-// so encode order never leaks map iteration order.
-func (s *SSD) SnapSave(w *snap.Writer) error {
-	slots := sim.CheckpointQueue(s.slotQ)
-	w.U32(uint32(len(slots)))
-	for _, a := range slots {
-		w.U64(uint64(a))
-	}
-	if err := sim.CheckpointBWInto(w, s.readBW); err != nil {
-		return fmt.Errorf("%s: %w", s.Name, err)
-	}
-	if err := sim.CheckpointBWInto(w, s.writeBW); err != nil {
-		return fmt.Errorf("%s: %w", s.Name, err)
-	}
-	if err := sim.CheckpointAccumInto(w, s.exec); err != nil {
-		return fmt.Errorf("%s: %w", s.Name, err)
-	}
-	w.I64(s.cmdsDone)
-	w.I64(s.bytesRd)
-	w.I64(s.bytesWr)
-	w.Int(s.execIdle)
-
-	lbas := sim.SortedKeys(s.flash)
-	w.U32(uint32(len(lbas)))
-	flashBytes := 0
-	for _, lba := range lbas {
-		flashBytes += 16 + len(s.flash[lba])
-	}
-	w.Grow(flashBytes)
-	for _, lba := range lbas {
-		w.U64(lba)
-		w.Bytes(s.flash[lba])
-	}
-
+// Snap codes the device state. QPs iterate in sorted-QID order so
+// encode order never leaks map iteration order.
+func (s *SSD) Snap(c *snap.Codec) {
 	qids := sim.SortedKeys(s.qps)
-	w.U32(uint32(len(qids)))
+	depth := 0
 	for _, qid := range qids {
 		qp := s.qps[qid]
-		if qp.sqHead != qp.dbTail {
-			return fmt.Errorf("nvme: checkpoint of %s QP %d with unfetched SQEs (head=%d tail=%d)", s.Name, qid, qp.sqHead, qp.dbTail)
+		depth += qp.cfg.Entries
+		switch {
+		case qp.sqHead != qp.dbTail:
+			c.Failf("%s QP %d has unfetched SQEs (head=%d tail=%d)", s.Name, qid, qp.sqHead, qp.dbTail)
+		case len(qp.cplPend) != 0:
+			c.Failf("%s QP %d has %d pending completions", s.Name, qid, len(qp.cplPend))
+		case qp.kickQueued:
+			c.Failf("%s QP %d has a queued doorbell kick", s.Name, qid)
+		case qp.cqHeadSee != qp.cqTail:
+			c.Failf("%s QP %d has unconsumed CQEs (seen=%d tail=%d)", s.Name, qid, qp.cqHeadSee, qp.cqTail)
 		}
-		if len(qp.cplPend) != 0 {
-			return fmt.Errorf("nvme: checkpoint of %s QP %d with %d pending completions", s.Name, qid, len(qp.cplPend))
-		}
-		if qp.kickQueued {
-			return fmt.Errorf("nvme: checkpoint of %s QP %d with a queued doorbell kick", s.Name, qid)
-		}
-		if qp.cqHeadSee != qp.cqTail {
-			return fmt.Errorf("nvme: checkpoint of %s QP %d with unconsumed CQEs (seen=%d tail=%d)", s.Name, qid, qp.cqHeadSee, qp.cqTail)
-		}
-		w.U16(qid)
-		w.Int(qp.sqHead)
-		w.Int(qp.cqTail)
-		w.Bool(qp.phase)
 	}
-	return nil
+	sim.SnapQueue(c, s.slotQ, 8, func(a *mem.Addr) { c.U64((*uint64)(a)) })
+	s.readBW.Snap(c)
+	s.writeBW.Snap(c)
+	s.exec.Snap(c)
+	c.I64(&s.cmdsDone)
+	c.I64(&s.bytesRd)
+	c.I64(&s.bytesWr)
+	// The pool grows only while every worker holds a fetched command,
+	// and the queue pairs hold fewer than their depth in commands.
+	idle := s.execIdle
+	c.Int(&idle)
+	if idle < 0 || idle > depth {
+		c.Failf("%s exec pool of %d workers, queue pairs hold at most %d commands", s.Name, idle, depth)
+	}
+	if c.Loading() && c.Err() == nil {
+		s.PrimeExecPool(idle)
+	}
+
+	if !c.Loading() {
+		size := 0
+		for _, blk := range s.flash {
+			size += 16 + len(blk)
+		}
+		c.Grow(size)
+	}
+	sim.SnapMap(c, &s.flash, cmp.Less[uint64], 8+4+BlockSize, func(lba *uint64, blk *[]byte) {
+		c.U64(lba)
+		c.Bytes(blk)
+		if len(*blk) != BlockSize {
+			c.Failf("block %d is %d bytes", *lba, len(*blk))
+		}
+	})
+
+	snap.Check(c, "queue pairs", uint32(len(qids)), c.U32)
+	for _, qid := range qids {
+		qp := s.qps[qid]
+		snap.Check(c, "queue pair", qid, c.U16)
+		c.Int(&qp.sqHead)
+		c.Int(&qp.cqTail)
+		c.Bool(&qp.phase)
+		if c.Loading() {
+			qp.dbTail, qp.cqHeadSee = qp.sqHead, qp.cqTail
+		}
+	}
 }
 
-// SnapLoad overlays the captured state onto a freshly built SSD with
-// identical queue-pair configuration.
-func (s *SSD) SnapLoad(r *snap.Reader) error {
-	nSlots := int(r.U32())
-	slots := make([]mem.Addr, nSlots)
-	for i := range slots {
-		slots[i] = mem.Addr(r.U64())
-	}
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := sim.RestoreQueue(s.slotQ, slots); err != nil {
-		return err
-	}
-	if err := sim.RestoreBWFrom(r, s.readBW); err != nil {
-		return err
-	}
-	if err := sim.RestoreBWFrom(r, s.writeBW); err != nil {
-		return err
-	}
-	if err := sim.RestoreAccumFrom(r, s.exec); err != nil {
-		return err
-	}
-	s.cmdsDone, s.bytesRd, s.bytesWr = r.I64(), r.I64(), r.I64()
-	idle := r.Int()
-
-	nBlocks := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.PrimeExecPool(idle)
-	s.flash = make(map[uint64][]byte, nBlocks)
-	for i := 0; i < nBlocks; i++ {
-		lba := r.U64()
-		blk := r.Bytes()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if len(blk) != BlockSize {
-			return fmt.Errorf("nvme: snapshot block %d is %d bytes", lba, len(blk))
-		}
-		s.flash[lba] = blk
-	}
-
-	nQP := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nQP != len(s.qps) {
-		return fmt.Errorf("nvme: snapshot has %d QPs, %s has %d", nQP, s.Name, len(s.qps))
-	}
-	for i := 0; i < nQP; i++ {
-		qid := r.U16()
-		sqHead, cqTail := r.Int(), r.Int()
-		phase := r.Bool()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		qp, ok := s.qps[qid]
-		if !ok {
-			return fmt.Errorf("nvme: snapshot QP %d absent on %s", qid, s.Name)
-		}
-		qp.sqHead, qp.dbTail = sqHead, sqHead
-		qp.cqTail, qp.cqHeadSee = cqTail, cqTail
-		qp.phase = phase
-	}
-	return r.Err()
-}
-
-// SnapSave encodes the submitter-side ring positions. A quiescent
-// submitter has no command outstanding.
-func (r *Ring) SnapSave(w *snap.Writer) error {
+// Snap codes the submitter-side ring positions. A quiescent submitter
+// has no command outstanding.
+func (r *Ring) Snap(c *snap.Codec) {
 	if len(r.pending) != 0 {
-		return fmt.Errorf("nvme: checkpoint of ring %d with %d outstanding commands", r.cfg.QID, len(r.pending))
+		c.Failf("ring %d has %d outstanding commands", r.cfg.QID, len(r.pending))
 	}
-	w.Int(r.sqTail)
-	w.Int(r.cqHead)
-	w.Bool(r.phase)
-	w.U16(r.nextCID)
-	return nil
-}
-
-// SnapLoad overlays the captured ring positions.
-func (r *Ring) SnapLoad(rd *snap.Reader) error {
-	if len(r.pending) != 0 {
-		return fmt.Errorf("nvme: restore into ring %d with %d outstanding commands", r.cfg.QID, len(r.pending))
-	}
-	r.sqTail = rd.Int()
-	r.cqHead = rd.Int()
-	r.phase = rd.Bool()
-	r.nextCID = rd.U16()
-	return rd.Err()
+	c.Int(&r.sqTail)
+	c.Int(&r.cqHead)
+	c.Bool(&r.phase)
+	c.U16(&r.nextCID)
 }

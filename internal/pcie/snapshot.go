@@ -1,11 +1,6 @@
 package pcie
 
-import (
-	"fmt"
-
-	"dcsctrl/internal/sim"
-	"dcsctrl/internal/sim/snap"
-)
+import "dcsctrl/internal/sim/snap"
 
 // Checkpoint support (DESIGN.md §17). A quiescent fabric has every
 // posted write delivered (postedClock at or behind now), no MSI in
@@ -20,74 +15,37 @@ import (
 // that many parked workers (PrimeAsyncPool), keeping the dispatch
 // count byte-identical to the checkpointed process.
 
-// SnapSave encodes the fabric state. Ports iterate in slice (ID)
-// order, which is the deterministic construction order.
-func (f *Fabric) SnapSave(w *snap.Writer) error {
+// Snap codes the fabric state. Ports iterate in slice (ID) order,
+// which is the deterministic construction order. asyncMax bounds the
+// async-DMA pool a load may prime: a worker is spawned only while
+// every pooled one holds a transfer, and each DMAAsync caller holds
+// one of its own slots until the completion is consumed, so the pool
+// never outgrows the callers' slot total.
+func (f *Fabric) Snap(c *snap.Codec, asyncMax int) {
 	if f.postedClock > f.env.Now() {
-		return fmt.Errorf("pcie: checkpoint with a posted write in flight (clock %v > now %v)", f.postedClock, f.env.Now())
+		c.Failf("posted write in flight (clock %v > now %v)", f.postedClock, f.env.Now())
 	}
 	if f.msiPending != 0 {
-		return fmt.Errorf("pcie: checkpoint with %d MSIs in flight", f.msiPending)
+		c.Failf("%d MSIs in flight", f.msiPending)
 	}
-	w.I64(int64(f.postedClock))
-	w.I64(f.p2pBytes)
-	w.I64(f.hostBytes)
-	w.Int(f.asyncIdle)
-	if err := sim.CheckpointBWInto(w, f.core); err != nil {
-		return err
+	c.I64((*int64)(&f.postedClock))
+	c.I64(&f.p2pBytes)
+	c.I64(&f.hostBytes)
+	idle := f.asyncIdle
+	c.Int(&idle)
+	if idle < 0 || idle > asyncMax {
+		c.Failf("async-DMA pool of %d workers, callers hold at most %d transfers", idle, asyncMax)
 	}
-	w.U32(uint32(len(f.ports)))
+	if c.Loading() && c.Err() == nil {
+		f.PrimeAsyncPool(idle)
+	}
+	f.core.Snap(c)
+	snap.Check(c, "ports", uint32(len(f.ports)), c.U32)
 	for _, p := range f.ports {
-		w.Str(p.Name)
-		w.I64(p.bytesIn)
-		w.I64(p.bytesOut)
-		if err := sim.CheckpointBWInto(w, p.up); err != nil {
-			return fmt.Errorf("pcie: port %s: %w", p.Name, err)
-		}
-		if err := sim.CheckpointBWInto(w, p.down); err != nil {
-			return fmt.Errorf("pcie: port %s: %w", p.Name, err)
-		}
+		snap.Check(c, "port", p.Name, c.Str)
+		c.I64(&p.bytesIn)
+		c.I64(&p.bytesOut)
+		p.up.Snap(c)
+		p.down.Snap(c)
 	}
-	return nil
-}
-
-// SnapLoad overlays the captured state onto a freshly built fabric
-// with the identical port layout.
-func (f *Fabric) SnapLoad(r *snap.Reader) error {
-	f.postedClock = sim.Time(r.I64())
-	f.p2pBytes = r.I64()
-	f.hostBytes = r.I64()
-	idle := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	f.PrimeAsyncPool(idle)
-	if err := sim.RestoreBWFrom(r, f.core); err != nil {
-		return err
-	}
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != len(f.ports) {
-		return fmt.Errorf("pcie: snapshot has %d ports, fabric has %d", n, len(f.ports))
-	}
-	for _, p := range f.ports {
-		name := r.Str()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if name != p.Name {
-			return fmt.Errorf("pcie: snapshot port %q, fabric port %q (configuration mismatch)", name, p.Name)
-		}
-		p.bytesIn = r.I64()
-		p.bytesOut = r.I64()
-		if err := sim.RestoreBWFrom(r, p.up); err != nil {
-			return err
-		}
-		if err := sim.RestoreBWFrom(r, p.down); err != nil {
-			return err
-		}
-	}
-	return r.Err()
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"sort"
+
+	"dcsctrl/internal/sim/snap"
 )
 
 // Checkpoint support: capture and force the kernel's observable state
@@ -33,6 +35,17 @@ type EnvState struct {
 	IOs       uint64
 	Segments  uint64
 	SegFrames uint64
+}
+
+// Snap codes the kernel counters.
+func (s *EnvState) Snap(c *snap.Codec) {
+	c.I64((*int64)(&s.Now))
+	c.U64(&s.Seq)
+	c.U64(&s.Steps)
+	c.U64(&s.Fused)
+	c.U64(&s.IOs)
+	c.U64(&s.Segments)
+	c.U64(&s.SegFrames)
 }
 
 // Quiescent reports whether the environment is checkpointable: no Run
@@ -77,129 +90,139 @@ func (e *Env) ForceCheckpointState(s EnvState) error {
 	return nil
 }
 
-// AccumState is a Resource's utilization accounting, captured so
-// restored runs report the same busy fractions a straight run would.
-type AccumState struct {
-	Busy      Time
-	LastStamp Time
-}
-
-// CheckpointAccum captures the resource's busy accounting. It errors
-// when units are held or waiters are parked: a checkpointable instant
-// must not have work in flight on the resource.
-func (r *Resource) CheckpointAccum() (AccumState, error) {
-	if r.inUse != 0 {
-		return AccumState{}, fmt.Errorf("sim: checkpoint of resource %q with %d units in use", r.name, r.inUse)
-	}
-	if n := r.waiters.len(); n != 0 {
-		return AccumState{}, fmt.Errorf("sim: checkpoint of resource %q with %d waiters", r.name, n)
-	}
-	return AccumState{Busy: r.busy, LastStamp: r.lastStamp}, nil
-}
-
-// RestoreAccum overlays captured busy accounting onto an idle resource.
-func (r *Resource) RestoreAccum(s AccumState) error {
+// Snap codes the resource's busy accounting, so restored runs report
+// the same busy fractions a straight run would. It fails, saving or
+// loading, unless the resource is idle: a checkpointable instant has
+// no work in flight on it.
+func (r *Resource) Snap(c *snap.Codec) {
 	if r.inUse != 0 || r.waiters.len() != 0 {
-		return fmt.Errorf("sim: restore into busy resource %q", r.name)
+		c.Failf("resource %q has %d units in use and %d waiters", r.name, r.inUse, r.waiters.len())
 	}
-	r.busy = s.Busy
-	r.lastStamp = s.LastStamp
-	return nil
+	c.I64((*int64)(&r.busy))
+	c.I64((*int64)(&r.lastStamp))
 }
 
-// BWState is a BandwidthServer's cumulative accounting.
-type BWState struct {
-	Accum AccumState
-	Bytes int64
-	Xfers int64
+// Snap codes the server's cumulative accounting.
+func (b *BandwidthServer) Snap(c *snap.Codec) {
+	b.res.Snap(c)
+	c.I64(&b.bytes)
+	c.I64(&b.xfers)
 }
 
-// CheckpointBW captures the server's cumulative counters.
-func (b *BandwidthServer) CheckpointBW() (BWState, error) {
-	a, err := b.res.CheckpointAccum()
-	if err != nil {
-		return BWState{}, err
-	}
-	return BWState{Accum: a, Bytes: b.bytes, Xfers: b.xfers}, nil
-}
-
-// RestoreBW overlays captured counters onto an idle server.
-func (b *BandwidthServer) RestoreBW(s BWState) error {
-	if err := b.res.RestoreAccum(s.Accum); err != nil {
-		return err
-	}
-	b.bytes = s.Bytes
-	b.xfers = s.Xfers
-	return nil
-}
-
-// WaiterNames returns the names of the processes currently enrolled on
-// the condition, in park order. Park order is wake order: Broadcast
-// wakes waiters front to back, and at a same-instant wake the enqueue
-// order decides which predicate re-check runs first. A checkpoint of a
-// condition with several parked service processes must therefore
-// record the order so a restore can reproduce it.
-func (c *Cond) WaiterNames() []string {
-	names := make([]string, len(c.waiters))
-	for i, w := range c.waiters {
-		names[i] = w.name
-	}
-	return names
-}
-
-// ReorderWaiters permutes the condition's parked waiters to match the
-// given name order. The name multiset must match the enrolled waiters
-// exactly; names must be unique (service-loop names are).
-func (c *Cond) ReorderWaiters(names []string) error {
-	if len(names) != len(c.waiters) {
-		return fmt.Errorf("sim: cond has %d waiters, restore order lists %d", len(c.waiters), len(names))
-	}
-	byName := make(map[string]*Proc, len(c.waiters))
-	for _, w := range c.waiters {
-		if byName[w.name] != nil {
-			return fmt.Errorf("sim: duplicate cond waiter name %q", w.name)
+// SnapWaiters codes the names of the processes parked on the
+// condition, in park order. Park order is wake order: Broadcast wakes
+// waiters front to back, and at a same-instant wake the enqueue order
+// decides which predicate re-check runs first. A load permutes the
+// target's parked waiters into the captured order; the two name sets
+// must match exactly, and names must be unique (service-loop names
+// are).
+func (cd *Cond) SnapWaiters(c *snap.Codec) {
+	snap.Check(c, "cond waiters", uint32(len(cd.waiters)), c.U32)
+	if !c.Loading() {
+		for _, w := range cd.waiters {
+			name := w.name
+			c.Str(&name)
 		}
+		return
+	}
+	byName := make(map[string]*Proc, len(cd.waiters))
+	for _, w := range cd.waiters {
 		byName[w.name] = w
 	}
-	ordered := make([]*Proc, len(names))
-	for i, n := range names {
-		p := byName[n]
+	ordered := make([]*Proc, 0, len(cd.waiters))
+	for range cd.waiters {
+		var name string
+		c.Str(&name)
+		p := byName[name]
 		if p == nil {
-			return fmt.Errorf("sim: cond waiter %q absent at restore", n)
+			c.Failf("cond waiter %q absent at restore or listed twice", name)
 		}
-		ordered[i] = p
-		delete(byName, n)
+		if c.Err() != nil {
+			return
+		}
+		ordered = append(ordered, p)
+		delete(byName, name)
 	}
-	copy(c.waiters, ordered)
-	return nil
+	copy(cd.waiters, ordered)
 }
 
-// CheckpointQueue returns a copy of the queue's live items in FIFO
-// order. Order is state: a restored queue must hand out items in the
-// exact sequence the straight run would.
-func CheckpointQueue[T any](q *Queue[T]) []T {
-	return append([]T(nil), q.items[q.itemHead:]...)
+// SnapQueue codes the queue's live items in FIFO order, each through
+// item and of at least minSize bytes. Order is state: a restored queue
+// must hand out items in the exact sequence the straight run would. A
+// load replaces the content; a non-empty load into a queue with parked
+// waiters is inconsistent state (a Put would have woken one) and
+// fails.
+func SnapQueue[T any](c *snap.Codec, q *Queue[T], minSize int, item func(*T)) {
+	n := q.Len()
+	c.Count(&n, minSize)
+	if !c.Loading() {
+		for i := q.itemHead; i < len(q.items); i++ {
+			item(&q.items[i])
+		}
+		return
+	}
+	if n > 0 && q.waiters.len() > 0 {
+		c.Failf("%d items into queue %q with waiters", n, q.name)
+	}
+	if c.Err() != nil {
+		return
+	}
+	clear(q.items)
+	q.items, q.itemHead = q.items[:0], 0
+	for range n {
+		var v T
+		item(&v)
+		q.items = append(q.items, v)
+	}
 }
 
-// RestoreQueue replaces the queue's content with items. A non-empty
-// restore into a queue with parked waiters is inconsistent state — a
-// Put would have woken one — and errors.
-func RestoreQueue[T any](q *Queue[T], items []T) error {
-	if len(items) > 0 && q.waiters.len() > 0 {
-		return fmt.Errorf("sim: restore of %d items into queue %q with waiters", len(items), q.name)
+// SnapMap codes a map as a counted list of entries, each through entry
+// and of at least minSize bytes, in ascending key order under less —
+// the collect/sort/index idiom, so encode order can never leak map
+// iteration order (dcslint maporder). A load replaces *m and fails on
+// keys out of order, so every map has exactly one encoding.
+func SnapMap[K comparable, V any](c *snap.Codec, m *map[K]V, less func(a, b K) bool, minSize int, entry func(*K, *V)) {
+	// One k and v for the whole walk: entry's pointers escape, and a
+	// pair per entry would allocate per flash block.
+	var k, prev, zeroK K
+	var v, zeroV V
+	if !c.Loading() {
+		keys := make([]K, 0, len(*m))
+		for key := range *m {
+			keys = append(keys, key)
+		}
+		sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
+		n := len(keys)
+		c.Count(&n, minSize)
+		for _, key := range keys {
+			k, v = key, (*m)[key]
+			entry(&k, &v)
+		}
+		return
 	}
-	var zero T
-	for i := range q.items {
-		q.items[i] = zero
+	var n int
+	c.Count(&n, minSize)
+	if c.Err() != nil {
+		return
 	}
-	q.items = append(q.items[:0], items...)
-	q.itemHead = 0
-	return nil
+	*m = make(map[K]V, n)
+	for i := range n {
+		k, v = zeroK, zeroV
+		entry(&k, &v)
+		if i > 0 && !less(prev, k) {
+			c.Failf("map key %v out of order", k)
+		}
+		if c.Err() != nil {
+			return
+		}
+		(*m)[k] = v
+		prev = k
+	}
 }
 
 // SortedKeys returns the map's keys in sorted order — the collect/
-// sort/index idiom snapshot encoders use so encode order can never
-// leak map iteration order (dcslint maporder).
+// sort/index idiom Snap methods use to walk setup-determined maps so
+// encode order can never leak map iteration order (dcslint maporder).
 func SortedKeys[K ~uint64 | ~uint32 | ~uint16 | ~int | ~string, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {

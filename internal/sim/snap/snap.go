@@ -5,18 +5,24 @@
 //
 // The format is deliberately dumb: a fixed header (magic, version,
 // knob flags, configuration fingerprint), a sequence of named
-// length-prefixed sections written by per-device Snapshotters in a
-// fixed registration order, and a trailing FNV-1a digest over
-// everything before it. Encode order is fully deterministic — map-
-// keyed state must be collected, sorted, and indexed before encoding
-// (the dcslint maporder analyzer enforces the idiom) — so the same
-// simulator state always produces the same bytes, and checkpoint
-// artifacts can be content-addressed and re-verified byte-for-byte.
+// length-prefixed sections in a fixed order, and a trailing FNV-1a
+// digest over everything before it. Encode order is fully
+// deterministic — map-keyed state must be collected, sorted, and
+// indexed before encoding (the dcslint maporder analyzer enforces the
+// idiom) — so the same simulator state always produces the same
+// bytes, and checkpoint artifacts can be content-addressed and
+// re-verified byte-for-byte.
+//
+// One Codec type both saves and loads. Each checkpointed object
+// describes its state once, in a Snap(c *Codec) method that hands
+// every field to an accessor by pointer: a saving codec encodes *v, a
+// loading one overwrites it. Save and load therefore cannot disagree
+// on the layout.
 //
 // Everything rejects loudly: truncated buffers, bad magic, version or
 // knob mismatches, misnamed sections, short or over-long section
-// reads, and digest mismatches all surface as errors, never as
-// silently wrong simulator state.
+// reads, list lengths the section cannot hold, and digest mismatches
+// all surface as errors, never as silently wrong simulator state.
 package snap
 
 import (
@@ -51,171 +57,410 @@ const headerSize = 4 + 4 + 4 + 8
 // digestSize is the trailing FNV-1a 64-bit digest.
 const digestSize = 8
 
-// Snapshotter is one source of checkpoint state: a device model, a
-// memory map, a fault injector. Save must be strictly read-only on
-// simulator state (a snapshot must never perturb the run it captures)
-// and must error when the subsystem is not quiescent; Load overlays
-// the decoded state onto a freshly built, settled instance of the same
-// configuration.
-type Snapshotter interface {
-	// SnapSection returns the section name, unique within a checkpoint.
-	SnapSection() string
-	// SnapSave encodes the subsystem's state.
-	SnapSave(w *Writer) error
-	// SnapLoad decodes and overlays the subsystem's state.
-	SnapLoad(r *Reader) error
+// pageSize is the granule of Sparse images.
+const pageSize = 4096
+
+// Codec is one pass over a checkpoint, saving or loading. All
+// integers are little-endian. Errors are sticky: after the first
+// failure every accessor leaves its argument untouched and Err
+// reports the original cause, so a Snap method needs no checks of
+// its own between fields.
+//
+// A save must be strictly read-only on simulator state (a snapshot
+// must never perturb the run it captures): Snap methods run their
+// quiescence checks first, report them through Failf, and write
+// derived fields only under Loading.
+type Codec struct {
+	buf  []byte
+	off  int // loading: read position
+	load bool
+	err  error
+	sec  string // open section ("": none)
+	// secAt is, when saving, the offset of the open section's length
+	// prefix and, when loading, the open section's exclusive end.
+	secAt int
 }
 
-// Writer builds a checkpoint buffer. All integers are little-endian.
-type Writer struct {
-	buf      []byte
-	secStart int // offset of the current section's length prefix (-1: none)
-}
-
-// NewWriter returns a writer with the header already encoded.
-func NewWriter(h Header) *Writer {
-	w := &Writer{secStart: -1}
-	w.u32(Magic)
-	w.u32(h.Version)
-	w.u32(h.Flags)
-	w.u64(h.Config)
-	return w
-}
-
-func (w *Writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *Writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-
-// U8 encodes one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
-
-// U16 encodes a 16-bit integer.
-func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-
-// U32 encodes a 32-bit integer.
-func (w *Writer) U32(v uint32) { w.u32(v) }
-
-// U64 encodes a 64-bit integer.
-func (w *Writer) U64(v uint64) { w.u64(v) }
-
-// I64 encodes a signed 64-bit integer.
-func (w *Writer) I64(v int64) { w.u64(uint64(v)) }
-
-// Int encodes an int as a signed 64-bit integer.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// Bool encodes a boolean as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
+// snap codes the header, magic number first.
+func (h *Header) snap(c *Codec) {
+	m := Magic
+	c.U32(&m)
+	if m != Magic {
+		c.Failf("bad magic %#x", m)
 	}
+	c.U32(&h.Version)
+	c.U32(&h.Flags)
+	c.U64(&h.Config)
 }
 
-// Str encodes a length-prefixed string.
-func (w *Writer) Str(s string) {
-	w.u32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
+// NewSaver returns a saving codec with the header already encoded.
+func NewSaver(h Header) *Codec {
+	c := &Codec{}
+	h.snap(c)
+	return c
 }
 
-// Bytes encodes a length-prefixed byte slice.
-func (w *Writer) Bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
+// Open validates the envelope (magic, digest, header length) and
+// returns a loading codec positioned at the first section along with
+// the decoded header.
+func Open(data []byte) (*Codec, Header, error) { return open(data, true) }
 
-// Section begins a named length-prefixed section. Sections cannot
-// nest; the previous section must have been ended.
-func (w *Writer) Section(name string) {
-	if w.secStart >= 0 {
-		panic("snap: Section inside an open section")
+// OpenTrusted is Open without the digest check, for snapshots that
+// never left the process: a warm-fork grid restores the same
+// in-memory buffer once per cell, and re-hashing tens of megabytes
+// per fork costs a meaningful fraction of the restore itself. Buffers
+// that crossed a file or the network must go through Open.
+func OpenTrusted(data []byte) (*Codec, Header, error) { return open(data, false) }
+
+func open(data []byte, verify bool) (*Codec, Header, error) {
+	if len(data) < headerSize+digestSize {
+		return nil, Header{}, fmt.Errorf("snap: truncated checkpoint (%d bytes)", len(data))
 	}
-	w.Str(name)
-	w.secStart = len(w.buf)
-	w.u32(0) // length placeholder, patched by EndSection
-}
-
-// EndSection closes the current section, patching its length prefix.
-func (w *Writer) EndSection() {
-	if w.secStart < 0 {
-		panic("snap: EndSection without Section")
+	body := data[:len(data)-digestSize]
+	if verify {
+		want := binary.LittleEndian.Uint64(data[len(data)-digestSize:])
+		if got := fnv1a(body); got != want {
+			return nil, Header{}, fmt.Errorf("snap: digest mismatch (corrupt checkpoint): got %#x want %#x", got, want)
+		}
 	}
-	n := len(w.buf) - w.secStart - 4
-	binary.LittleEndian.PutUint32(w.buf[w.secStart:], uint32(n))
-	w.secStart = -1
-}
-
-// Finish appends the content digest and returns the checkpoint bytes.
-// The writer must not be used afterwards.
-func (w *Writer) Finish() []byte {
-	if w.secStart >= 0 {
-		panic("snap: Finish with an open section")
+	c := &Codec{buf: body, load: true}
+	var h Header
+	h.snap(c)
+	if c.err != nil {
+		return nil, Header{}, c.err
 	}
-	w.u64(fnv1a(w.buf))
-	return w.buf
+	if h.Version != Version {
+		return nil, Header{}, fmt.Errorf("snap: version %d, this build reads %d", h.Version, Version)
+	}
+	return c, h, nil
 }
 
-// Len returns the number of bytes encoded so far.
-func (w *Writer) Len() int { return len(w.buf) }
+// Loading reports whether the codec decodes into its arguments.
+func (c *Codec) Loading() bool { return c.load }
 
-// Grow ensures capacity for at least n more bytes. Snapshotters with
-// a known payload bound (a region's live prefix, a flash block count)
-// call it so multi-megabyte sections append without repeated buffer
-// doubling — each doubling recopies the whole checkpoint built so
-// far.
-func (w *Writer) Grow(n int) {
-	if cap(w.buf)-len(w.buf) >= n {
+// Err returns the first error, if any.
+func (c *Codec) Err() error { return c.err }
+
+// Failf records an error unless one is already recorded, prefixed
+// with the open section's name. Every later accessor is a no-op.
+func (c *Codec) Failf(format string, args ...any) {
+	if c.err != nil {
 		return
 	}
-	nb := make([]byte, len(w.buf), len(w.buf)+n)
-	copy(nb, w.buf)
-	w.buf = nb
-}
-
-// SparseBytes encodes data as its non-zero 4 KiB pages: a page count,
-// then (page index, raw page bytes) pairs in index order. Restores go
-// through LoadSparseBytes, which leaves every uncaptured page zero,
-// so the encoding is an authoritative image of the full span, not a
-// patch.
-func (w *Writer) SparseBytes(data []byte) {
-	w.SparseBytesLive(data, uint64(len(data)))
-}
-
-// SparseBytesLive is SparseBytes with a caller-supplied liveness
-// bound: bytes at or past live are guaranteed zero (e.g. a region's
-// write high-water mark), so only the live prefix is scanned. The
-// encoding is byte-identical to a full SparseBytes scan — pages past
-// the bound would have been skipped as zero anyway.
-func (w *Writer) SparseBytesLive(data []byte, live uint64) {
-	const page = 4096
-	w.u64(uint64(len(data)))
-	if live > uint64(len(data)) {
-		live = uint64(len(data))
+	if c.sec != "" {
+		format = c.sec + ": " + format
 	}
-	// Single pass: reserve the count word and backpatch it, so each
-	// page is classified once (zero-scanning the span dominates the
-	// cost of saving a mostly-empty multi-megabyte region).
-	countAt := len(w.buf)
-	w.u32(0)
+	c.err = fmt.Errorf("snap: "+format, args...)
+}
+
+// Finish appends the content digest and returns the checkpoint bytes,
+// or the first error of the save. The codec must not be used
+// afterwards.
+func (c *Codec) Finish() ([]byte, error) {
+	if c.load || c.sec != "" {
+		panic("snap: Finish on a loading codec or with an open section")
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return binary.LittleEndian.AppendUint64(c.buf, fnv1a(c.buf)), nil
+}
+
+// Grow ensures capacity for at least n more bytes when saving. Snap
+// methods with a known payload bound (a region's live prefix, a flash
+// block count) call it so multi-megabyte sections append without
+// repeated buffer doubling — each doubling recopies the whole
+// checkpoint built so far.
+func (c *Codec) Grow(n int) {
+	if c.load || cap(c.buf)-len(c.buf) >= n {
+		return
+	}
+	nb := make([]byte, len(c.buf), len(c.buf)+n)
+	copy(nb, c.buf)
+	c.buf = nb
+}
+
+// left is the number of bytes a load may still read: up to the end of
+// the open section, or of the buffer between sections.
+func (c *Codec) left() int {
+	if c.sec != "" {
+		return c.secAt - c.off
+	}
+	return len(c.buf) - c.off
+}
+
+// take consumes n bytes of a load, or fails.
+func (c *Codec) take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n < 0 || n > c.left() {
+		c.Failf("truncated read of %d bytes at offset %d", n, c.off)
+		return nil
+	}
+	b := c.buf[c.off : c.off+n]
+	c.off += n
+	return b
+}
+
+// saving reports whether accessors append: a save with no error yet.
+// Otherwise they take, and take is a no-op once an error is recorded.
+func (c *Codec) saving() bool { return !c.load && c.err == nil }
+
+// U8 codes one byte.
+func (c *Codec) U8(v *uint8) {
+	if c.saving() {
+		c.buf = append(c.buf, *v)
+	} else if b := c.take(1); b != nil {
+		*v = b[0]
+	}
+}
+
+// U16 codes a 16-bit integer.
+func (c *Codec) U16(v *uint16) {
+	if c.saving() {
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, *v)
+	} else if b := c.take(2); b != nil {
+		*v = binary.LittleEndian.Uint16(b)
+	}
+}
+
+// U32 codes a 32-bit integer.
+func (c *Codec) U32(v *uint32) {
+	if c.saving() {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+	} else if b := c.take(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
+	}
+}
+
+// U64 codes a 64-bit integer.
+func (c *Codec) U64(v *uint64) {
+	if c.saving() {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// I64 codes a signed 64-bit integer.
+func (c *Codec) I64(v *int64) {
+	x := uint64(*v)
+	c.U64(&x)
+	if c.load {
+		*v = int64(x)
+	}
+}
+
+// Int codes an int as a signed 64-bit integer.
+func (c *Codec) Int(v *int) {
+	x := uint64(*v)
+	c.U64(&x)
+	if c.load {
+		*v = int(x)
+	}
+}
+
+// Bool codes a boolean as one byte.
+func (c *Codec) Bool(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	c.U8(&b)
+	if c.load {
+		*v = b != 0
+	}
+}
+
+// Str codes a length-prefixed string.
+func (c *Codec) Str(v *string) {
+	n := uint32(len(*v))
+	c.U32(&n)
+	if c.saving() {
+		c.buf = append(c.buf, *v...)
+	} else if b := c.take(int(n)); b != nil {
+		*v = string(b)
+	}
+}
+
+// Bytes codes a length-prefixed byte slice. A load overwrites *v,
+// reusing its capacity.
+func (c *Codec) Bytes(v *[]byte) {
+	n := uint32(len(*v))
+	c.U32(&n)
+	if c.saving() {
+		c.buf = append(c.buf, *v...)
+	} else if b := c.take(int(n)); b != nil {
+		*v = append((*v)[:0], b...)
+	}
+}
+
+// Count codes the length of a list of run state whose elements each
+// encode to at least minSize bytes. A load fails, leaving *n zero,
+// when the rest of the open section cannot hold *n such elements, so
+// a crafted length can neither size an allocation nor drive a long
+// loop. Lengths fixed by the setup go through Check instead.
+func (c *Codec) Count(n *int, minSize int) {
+	if minSize < 1 {
+		panic("snap: Count needs a positive element size")
+	}
+	v := uint32(*n)
+	c.U32(&v)
+	if !c.load {
+		return
+	}
+	*n = 0
+	if uint64(v)*uint64(minSize) > uint64(c.left()) {
+		c.Failf("list of %d elements exceeds the %d bytes left in the section", v, c.left())
+	}
+	if c.err == nil {
+		*n = int(v)
+	}
+}
+
+// Check codes a setup-determined value: a save encodes v, a load fails
+// unless the snapshot holds the target's own v. A restore target is
+// rebuilt from the identical configuration and setup, so a mismatch
+// means the snapshot belongs to another system. code is the accessor
+// for T, e.g. c.U32.
+func Check[T comparable](c *Codec, what string, v T, code func(*T)) {
+	got := v
+	code(&got)
+	if got != v {
+		c.Failf("%s: snapshot has %v, target has %v (setup differs)", what, got, v)
+	}
+}
+
+// Section begins a named length-prefixed section. A load fails unless
+// the next section carries the given name. Sections cannot nest.
+func (c *Codec) Section(name string) {
+	if c.sec != "" {
+		panic("snap: Section inside an open section")
+	}
+	if c.err != nil {
+		return
+	}
+	if !c.load {
+		c.Str(&name)
+		c.secAt = len(c.buf)
+		c.buf = append(c.buf, 0, 0, 0, 0) // length, patched by EndSection
+		c.sec = name
+		return
+	}
+	var got string
+	var n uint32
+	c.Str(&got)
+	c.U32(&n)
+	if got != name {
+		c.Failf("section order mismatch: got %q, want %q", got, name)
+	} else if int(n) > c.left() {
+		c.Failf("section %q length %d exceeds buffer", name, n)
+	}
+	if c.err == nil {
+		c.sec, c.secAt = name, c.off+int(n)
+	}
+}
+
+// EndSection closes the open section: a save patches its length
+// prefix, a load verifies it was consumed exactly.
+func (c *Codec) EndSection() {
+	if c.err != nil {
+		c.sec = ""
+		return
+	}
+	if c.sec == "" {
+		panic("snap: EndSection without Section")
+	}
+	if !c.load {
+		binary.LittleEndian.PutUint32(c.buf[c.secAt:], uint32(len(c.buf)-c.secAt-4))
+	} else if c.off != c.secAt {
+		c.Failf("section consumed %d bytes short of its length", c.secAt-c.off)
+	}
+	c.sec = ""
+}
+
+// Sparse codes data as its non-zero 4 KiB pages: the span size, a
+// page count, then (page index, raw page bytes) pairs in index order.
+// A load leaves every uncaptured page of data zero, so the encoding
+// is an authoritative image of the full span, not a patch.
+//
+// bound is a liveness bound on data. A save scans only data[:bound]
+// (e.g. a region's write high-water mark: bytes past it are zero, so
+// the encoding equals a full scan's). A load takes it as the
+// destination's dirty bound: bytes past it are already zero, so only
+// gap pages below it need scrubbing.
+func (c *Codec) Sparse(data []byte, bound uint64) {
+	size := uint64(len(data))
+	c.U64(&size)
+	bound = min(bound, uint64(len(data)))
+	if !c.load {
+		if c.err == nil {
+			c.saveSparse(data, int(bound))
+		}
+		return
+	}
+	if size != uint64(len(data)) {
+		c.Failf("sparse span size %d, destination %d", size, len(data))
+	}
+	// Gap pages are checked before they are cleared — a restore
+	// targets a freshly built cluster whose spans are almost entirely
+	// zero already, and a read-only scan of a clean page is much
+	// cheaper than rewriting it.
+	dirtyPages := int((bound + pageSize - 1) / pageSize)
+	zeroGap := func(from, to int) { // page indices, [from, to)
+		for pi := from; pi < min(to, dirtyPages); pi++ {
+			if g := pageAt(data, pi*pageSize); !isZero(g) {
+				clear(g)
+			}
+		}
+	}
+	var n uint32
+	c.U32(&n)
+	prev := -1
+	for i := uint32(0); i < n && c.err == nil; i++ {
+		var idx uint32
+		c.U32(&idx)
+		if int(idx) <= prev || int(idx)*pageSize >= len(data) {
+			c.Failf("sparse page index %d out of order or range", idx)
+		}
+		if c.err != nil {
+			return
+		}
+		zeroGap(prev+1, int(idx))
+		prev = int(idx)
+		p := pageAt(data, prev*pageSize)
+		if src := c.take(len(p)); src != nil {
+			copy(p, src)
+		}
+	}
+	if c.err == nil {
+		zeroGap(prev+1, (len(data)+pageSize-1)/pageSize)
+	}
+}
+
+// saveSparse encodes the non-zero pages of data[:live] in one pass:
+// the count word is reserved and backpatched, so each page is
+// classified once (zero-scanning the span dominates the cost of
+// saving a mostly-empty multi-megabyte region).
+func (c *Codec) saveSparse(data []byte, live int) {
+	countAt := len(c.buf)
+	c.buf = append(c.buf, 0, 0, 0, 0)
 	n := uint32(0)
-	for off := 0; off < int(live); off += page {
-		p := pageAt(data, off, page)
+	for off := 0; off < live; off += pageSize {
+		p := pageAt(data, off)
 		if isZero(p) {
 			continue
 		}
 		n++
-		w.u32(uint32(off / page))
-		w.buf = append(w.buf, p...)
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(off/pageSize))
+		c.buf = append(c.buf, p...)
 	}
-	binary.LittleEndian.PutUint32(w.buf[countAt:], n)
+	binary.LittleEndian.PutUint32(c.buf[countAt:], n)
 }
 
-func pageAt(data []byte, off, page int) []byte {
-	end := off + page
-	if end > len(data) {
-		end = len(data)
-	}
-	return data[off:end]
+func pageAt(data []byte, off int) []byte {
+	return data[off:min(off+pageSize, len(data))]
 }
 
 // isZero scans one stream of 64-bit words, four per iteration.
@@ -244,244 +489,6 @@ func isZero(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// Reader decodes a checkpoint buffer. Errors are sticky: after the
-// first failure every accessor returns a zero value and Err reports
-// the original cause, so decode sequences need only one check.
-type Reader struct {
-	buf    []byte
-	off    int
-	err    error
-	secEnd int // exclusive end of the current section (-1: none)
-}
-
-// Open validates the envelope (magic, digest, header length) and
-// returns a reader positioned at the first section along with the
-// decoded header.
-func Open(data []byte) (*Reader, Header, error) { return open(data, true) }
-
-// OpenTrusted is Open without the digest check, for snapshots that
-// never left the process: a warm-fork grid restores the same
-// in-memory buffer once per cell, and re-hashing tens of megabytes
-// per fork costs a meaningful fraction of the restore itself. Buffers
-// that crossed a file or the network must go through Open.
-func OpenTrusted(data []byte) (*Reader, Header, error) { return open(data, false) }
-
-func open(data []byte, verify bool) (*Reader, Header, error) {
-	if len(data) < headerSize+digestSize {
-		return nil, Header{}, fmt.Errorf("snap: truncated checkpoint (%d bytes)", len(data))
-	}
-	body := data[:len(data)-digestSize]
-	if verify {
-		want := binary.LittleEndian.Uint64(data[len(data)-digestSize:])
-		if got := fnv1a(body); got != want {
-			return nil, Header{}, fmt.Errorf("snap: digest mismatch (corrupt checkpoint): got %#x want %#x", got, want)
-		}
-	}
-	r := &Reader{buf: body, secEnd: -1}
-	if m := r.u32(); m != Magic {
-		return nil, Header{}, fmt.Errorf("snap: bad magic %#x", m)
-	}
-	h := Header{Version: r.u32(), Flags: r.u32(), Config: r.u64()}
-	if r.err != nil {
-		return nil, Header{}, r.err
-	}
-	if h.Version != Version {
-		return nil, Header{}, fmt.Errorf("snap: version %d, this build reads %d", h.Version, Version)
-	}
-	return r, h, nil
-}
-
-func (r *Reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
-// Err returns the first decode error, if any.
-func (r *Reader) Err() error { return r.err }
-
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	lim := len(r.buf)
-	if r.secEnd >= 0 {
-		lim = r.secEnd
-	}
-	if n < 0 || r.off+n > lim {
-		r.fail(fmt.Errorf("snap: truncated read of %d bytes at offset %d", n, r.off))
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *Reader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *Reader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// U8 decodes one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// U16 decodes a 16-bit integer.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-// U32 decodes a 32-bit integer.
-func (r *Reader) U32() uint32 { return r.u32() }
-
-// U64 decodes a 64-bit integer.
-func (r *Reader) U64() uint64 { return r.u64() }
-
-// I64 decodes a signed 64-bit integer.
-func (r *Reader) I64() int64 { return int64(r.u64()) }
-
-// Int decodes an int encoded by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// Bool decodes a boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// Str decodes a length-prefixed string.
-func (r *Reader) Str() string {
-	n := r.u32()
-	return string(r.take(int(n)))
-}
-
-// Bytes decodes a length-prefixed byte slice (a copy).
-func (r *Reader) Bytes() []byte {
-	n := r.u32()
-	return append([]byte(nil), r.take(int(n))...)
-}
-
-// Section opens the next section, which must carry the given name.
-func (r *Reader) Section(name string) error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.secEnd >= 0 {
-		r.fail(fmt.Errorf("snap: Section %q inside an open section", name))
-		return r.err
-	}
-	got := r.Str()
-	if r.err != nil {
-		return r.err
-	}
-	if got != name {
-		r.fail(fmt.Errorf("snap: section order mismatch: got %q, want %q", got, name))
-		return r.err
-	}
-	n := r.u32()
-	if r.err != nil {
-		return r.err
-	}
-	if r.off+int(n) > len(r.buf) {
-		r.fail(fmt.Errorf("snap: section %q length %d exceeds buffer", name, n))
-		return r.err
-	}
-	r.secEnd = r.off + int(n)
-	return nil
-}
-
-// EndSection closes the current section, verifying it was consumed
-// exactly.
-func (r *Reader) EndSection() error {
-	if r.secEnd < 0 {
-		r.fail(fmt.Errorf("snap: EndSection without Section"))
-		return r.err
-	}
-	if r.err == nil && r.off != r.secEnd {
-		r.fail(fmt.Errorf("snap: section consumed %d bytes short of its length", r.secEnd-r.off))
-	}
-	r.off = r.secEnd
-	r.secEnd = -1
-	return r.err
-}
-
-// LoadSparseBytes decodes a SparseBytes span into dst as an exact
-// image of the saved span regardless of dst's prior content: captured
-// pages are copied in, and every other page ends zero.
-func (r *Reader) LoadSparseBytes(dst []byte) error {
-	return r.LoadSparseBytesDirty(dst, uint64(len(dst)))
-}
-
-// LoadSparseBytesDirty is LoadSparseBytes with a caller-supplied
-// bound on dst's prior content: bytes at or past dirty are guaranteed
-// already zero (e.g. the destination region's write high-water mark),
-// so only gap pages below it need scrubbing. Gap pages are checked
-// before they are cleared — a restore targets a freshly built cluster
-// whose spans are almost entirely zero already, and a read-only scan
-// of a clean page is much cheaper than rewriting it.
-func (r *Reader) LoadSparseBytesDirty(dst []byte, dirty uint64) error {
-	const page = 4096
-	size := r.u64()
-	if r.err != nil {
-		return r.err
-	}
-	if size != uint64(len(dst)) {
-		r.fail(fmt.Errorf("snap: sparse span size %d, destination %d", size, len(dst)))
-		return r.err
-	}
-	dirtyPages := int((min(dirty, uint64(len(dst))) + page - 1) / page)
-	zeroGap := func(from, to int) { // page indices, [from, to)
-		if to > dirtyPages {
-			to = dirtyPages
-		}
-		for pi := from; pi < to; pi++ {
-			g := pageAt(dst, pi*page, page)
-			if !isZero(g) {
-				clear(g)
-			}
-		}
-	}
-	n := r.u32()
-	prev := -1
-	for i := uint32(0); i < n; i++ {
-		idx := int(r.u32())
-		if r.err != nil {
-			return r.err
-		}
-		if idx <= prev || idx*page >= len(dst) {
-			r.fail(fmt.Errorf("snap: sparse page index %d out of order or range", idx))
-			return r.err
-		}
-		zeroGap(prev+1, idx)
-		prev = idx
-		p := pageAt(dst, idx*page, page)
-		src := r.take(len(p))
-		if src == nil {
-			return r.err
-		}
-		copy(p, src)
-	}
-	zeroGap(prev+1, (len(dst)+page-1)/page)
-	return r.err
 }
 
 // fnv1a computes a 64-bit FNV-1a-style digest of b, folding eight

@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"sort"
+	"cmp"
 
 	"dcsctrl/internal/sim"
 	"dcsctrl/internal/sim/snap"
@@ -11,30 +11,11 @@ import (
 // per-category busy map, categories sorted so encode order never
 // leaks map iteration order.
 
-// SnapSave encodes the account state.
-func (a *CPUAccount) SnapSave(w *snap.Writer) error {
-	w.I64(int64(a.start))
-	cats := make([]Category, 0, len(a.busy))
-	for c := range a.busy {
-		cats = append(cats, c)
-	}
-	sort.Slice(cats, func(i, j int) bool { return cats[i] < cats[j] })
-	w.U32(uint32(len(cats)))
-	for _, c := range cats {
-		w.Str(string(c))
-		w.I64(int64(a.busy[c]))
-	}
-	return nil
-}
-
-// SnapLoad replaces the account state with the captured one.
-func (a *CPUAccount) SnapLoad(r *snap.Reader) error {
-	a.start = sim.Time(r.I64())
-	n := int(r.U32())
-	a.busy = make(map[Category]sim.Time, n)
-	for i := 0; i < n; i++ {
-		c := Category(r.Str())
-		a.busy[c] = sim.Time(r.I64())
-	}
-	return r.Err()
+// Snap codes the account state; a load replaces it.
+func (a *CPUAccount) Snap(c *snap.Codec) {
+	c.I64((*int64)(&a.start))
+	sim.SnapMap(c, &a.busy, cmp.Less[Category], 4+8, func(cat *Category, busy *sim.Time) {
+		c.Str((*string)(cat))
+		c.I64((*int64)(busy))
+	})
 }
