@@ -7,7 +7,7 @@
 // ("kernel_schedule", "checkpoint") and each array element under
 // key/name ("benches/nic_frame_echo", "racks/rack_alltoall_64x4").
 // The gates are two tables, rules (per-metric baseline-vs-fresh
-// gates: SLOWER, ALLOCS, EVENTS, HANDOFF, NOSEG) and checks
+// gates: SLOWER, ALLOCS, EVENTS, HANDOFF) and checks
 // (single-entry verdicts on the fresh report: NOHANDLER, NOCKPT),
 // plus four cross-entry gates in code: nopar, fpdiv, hotpaths and
 // NOHANDLER's ≥25% ratio in run. Gating a new metric takes one row.
@@ -77,8 +77,6 @@ func grew(tol float64) func(base, fresh float64) bool {
 // not the wall clock, so they get a hard 10%: growth is a protocol
 // regression, or converted loops falling back to goroutine
 // park/resume. A zero-alloc baseline is an invariant, not a budget.
-// A baseline that collapses frames into flow segments must keep
-// collapsing some, or the wire fast path went dead.
 var rules = []rule{
 	{"ns_per_op", "SLOWER", grew(0.25)},
 	{"ns_per_event", "SLOWER", grew(0.25)},
@@ -88,7 +86,6 @@ var rules = []rule{
 	{"events_per_io", "EVENTS", grew(0.10)},
 	{"events_per_flow", "EVENTS", grew(0.10)},
 	{"handoffs_per_event", "HANDOFF", grew(0.10)},
-	{"seg_frames_per_op", "NOSEG", func(b, c float64) bool { return b > 0 && c == 0 }},
 }
 
 // check is a verdict on one entry of the fresh report; reports without

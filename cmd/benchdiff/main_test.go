@@ -54,11 +54,6 @@ var gateCases = []gateCase{
 	{"dataplane/allocs-grow-on-allocating-path", dataplane, set("benches", "nic_bulk_stream_64k", "allocs_per_op", 60), nil, 0, nil},
 	{"dataplane/events+15%", dataplane, scale("benches", "hdc_gather_8x512", "events_per_op", 1.15), nil, 1, []string{"EVENTS"}},
 	{"dataplane/events+5%", dataplane, scale("benches", "hdc_gather_8x512", "events_per_op", 1.05), nil, 0, nil},
-	{"dataplane/seg-frames-zero", dataplane, set("benches", "nic_frame_echo", "seg_frames_per_op", 0), nil, 1, []string{"NOSEG"}},
-	// seg_frames_per_op is omitempty in bench.DataplaneStat: a dead
-	// wire fast path shows up as a missing key, which must read as 0.
-	{"dataplane/seg-frames-key-omitted", dataplane, del("benches", "nic_frame_echo", "seg_frames_per_op"), nil, 1, []string{"NOSEG"}},
-	{"dataplane/seg-frames-fewer", dataplane, set("benches", "nic_bulk_stream_64k", "seg_frames_per_op", 1), nil, 0, nil},
 
 	{"kernel/self-diff", kernel, nil, nil, 0, nil},
 	{"kernel/ns-per-event+30%", kernel, scale("", "kernel_schedule", "ns_per_event", 1.30), nil, 1, []string{"SLOWER"}},
@@ -94,6 +89,9 @@ var gateCases = []gateCase{
 	{"kernel/handler-not-25%-faster", kernel, set("", "kernel_park_resume", "ns_per_event", 30), nil, 1, []string{"NOHANDLER"}},
 	{"kernel/handler-26%-faster", kernel, set("", "kernel_park_resume", "ns_per_event", 32), nil, 0, nil},
 	{"kernel/checkpoint-section-removed", kernel, func(r map[string]any) { delete(r, "checkpoint") }, nil, 1, []string{"NOCKPT"}},
+	// A key the fresh report omits must read as 0, so a dropped
+	// counter fails its gate instead of skipping it.
+	{"kernel/checkpoint-snapshot-bytes-key-omitted", kernel, del("", "checkpoint", "snapshot_bytes"), nil, 1, []string{"NOCKPT"}},
 	{"kernel/checkpoint-fingerprints-diverged", kernel, set("", "checkpoint", "all_match", false), nil, 1, []string{"NOCKPT"}},
 	{"kernel/checkpoint-speedup-1.05", kernel, set("", "checkpoint", "speedup", 1.05), nil, 1, []string{"NOCKPT"}},
 	{"kernel/checkpoint-speedup-1.15", kernel, set("", "checkpoint", "speedup", 1.15), nil, 0, nil},
@@ -161,7 +159,7 @@ func TestEveryGateFires(t *testing.T) {
 
 // gateCodes are the verdicts that fail a diff; benchdiff prints each
 // as the first word of a line.
-var gateCodes = []string{"SLOWER", "ALLOCS", "EVENTS", "HANDOFF", "NOSEG",
+var gateCodes = []string{"SLOWER", "ALLOCS", "EVENTS", "HANDOFF",
 	"NOPAR", "FPDIV", "NOHANDLER", "NOCKPT", "HOTPATH"}
 
 // printedCodes returns the sorted set of gate codes benchdiff printed.

@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"dcsctrl/internal/bench"
-	"dcsctrl/internal/sim"
 	"dcsctrl/internal/sim/snap"
 )
 
@@ -43,23 +42,12 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file")
 	benchjson := flag.String("benchjson", "", "write a kernel+wall-time perf report (BENCH_kernel.json) to this file")
 	dataplanejson := flag.String("dataplanejson", "", "write the data-plane microbenchmark report (BENCH_dataplane.json) to this file")
-	wire := flag.String("wire", "flow", "wire model fidelity: flow (analytic fast path, default) or frame (every frame simulated)")
 	nodes := flag.Int("nodes", 64, "rack experiment: node count")
 	domains := flag.Int("domains", 4, "rack experiment: shard domains (1 = serial reference)")
 	checkpoint := flag.String("checkpoint", "", "write a warm checkpoint artifact (gzip) to this file or directory and exit")
 	restore := flag.String("restore", "", "restore a checkpoint artifact, verify the round-trip byte-for-byte, and exit")
 	warmfork := flag.Bool("warmfork", false, "run the warm-fork grid experiment (alias for -only warmfork)")
 	flag.Parse()
-
-	switch *wire {
-	case "flow":
-		sim.SetDefaultWireFidelity(sim.WireFlow)
-	case "frame":
-		sim.SetDefaultWireFidelity(sim.WireFrame)
-	default:
-		fmt.Fprintf(os.Stderr, "dcsbench: -wire must be flow or frame, got %q\n", *wire)
-		os.Exit(2)
-	}
 
 	if *list {
 		fmt.Println(strings.Join(experiments, "\n"))

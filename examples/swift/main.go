@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 
 	"dcsctrl"
 )
@@ -28,8 +29,13 @@ func main() {
 		res := run(kind)
 		fmt.Printf("%-9v %4d requests (%d GET / %d PUT)  %5.2f Gbps  server CPU %5.1f%%\n",
 			kind, res.Requests, res.GETs, res.PUTs, res.Gbps, res.ServerCPU*100)
-		for cat, busy := range res.ServerBusy {
-			frac := busy.Seconds() / res.Elapsed.Seconds() / 6 * 100
+		cats := make([]dcsctrl.Category, 0, len(res.ServerBusy))
+		for cat := range res.ServerBusy {
+			cats = append(cats, cat)
+		}
+		slices.Sort(cats)
+		for _, cat := range cats {
+			frac := res.ServerBusy[cat].Seconds() / res.Elapsed.Seconds() / 6 * 100
 			if frac >= 0.5 {
 				fmt.Printf("          %-12s %5.1f%%\n", cat, frac)
 			}

@@ -88,29 +88,3 @@ func TestHandlerEquivRack(t *testing.T) {
 		}
 	}
 }
-
-// TestHandlerEquivMatrix runs the seed matrix at 2 domains under both
-// wire fidelities: the flow-level wire model is schedule-preserving,
-// so every cell must reproduce the seed's frozen fingerprint
-// byte-for-byte.
-func TestHandlerEquivMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full fidelity × seed matrix")
-	}
-	for _, g := range rackGoldens {
-		if g.domains != 2 {
-			continue
-		}
-		for _, wire := range []sim.WireFidelity{sim.WireFlow, sim.WireFrame} {
-			func() {
-				prev := sim.DefaultWireFidelity()
-				sim.SetDefaultWireFidelity(wire)
-				defer sim.SetDefaultWireFidelity(prev)
-				res := bench.RunRack(rackGoldenConfig(g))
-				if fp := res.Fingerprint(); fp != g.fp {
-					t.Fatalf("seed %d wire=%v: fingerprint %s != golden %s", g.seed, wire, fp, g.fp)
-				}
-			}()
-		}
-	}
-}

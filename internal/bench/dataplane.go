@@ -29,11 +29,6 @@ type DataplaneStat struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	HeapPerOp   float64 `json:"heap_bytes_per_op"`       // allocator bytes, not payload
 	EventsPerOp float64 `json:"events_per_op,omitempty"` // kernel events dispatched per op
-	// SegFramesPerOp counts frames carried inside analytic flow
-	// segments per op — the knob-not-dead signal for the wire fast
-	// path (cmd/benchdiff fails when a baseline that collapses frames
-	// stops collapsing them).
-	SegFramesPerOp float64 `json:"seg_frames_per_op,omitempty"`
 }
 
 // DataplaneReport is the BENCH_dataplane.json payload.
@@ -88,7 +83,6 @@ func measureSimOps(env *sim.Env, name string, bytesPerOp, warm, ops int, fn func
 	st := measureOps(name, bytesPerOp, 0, ops, fn)
 	after := env.Stats()
 	st.EventsPerOp = float64(after.Events-before.Events) / float64(ops)
-	st.SegFramesPerOp = float64(after.SegFrames-before.SegFrames) / float64(ops)
 	return st
 }
 
@@ -374,11 +368,11 @@ func benchNICEcho() DataplaneStat {
 }
 
 // benchNICBulkStream measures one 64 KiB LSO job delivered end to end:
-// node A posts a two-BD LSO chain, the NIC segments it into 45 frames,
-// the flow fast path collapses the steady-state run into analytic
-// claims, and the op completes when B's completion hook has seen every
-// frame of the job. Completion-driven like the echo; the events_per_op
-// baseline guards the claim crossover on the path workloads run.
+// node A posts a two-BD LSO chain, the NIC segments it into 45 frames
+// that cross the wire one by one, and the op completes when B's
+// completion hook has seen every frame of the job. Completion-driven
+// like the echo; the events_per_op baseline guards the transmit path
+// workloads run.
 func benchNICBulkStream() DataplaneStat {
 	env := sim.NewEnv()
 	a := newNicNode(env, "a")

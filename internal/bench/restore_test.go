@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dcsctrl/internal/nvme"
 	"dcsctrl/internal/sim"
 )
 
@@ -74,11 +75,11 @@ func smallCell(t *testing.T) (WarmForkConfig, []byte) {
 }
 
 // sectionBody returns the offset of the named section's body: the
-// checkpoint header is 20 bytes, and each section is a length-prefixed
+// checkpoint header is 16 bytes, and each section is a length-prefixed
 // name followed by a length-prefixed body.
 func sectionBody(t *testing.T, ckpt []byte, name string) int {
 	t.Helper()
-	for off := 20; off+8 <= len(ckpt); {
+	for off := 16; off+8 <= len(ckpt); {
 		n := int(binary.LittleEndian.Uint32(ckpt[off:]))
 		body := off + 4 + n + 4
 		if string(ckpt[off+4:off+4+n]) == name {
@@ -140,20 +141,30 @@ func TestRestoreRejectsCraftedListLength(t *testing.T) {
 
 // TestRestoreRejectsUnreachableState patches values no run can reach
 // one past their bound: the server SSD's idle exec workers past its
-// queue-pair depth (host driver QP 256 + engine QP 64), the fabric's
-// idle async-DMA workers past the NIC's receive DMA tag slots (16 per
+// queue-pair depth (host driver QP 256 + engine QP 64), the engine
+// QP's submission-queue head past its last entry, the fabric's idle
+// async-DMA workers past the NIC's receive DMA tag slots (16 per
 // queue, one host and one engine queue), and the first server
 // region's high-water mark past the region's size. Priming the pools
-// would spawn workers no run has, and a later save would size its
-// buffer by the mark.
+// would spawn workers no run has, the SSD would fetch commands from
+// outside its ring, and a later save would size its buffer by the
+// mark.
 func TestRestoreRejectsUnreachableState(t *testing.T) {
-	const qpDepth, rxTagSlots = 256 + 64, 16 * 2
+	const hostQP, engineQP, rxTagSlots = 256, 64, 16 * 2
 	cfg, ckpt := smallCell(t)
 	ssd := sectionBody(t, ckpt, "server.ssd")
 	slots := int(binary.LittleEndian.Uint32(ckpt[ssd+4:]))
 	// SSD count, slot queue, read/write bandwidth servers, exec
 	// accumulator, three counters, then the exec pool.
 	execIdle := ssd + 4 + 4 + 8*slots + 2*32 + 16 + 3*8
+	// The flash map (a count, then LBA and length-prefixed block per
+	// entry) and the queue-pair count; then per pair in QID order its
+	// QID, SQ head, CQ tail and phase. QP 2, the engine's, is second.
+	flash := execIdle + 8
+	engine := flash + 4 + int(binary.LittleEndian.Uint32(ckpt[flash:]))*(8+4+nvme.BlockSize) + 4 + (2 + 8 + 8 + 1)
+	if qid := binary.LittleEndian.Uint16(ckpt[engine:]); qid != 2 {
+		t.Fatalf("second queue pair is QP %d: checkpoint layout changed", qid)
+	}
 	// Posted-write clock and two byte counters, then the async pool.
 	asyncIdle := sectionBody(t, ckpt, "server.pcie") + 3*8
 	// Region count, then the first region's name, size, allocator
@@ -166,7 +177,8 @@ func TestRestoreRejectsUnreachableState(t *testing.T) {
 		off   int
 		limit uint64
 	}{
-		{"idle exec workers", execIdle, qpDepth},
+		{"idle exec workers", execIdle, hostQP + engineQP},
+		{"engine QP SQ head", engine + 2, engineQP - 1},
 		{"idle async-DMA workers", asyncIdle, rxTagSlots},
 		{"region high-water mark", region + 16, regionSize},
 	} {

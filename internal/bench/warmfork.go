@@ -117,8 +117,8 @@ func (c WarmForkConfig) buildCell() (*sim.Env, *core.Cluster, *apps.SwiftSession
 func cellFingerprint(env *sim.Env, res apps.SwiftResult) string {
 	st := env.Stats()
 	return snap.ContentHash([]byte(fmt.Sprintf(
-		"now=%d events=%d fused=%d ios=%d segs=%d segframes=%d req=%d gets=%d puts=%d bytes=%d errs=%d getlat=%.3f putlat=%.3f elapsed=%d",
-		env.Now(), st.Events, st.Fused, st.IOs, st.Segments, st.SegFrames,
+		"now=%d events=%d fused=%d ios=%d req=%d gets=%d puts=%d bytes=%d errs=%d getlat=%.3f putlat=%.3f elapsed=%d",
+		env.Now(), st.Events, st.Fused, st.IOs,
 		res.Requests, res.GETs, res.PUTs, res.Bytes, res.Errors,
 		res.GETLatency.Sum(), res.PUTLatency.Sum(), res.Elapsed)))
 }

@@ -33,7 +33,6 @@ func (c *Cluster) Snapshot() ([]byte, error) {
 	}
 	sc := snap.NewSaver(snap.Header{
 		Version: snap.Version,
-		Flags:   c.snapFlags(),
 		Config:  c.ConfigFingerprint(),
 	})
 	c.snap(sc, &es)
@@ -61,9 +60,6 @@ func (c *Cluster) restore(data []byte, verify bool) error {
 	sc, h, err := open(data)
 	if err != nil {
 		return err
-	}
-	if h.Flags != c.snapFlags() {
-		return fmt.Errorf("core: snapshot flags %#x, cluster runs %#x (kernel knobs differ)", h.Flags, c.snapFlags())
 	}
 	if h.Config != c.ConfigFingerprint() {
 		return fmt.Errorf("core: snapshot config %#x, cluster is %#x (configuration differs)", h.Config, c.ConfigFingerprint())
@@ -105,15 +101,6 @@ func (c *Cluster) snap(sc *snap.Codec, es *sim.EnvState) {
 
 	c.Server.snap(sc)
 	c.Client.snap(sc)
-}
-
-// snapFlags encodes the kernel knobs the schedule depends on; a
-// snapshot only restores into a cluster running the same knobs.
-func (c *Cluster) snapFlags() uint32 {
-	if c.Env.WireFidelity() == sim.WireFlow {
-		return snap.FlagWireFlow
-	}
-	return 0
 }
 
 // ConfigFingerprint hashes the structural configuration — everything

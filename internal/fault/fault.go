@@ -298,24 +298,6 @@ func (in *Injector) Hit(site Site) bool {
 	return true
 }
 
-// Armed reports whether the site could still fire or draw: a stream
-// exists and the fire limit (if any) is not exhausted. Hit on an
-// unarmed site is a pure no-op — it records no draw and returns false
-// — so fast paths may legally skip Hit calls for unarmed sites without
-// perturbing any stream or statistic. Nil-safe: nothing is armed on a
-// nil injector.
-func (in *Injector) Armed(site Site) bool {
-	if in == nil {
-		return false
-	}
-	st, ok := in.streams[site]
-	if !ok {
-		return false
-	}
-	r := in.profile.Rules[site]
-	return r.Limit == 0 || st.hits < int64(r.Limit)
-}
-
 // Seed returns the injector seed (nil-safe).
 func (in *Injector) Seed() uint64 {
 	if in == nil {

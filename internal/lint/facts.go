@@ -755,9 +755,9 @@ func (s *summarizer) methodOnGlobal(call *ast.CallExpr, fn *types.Func) {
 	if _, isPtr := sig.Recv().Type().(*types.Pointer); !isPtr {
 		return
 	}
-	// sync/atomic Load* takes a pointer receiver but only reads; the
-	// default-knob pattern (wireFrameOnly.Load() in sim.NewEnv) must
-	// not count as a cross-domain write.
+	// sync/atomic Load* takes a pointer receiver but only reads; a
+	// package-level default read with Load must not count as a
+	// cross-domain write.
 	if fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && strings.HasPrefix(fn.Name(), "Load") {
 		return
 	}

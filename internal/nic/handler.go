@@ -53,12 +53,11 @@ type txMachine struct {
 
 	// The chain in transmit: its first BD, BD count and byte count;
 	// its segments (in q.segs) go out in runs whose sizes ramp up.
-	first     SendBD
-	chainLen  int
-	size      int
-	claimable bool
-	i, k      int // next segment; size of the run being built
-	ramp      int
+	first    SendBD
+	chainLen int
+	size     int
+	i, k     int // next segment; size of the run being built
+	ramp     int
 }
 
 // run is the machine's handler body.
@@ -139,12 +138,10 @@ func (m *txMachine) run(h *sim.HandlerCtx) {
 			if !m.vec.Step(h) {
 				return
 			}
-			claimable, ok := n.prepTransmit(q, m.first, n.fab.Mem().View(q.txStage, m.size))
-			if !ok {
+			if !n.prepTransmit(q, m.first, n.fab.Mem().View(q.txStage, m.size)) {
 				m.completeChain()
 				continue
 			}
-			m.claimable = claimable
 			m.i, m.ramp = 0, 1
 			m.st = txSpace
 		case txSpace:
@@ -158,20 +155,8 @@ func (m *txMachine) run(h *sim.HandlerCtx) {
 				m.completeChain()
 				continue
 			}
-			// The FIFO budget counts claimed frames still on the
-			// analytic wire (virtualQueued): while claims are
-			// draining, space opens at their booked exits — the
-			// instants the wire machine's Get would broadcast txSpace
-			// in the per-frame schedule.
-			room := txFIFOCap - n.txFIFO.Len() - n.virtualQueued()
+			room := txFIFOCap - n.txFIFO.Len()
 			if room <= 0 {
-				if x, ok := n.nextClaimExit(); ok {
-					if d := x - n.env.Now(); d > 0 {
-						h.Rearm(d)
-						return
-					}
-					continue
-				}
 				n.txSpace.WaitH(h)
 				return
 			}
@@ -190,7 +175,7 @@ func (m *txMachine) run(h *sim.HandlerCtx) {
 				return
 			}
 		case txBuild:
-			n.emitRun(q.segs[m.i:m.i+m.k], m.claimable)
+			n.emitRun(q.segs[m.i : m.i+m.k])
 			m.i += m.k
 			if m.ramp < txFIFOCap {
 				m.ramp *= 2
@@ -261,15 +246,6 @@ func (m *txWireMachine) run(h *sim.HandlerCtx) {
 			n.txSpace.Broadcast()
 			m.f, m.attempt = f, 0
 			m.st = twAcq
-			// Queue behind analytic flow segments exactly as the FIFO
-			// would have queued behind their per-frame expansion:
-			// claims book the wire clock without occupying txBW
-			// (flow.go), so a real frame waits out the booked window
-			// first.
-			if w := n.wireFree; w > n.env.Now() {
-				h.Rearm(w - n.env.Now())
-				return
-			}
 		case twAcq:
 			if !n.txBW.AcquireH(h) {
 				return
@@ -302,7 +278,6 @@ func (m *txWireMachine) run(h *sim.HandlerCtx) {
 				n.txPayload += int64(f.payLen)
 				n.wireOut(f.frame, f.wireLen, f.payLen)
 			}
-			n.wireFree = n.env.Now()
 			n.realInFlight--
 			n.env.CountIO(1) // one wire frame left the device
 			m.f = outFrame{}

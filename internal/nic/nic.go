@@ -171,18 +171,9 @@ type NIC struct {
 	frames *framePool
 	fdFree []*frameDelivery
 
-	// Flow-fidelity transmit state (flow.go): per-connection phase
-	// machines deciding segment eligibility, the analytic wire clock,
-	// the pending-claim exit ring bounding virtual FIFO occupancy, and
-	// the count of real (per-frame) frames between txFIFO.Put and wire
-	// exit — claims may only form while that count is zero, so the
-	// analytic and per-frame schedules never interleave on the wire.
-	flows        map[ether.Tuple]*ether.FlowState
-	wireFree     sim.Time
-	claimExits   []sim.Time
-	claimHead    int
+	// realInFlight counts frames between txFIFO.Put and wire exit; a
+	// checkpoint refuses a NIC that still holds one.
 	realInFlight int
-	segFrames    int64 // frames accounted through flow segments
 
 	// RxPerQueue counts delivered frames per queue (diagnostics).
 	RxPerQueue map[uint16]int64
@@ -259,7 +250,6 @@ func NewNIC(env *sim.Env, fab *pcie.Fabric, name string, params Params) *NIC {
 		params:     params,
 		queues:     map[uint16]*nicQueue{},
 		steering:   map[ether.Tuple]uint16{},
-		flows:      map[ether.Tuple]*ether.FlowState{},
 		RxPerQueue: map[uint16]int64{},
 		frames:     &framePool{},
 	}
@@ -332,9 +322,8 @@ func Connect(a, b *NIC) {
 // Uplink is a switched-fabric attachment point: SendFrame takes
 // ownership of a fully serialized wire frame at the instant its last
 // bit leaves the NIC (internal/sim/shard.Outbox satisfies this shape).
-// With an uplink attached there is no peer, so the flow-level transmit
-// fast path legally self-disables (claimRun requires a peer) and every
-// frame travels per-frame — the fabric model owns all post-NIC timing.
+// With an uplink attached there is no peer: the fabric model owns all
+// post-NIC timing.
 type Uplink interface {
 	SendFrame(frame []byte, wireLen, payLen int)
 }
@@ -536,22 +525,20 @@ func (n *NIC) nextChain(q *nicQueue) (first SendBD, bds, size int, ok bool) {
 
 // prepTransmit parses the gathered chain's header template and
 // segments it into q.segs (LSO, or one segment) for the transmit
-// stage. It reports whether the chain's runs may be claimed by the
-// flow fast path (flow.go), and ok=false when the chain is dropped as
-// malformed.
+// stage. It returns false when the chain is dropped as malformed.
 //
 // Segment payloads alias the staging buffer (raw); that is safe
 // because only this queue's transmit machine writes q.txStage, and
 // MarshalTo copies every byte into the frame before the next gather.
-func (n *NIC) prepTransmit(q *nicQueue, first SendBD, raw []byte) (claimable, ok bool) {
+func (n *NIC) prepTransmit(q *nicQueue, first SendBD, raw []byte) bool {
 	if len(raw) < ether.HeadersLen {
 		n.drops++
-		return false, false
+		return false
 	}
 	proto, err := ether.ParseHeaders(raw[:ether.HeadersLen])
 	if err != nil {
 		n.drops++
-		return false, false
+		return false
 	}
 	payload := raw[ether.HeadersLen:]
 	segs := q.segs[:0]
@@ -560,23 +547,20 @@ func (n *NIC) prepTransmit(q *nicQueue, first SendBD, raw []byte) (claimable, ok
 	} else {
 		if len(payload) > ether.MSS {
 			n.drops++
-			return false, false
+			return false
 		}
 		segs = append(segs, ether.Segment{Flow: proto.Flow, Seq: proto.Seq, Ack: proto.Ack,
 			Flags: proto.Flags | ether.FlagACK, Payload: payload})
 	}
 	q.segs = segs
-	return n.observeBurst(proto.Flow.Tuple(), segs), true
+	return true
 }
 
-// emitRun puts one built run of segments on the wire: as an analytic
-// flow claim when allowed, else frame by frame through the FIFO.
+// emitRun puts one built run of segments into the transmit FIFO,
+// frame by frame.
 //
 //dcslint:hotpath nic_bulk_stream_64k
-func (n *NIC) emitRun(segs []ether.Segment, claimable bool) {
-	if claimable && n.claimRun(segs) {
-		return
-	}
+func (n *NIC) emitRun(segs []ether.Segment) {
 	for i := range segs {
 		s := &segs[i]
 		// Checksum offload happens in MarshalTo; recycled frame

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"dcsctrl/internal/ether"
 	"dcsctrl/internal/mem"
 	"dcsctrl/internal/sim"
 	"dcsctrl/internal/sim/snap"
@@ -12,42 +11,12 @@ import (
 
 // Checkpoint support (DESIGN.md §17). A quiescent NIC has no frame in
 // any stage — demux, queue pipelines, DMA tags, FIFO, and wire are all
-// empty, analytic claims all exited. What persists across quiescence
-// is the ring bookkeeping (posted receive buffers and their prefetched
-// descriptors wait for future traffic), the armed-interrupt state, the
-// per-connection flow phase machines, the wire clock, the tag-slot
-// free order (which staging slot a future frame gets), and counters.
-// Free lists (frame buffers, delivery records) restore empty: a pool
-// miss and a pool hit produce identical event timelines.
-
-// tupleLess orders connection tuples by their packed addresses, then
-// ports.
-func tupleLess(a, b ether.Tuple) bool {
-	ip := func(a ether.IP) uint64 {
-		return uint64(a[0])<<24 | uint64(a[1])<<16 | uint64(a[2])<<8 | uint64(a[3])
-	}
-	a1, a2 := ip(a.SrcIP)<<32|ip(a.DstIP), uint64(a.SrcPort)<<16|uint64(a.DstPort)
-	b1, b2 := ip(b.SrcIP)<<32|ip(b.DstIP), uint64(b.SrcPort)<<16|uint64(b.DstPort)
-	return a1 < b1 || a1 == b1 && a2 < b2
-}
-
-// snapTuple codes a connection tuple, each address as a
-// length-prefixed byte string.
-func snapTuple(c *snap.Codec, t *ether.Tuple) {
-	for _, ip := range []*ether.IP{&t.SrcIP, &t.DstIP} {
-		b := ip[:] // a load of the right length lands in place
-		c.Bytes(&b)
-		if len(b) != len(ip) {
-			c.Failf("address of %d bytes", len(b))
-		}
-	}
-	c.U16(&t.SrcPort)
-	c.U16(&t.DstPort)
-}
-
-// tupleSize is a coded tuple's size: two 4-byte addresses with length
-// prefixes and two ports.
-const tupleSize = 2*(4+4) + 2*2
+// empty. What persists across quiescence is the ring bookkeeping
+// (posted receive buffers and their prefetched descriptors wait for
+// future traffic), the armed-interrupt state, the tag-slot free order
+// (which staging slot a future frame gets), and counters. Free lists
+// (frame buffers, delivery records) restore empty: a pool miss and a
+// pool hit produce identical event timelines.
 
 // RxDMATagSlots is the number of receive DMA tag slots across the
 // NIC's queues. Each asynchronous receive DMA holds one until its
@@ -55,7 +24,7 @@ const tupleSize = 2*(4+4) + 2*2
 func (n *NIC) RxDMATagSlots() int { return rxDMATags * len(n.queueList) }
 
 // Snap codes the device state. Queues iterate in queueList
-// (configuration) order, flows in sorted-tuple order.
+// (configuration) order.
 func (n *NIC) Snap(c *snap.Codec) {
 	switch {
 	case n.rxQ.Len() != 0:
@@ -64,10 +33,7 @@ func (n *NIC) Snap(c *snap.Codec) {
 		c.Failf("%s: %d frames in the transmit FIFO", n.Name, n.txFIFO.Len())
 	case n.realInFlight != 0:
 		c.Failf("%s: %d frames between FIFO and wire", n.Name, n.realInFlight)
-	case n.pendingClaimedFrames() != 0:
-		c.Failf("%s: undrained flow claims", n.Name)
 	}
-	c.I64((*int64)(&n.wireFree))
 	n.txBW.Snap(c)
 	c.I64(&n.txFrames)
 	c.I64(&n.rxFrames)
@@ -77,15 +43,7 @@ func (n *NIC) Snap(c *snap.Codec) {
 	c.I64(&n.rxErrors)
 	c.I64(&n.txReplays)
 	c.I64(&n.bdRefetches)
-	c.I64(&n.segFrames)
 	snap.Check(c, "steering rules", uint32(len(n.steering)), c.U32)
-	sim.SnapMap(c, &n.flows, tupleLess, tupleSize+16, func(t *ether.Tuple, st **ether.FlowState) {
-		snapTuple(c, t)
-		if c.Loading() {
-			*st = &ether.FlowState{}
-		}
-		(*st).Snap(c)
-	})
 	sim.SnapMap(c, &n.RxPerQueue, cmp.Less[uint16], 2+8, func(qid *uint16, frames *int64) {
 		c.U16(qid)
 		c.I64(frames)

@@ -1,21 +1,24 @@
 package nic
 
-// Crossover equivalence suite for the flow-level wire fast path
-// (DESIGN.md §13). Every mix here is driven twice — once per frame,
-// once with the flow fast path on — and the complete host-visible
-// timeline (the instant, buffer address, completion entry, and payload
-// checksum of every delivered frame, plus final device counters) must
-// be byte-identical. The mixes cover the crossover seams: ramp-up,
-// short-message bypass, duplex bulk, multiple concurrent flows,
-// mid-stream faults (corruption, stuck descriptors, link degrade),
-// buffer starvation, and randomized traffic under pinned seeds.
+// Wire timeline goldens (DESIGN.md §13). Every rig below drives
+// scripted traffic between two back-to-back NICs and hashes the
+// complete host-visible timeline — the instant, buffer address,
+// completion entry, and payload checksum of every delivered frame,
+// plus final device counters — together with the run's kernel event
+// count. The constants were recorded on the per-frame wire path while
+// an analytic wire-claim path still existed beside it, and the claim
+// path reproduced every digest. The rigs cover the seams that path
+// had to respect: ramp-up, short messages, duplex bulk, multiple
+// concurrent flows, mid-stream faults (corruption, stuck
+// descriptors), buffer starvation, reactive echo, and randomized
+// traffic under a pinned seed.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -26,20 +29,26 @@ import (
 	"dcsctrl/internal/sim"
 )
 
-// testSeed pins every randomized mix in this suite. The CI seed-matrix
-// step overrides it via DCS_FIDELITY_SEED to sweep the equivalence
-// property over additional fault and traffic schedules; any value must
-// hold — the suite asserts a universal property, not a golden output.
-var testSeed = func() int64 {
-	if s := os.Getenv("DCS_FIDELITY_SEED"); s != "" {
-		v, err := strconv.ParseInt(s, 0, 64)
-		if err != nil {
-			panic("bad DCS_FIDELITY_SEED: " + s)
-		}
-		return v
+// goldenSeed pins every randomized mix and fault schedule in this
+// file; the goldens hold for this seed only.
+const goldenSeed = 0x5EEDED
+
+// wireGolden is one rig's frozen timeline: the SHA-256 of its
+// fingerprint and its dispatched kernel events.
+type wireGolden struct {
+	digest string
+	events uint64
+}
+
+// checkGolden fails unless the run reproduces its golden.
+func checkGolden(t *testing.T, name, fp string, st sim.Stats, want wireGolden) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(fp))
+	if got := hex.EncodeToString(sum[:]); got != want.digest || st.Events != want.events {
+		t.Fatalf("%s: timeline %s with %d events, golden %s with %d",
+			name, got, st.Events, want.digest, want.events)
 	}
-	return 0x5EEDED
-}()
+}
 
 // mixOp is one scripted sender action: wait gap, then send one LSO job
 // of size bytes on flow fl.
@@ -58,8 +67,8 @@ type mixConfig struct {
 	faultSeed uint64
 }
 
-// fidelityNode wraps the test node with scripted-traffic state.
-type fidelityNode struct {
+// goldenNode wraps the test node with scripted-traffic state.
+type goldenNode struct {
 	*node
 	bufBase mem.Addr
 	free    []mem.Addr // repost pool, consumed and refilled in order
@@ -69,7 +78,7 @@ type fidelityNode struct {
 	label   string
 }
 
-func (fn *fidelityNode) post(addrs []mem.Addr) {
+func (fn *goldenNode) post(addrs []mem.Addr) {
 	if len(addrs) == 0 {
 		return
 	}
@@ -83,17 +92,16 @@ func (fn *fidelityNode) post(addrs []mem.Addr) {
 	fn.recv.RingDoorbell()
 }
 
-// runMix drives one scripted mix under the given fidelity and returns
-// the full host-visible fingerprint.
-func runMix(fid sim.WireFidelity, mix mixConfig) (string, sim.Stats) {
+// runMix drives one scripted mix and returns the full host-visible
+// fingerprint.
+func runMix(mix mixConfig) (string, sim.Stats) {
 	env := sim.NewEnv()
-	env.SetWireFidelity(fid)
-	nodes := make([]*fidelityNode, 2)
+	nodes := make([]*goldenNode, 2)
 	var lines []string
 	for i, name := range []string{"a", "b"} {
 		inj := fault.NewInjector(mix.faultSeed, mix.profile)
 		n := newFaultyNode(env, name, inj)
-		fn := &fidelityNode{node: n, lines: &lines, label: name}
+		fn := &goldenNode{node: n, lines: &lines, label: name}
 		fn.bufBase = n.dram.Alloc(uint64(mix.bufs)*2048, 4096)
 		for k := 0; k < mix.bufs; k++ {
 			fn.free = append(fn.free, fn.bufBase+mem.Addr(k*2048))
@@ -149,6 +157,12 @@ func runMix(fid sim.WireFidelity, mix mixConfig) (string, sim.Stats) {
 		})
 	}
 	env.Run(-1)
+	return timelineFingerprint(env, lines, nodes), env.Stats()
+}
+
+// timelineFingerprint joins the delivery lines with both NICs' final
+// counters and the end instant.
+func timelineFingerprint(env *sim.Env, lines []string, nodes []*goldenNode) string {
 	var sb strings.Builder
 	for _, l := range lines {
 		sb.WriteString(l)
@@ -161,21 +175,19 @@ func runMix(fid sim.WireFidelity, mix mixConfig) (string, sim.Stats) {
 			fn.label, tx, rx, txp, rxp, drops, errs, replays, refetches)
 	}
 	fmt.Fprintf(&sb, "end=%d\n", env.Now())
-	return sb.String(), env.Stats()
+	return sb.String()
 }
 
 // statusRegion resolves the node's status region for hook installation.
-func (fn *fidelityNode) statusRegion() *mem.Region {
+func (fn *goldenNode) statusRegion() *mem.Region {
 	r, _ := fn.mm.MustResolve(fn.cfg.RecvStatus)
 	return r
 }
 
 // newFaultyNode is newNode with a custom fault injector on the NIC
-// (the PCIe fabric keeps the default none profile; pcie-level faults
-// get their own mixes via params). The fabric is the event-driven one
-// every workload runs: scripted senders overlap transmit gathers with
-// receive payload DMAs, and these mixes gate the wire-level claim
-// crossover (DESIGN.md §13).
+// (the PCIe fabric keeps the default none profile). The fabric is the
+// event-driven one every workload runs: scripted senders overlap
+// transmit gathers with receive payload DMAs.
 func newFaultyNode(env *sim.Env, name string, inj *fault.Injector) *node {
 	mm := mem.NewMap()
 	fab := pcie.NewFabric(env, mm, pcie.DefaultParams())
@@ -221,95 +233,68 @@ func mixFlow(i, fl int) ether.Flow {
 	return f
 }
 
-// assertEquivalent runs the mix under both fidelities and fails on the
-// first fingerprint divergence.
-func assertEquivalent(t *testing.T, name string, mix mixConfig) (frame, flow sim.Stats) {
+// checkMix runs the mix and fails unless it reproduces its golden.
+func checkMix(t *testing.T, name string, mix mixConfig, want wireGolden) string {
 	t.Helper()
-	frameFP, frameStats := runMix(sim.WireFrame, mix)
-	flowFP, flowStats := runMix(sim.WireFlow, mix)
-	if frameFP != flowFP {
-		fl := strings.Split(frameFP, "\n")
-		gl := strings.Split(flowFP, "\n")
-		for i := 0; i < len(fl) || i < len(gl); i++ {
-			a, b := "<eof>", "<eof>"
-			if i < len(fl) {
-				a = fl[i]
-			}
-			if i < len(gl) {
-				b = gl[i]
-			}
-			if a != b {
-				t.Fatalf("%s: fingerprints diverge at line %d:\n  frame: %s\n  flow:  %s",
-					name, i, a, b)
-			}
-		}
-		t.Fatalf("%s: fingerprints differ", name)
-	}
-	return frameStats, flowStats
+	fp, st := runMix(mix)
+	checkGolden(t, name, fp, st, want)
+	return fp
 }
 
 func bulkMix(ops []mixOp, flows, bufs int) mixConfig {
 	return mixConfig{ops: ops, flows: flows, bufs: bufs, profile: fault.None(), faultSeed: 1}
 }
 
-func TestFidelityEquivalenceBulkDuplex(t *testing.T) {
+func TestWireGoldenBulkDuplex(t *testing.T) {
 	// Steady duplex bulk: both nodes stream full-size LSO jobs with no
-	// gaps — the claim path's home turf.
+	// gaps.
 	var ops []mixOp
 	for k := 0; k < 12; k++ {
 		ops = append(ops, mixOp{node: 0, fl: 0, size: 64 << 10})
 		ops = append(ops, mixOp{node: 1, fl: 0, size: 48 << 10})
 	}
-	_, flowStats := assertEquivalent(t, "bulk-duplex", bulkMix(ops, 1, 256))
-	if flowStats.Segments == 0 {
-		t.Fatal("knob not live: bulk duplex emitted no flow segments")
-	}
+	checkMix(t, "bulk-duplex", bulkMix(ops, 1, 256), wireGolden{"2393243a720bef5e70df651f686cf73ec5075452aea223fc9b6e4cde26d32081", 13958})
 }
 
-func TestFidelityEquivalenceShortMessages(t *testing.T) {
-	// Short-message bypass: everything below the bulk threshold stays
-	// per-frame in both fidelities.
+func TestWireGoldenShortMessages(t *testing.T) {
+	// Short messages, one frame each, with gaps.
 	var ops []mixOp
 	for k := 0; k < 30; k++ {
 		ops = append(ops, mixOp{node: k % 2, fl: 0, size: 64 + 32*k, gap: sim.Time(k%3) * 5 * sim.Microsecond})
 	}
-	assertEquivalent(t, "short", bulkMix(ops, 1, 128))
+	checkMix(t, "short", bulkMix(ops, 1, 128), wireGolden{"773a80c1de751afe621cd0d0e2a5500444b7cf7e3425c197ed8f05a4fb56de98", 1427})
 }
 
-func TestFidelityEquivalenceMultiFlow(t *testing.T) {
-	// Concurrent flows per direction with mixed sizes: per-flow state
-	// machines ramp independently; interleaving must stay exact.
+func TestWireGoldenMultiFlow(t *testing.T) {
+	// Concurrent flows per direction with mixed sizes, interleaved on
+	// one wire.
 	var ops []mixOp
 	for k := 0; k < 10; k++ {
 		ops = append(ops, mixOp{node: 0, fl: k % 3, size: 32 << 10})
 		ops = append(ops, mixOp{node: 1, fl: k % 2, size: 200, gap: sim.Time(k%2) * 2 * sim.Microsecond})
 		ops = append(ops, mixOp{node: 0, fl: (k + 1) % 3, size: 1460})
 	}
-	assertEquivalent(t, "multi-flow", bulkMix(ops, 3, 256))
+	checkMix(t, "multi-flow", bulkMix(ops, 3, 256), wireGolden{"fc5e71256d3ca92f59967b9c2cfd8a0e48964d0f6c3436989699a6920d733a38", 4299})
 }
 
-func TestFidelityEquivalenceStarvation(t *testing.T) {
-	// Fewer receive buffers than in-flight frames: the fast path must
-	// starve, recover, and retire in exactly the per-frame order.
+func TestWireGoldenStarvation(t *testing.T) {
+	// Fewer receive buffers than in-flight frames: the stream starves,
+	// recovers, and retires in order.
 	var ops []mixOp
 	for k := 0; k < 8; k++ {
 		ops = append(ops, mixOp{node: 0, fl: 0, size: 64 << 10})
 	}
-	assertEquivalent(t, "starve", bulkMix(ops, 1, 24))
+	checkMix(t, "starve", bulkMix(ops, 1, 24), wireGolden{"36da88978b6325ebe4d461b7ebdcd57334ee62fca3aba0b4d31b3fdf154af335", 5383})
 }
 
 func faultMix(ops []mixOp, flows, bufs int, rules map[fault.Site]fault.Rule) mixConfig {
 	return mixConfig{ops: ops, flows: flows, bufs: bufs,
-		profile: fault.Profile{Name: "mix", Rules: rules}, faultSeed: uint64(testSeed)}
+		profile: fault.Profile{Name: "mix", Rules: rules}, faultSeed: goldenSeed}
 }
 
-func TestFidelityEquivalenceCorruptionBurst(t *testing.T) {
-	// Deterministic corruption of the first frames: the flow machine
-	// must demote, replay per-frame, and re-promote after the limit —
-	// with the recovery timeline identical in both fidelities. The
-	// trailing jobs sit behind a drain gap: crossover back to segments
-	// additionally needs a quiescent wire (no real frame between FIFO
-	// insertion and wire exit), which a gapless stream never offers.
+func TestWireGoldenCorruptionBurst(t *testing.T) {
+	// Deterministic corruption of the first frames, replayed by the
+	// link layer, then trailing jobs behind a drain gap.
 	var ops []mixOp
 	for k := 0; k < 10; k++ {
 		ops = append(ops, mixOp{node: 0, fl: 0, size: 64 << 10})
@@ -317,19 +302,14 @@ func TestFidelityEquivalenceCorruptionBurst(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		ops = append(ops, mixOp{node: 0, fl: 0, size: 64 << 10, gap: 500 * sim.Microsecond})
 	}
-	_, flowStats := assertEquivalent(t, "corrupt-first", faultMix(ops, 1, 256,
-		map[fault.Site]fault.Rule{fault.NICCorruptFrame: {Prob: 1, Limit: 5}}))
-	if flowStats.Segments == 0 {
-		t.Fatal("flow path never re-promoted after the fault limit")
-	}
+	checkMix(t, "corrupt-first", faultMix(ops, 1, 256,
+		map[fault.Site]fault.Rule{fault.NICCorruptFrame: {Prob: 1, Limit: 5}}), wireGolden{"d102a4449fbb3e3f5cb7f84652ed71d941bf02b729065d486a318d07b89a13e4", 8636})
 }
 
-// TestFidelityFaultSplitBoundary pins the mid-stream fault split: with
-// NICCorruptFrame limited to 5 hits, every hit must be drawn on the
-// per-frame replay path (a claim never carries a frame that might be
-// corrupted — the segment splits exactly at the fault's frame
-// boundary), and the post-fault tail must still be claimed.
-func TestFidelityFaultSplitBoundary(t *testing.T) {
+// TestWireGoldenFaultSplitBoundary pins a mid-stream fault limit: with
+// NICCorruptFrame limited to 5 hits, exactly 5 frames are replayed and
+// the tail after the limit goes out clean.
+func TestWireGoldenFaultSplitBoundary(t *testing.T) {
 	var ops []mixOp
 	for k := 0; k < 6; k++ {
 		ops = append(ops, mixOp{node: 0, fl: 0, size: 64 << 10})
@@ -337,47 +317,41 @@ func TestFidelityFaultSplitBoundary(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		ops = append(ops, mixOp{node: 0, fl: 0, size: 64 << 10, gap: 500 * sim.Microsecond})
 	}
-	mix := faultMix(ops, 1, 256,
-		map[fault.Site]fault.Rule{fault.NICCorruptFrame: {Prob: 1, Limit: 5}})
-	fp, stats := runMix(sim.WireFlow, mix)
+	fp := checkMix(t, "split-boundary", faultMix(ops, 1, 256,
+		map[fault.Site]fault.Rule{fault.NICCorruptFrame: {Prob: 1, Limit: 5}}), wireGolden{"89a49713a3910d7d0d6d17a33a23121c45505f4a25de7f5c44e40bddaecb81d7", 6022})
 	if !strings.Contains(fp, "replays=5") {
-		t.Fatalf("flow run did not replay exactly the limited hits:\n%s", fp)
-	}
-	if stats.Segments == 0 || stats.SegFrames == 0 {
-		t.Fatalf("flow run claimed nothing after the fault boundary: %+v", stats)
+		t.Fatalf("run did not replay exactly the limited hits:\n%s", fp)
 	}
 }
 
-func TestFidelityEquivalenceRandomCorruption(t *testing.T) {
-	// Probabilistic corruption keeps the site armed for the whole run:
-	// the fast path must stay demoted and the RNG draw sequence (and
-	// with it every replay instant) must match exactly.
+func TestWireGoldenRandomCorruption(t *testing.T) {
+	// Probabilistic corruption keeps the site armed for the whole run,
+	// so the RNG draw sequence fixes every replay instant.
 	var ops []mixOp
 	for k := 0; k < 8; k++ {
 		ops = append(ops, mixOp{node: k % 2, fl: 0, size: 32 << 10})
 	}
-	assertEquivalent(t, "corrupt-rand", faultMix(ops, 1, 256,
-		map[fault.Site]fault.Rule{fault.NICCorruptFrame: {Prob: 0.1}}))
+	checkMix(t, "corrupt-rand", faultMix(ops, 1, 256,
+		map[fault.Site]fault.Rule{fault.NICCorruptFrame: {Prob: 0.1}}), wireGolden{"3ebe0f1de032f1f2317e5596045436cfc1afec5be935d596f23380488b069f5a", 3130})
 }
 
-func TestFidelityEquivalenceStuckBDs(t *testing.T) {
-	// Stuck descriptor fetches: the send-BD fetch draws the site at the
-	// same post-fetch instant at either fidelity, so recovery stalls
-	// line up.
+func TestWireGoldenStuckBDs(t *testing.T) {
+	// Stuck descriptor fetches: each send-BD fetch draws the site
+	// after the fetch, and recovery stalls the send path.
 	var ops []mixOp
 	for k := 0; k < 10; k++ {
 		ops = append(ops, mixOp{node: 0, fl: 0, size: 64 << 10})
 		ops = append(ops, mixOp{node: 1, fl: 0, size: 16 << 10})
 	}
-	assertEquivalent(t, "stuck-bd", faultMix(ops, 1, 256,
-		map[fault.Site]fault.Rule{fault.NICStuckBD: {Prob: 0.2}}))
+	checkMix(t, "stuck-bd", faultMix(ops, 1, 256,
+		map[fault.Site]fault.Rule{fault.NICStuckBD: {Prob: 0.2}}), wireGolden{"4e7b15013bf795b1dd319296c4fda814ca307e9fb9de1e0fb05bc6658dc71ef7", 8588})
 }
 
 // echoConfig scripts a reactive request/response rig: node a sends a
 // request, node b answers each fully received request with a reply,
 // and a issues the next request only after the full reply lands — the
 // traffic shape of the request/response workloads, on the same plain
-// fabric they run (DESIGN.md §13).
+// fabric they run.
 type echoConfig struct {
 	rounds    int
 	reqSize   int
@@ -386,17 +360,16 @@ type echoConfig struct {
 	faultSeed uint64
 }
 
-// runEcho drives one reactive echo exchange under the given fidelity
-// and returns the full host-visible fingerprint.
-func runEcho(fid sim.WireFidelity, cfg echoConfig) (string, sim.Stats) {
+// runEcho drives one reactive echo exchange and returns the full
+// host-visible fingerprint.
+func runEcho(cfg echoConfig) (string, sim.Stats) {
 	env := sim.NewEnv()
-	env.SetWireFidelity(fid)
-	nodes := make([]*fidelityNode, 2)
+	nodes := make([]*goldenNode, 2)
 	var lines []string
 	for i, name := range []string{"a", "b"} {
 		inj := fault.NewInjector(cfg.faultSeed, cfg.profile)
 		n := newFaultyNode(env, name, inj)
-		fn := &fidelityNode{node: n, lines: &lines, label: name}
+		fn := &goldenNode{node: n, lines: &lines, label: name}
 		fn.bufBase = n.dram.Alloc(64*2048, 4096)
 		for k := 0; k < 64; k++ {
 			fn.free = append(fn.free, fn.bufBase+mem.Addr(k*2048))
@@ -458,102 +431,66 @@ func runEcho(fid sim.WireFidelity, cfg echoConfig) (string, sim.Stats) {
 	}
 	env.Spawn("kickoff", func(p *sim.Proc) { send(0, cfg.reqSize) })
 	env.Run(-1)
-	var sb strings.Builder
-	for _, l := range lines {
-		sb.WriteString(l)
-		sb.WriteByte('\n')
-	}
-	for _, fn := range nodes {
-		tx, rx, txp, rxp, drops, errs := fn.nic.Stats()
-		replays, refetches := fn.nic.RecoveryStats()
-		fmt.Fprintf(&sb, "%s tx=%d rx=%d txp=%d rxp=%d drops=%d errs=%d replays=%d refetches=%d\n",
-			fn.label, tx, rx, txp, rxp, drops, errs, replays, refetches)
-	}
-	fmt.Fprintf(&sb, "end=%d\n", env.Now())
-	return sb.String(), env.Stats()
+	return timelineFingerprint(env, lines, nodes), env.Stats()
 }
 
-// assertEchoEquivalent runs the echo under both fidelities and fails
-// on the first fingerprint divergence.
-func assertEchoEquivalent(t *testing.T, name string, cfg echoConfig) (frame, flow sim.Stats) {
+// checkEcho runs the echo rig and fails unless it reproduces its
+// golden.
+func checkEcho(t *testing.T, name string, cfg echoConfig, want wireGolden) {
 	t.Helper()
-	frameFP, frameStats := runEcho(sim.WireFrame, cfg)
-	flowFP, flowStats := runEcho(sim.WireFlow, cfg)
-	if frameFP != flowFP {
-		fl := strings.Split(frameFP, "\n")
-		gl := strings.Split(flowFP, "\n")
-		for i := 0; i < len(fl) || i < len(gl); i++ {
-			a, b := "<eof>", "<eof>"
-			if i < len(fl) {
-				a = fl[i]
-			}
-			if i < len(gl) {
-				b = gl[i]
-			}
-			if a != b {
-				t.Fatalf("%s: fingerprints diverge at line %d:\n  frame: %s\n  flow:  %s",
-					name, i, a, b)
-			}
-		}
-		t.Fatalf("%s: fingerprints differ", name)
-	}
-	return frameStats, flowStats
+	fp, st := runEcho(cfg)
+	checkGolden(t, name, fp, st, want)
 }
 
-func TestFidelityEquivalenceReactiveEcho(t *testing.T) {
-	// Single-frame request/response: the flow run must both match the
-	// per-frame timeline exactly and actually take the fast path.
-	frameStats, flowStats := assertEchoEquivalent(t, "echo", echoConfig{
+func TestWireGoldenReactiveEcho(t *testing.T) {
+	// Single-frame request/response.
+	checkEcho(t, "echo", echoConfig{
 		rounds: 40, reqSize: 1024, repSize: 1024,
 		profile: fault.None(), faultSeed: 1,
-	})
-	if flowStats.Events >= frameStats.Events {
-		t.Fatalf("knob not live: flow run used %d events, frame run %d",
-			flowStats.Events, frameStats.Events)
-	}
+	}, wireGolden{"3336ad14e5be699b9ced3ee38f12bc301d28957528d5d5d3df4020e3e1dcc812", 3889})
 }
 
-func TestFidelityEquivalenceReactiveBulkEcho(t *testing.T) {
-	// Small request, bulk LSO reply: the reply stream reaches steady
-	// state and its runs ride wire claims within one reactive exchange.
-	frameStats, flowStats := assertEchoEquivalent(t, "bulk-echo", echoConfig{
+func TestWireGoldenReactiveBulkEcho(t *testing.T) {
+	// Small request, bulk LSO reply: each reply is a multi-frame LSO
+	// run.
+	checkEcho(t, "bulk-echo", echoConfig{
 		rounds: 12, reqSize: 512, repSize: 32 << 10,
 		profile: fault.None(), faultSeed: 1,
-	})
-	if flowStats.Segments == 0 {
-		t.Fatal("knob not live: bulk echo emitted no flow segments")
-	}
-	if flowStats.Events >= frameStats.Events {
-		t.Fatalf("knob not live: flow run used %d events, frame run %d",
-			flowStats.Events, frameStats.Events)
-	}
+	}, wireGolden{"cbf62521e8d61c863fef76b5d7fa15f343cdb557ef90899c9e44b7bd10d7297a", 4955})
 }
 
-func TestFidelityEquivalenceReactiveFaultyEcho(t *testing.T) {
-	// Faults on the reactive rig: corruption demotes the reply flow to
-	// per-frame replay; stuck descriptor fetches stall the send path at
-	// the per-frame instants.
-	assertEchoEquivalent(t, "echo-corrupt", echoConfig{
+func TestWireGoldenReactiveFaultyEcho(t *testing.T) {
+	// Faults on the reactive rig: corruption replays reply frames;
+	// stuck descriptor fetches stall the send path.
+	checkEcho(t, "echo-corrupt", echoConfig{
 		rounds: 20, reqSize: 1024, repSize: 1024,
 		profile: fault.Profile{Name: "ec", Rules: map[fault.Site]fault.Rule{
 			fault.NICCorruptFrame: {Prob: 0.2},
 		}},
-		faultSeed: uint64(testSeed),
-	})
-	assertEchoEquivalent(t, "echo-stuck", echoConfig{
+		faultSeed: goldenSeed,
+	}, wireGolden{"6e1095342dc4665ffabe6685d61f5da93706d688fd912d68e5d4aa9b1d0cad8e", 1987})
+	checkEcho(t, "echo-stuck", echoConfig{
 		rounds: 12, reqSize: 512, repSize: 32 << 10,
 		profile: fault.Profile{Name: "es", Rules: map[fault.Site]fault.Rule{
 			fault.NICStuckBD: {Prob: 0.2},
 		}},
-		faultSeed: uint64(testSeed),
-	})
+		faultSeed: goldenSeed,
+	}, wireGolden{"0237893f78aa39c74852dfa88b41190aecba45e24268bbae3478ad141e777b46", 4997})
 }
 
-func TestFidelityEquivalenceRandomMixes(t *testing.T) {
-	// Randomized traffic under pinned seeds: sizes, gaps, flows, and
-	// fault schedules all drawn from testSeed-derived streams.
-	for trial := 0; trial < 6; trial++ {
-		rng := rand.New(rand.NewSource(testSeed + int64(trial)))
+func TestWireGoldenRandomMixes(t *testing.T) {
+	// Randomized traffic: sizes, gaps, flows, and fault schedules all
+	// drawn from goldenSeed-derived streams.
+	goldens := []wireGolden{
+		{"e46aa1fa8a399d75bd177b85b8769820124c9b09001cb001f054817d9fdf8095", 5803},
+		{"f57a7c0ed38d02fad44c3e81477827ca3391e69ed080ed477ec37eb58b6f3c9f", 8081},
+		{"ce04e85c6938cdbee14f8b37b7559531c7555d0ffd0fb2daf5c2c4e84e2377f1", 5845},
+		{"341564d0380c9acca256f3c82affe5e663b7a8828134ff86422dc1baf427d782", 3605},
+		{"48839c10f41112d89d7d772d035e6469d75b56079b565ac2d60664a21572d885", 6264},
+		{"a77584e1486a2a3e0627eb35dc6a948f8682d10dbe4556bc156632b4198a2ea5", 22966},
+	}
+	for trial, want := range goldens {
+		rng := rand.New(rand.NewSource(goldenSeed + int64(trial)))
 		var ops []mixOp
 		nops := 20 + rng.Intn(20)
 		for k := 0; k < nops; k++ {
@@ -578,7 +515,7 @@ func TestFidelityEquivalenceRandomMixes(t *testing.T) {
 			rules[fault.NICStuckBD] = fault.Rule{Prob: 0.1}
 		}
 		mix := faultMix(ops, 2, 256, rules)
-		mix.faultSeed = uint64(testSeed + int64(trial))
-		assertEquivalent(t, fmt.Sprintf("rand-%d", trial), mix)
+		mix.faultSeed = uint64(goldenSeed + int64(trial))
+		checkMix(t, fmt.Sprintf("rand-%d", trial), mix, want)
 	}
 }

@@ -3,12 +3,14 @@ package nvme
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"dcsctrl/internal/mem"
 	"dcsctrl/internal/pcie"
 	"dcsctrl/internal/sim"
+	"dcsctrl/internal/sim/snap"
 )
 
 func TestCommandEncodeDecode(t *testing.T) {
@@ -493,5 +495,36 @@ func TestFlushCommand(t *testing.T) {
 	}
 	if took < DefaultParams().WriteLatency {
 		t.Fatalf("flush took %v, under the media latency", took)
+	}
+}
+
+// TestRingRestoreRejectsCursorOutsideRing loads submitter rings whose
+// SQ tail or CQ head lies outside the ring's entries: the restore must
+// fail instead of posting commands outside the SQ.
+func TestRingRestoreRejectsCursorOutsideRing(t *testing.T) {
+	const entries = 4
+	for _, tc := range []struct{ sqTail, cqHead int }{{entries, 0}, {0, entries}, {-1, 0}} {
+		c := snap.NewSaver(snap.Header{Version: snap.Version})
+		phase, cid := true, uint16(0)
+		c.Section("ring")
+		c.Int(&tc.sqTail)
+		c.Int(&tc.cqHead)
+		c.Bool(&phase)
+		c.U16(&cid)
+		c.EndSection()
+		data, err := c.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc, _, err := snap.Open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc.Section("ring")
+		newTestbed(t, entries, false).ring.Snap(lc)
+		lc.EndSection()
+		if err := lc.Err(); err == nil || !strings.Contains(err.Error(), "outside its") {
+			t.Errorf("SQ tail %d, CQ head %d: restore error %v", tc.sqTail, tc.cqHead, err)
+		}
 	}
 }

@@ -79,6 +79,9 @@ func (s *SSD) Snap(c *snap.Codec) {
 		snap.Check(c, "queue pair", qid, c.U16)
 		c.Int(&qp.sqHead)
 		c.Int(&qp.cqTail)
+		if n := qp.cfg.Entries; qp.sqHead < 0 || qp.sqHead >= n || qp.cqTail < 0 || qp.cqTail >= n {
+			c.Failf("%s QP %d: SQ head %d or CQ tail %d outside its %d entries", s.Name, qid, qp.sqHead, qp.cqTail, n)
+		}
 		c.Bool(&qp.phase)
 		if c.Loading() {
 			qp.dbTail, qp.cqHeadSee = qp.sqHead, qp.cqTail
@@ -94,6 +97,9 @@ func (r *Ring) Snap(c *snap.Codec) {
 	}
 	c.Int(&r.sqTail)
 	c.Int(&r.cqHead)
+	if n := r.cfg.Entries; r.sqTail < 0 || r.sqTail >= n || r.cqHead < 0 || r.cqHead >= n {
+		c.Failf("ring %d: SQ tail %d or CQ head %d outside its %d entries", r.cfg.QID, r.sqTail, r.cqHead, n)
+	}
 	c.Bool(&r.phase)
 	c.U16(&r.nextCID)
 }

@@ -74,20 +74,6 @@ func (b *BandwidthServer) CompleteH(n int) {
 	b.xfers++
 }
 
-// AccrueFlow records bytes, transfer count, and busy time served
-// analytically (flow fidelity) without occupying the server. The
-// analytic caller has already established that the server would have
-// been busy for exactly busy time; this keeps utilization reports
-// identical across fidelities.
-func (b *BandwidthServer) AccrueFlow(n int, xfers int, busy Time) {
-	if n < 0 || xfers < 0 || busy < 0 {
-		panic("sim: negative flow accrual")
-	}
-	b.bytes += int64(n)
-	b.xfers += int64(xfers)
-	b.res.busy += busy
-}
-
 // BusyTime returns the accumulated busy time of the server.
 func (b *BandwidthServer) BusyTime() Time { return b.res.BusyTime() }
 

@@ -28,13 +28,11 @@ import (
 // differ between a forked and a straight run while the event timeline
 // stays byte-identical.
 type EnvState struct {
-	Now       Time
-	Seq       uint64
-	Steps     uint64
-	Fused     uint64
-	IOs       uint64
-	Segments  uint64
-	SegFrames uint64
+	Now   Time
+	Seq   uint64
+	Steps uint64
+	Fused uint64
+	IOs   uint64
 }
 
 // Snap codes the kernel counters.
@@ -44,8 +42,6 @@ func (s *EnvState) Snap(c *snap.Codec) {
 	c.U64(&s.Steps)
 	c.U64(&s.Fused)
 	c.U64(&s.IOs)
-	c.U64(&s.Segments)
-	c.U64(&s.SegFrames)
 }
 
 // Quiescent reports whether the environment is checkpointable: no Run
@@ -65,7 +61,7 @@ func (e *Env) CheckpointState() (EnvState, error) {
 	}
 	return EnvState{
 		Now: e.now, Seq: e.seq, Steps: e.steps,
-		Fused: e.fused, IOs: e.ios, Segments: e.segments, SegFrames: e.segFrames,
+		Fused: e.fused, IOs: e.ios,
 	}, nil
 }
 
@@ -85,8 +81,6 @@ func (e *Env) ForceCheckpointState(s EnvState) error {
 	e.steps = s.Steps
 	e.fused = s.Fused
 	e.ios = s.IOs
-	e.segments = s.Segments
-	e.segFrames = s.SegFrames
 	return nil
 }
 

@@ -39,7 +39,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -102,73 +101,18 @@ type Env struct {
 	live  int    // processes spawned and not yet terminated
 	steps uint64 // events dispatched (diagnostics)
 
-	fused      uint64       // continuations run inline instead of enqueued
-	ios        uint64       // protocol-level I/O completions (CountIO)
-	wireFid    WireFidelity // wire model fidelity (per-frame vs flow segments)
-	segments   uint64       // flow segments emitted (CountSegment calls)
-	segFrames  uint64       // frames carried by those segments
-	parks      uint64       // goroutine-proc parks (each costs a dispatch handoff)
-	handoffs   uint64       // channel handoffs between dispatching goroutines
-	hdispatch  uint64       // handler-proc bodies dispatched inline
-	chainDepth int          // live inline Chain nesting (runaway-recursion guard)
-}
-
-// WireFidelity selects how the wire/NIC stack models steady-state
-// transmit streams: per-frame (every frame is its own wire occupancy,
-// delivery, and receive-pipeline walk) or flow (eligible bursts
-// collapse into analytic flow segments charging the identical times;
-// see DESIGN.md §13). The flow fast path may only fire when the
-// collapsed schedule is provably identical to the per-frame one, so
-// everything observable must match in both modes — the invariant the
-// fidelity-equivalence suite pins.
-type WireFidelity int
-
-const (
-	// WireFrame disables the flow fast path: every frame is simulated
-	// individually.
-	WireFrame WireFidelity = iota
-	// WireFlow permits flow-segment collapsing where the crossover
-	// conditions hold (the default).
-	WireFlow
-)
-
-// wireFrameOnly inverts the package default so the zero value means
-// flow fidelity is ON; SetDefaultWireFidelity(WireFrame) lets the
-// equivalence suites build per-frame environments without threading a
-// flag through every model.
-var wireFrameOnly atomic.Bool
-
-// SetDefaultWireFidelity sets the wire fidelity of environments created
-// after this call. It exists for A/B equivalence testing; production
-// code leaves the flow fast path on.
-func SetDefaultWireFidelity(f WireFidelity) { wireFrameOnly.Store(f == WireFrame) }
-
-// DefaultWireFidelity reports the current package-wide default.
-func DefaultWireFidelity() WireFidelity {
-	if wireFrameOnly.Load() {
-		return WireFrame
-	}
-	return WireFlow
+	fused      uint64 // continuations run inline instead of enqueued
+	ios        uint64 // protocol-level I/O completions (CountIO)
+	parks      uint64 // goroutine-proc parks (each costs a dispatch handoff)
+	handoffs   uint64 // channel handoffs between dispatching goroutines
+	hdispatch  uint64 // handler-proc bodies dispatched inline
+	chainDepth int    // live inline Chain nesting (runaway-recursion guard)
 }
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	e := &Env{yield: make(chan struct{}), horizon: -1}
-	if wireFrameOnly.Load() {
-		e.wireFid = WireFrame
-	} else {
-		e.wireFid = WireFlow
-	}
-	return e
+	return &Env{yield: make(chan struct{}), horizon: -1}
 }
-
-// SetWireFidelity overrides the wire fidelity for this environment
-// only. Call it before any model activity: devices latch per-flow
-// state against it and flipping it mid-run mixes the two schedules.
-func (e *Env) SetWireFidelity(f WireFidelity) { e.wireFid = f }
-
-// WireFidelity reports the wire fidelity of this environment.
-func (e *Env) WireFidelity() WireFidelity { return e.wireFid }
 
 // Now returns the current simulation time.
 func (e *Env) Now() Time { return e.now }
@@ -338,22 +282,15 @@ func (e *Env) Chain(fn func()) {
 // frames, HDC command completions) for events-per-I/O accounting.
 func (e *Env) CountIO(n int) { e.ios += uint64(n) }
 
-// CountSegment records one flow segment collapsing frames individual
-// frames into a single analytic wire event (see WireFidelity). Device
-// models call it when a fast-path claim is emitted; the equivalence
-// suite reads it back to prove the knob is not dead.
-func (e *Env) CountSegment(frames int) {
-	e.segments++
-	e.segFrames += uint64(frames)
-}
-
 // Stats is a snapshot of per-run kernel dispatch counters.
 type Stats struct {
-	Events    uint64 // events dispatched through the queue
-	Fused     uint64 // continuations fused inline (Chain / Yield fast path)
-	IOs       uint64 // protocol I/O completions recorded via CountIO
-	Segments  uint64 // flow segments emitted by the wire fast path
-	SegFrames uint64 // frames carried inside those segments
+	Events uint64 // events dispatched through the queue
+	Fused  uint64 // continuations fused inline (Chain / Yield fast path)
+	IOs    uint64 // protocol I/O completions recorded via CountIO
+	// SegFrames is always 0: every frame crosses the wire one by one.
+	// It counted frames booked by the deleted wire-claim path and
+	// stays only because the benchmark harness (perfbench) reads it.
+	SegFrames uint64
 
 	// The park/handoff tax, first-class: every goroutine-proc park
 	// costs at least one channel handoff to move the dispatch role;
@@ -375,7 +312,6 @@ func (s Stats) EventsPerIO() float64 {
 func (e *Env) Stats() Stats {
 	return Stats{
 		Events: e.steps, Fused: e.fused, IOs: e.ios,
-		Segments: e.segments, SegFrames: e.segFrames,
 		Parks: e.parks, Handoffs: e.handoffs, HandlerDispatches: e.hdispatch,
 	}
 }

@@ -4,9 +4,9 @@
 // (DESIGN.md §17).
 //
 // The format is deliberately dumb: a fixed header (magic, version,
-// knob flags, configuration fingerprint), a sequence of named
-// length-prefixed sections in a fixed order, and a trailing FNV-1a
-// digest over everything before it. Encode order is fully
+// configuration fingerprint), a sequence of named length-prefixed
+// sections in a fixed order, and a trailing FNV-1a digest over
+// everything before it. Encode order is fully
 // deterministic — map-keyed state must be collected, sorted, and
 // indexed before encoding (the dcslint maporder analyzer enforces the
 // idiom) — so the same simulator state always produces the same
@@ -19,8 +19,8 @@
 // loading one overwrites it. Save and load therefore cannot disagree
 // on the layout.
 //
-// Everything rejects loudly: truncated buffers, bad magic, version or
-// knob mismatches, misnamed sections, short or over-long section
+// Everything rejects loudly: truncated buffers, bad magic, version
+// mismatches, misnamed sections, short or over-long section
 // reads, list lengths the section cannot hold, and digest mismatches
 // all surface as errors, never as silently wrong simulator state.
 package snap
@@ -36,23 +36,16 @@ const Magic uint32 = 0x53534344
 // Version is the current format version. Readers refuse other
 // versions: state layouts change with the models, and decoding an old
 // checkpoint into new structs would corrupt a run silently.
-const Version uint32 = 2
-
-// FlagWireFlow is the one knob bit carried in the header: flow-level
-// wire fidelity. A checkpoint taken under one schedule-affecting knob
-// setting cannot restore into an environment running another: the
-// event timelines diverge from the first event.
-const FlagWireFlow uint32 = 1 << 0
+const Version uint32 = 3
 
 // Header is the fixed-size preamble of every checkpoint.
 type Header struct {
 	Version uint32
-	Flags   uint32 // knob bits (FlagWireFlow)
 	Config  uint64 // configuration fingerprint (FNV-1a of the config string)
 }
 
-// headerSize is magic + version + flags + config.
-const headerSize = 4 + 4 + 4 + 8
+// headerSize is magic + version + config.
+const headerSize = 4 + 4 + 8
 
 // digestSize is the trailing FNV-1a 64-bit digest.
 const digestSize = 8
@@ -89,7 +82,6 @@ func (h *Header) snap(c *Codec) {
 		c.Failf("bad magic %#x", m)
 	}
 	c.U32(&h.Version)
-	c.U32(&h.Flags)
 	c.U64(&h.Config)
 }
 
@@ -119,7 +111,7 @@ func open(data []byte, verify bool) (*Codec, Header, error) {
 	body := data[:len(data)-digestSize]
 	if verify {
 		want := binary.LittleEndian.Uint64(data[len(data)-digestSize:])
-		if got := fnv1a(body); got != want {
+		if got := fnv1a(fnvOffset, body); got != want {
 			return nil, Header{}, fmt.Errorf("snap: digest mismatch (corrupt checkpoint): got %#x want %#x", got, want)
 		}
 	}
@@ -163,7 +155,7 @@ func (c *Codec) Finish() ([]byte, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	return binary.LittleEndian.AppendUint64(c.buf, fnv1a(c.buf)), nil
+	return binary.LittleEndian.AppendUint64(c.buf, fnv1a(fnvOffset, c.buf)), nil
 }
 
 // Grow ensures capacity for at least n more bytes when saving. Snap
@@ -497,12 +489,9 @@ func isZero(b []byte) bool {
 // which is fine — the digest only ever compares snapshots against
 // snapshots — and makes hashing a multi-megabyte checkpoint ~8x
 // cheaper, which matters because every save and every open pays it.
-func fnv1a(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+// h is the offset basis, fnvOffset for every digest but ContentHash.
+func fnv1a(h uint64, b []byte) uint64 {
+	const prime = 1099511628211
 	for len(b) >= 8 {
 		h ^= binary.LittleEndian.Uint64(b)
 		h *= prime
@@ -515,9 +504,21 @@ func fnv1a(b []byte) uint64 {
 	return h
 }
 
-// ContentHash returns the FNV-1a digest of data as a hex string, the
-// content-address used in checkpoint artifact names.
-func ContentHash(data []byte) string { return fmt.Sprintf("%016x", fnv1a(data)) }
+// fnvOffset is the FNV-1a 64-bit offset basis.
+const fnvOffset = 14695981039346656037
+
+// contentOffset is ContentHash's offset basis. A finished checkpoint
+// ends with its envelope digest, the state fnv1a reaches over the body
+// from fnvOffset; hashed from that same basis, a body of whole 8-byte
+// words would end by XORing the state with itself, and every such
+// checkpoint would hash to 0. Each round is a bijection of the state,
+// so from any other basis the state after the body differs from the
+// digest word and the hash cannot cancel.
+const contentOffset = fnvOffset ^ 1
+
+// ContentHash returns the digest of a finished checkpoint as a hex
+// string, the content-address used in checkpoint artifact names.
+func ContentHash(data []byte) string { return fmt.Sprintf("%016x", fnv1a(contentOffset, data)) }
 
 // HashString fingerprints a configuration string for the header.
-func HashString(s string) uint64 { return fnv1a([]byte(s)) }
+func HashString(s string) uint64 { return fnv1a(fnvOffset, []byte(s)) }
