@@ -144,13 +144,15 @@ func TestRestoreRejectsCraftedListLength(t *testing.T) {
 // queue-pair depth (host driver QP 256 + engine QP 64), the engine
 // QP's submission-queue head past its last entry, the fabric's idle
 // async-DMA workers past the NIC's receive DMA tag slots (16 per
-// queue, one host and one engine queue), and the first server
-// region's high-water mark past the region's size. Priming the pools
+// queue, one host and one engine queue), the first server region's
+// high-water mark past the region's size, and the client NIC's queue 0
+// receive cursors: BDs consumed past those posted, and BDs posted a
+// whole ring (1024 entries) past those consumed. Priming the pools
 // would spawn workers no run has, the SSD would fetch commands from
-// outside its ring, and a later save would size its buffer by the
-// mark.
+// outside its ring, a later save would size its buffer by the mark,
+// and the NIC would consume receive buffers nobody posted.
 func TestRestoreRejectsUnreachableState(t *testing.T) {
-	const hostQP, engineQP, rxTagSlots = 256, 64, 16 * 2
+	const hostQP, engineQP, rxTagSlots, recvEntries = 256, 64, 16 * 2, 1024
 	cfg, ckpt := smallCell(t)
 	ssd := sectionBody(t, ckpt, "server.ssd")
 	slots := int(binary.LittleEndian.Uint32(ckpt[ssd+4:]))
@@ -172,6 +174,18 @@ func TestRestoreRejectsUnreachableState(t *testing.T) {
 	region := sectionBody(t, ckpt, "server.mem") + 4
 	region += 4 + int(binary.LittleEndian.Uint32(ckpt[region:]))
 	regionSize := binary.LittleEndian.Uint64(ckpt[region:])
+	// Transmit bandwidth server, eight counters, steering-rule count,
+	// per-queue frame map (QID and count per entry) and queue count;
+	// then per queue in configuration order its QID, send tail,
+	// receive tail, receive head. Host queue 0 is configured first.
+	nicBody := sectionBody(t, ckpt, "client.nic") + 32 + 8*8 + 4
+	queue := nicBody + 4 + int(binary.LittleEndian.Uint32(ckpt[nicBody:]))*(2+8) + 4
+	if qid := binary.LittleEndian.Uint16(ckpt[queue:]); qid != 0 {
+		t.Fatalf("first client NIC queue is q%d: checkpoint layout changed", qid)
+	}
+	recvTail, recvHead := queue+2+8, queue+2+16
+	posted := binary.LittleEndian.Uint64(ckpt[recvTail:])
+	consumed := binary.LittleEndian.Uint64(ckpt[recvHead:])
 	for _, tc := range []struct {
 		name  string
 		off   int
@@ -181,6 +195,8 @@ func TestRestoreRejectsUnreachableState(t *testing.T) {
 		{"engine QP SQ head", engine + 2, engineQP - 1},
 		{"idle async-DMA workers", asyncIdle, rxTagSlots},
 		{"region high-water mark", region + 16, regionSize},
+		{"client NIC receive BDs consumed", recvHead, posted},
+		{"client NIC receive BDs posted", recvTail, consumed + recvEntries - 1},
 	} {
 		bad := patched(t, ckpt, tc.off, 8, func(n uint64) bool { return n <= tc.limit }, tc.limit+1)
 		_, cl, _, err := cfg.buildCell()

@@ -94,7 +94,9 @@ func connect(server, client *Node, id uint64, serverFlow ether.Flow, dataPlane b
 // ClientSend transmits payload bytes from the client on a connection
 // (load-generation path; client CPU is charged but not reported).
 func (c *Cluster) ClientSend(p *sim.Proc, conn Conn, payload []byte) {
-	buf := c.Client.allocHost(uint64(len(payload)) + 4096)
+	size := uint64(len(payload)) + 4096
+	buf := c.Client.allocHost(size)
+	defer c.Client.freeHost(buf, size)
 	c.Client.MM.Write(buf, payload)
 	c.Client.hostNetSend(p, trace.NewBreakdown(), conn.ID, buf, len(payload))
 }
@@ -126,7 +128,9 @@ func (c *Cluster) ServerSend(p *sim.Proc, bd *trace.Breakdown, conn Conn, payloa
 	if bd == nil {
 		bd = trace.NewBreakdown()
 	}
-	buf := c.Server.allocHost(uint64(len(payload)) + 4096)
+	size := uint64(len(payload)) + 4096
+	buf := c.Server.allocHost(size)
+	defer c.Server.freeHost(buf, size)
 	c.Server.MM.Write(buf, payload)
 	c.Server.hostNetSend(p, bd, conn.ID, buf, len(payload))
 }

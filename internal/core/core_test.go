@@ -395,6 +395,7 @@ func TestMultiSSDAggregateReadBandwidth(t *testing.T) {
 			ff := f
 			env.Spawn("reader", func(p *sim.Proc) {
 				buf := cl.Server.allocHost(per)
+				defer cl.Server.freeHost(buf, per)
 				cl.Server.hostReadFile(p, trace.NewBreakdown(), ff, 0, per, buf)
 			})
 		}

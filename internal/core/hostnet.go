@@ -234,8 +234,12 @@ func (n *Node) hostNetSend(p *sim.Proc, bd *trace.Breakdown, connID uint64, src 
 		n.Host.Copy(p, trace.CatDataCopy, nbytes, bd)
 	}
 
-	// One LSO job per 64 KB: header template + payload BDs.
+	// One LSO job per 64 KB: header template + payload BDs. Every
+	// job's header goes through one page: each job's fetch completes
+	// before the next header is written.
 	const job = 64 << 10
+	hdrAddr := n.allocHost(64)
+	defer n.freeHost(hdrAddr, 64)
 	for off := 0; off < nbytes; off += job {
 		seg := nbytes - off
 		if seg > job {
@@ -243,7 +247,6 @@ func (n *Node) hostNetSend(p *sim.Proc, bd *trace.Breakdown, connID uint64, src 
 		}
 		n.Host.Exec(p, trace.CatNetStack, hp.SockPerSeg, bd)
 		hdr := ether.HeaderTemplate(c.flow, c.txSeq, ether.FlagACK|ether.FlagPSH)
-		hdrAddr := n.allocHost(64)
 		n.MM.Write(hdrAddr, hdr)
 		c.txSeq += uint32(seg)
 		bds := []nic.SendBD{{Addr: hdrAddr, Len: uint16(len(hdr)), Flags: nic.SendFlagLSO, MSS: ether.MSS}}

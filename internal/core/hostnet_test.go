@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"dcsctrl/internal/mem"
@@ -27,8 +29,8 @@ func regionNamed(t *testing.T, n *Node, name string) *mem.Region {
 // rings' worth of frames on a host-terminated connection and checks
 // that the receive path runs on its setup stock: every buffer posted
 // to the ring is a stock buffer, the stock packs two buffers to a
-// 4 KB page, and the arena cursor does not move while the bytes are
-// received.
+// 4 KB page, no staging buffer can land on the stock, and no staging
+// buffer stays live once the bytes are received.
 func TestRecvBuffersRecycled(t *testing.T) {
 	env := sim.NewEnv()
 	cl := NewCluster(env, SWOpt, DefaultParams())
@@ -38,6 +40,7 @@ func TestRecvBuffersRecycled(t *testing.T) {
 	// The setup stock is what the ring holds before any traffic.
 	stock := map[mem.Addr]bool{}
 	perPage := map[mem.Addr]int{}
+	var stockEnd mem.Addr
 	for slot := 0; slot < hostRxBufs; slot++ {
 		bd, err := nic.DecodeRecvBD(rring.Bytes(uint64(slot*nic.RecvBDSize), nic.RecvBDSize))
 		if err != nil {
@@ -46,9 +49,10 @@ func TestRecvBuffersRecycled(t *testing.T) {
 		if bd.Len != hostRxBufLen {
 			t.Fatalf("stock buffer %d is %d bytes, want %d", slot, bd.Len, hostRxBufLen)
 		}
-		if off := uint64(bd.Addr - srv.arena.Base); !srv.arena.Contains(bd.Addr) || off+hostRxBufLen > srv.arenaFloor {
-			t.Fatalf("stock buffer %#x lies outside the arena's reserved prefix [0, %d)", bd.Addr, srv.arenaFloor)
+		if !srv.arena.Contains(bd.Addr) {
+			t.Fatalf("stock buffer %#x lies outside the arena", bd.Addr)
 		}
+		stockEnd = max(stockEnd, bd.Addr+hostRxBufLen)
 		stock[bd.Addr] = true
 		perPage[bd.Addr&^4095]++
 	}
@@ -63,6 +67,13 @@ func TestRecvBuffersRecycled(t *testing.T) {
 			t.Fatalf("page %#x holds %d buffers", page, k)
 		}
 	}
+	// First fit hands out the lowest free page, so the first staging
+	// buffer bounds every later one from below.
+	lowest := srv.allocHost(1)
+	if lowest < stockEnd {
+		t.Fatalf("lowest staging buffer %#x lies below the stock's end %#x", lowest, stockEnd)
+	}
+	srv.freeHost(lowest, 1)
 
 	posted, foreign := 0, 0
 	rring.SetWriteHook(func(off uint64, n int) {
@@ -78,7 +89,6 @@ func TestRecvBuffersRecycled(t *testing.T) {
 	const nbytes = 6 << 20 // > 4 × 1023 frames of one MSS
 	conn := cl.OpenConn(false)
 	payload := pattern(nbytes)
-	cursor := srv.arenaOff
 	var got []byte
 	env.Spawn("client-app", func(p *sim.Proc) { cl.ClientSend(p, conn, payload) })
 	env.Spawn("server-app", func(p *sim.Proc) { got = cl.ServerRecv(p, nil, conn, nbytes) })
@@ -93,14 +103,58 @@ func TestRecvBuffersRecycled(t *testing.T) {
 	if foreign != 0 {
 		t.Fatalf("%d of %d reposted buffers are not from the setup stock", foreign, posted)
 	}
-	if srv.arenaOff != cursor {
-		t.Fatalf("arena cursor moved from %d to %d while receiving", cursor, srv.arenaOff)
+	for _, n := range []*Node{cl.Client, srv} {
+		if spans, bytes := n.StagingLive(); spans != 0 {
+			t.Fatalf("%s holds %d staging buffers (%d bytes) after the transfer", n.Name, spans, bytes)
+		}
 	}
+}
 
-	// The staging ring wraps above the stock, never over it.
-	srv.arenaOff = srv.arena.Size - 4096
-	if a, want := srv.allocHost(8192), srv.arena.Base+mem.Addr(srv.arenaFloor); a != want {
-		t.Fatalf("wrapped allocation at %#x, want the arena floor %#x", a, want)
+// TestSnapshotRefusesLiveStaging: a node that holds a staging buffer
+// is mid-transfer, so a snapshot refuses it; the allocator's state is
+// never saved, because a quiescent node holds none.
+func TestSnapshotRefusesLiveStaging(t *testing.T) {
+	env := sim.NewEnv()
+	cl := NewCluster(env, SWOpt, DefaultParams())
+	env.Run(-1)
+	buf := cl.Client.allocHost(8192)
+	if _, err := cl.Snapshot(); err == nil || !strings.Contains(err.Error(), "1 staging buffers (8192 bytes) outstanding") {
+		t.Fatalf("snapshot with a live staging buffer: %v", err)
+	}
+	cl.Client.freeHost(buf, 8192)
+	if _, err := cl.Snapshot(); err != nil {
+		t.Fatalf("snapshot after the release: %v", err)
+	}
+}
+
+// TestStagingExhaustionFailsLoudly keeps two staging buffers live
+// whose sizes together exceed the arena. The second must land apart
+// from the first or panic naming the node, the region, the request
+// and the live bytes; handing out the first buffer's bytes again would
+// corrupt an in-flight transfer silently.
+func TestStagingExhaustionFailsLoudly(t *testing.T) {
+	env := sim.NewEnv()
+	cl := NewCluster(env, SWOpt, DefaultParams())
+	srv := cl.Server
+	size := srv.arena.Size / 4 * 3
+	a := srv.allocHost(size)
+	var b mem.Addr
+	msg := func() (msg any) {
+		defer func() { msg = recover() }()
+		b = srv.allocHost(size)
+		return nil
+	}()
+	if msg == nil {
+		if b < a+mem.Addr(size) && a < b+mem.Addr(size) {
+			t.Fatalf("second buffer [%#x, +%d) overlaps the live first one at %#x", b, size, a)
+		}
+		return
+	}
+	s := fmt.Sprint(msg)
+	for _, want := range []string{srv.Name, srv.arena.Name, fmt.Sprintf("%d bytes requested", size), fmt.Sprintf("%d bytes live", size)} {
+		if !strings.Contains(s, want) {
+			t.Fatalf("exhaustion panic %q does not name %q", s, want)
+		}
 	}
 }
 

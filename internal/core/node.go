@@ -60,16 +60,15 @@ type Node struct {
 	pendTx    []hostPendingSend
 	nextRSS   int // round-robin connection-to-queue assignment
 
-	conns    map[uint64]*hostConn
-	connsRx  map[ether.Tuple]*hostConn // receive-tuple index for the rx hot path
-	rxWake   *sim.Cond
-	arena    *mem.Region // host DRAM staging buffers
-	arenaOff uint64
-	// arenaFloor is where allocHost's ring restarts: the offsets below
-	// it hold the receive-buffer stock, which the NIC rings own for
-	// the node's lifetime (postRecvBuffers).
-	arenaFloor uint64
-	vramOff    uint64 // GPU staging ring cursor
+	conns   map[uint64]*hostConn
+	connsRx map[ether.Tuple]*hostConn // receive-tuple index for the rx hot path
+	rxWake  *sim.Cond
+	// arena holds the receive-buffer stock, which the NIC rings own
+	// for the node's lifetime (postRecvBuffers), and above it the
+	// staging buffers, which staging hands out and takes back.
+	arena   *mem.Region
+	staging *mem.Arena
+	vram    *mem.Arena // GPU VRAM staging buffers (nil without a GPU)
 
 	adopted         bool  // engine connections taken over by the host
 	fallbacks       int64 // ops completed on the host-mediated path
@@ -217,6 +216,10 @@ func NewNode(env *sim.Env, name string, kind Config, params Params) *Node {
 
 	n.setupHostNVMe()
 	n.setupHostNIC()
+	n.staging = mem.NewArena(n.arena)
+	if n.GPU != nil {
+		n.vram = mem.NewArena(n.GPU.VRAM)
+	}
 
 	if kind == DCSCtrl {
 		n.Engine = hdc.NewEngine(env, n.Fab, name+"-hdc", params.HDC)
@@ -280,29 +283,38 @@ func (n *Node) trace(where, what string) {
 	}
 }
 
-// allocVRAM carves a staging buffer out of GPU VRAM; like the host
-// arena it recycles in a ring, so workloads bound their working set.
-func (n *Node) allocVRAM(size uint64) mem.Addr {
-	size = (size + 4095) &^ 4095
-	if n.vramOff+size > n.GPU.VRAM.Size {
-		n.vramOff = 0
+// allocHost takes a staging buffer of at least size bytes from the
+// node's DRAM arena; the caller returns it with freeHost once the
+// devices are done with it. allocVRAM and freeVRAM do the same in GPU
+// VRAM. Running out is a sizing bug (Params.HostArenaBytes must exceed
+// the peak in-flight footprint), so it panics, as Region.Alloc does.
+func (n *Node) allocHost(size uint64) mem.Addr { return n.stage(n.staging, n.arena, size) }
+
+func (n *Node) freeHost(a mem.Addr, size uint64) { n.staging.Free(a, size) }
+
+func (n *Node) allocVRAM(size uint64) mem.Addr { return n.stage(n.vram, n.GPU.VRAM, size) }
+
+func (n *Node) freeVRAM(a mem.Addr, size uint64) { n.vram.Free(a, size) }
+
+func (n *Node) stage(a *mem.Arena, r *mem.Region, size uint64) mem.Addr {
+	addr, ok := a.Alloc(size)
+	if !ok {
+		_, live := a.Live()
+		panic(fmt.Sprintf("core: %s: staging region %s exhausted: %d bytes requested, %d bytes live",
+			n.Name, r.Name, size, live))
 	}
-	a := n.GPU.VRAM.Base + mem.Addr(n.vramOff)
-	n.vramOff += size
-	return a
+	return addr
 }
 
-// allocHost carves a staging buffer out of the node's DRAM arena.
-// The arena recycles in a ring above arenaFloor: workloads bound their
-// working set.
-func (n *Node) allocHost(size uint64) mem.Addr {
-	size = (size + 4095) &^ 4095
-	if n.arenaOff+size > n.arena.Size {
-		n.arenaOff = n.arenaFloor
+// StagingLive returns the staging buffers outstanding in host DRAM
+// and GPU VRAM, and their bytes. A quiescent node holds none.
+func (n *Node) StagingLive() (spans int, bytes uint64) {
+	spans, bytes = n.staging.Live()
+	if n.vram != nil {
+		s, b := n.vram.Live()
+		spans, bytes = spans+s, bytes+b
 	}
-	a := n.arena.Base + mem.Addr(n.arenaOff)
-	n.arenaOff += size
-	return a
+	return spans, bytes
 }
 
 // setupHostNVMe creates the host kernel driver's queue pair (QP 1) in
@@ -377,7 +389,6 @@ func (n *Node) setupHostNIC() {
 		n.postRecvBuffers(recv)
 		recv.Arm()
 	}
-	n.arenaFloor = n.arenaOff
 	n.sendRing.Arm()
 }
 
@@ -399,11 +410,12 @@ const (
 )
 
 // postRecvBuffers stocks a host receive ring at setup. The stock is
-// carved from the arena below arenaFloor, so the staging ring never
-// reuses it; deliverNetRx reposts each buffer it consumes, so the
-// stock is every buffer the ring ever holds.
+// carved from the arena region before the staging allocator takes the
+// rest, so no staging buffer ever lands on it; deliverNetRx reposts
+// each buffer it consumes, so the stock is every buffer the ring ever
+// holds.
 func (n *Node) postRecvBuffers(r *nic.RecvRing) {
-	base := n.allocHost(hostRxBufs * hostRxBufLen)
+	base := n.arena.Alloc(hostRxBufs*hostRxBufLen, mem.PageSize)
 	bds := make([]nic.RecvBD, hostRxBufs)
 	for i := range bds {
 		bds[i] = nic.RecvBD{Addr: base + mem.Addr(i*hostRxBufLen), Len: hostRxBufLen}
@@ -418,6 +430,7 @@ func (n *Node) postRecvBuffers(r *nic.RecvRing) {
 // path (used by the HDC Driver's consistency check).
 func (n *Node) writebackPage(p *sim.Proc, f *hostos.File, page int, data []byte) {
 	buf := n.allocHost(hostos.BlockSize)
+	defer n.freeHost(buf, hostos.BlockSize)
 	n.MM.Write(buf, data)
 	lba := f.LBAs()[page]
 	sig := sim.NewSignal(n.Env)
@@ -435,8 +448,10 @@ const (
 
 // submitHostNVMe issues one NVMe command from the host driver's ring.
 // CPU cost is charged by the caller; this performs the ring protocol.
+// The command's PRP-list page stays allocated until the command
+// succeeds: a retry re-submits the list verbatim.
 func (n *Node) submitHostNVMe(p *sim.Proc, dev uint8, write bool, lba uint64, blocks int, pages []mem.Addr, done *sim.Signal) {
-	prpBuf := n.allocHost(4096)
+	prpBuf := n.allocHost(mem.PageSize)
 	prp1, prp2, err := nvme.BuildPRPs(n.MM, pages, prpBuf)
 	if err != nil {
 		panic(err)
@@ -448,19 +463,19 @@ func (n *Node) submitHostNVMe(p *sim.Proc, dev uint8, write bool, lba uint64, bl
 	n.issueHostNVMe(p, dev, nvme.Command{
 		Opcode: op, NSID: 1, PRP1: prp1, PRP2: prp2,
 		SLBA: lba, NLB: uint16(blocks - 1),
-	}, 0, done)
+	}, prpBuf, done)
 }
 
-// issueHostNVMe submits one attempt of a command and arranges retries.
-// The PRP lists are reused verbatim: a media error is injected before
-// the SSD moves data or commits flash, so a re-submission is
-// idempotent.
-func (n *Node) issueHostNVMe(p *sim.Proc, dev uint8, cmd nvme.Command, attempt int, done *sim.Signal) {
+// issueHostNVMe submits the first attempt of a command and arranges
+// retries. The PRP lists are reused verbatim: a media error is
+// injected before the SSD moves data or commits flash, so a
+// re-submission is idempotent.
+func (n *Node) issueHostNVMe(p *sim.Proc, dev uint8, cmd nvme.Command, prpBuf mem.Addr, done *sim.Signal) {
 	ring := n.nvmeRings[dev]
 	for ring.Full() {
 		n.nvmeWait.Wait(p)
 	}
-	_, err := ring.Submit(cmd, n.hostNVMeCplFn(dev, cmd, attempt, done))
+	_, err := ring.Submit(cmd, n.hostNVMeCplFn(dev, cmd, prpBuf, 0, done))
 	if err != nil {
 		panic(err)
 	}
@@ -468,18 +483,20 @@ func (n *Node) issueHostNVMe(p *sim.Proc, dev uint8, cmd nvme.Command, attempt i
 }
 
 // hostNVMeCplFn builds the completion callback for one attempt of a
-// host-driver command: success fires the caller's signal, a retryable
-// media error arranges a backed-off re-submission. Completion
-// callbacks run on the scheduler and cannot block, so the re-issue
-// runs in its own run-to-completion retry machine.
-func (n *Node) hostNVMeCplFn(dev uint8, cmd nvme.Command, attempt int, done *sim.Signal) func(nvme.Completion) {
+// host-driver command: success frees the PRP-list page and fires the
+// caller's signal, a retryable media error arranges a backed-off
+// re-submission. Completion callbacks run on the scheduler and cannot
+// block, so the re-issue runs in its own run-to-completion retry
+// machine.
+func (n *Node) hostNVMeCplFn(dev uint8, cmd nvme.Command, prpBuf mem.Addr, attempt int, done *sim.Signal) func(nvme.Completion) {
 	return func(cpl nvme.Completion) {
 		switch {
 		case cpl.Status == nvme.StatusSuccess:
+			n.freeHost(prpBuf, mem.PageSize)
 			done.Fire(nil)
 		case nvme.Retryable(cpl.Status) && attempt < hostNVMeMaxRetries:
 			n.hostNVMeRetries++
-			m := &nvmeRetryMachine{n: n, dev: dev, cmd: cmd, attempt: attempt + 1, done: done}
+			m := &nvmeRetryMachine{n: n, dev: dev, cmd: cmd, prpBuf: prpBuf, attempt: attempt + 1, done: done}
 			n.Env.SpawnHandler(fmt.Sprintf("%s-nvme%d-retry", n.Name, dev), m.run)
 		default:
 			panic(fmt.Sprintf("core: nvme status %#x after %d attempts", cpl.Status, attempt+1))
@@ -495,6 +512,7 @@ type nvmeRetryMachine struct {
 	n       *Node
 	dev     uint8
 	cmd     nvme.Command
+	prpBuf  mem.Addr
 	attempt int // attempt number of the re-submission being arranged
 	done    *sim.Signal
 	slept   bool
@@ -511,7 +529,7 @@ func (m *nvmeRetryMachine) run(h *sim.HandlerCtx) {
 		m.n.nvmeWait.WaitH(h)
 		return
 	}
-	if _, err := ring.Submit(m.cmd, m.n.hostNVMeCplFn(m.dev, m.cmd, m.attempt, m.done)); err != nil {
+	if _, err := ring.Submit(m.cmd, m.n.hostNVMeCplFn(m.dev, m.cmd, m.prpBuf, m.attempt, m.done)); err != nil {
 		panic(err)
 	}
 	ring.RingDoorbell()

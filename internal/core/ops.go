@@ -72,8 +72,11 @@ func (n *Node) softwareSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, of
 		// SW-ctrl P2P: the SSD DMAs straight into GPU VRAM (the GPU is
 		// the only P2P target); the NIC later DMA-reads VRAM. Control
 		// stays on the CPU.
-		vbuf := n.allocVRAM(uint64(nbytes) + 4096)
+		vsize := uint64(nbytes) + 4096
+		vbuf := n.allocVRAM(vsize)
+		defer n.freeVRAM(vbuf, vsize)
 		vres := n.allocVRAM(4096)
+		defer n.freeVRAM(vres, 4096)
 		n.hostReadFile(p, bd, f, off, nbytes, vbuf)
 		n.Host.Exec(p, trace.CatGPUCtrl, hp.GPULaunch, bd)
 		start := p.Now()
@@ -86,6 +89,7 @@ func (n *Node) softwareSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, of
 		// Fetch the digest to host memory (tiny copy).
 		n.Host.Exec(p, trace.CatGPUCtrl, hp.GPUDMASetup, bd)
 		hres := n.allocHost(64)
+		defer n.freeHost(hres, 64)
 		if err := n.GPU.Copy(p, hres, vres, len(digest)); err != nil {
 			return nil, err
 		}
@@ -95,7 +99,9 @@ func (n *Node) softwareSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, of
 
 	// Host-staged path (Vanilla, SWOpt; and SWP2P when no P2P target
 	// exists — the paper's SSD↔NIC observation).
-	buf := n.allocHost(uint64(nbytes) + 4096)
+	size := uint64(nbytes) + 4096
+	buf := n.allocHost(size)
+	defer n.freeHost(buf, size)
 	n.hostReadFile(p, bd, f, off, nbytes, buf)
 	if proc != ProcNone {
 		var err error
@@ -115,8 +121,11 @@ func (n *Node) hostProcess(p *sim.Proc, bd *trace.Breakdown, buf mem.Addr, nbyte
 	hp := n.Params.Host
 	kernel, gpuOK := proc.gpuKernel()
 	if gpuOK && n.GPU != nil {
-		vbuf := n.allocVRAM(uint64(nbytes) + 4096)
+		vsize := uint64(nbytes) + 4096
+		vbuf := n.allocVRAM(vsize)
+		defer n.freeVRAM(vbuf, vsize)
 		vres := n.allocVRAM(4096)
+		defer n.freeVRAM(vres, 4096)
 		n.trace("driver", "cudaMemcpy h2d")
 		n.Host.Exec(p, trace.CatGPUCtrl, hp.GPUDMASetup, bd)
 		start := p.Now()
@@ -135,6 +144,7 @@ func (n *Node) hostProcess(p *sim.Proc, bd *trace.Breakdown, buf mem.Addr, nbyte
 		n.Host.Exec(p, trace.CatGPUCtrl, hp.GPUDMASetup, bd)
 		start = p.Now()
 		hres := n.allocHost(64)
+		defer n.freeHost(hres, 64)
 		if err := n.GPU.Copy(p, hres, vres, len(digest)); err != nil {
 			return nil, err
 		}
@@ -201,7 +211,9 @@ func (n *Node) RecvFileOp(p *sim.Proc, connID uint64, f *hostos.File, off, nbyte
 func (n *Node) hostStagedRecv(p *sim.Proc, bd *trace.Breakdown, connID uint64, f *hostos.File, off, nbytes int, proc Processing) ([]byte, error) {
 	hp := n.Params.Host
 	n.Host.Exec(p, trace.CatUser, hp.SyscallEntry, bd)
-	buf := n.allocHost(uint64(nbytes) + 4096)
+	size := uint64(nbytes) + 4096
+	buf := n.allocHost(size)
+	defer n.freeHost(buf, size)
 	n.hostNetRecvTo(p, bd, connID, nbytes, buf)
 	var digest []byte
 	if proc != ProcNone {
@@ -230,7 +242,9 @@ func (n *Node) CopyFileOp(p *sim.Proc, srcF *hostos.File, srcOff int, dstF *host
 	if err == hdc.ErrEngineFailed {
 		n.failoverToHost(p, bd)
 		n.fallbacks++
-		buf := n.allocHost(uint64(nbytes) + 4096)
+		size := uint64(nbytes) + 4096
+		buf := n.allocHost(size)
+		defer n.freeHost(buf, size)
 		n.hostReadFile(p, bd, srcF, srcOff, nbytes, buf)
 		if proc != ProcNone {
 			digest, err = n.hostProcess(p, bd, buf, nbytes, proc)
@@ -304,7 +318,9 @@ func (n *Node) integratedSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, 
 	bd.Add(trace.CatDevCtrl, xfer)
 
 	// Fetch the real bytes for functional fidelity.
-	buf := n.allocHost(uint64(nbytes) + 4096)
+	size := uint64(nbytes) + 4096
+	buf := n.allocHost(size)
+	defer n.freeHost(buf, size)
 	data := make([]byte, 0, nbytes)
 	ssd := n.SSDs[n.fileDev[f.Name]]
 	for _, r := range runsOf(f, off, nbytes) {
@@ -338,9 +354,13 @@ func (n *Node) integratedSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, 
 }
 
 // deviceSend pushes LSO jobs onto the host send ring without CPU cost
-// (hardware-initiated transmit for the integrated-device model).
+// (hardware-initiated transmit for the integrated-device model). Every
+// job's header goes through one page: each job's fetch completes
+// before the next header is written.
 func (n *Node) deviceSend(p *sim.Proc, c *hostConn, src mem.Addr, nbytes int) {
 	const job = 64 << 10
+	hdrAddr := n.allocHost(64)
+	defer n.freeHost(hdrAddr, 64)
 	for off := 0; off < nbytes; off += job {
 		seg := nbytes - off
 		if seg > job {
@@ -348,7 +368,6 @@ func (n *Node) deviceSend(p *sim.Proc, c *hostConn, src mem.Addr, nbytes int) {
 		}
 		hdr := ether.HeaderTemplate(c.flow, c.txSeq, ether.FlagACK|ether.FlagPSH)
 		c.txSeq += uint32(seg)
-		hdrAddr := n.allocHost(64)
 		n.MM.Write(hdrAddr, hdr)
 		bds := []nic.SendBD{{Addr: hdrAddr, Len: uint16(len(hdr)), Flags: nic.SendFlagLSO, MSS: ether.MSS}}
 		const frag = 32 << 10

@@ -139,7 +139,9 @@ func (r *Rack) OpenConn(client, server int, dataPlane bool) Conn {
 // Env (spawn it via r.Nodes[node].Env).
 func (r *Rack) NodeSend(p *sim.Proc, node int, conn Conn, payload []byte) {
 	n := r.Nodes[node]
-	buf := n.allocHost(uint64(len(payload)) + 4096)
+	size := uint64(len(payload)) + 4096
+	buf := n.allocHost(size)
+	defer n.freeHost(buf, size)
 	n.MM.Write(buf, payload)
 	n.hostNetSend(p, trace.NewBreakdown(), conn.ID, buf, len(payload))
 }

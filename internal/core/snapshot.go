@@ -191,15 +191,17 @@ func (n *Node) snap(c *snap.Codec) {
 
 // snapState codes the node-local software state: host-stack
 // connections (sequence numbers plus the unconsumed reassembled
-// stream), staging-arena cursors, fallback/retry counters, and the
-// receive-wake park order (park order is wake order; see
-// sim.Cond.SnapWaiters).
+// stream), fallback/retry counters, and the receive-wake park order
+// (park order is wake order; see sim.Cond.SnapWaiters). The staging
+// allocators have no state to code: a quiescent node has every
+// staging buffer back, and a freshly built one starts all free.
 func (n *Node) snapState(c *snap.Codec) {
+	if spans, bytes := n.StagingLive(); spans != 0 {
+		c.Failf("%s: %d staging buffers (%d bytes) outstanding", n.Name, spans, bytes)
+	}
 	c.Bool(&n.adopted)
 	c.I64(&n.fallbacks)
 	c.I64(&n.hostNVMeRetries)
-	c.U64(&n.arenaOff)
-	c.U64(&n.vramOff)
 	snap.Check(c, "file-placement cursor", n.nextDev, c.Int)
 	snap.Check(c, "RSS cursor", n.nextRSS, c.Int)
 	ids := sim.SortedKeys(n.conns)

@@ -1,6 +1,10 @@
 package mem
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // ChunkPool manages fixed-size blocks carved from a region — the
 // paper's §IV-C scheme for the HDC Engine's 1 GB on-board DDR3:
@@ -63,6 +67,113 @@ func (p *ChunkPool) Put(a Addr) {
 	}
 	p.free = append(p.free, a)
 }
+
+// PageSize is the granule of Arena spans: the host's 4 KB page.
+const PageSize = 4096
+
+// Arena hands out page-rounded contiguous spans of a region and takes
+// them back — the staging memory of the host baselines, whose buffers
+// vary in size where ChunkPool's are fixed. Allocation is
+// address-ordered first fit: the lowest free span that fits, carved
+// from its low end, so reuse stays on the warm low pages and the
+// touched footprint is the in-flight peak. Spans stay contiguous
+// because devices coalesce contiguous pages into one DMA extent.
+type Arena struct {
+	base      Addr
+	size      uint64
+	free      []span // address-ordered, coalesced, non-empty
+	live      int
+	liveBytes uint64
+}
+
+// span is a page-aligned run of arena bytes by offset.
+type span struct{ off, n uint64 }
+
+// NewArena carves every whole page left in region past its bump
+// cursor (Region.Alloc) and manages them as one free span.
+func NewArena(region *Region) *Arena {
+	off := (region.allocOff + PageSize - 1) &^ (PageSize - 1)
+	size := uint64(0)
+	if off < region.Size {
+		size = (region.Size - off) &^ (PageSize - 1)
+	}
+	a := &Arena{base: region.Alloc(size, PageSize), size: size}
+	if size > 0 {
+		a.free = []span{{0, size}}
+	}
+	return a
+}
+
+// pages rounds a request up to whole pages; an empty request takes
+// one page, so every span has its own address.
+func pages(n uint64) uint64 {
+	return max((n+PageSize-1)&^(PageSize-1), PageSize)
+}
+
+// Alloc takes a span of at least n bytes; ok is false when no free
+// span fits.
+func (a *Arena) Alloc(n uint64) (Addr, bool) {
+	n = pages(n)
+	for i := range a.free {
+		f := &a.free[i]
+		if f.n < n {
+			continue
+		}
+		off := f.off
+		f.off += n
+		f.n -= n
+		if f.n == 0 {
+			a.free = slices.Delete(a.free, i, i+1)
+		}
+		a.live++
+		a.liveBytes += n
+		return a.base + Addr(off), true
+	}
+	return 0, false
+}
+
+// Free returns the span of n bytes at addr, as Alloc handed it out,
+// and coalesces it with its free neighbours. It panics on an address
+// outside the arena or off a page boundary, and on a span that
+// overlaps free space (a double free).
+func (a *Arena) Free(addr Addr, n uint64) {
+	n = pages(n)
+	off := uint64(addr - a.base)
+	if addr < a.base || off >= a.size || n > a.size-off || off%PageSize != 0 {
+		panic(fmt.Sprintf("mem: free of [%#x, +%d) outside arena [%#x, +%d) or off a page", uint64(addr), n, uint64(a.base), a.size))
+	}
+	// Spans are disjoint and sorted, so only the last free span below
+	// off and the first at or above it can overlap the freed span.
+	i, _ := slices.BinarySearchFunc(a.free, off, func(s span, off uint64) int { return cmp.Compare(s.off, off) })
+	prevEnd, nextOff := uint64(0), a.size
+	if i > 0 {
+		prevEnd = a.free[i-1].off + a.free[i-1].n
+	}
+	if i < len(a.free) {
+		nextOff = a.free[i].off
+	}
+	if prevEnd > off || off+n > nextOff {
+		panic(fmt.Sprintf("mem: free of [%#x, +%d) overlaps free arena space (double free?)", uint64(addr), n))
+	}
+	prev := i > 0 && prevEnd == off
+	next := i < len(a.free) && off+n == nextOff
+	switch {
+	case prev && next:
+		a.free[i-1].n += n + a.free[i].n
+		a.free = slices.Delete(a.free, i, i+1)
+	case prev:
+		a.free[i-1].n += n
+	case next:
+		a.free[i].off, a.free[i].n = off, a.free[i].n+n
+	default:
+		a.free = slices.Insert(a.free, i, span{off, n})
+	}
+	a.live--
+	a.liveBytes -= n
+}
+
+// Live returns the outstanding spans and their bytes.
+func (a *Arena) Live() (spans int, bytes uint64) { return a.live, a.liveBytes }
 
 // ScatterList is an ordered set of (addr, len) extents describing data
 // spread across buffers — NIC receive payloads before gathering, or a

@@ -77,6 +77,12 @@ func (n *NIC) snapQueue(c *snap.Codec, q *nicQueue) {
 	c.U64(&q.recvTail)
 	c.U64(&q.recvHead)
 	c.U64(&q.recvCplN)
+	// Completions trail consumption, which trails posting by less than
+	// a ring: the ring keeps one slot empty.
+	if q.recvCplN > q.recvHead || q.recvHead > q.recvTail || q.recvTail-q.recvHead >= uint64(q.cfg.RecvEntries) {
+		c.Failf("%s q%d: receive cursors out of reach (completed=%d consumed=%d posted=%d, %d entries)",
+			n.Name, qid, q.recvCplN, q.recvHead, q.recvTail, q.cfg.RecvEntries)
+	}
 	c.Bool(&q.armed)
 	c.U64(&q.sendAck)
 	c.U64(&q.recvAck)

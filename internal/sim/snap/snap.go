@@ -36,7 +36,7 @@ const Magic uint32 = 0x53534344
 // Version is the current format version. Readers refuse other
 // versions: state layouts change with the models, and decoding an old
 // checkpoint into new structs would corrupt a run silently.
-const Version uint32 = 3
+const Version uint32 = 4
 
 // Header is the fixed-size preamble of every checkpoint.
 type Header struct {
