@@ -17,6 +17,7 @@ import (
 	"dcsctrl/internal/apps"
 	"dcsctrl/internal/bench"
 	"dcsctrl/internal/core"
+	"dcsctrl/internal/ndp"
 	"dcsctrl/internal/sim"
 )
 
@@ -141,7 +142,7 @@ func BenchmarkTable3NDPUnits(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for _, u := range bench.AllNDPUnits() {
-			res, _, err := u.Transform(data)
+			res, _, err := ndp.Transform(u, data)
 			if err != nil {
 				b.Fatal(err)
 			}

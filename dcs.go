@@ -235,7 +235,7 @@ func (t *Testbed) SendFileEncrypted(p *Proc, f *File, off, n int, conn Conn, key
 	}
 	bd := trace.NewBreakdown()
 	start := t.Env.Now()
-	res, err := srv.Driver.SendFileAux(p, bd, srv.DevOf(f), f, off, n, conn.ID, uint8(ProcAES256), keySlot)
+	res, err := srv.Driver.SendFile(p, bd, srv.DevOf(f), f, off, n, conn.ID, uint8(ProcAES256), keySlot)
 	out := OpResult{Breakdown: bd, Latency: t.Env.Now() - start, Digest: res.Aux}
 	if err == nil && res.Status != 0 {
 		err = fmt.Errorf("dcsctrl: command failed with status %d", res.Status)

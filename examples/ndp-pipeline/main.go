@@ -60,11 +60,11 @@ func main() {
 
 	res, got = ship(dcsctrl.ProcAES256, payload)
 	unit := &ndp.AES256{Key: [32]byte{0x2a}} // the engine's provisioned key slot
-	plain, _, _ := unit.Transform(got)
+	plain, _, _ := ndp.Transform(unit, got)
 	fmt.Printf("%-21s %-12v %-14d decrypts back: %v\n", "SSD->AES256->NIC", res.Latency, len(got), bytes.Equal(plain, payload))
 
 	res, got = ship(dcsctrl.ProcGZIP, payload)
-	plain, _, err := (ndp.GUNZIP{}).Transform(got)
+	plain, _, err := ndp.Transform(ndp.GUNZIP{}, got)
 	fmt.Printf("%-21s %-12v %-14d gunzips back: %v (ratio %.1fx), err=%v\n",
 		"SSD->GZIP->NIC", res.Latency, len(got), bytes.Equal(plain, payload),
 		float64(len(payload))/float64(len(got)), err)

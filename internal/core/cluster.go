@@ -94,11 +94,7 @@ func connect(server, client *Node, id uint64, serverFlow ether.Flow, dataPlane b
 // ClientSend transmits payload bytes from the client on a connection
 // (load-generation path; client CPU is charged but not reported).
 func (c *Cluster) ClientSend(p *sim.Proc, conn Conn, payload []byte) {
-	size := uint64(len(payload)) + 4096
-	buf := c.Client.allocHost(size)
-	defer c.Client.freeHost(buf, size)
-	c.Client.MM.Write(buf, payload)
-	c.Client.hostNetSend(p, trace.NewBreakdown(), conn.ID, buf, len(payload))
+	c.Client.sendPayload(p, trace.NewBreakdown(), conn.ID, payload)
 }
 
 // ClientRecv blocks until the client has received n bytes on the
@@ -128,11 +124,7 @@ func (c *Cluster) ServerSend(p *sim.Proc, bd *trace.Breakdown, conn Conn, payloa
 	if bd == nil {
 		bd = trace.NewBreakdown()
 	}
-	size := uint64(len(payload)) + 4096
-	buf := c.Server.allocHost(size)
-	defer c.Server.freeHost(buf, size)
-	c.Server.MM.Write(buf, payload)
-	c.Server.hostNetSend(p, bd, conn.ID, buf, len(payload))
+	c.Server.sendPayload(p, bd, conn.ID, payload)
 }
 
 // Validate checks that the cluster wiring is consistent.

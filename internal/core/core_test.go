@@ -433,7 +433,7 @@ func TestVanillaPageCacheHits(t *testing.T) {
 	if lat2 >= lat1 {
 		t.Fatalf("cached read (%v) not faster than cold (%v)", lat2, lat1)
 	}
-	cmds, _, _ := cl.Server.SSD.Stats()
+	cmds, _, _ := cl.Server.SSDs[0].Stats()
 	if cmds != 1 { // one 16-block command for the cold read; none warm
 		t.Fatalf("SSD commands = %d, want 1", cmds)
 	}

@@ -46,6 +46,40 @@ func (n *Node) collectCompletion(name string, sig *sim.Signal, done *sim.Queue[i
 	})
 }
 
+// hostNVMeIO moves a file range between the SSD and the contiguous
+// buffer buf through the host NVMe driver: one command per LBA run,
+// all in flight at once, each funnelled into a per-direction collector.
+// It blocks until every command completes, charging submission, the
+// context switch, the device wait (to CatRead or CatWrite) and
+// completion handling.
+func (n *Node) hostNVMeIO(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, off, nbytes int, buf mem.Addr, write bool) {
+	hp := n.Params.Host
+	dev := n.fileDev[f.Name]
+	queue, collector, wait := "read-done", "read-collect", trace.CatRead
+	if write {
+		queue, collector, wait = "write-done", "write-collect", trace.CatWrite
+	}
+	runs := runsOf(f, off, nbytes)
+	done := sim.NewQueue[int](n.Env, queue)
+	for _, r := range runs {
+		n.trace("driver", "nvme submit")
+		n.Host.Exec(p, trace.CatDevCtrl, hp.BlockSubmit, bd)
+		sig := sim.NewSignal(n.Env)
+		n.submitHostNVMe(p, dev, write, r.lba, buf+mem.Addr(r.off), r.blocks, sig)
+		n.collectCompletion(collector, sig, done)
+	}
+	n.Host.Exec(p, trace.CatInterrupt, hp.CtxSwitch, bd)
+	start := p.Now()
+	for range runs {
+		done.Get(p)
+	}
+	bd.Add(wait, p.Now()-start)
+	n.trace("device", "nvme complete")
+	// Completion handling beyond the IRQ-side cost: per-command
+	// completion work in the caller's context.
+	n.Host.Exec(p, trace.CatDevCtrl, sim.Time(len(runs))*hp.BlockComplete/2, bd)
+}
+
 // hostReadFile reads a file range to dst (any bus address the SSD may
 // DMA to: host DRAM always; GPU VRAM under SW-P2P) using the host
 // kernel storage path. Costs follow the configuration: the Vanilla
@@ -88,29 +122,7 @@ func (n *Node) hostReadFile(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, of
 		}
 	}
 
-	runs := runsOf(f, off, nbytes)
-	done := sim.NewQueue[int](n.Env, "read-done")
-	for _, r := range runs {
-		n.trace("driver", "nvme submit")
-		n.Host.Exec(p, trace.CatDevCtrl, hp.BlockSubmit, bd)
-		pages := make([]mem.Addr, r.blocks)
-		for i := range pages {
-			pages[i] = dst + mem.Addr(r.off+i*nvme.BlockSize)
-		}
-		sig := sim.NewSignal(n.Env)
-		n.submitHostNVMe(p, dev, false, r.lba, r.blocks, pages, sig)
-		n.collectCompletion("read-collect", sig, done)
-	}
-	n.Host.Exec(p, trace.CatInterrupt, hp.CtxSwitch, bd)
-	start := p.Now()
-	for range runs {
-		done.Get(p)
-	}
-	bd.Add(trace.CatRead, p.Now()-start)
-	n.trace("device", "nvme complete")
-	// Completion handling beyond the IRQ-side cost: per-command
-	// completion work in the caller's context.
-	n.Host.Exec(p, trace.CatDevCtrl, sim.Time(len(runs))*hp.BlockComplete/2, bd)
+	n.hostNVMeIO(p, bd, f, off, nbytes, dst, false)
 
 	if vanilla {
 		// Page-cache fill + copy to the caller's buffer.
@@ -133,7 +145,6 @@ func (n *Node) hostReadFile(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, of
 // hostWriteFile writes a buffer to a file range through the host
 // kernel storage path.
 func (n *Node) hostWriteFile(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, off, nbytes int, src mem.Addr) {
-	dev := n.fileDev[f.Name]
 	hp := n.Params.Host
 	n.Host.Exec(p, trace.CatFileSystem, hp.SyscallEntry+hp.VFSLookup, bd)
 	vanilla := n.Kind == Vanilla
@@ -142,25 +153,7 @@ func (n *Node) hostWriteFile(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, o
 		n.Host.Exec(p, trace.CatPageCache, sim.Time(pages)*hp.PageCacheOp, bd)
 		n.Host.Copy(p, trace.CatDataCopy, nbytes, bd)
 	}
-	runs := runsOf(f, off, nbytes)
-	done := sim.NewQueue[int](n.Env, "write-done")
-	for _, r := range runs {
-		n.Host.Exec(p, trace.CatDevCtrl, hp.BlockSubmit, bd)
-		pages := make([]mem.Addr, r.blocks)
-		for i := range pages {
-			pages[i] = src + mem.Addr(r.off+i*nvme.BlockSize)
-		}
-		sig := sim.NewSignal(n.Env)
-		n.submitHostNVMe(p, dev, true, r.lba, r.blocks, pages, sig)
-		n.collectCompletion("write-collect", sig, done)
-	}
-	n.Host.Exec(p, trace.CatInterrupt, hp.CtxSwitch, bd)
-	start := p.Now()
-	for range runs {
-		done.Get(p)
-	}
-	bd.Add(trace.CatWrite, p.Now()-start)
-	n.Host.Exec(p, trace.CatDevCtrl, sim.Time(len(runs))*hp.BlockComplete/2, bd)
+	n.hostNVMeIO(p, bd, f, off, nbytes, src, true)
 	n.Host.Exec(p, trace.CatFileSystem, hp.SyscallExit, bd)
 }
 

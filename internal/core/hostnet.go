@@ -219,6 +219,16 @@ func (n *Node) finishRecv(p *sim.Proc, bd *trace.Breakdown, want int) {
 	n.Host.Exec(p, trace.CatNetStack, hp.SyscallExit, bd)
 }
 
+// sendPayload stages payload in a host DRAM buffer and transmits it on
+// the connection through the host network stack.
+func (n *Node) sendPayload(p *sim.Proc, bd *trace.Breakdown, connID uint64, payload []byte) {
+	size := uint64(len(payload)) + 4096
+	buf := n.allocHost(size)
+	defer n.freeHost(buf, size)
+	n.MM.Write(buf, payload)
+	n.hostNetSend(p, bd, connID, buf, len(payload))
+}
+
 // hostNetSend transmits nbytes from src (host DRAM, or GPU VRAM under
 // SW-P2P) on the connection through the host network stack with LSO.
 func (n *Node) hostNetSend(p *sim.Proc, bd *trace.Breakdown, connID uint64, src mem.Addr, nbytes int) {
@@ -234,41 +244,18 @@ func (n *Node) hostNetSend(p *sim.Proc, bd *trace.Breakdown, connID uint64, src 
 		n.Host.Copy(p, trace.CatDataCopy, nbytes, bd)
 	}
 
-	// One LSO job per 64 KB: header template + payload BDs. Every
-	// job's header goes through one page: each job's fetch completes
-	// before the next header is written.
-	const job = 64 << 10
+	// One LSO job per 64 KB. Every job's header goes through one page:
+	// each job's fetch completes before the next header is written.
 	hdrAddr := n.allocHost(64)
 	defer n.freeHost(hdrAddr, 64)
-	for off := 0; off < nbytes; off += job {
-		seg := nbytes - off
-		if seg > job {
-			seg = job
-		}
+	for off := 0; off < nbytes; off += lsoJob {
+		seg := min(nbytes-off, lsoJob)
 		n.Host.Exec(p, trace.CatNetStack, hp.SockPerSeg, bd)
-		hdr := ether.HeaderTemplate(c.flow, c.txSeq, ether.FlagACK|ether.FlagPSH)
-		n.MM.Write(hdrAddr, hdr)
-		c.txSeq += uint32(seg)
-		bds := []nic.SendBD{{Addr: hdrAddr, Len: uint16(len(hdr)), Flags: nic.SendFlagLSO, MSS: ether.MSS}}
-		const frag = 32 << 10
-		for o := 0; o < seg; o += frag {
-			k := seg - o
-			if k > frag {
-				k = frag
-			}
-			bds = append(bds, nic.SendBD{Addr: src + mem.Addr(off+o), Len: uint16(k)})
-		}
-		bds[len(bds)-1].Flags |= nic.SendFlagEnd
-		for n.sendRing.FreeSlots() < len(bds) {
-			n.sendCond.Wait(p)
-		}
-		if err := n.sendRing.Push(bds); err != nil {
-			panic(err)
-		}
+		n.pushLSO(p, c, hdrAddr, src+mem.Addr(off), seg)
 		n.trace("driver", "nic doorbell")
 		n.Host.Exec(p, trace.CatDevCtrl, hp.SockPerSeg/2, bd)
 		sig := sim.NewSignal(n.Env)
-		n.pendTx = append(n.pendTx, hostPendingSend{tail: n.sendRing.Tail(), sig: sig})
+		n.sendRing.Track(sig)
 		n.sendRing.RingDoorbell()
 		// Wait for the NIC to fetch the job (buffer reuse safety).
 		n.Host.Exec(p, trace.CatInterrupt, hp.CtxSwitch, bd)
@@ -280,29 +267,30 @@ func (n *Node) hostNetSend(p *sim.Proc, bd *trace.Breakdown, connID uint64, src 
 	n.trace("kernel", "send() exit")
 }
 
-// sweepSendCompletions fires pending transmit signals whose BDs the
-// NIC has consumed (runs in the IRQ bottom half).
-func (n *Node) sweepSendCompletions() {
-	completed := n.sendRing.Completed()
-	k := 0
-	for _, ps := range n.pendTx {
-		if ps.tail > completed {
-			break
-		}
-		ps.sig.Fire(nil)
-		k++
+// lsoJob is the payload of one host LSO job.
+const lsoJob = 64 << 10
+
+// pushLSO writes the connection's next header template to hdrAddr and
+// pushes one LSO job of seg payload bytes at src onto the host send
+// ring, waiting for ring space. The caller rings the doorbell.
+func (n *Node) pushLSO(p *sim.Proc, c *hostConn, hdrAddr, src mem.Addr, seg int) {
+	hdr := ether.HeaderTemplate(c.flow, c.txSeq, ether.FlagACK|ether.FlagPSH)
+	n.MM.Write(hdrAddr, hdr)
+	c.txSeq += uint32(seg)
+	var chain [3]nic.SendBD // a full job: the header and two 32 KB payload BDs
+	bds := nic.AppendLSOChain(chain[:0], hdrAddr, len(hdr), src, seg)
+	for n.sendRing.FreeSlots() < len(bds) {
+		n.sendCond.Wait(p)
 	}
-	// Compact in place: reslicing the front would bleed capacity
-	// (DESIGN.md §11), and hostNetSend's append would reallocate.
-	m := copy(n.pendTx, n.pendTx[k:])
-	clear(n.pendTx[m:])
-	n.pendTx = n.pendTx[:m]
+	if err := n.sendRing.Push(bds); err != nil {
+		panic(err)
+	}
 }
 
 // waitSendCompleted blocks until the job's fetch completion; the IRQ
 // bottom half performs the sweep that fires the signal.
 func (n *Node) waitSendCompleted(p *sim.Proc, sig *sim.Signal) {
-	n.sweepSendCompletions() // the NIC may already have fetched it
+	n.sendRing.Sweep() // the NIC may already have fetched it
 	sig.Wait(p)
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"dcsctrl/internal/mem"
 	"dcsctrl/internal/nic"
+	"dcsctrl/internal/nvme"
 	"dcsctrl/internal/sim"
 )
 
@@ -124,6 +125,42 @@ func TestSnapshotRefusesLiveStaging(t *testing.T) {
 	cl.Client.freeHost(buf, 8192)
 	if _, err := cl.Snapshot(); err != nil {
 		t.Fatalf("snapshot after the release: %v", err)
+	}
+}
+
+// TestHostNVMePRPListPageOnlyWhenNeeded: the host driver takes a
+// staging page for a command's PRP list only when the command needs a
+// list, and returns it once the command succeeds.
+func TestHostNVMePRPListPageOnlyWhenNeeded(t *testing.T) {
+	for _, tc := range []struct{ blocks, listPages int }{{1, 0}, {2, 0}, {3, 1}} {
+		env := sim.NewEnv()
+		n := NewNode(env, "n", SWOpt, DefaultParams())
+		content := pattern(tc.blocks * nvme.BlockSize)
+		f, err := n.StageFile("obj", content)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := uint64(len(content))
+		buf := n.allocHost(size)
+		inFlight := -1
+		env.Spawn("io", func(p *sim.Proc) {
+			sig := sim.NewSignal(env)
+			n.submitHostNVMe(p, n.DevOf(f), false, f.LBAs()[0], buf, tc.blocks, sig)
+			spans, _ := n.StagingLive()
+			inFlight = spans - 1 // less the data buffer
+			sig.Wait(p)
+		})
+		env.Run(-1)
+		if inFlight != tc.listPages {
+			t.Errorf("%d-block command held %d PRP-list pages in flight, want %d", tc.blocks, inFlight, tc.listPages)
+		}
+		if !bytes.Equal(n.MM.Read(buf, len(content)), content) {
+			t.Errorf("%d-block command read the wrong bytes", tc.blocks)
+		}
+		n.freeHost(buf, size)
+		if spans, _ := n.StagingLive(); spans != 0 {
+			t.Errorf("%d-block command left %d staging spans after it completed", tc.blocks, spans)
+		}
 	}
 }
 

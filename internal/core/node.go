@@ -37,7 +37,6 @@ type Node struct {
 	Host     *hostos.Host
 	FS       *hostos.FileSystem
 
-	SSD  *nvme.SSD            // first SSD (compatibility alias)
 	SSDs []*nvme.SSD          // all SSDs, indexed by device number
 	FSs  []*hostos.FileSystem // one namespace per SSD
 	NIC  *nic.NIC
@@ -55,9 +54,7 @@ type Node struct {
 	nextDev   int              // round-robin file placement
 	sendRing  *nic.SendRing
 	recvRings []*nic.RecvRing // one per RSS queue
-	recvRing  *nic.RecvRing   // queue 0 (compatibility alias)
 	sendCond  *sim.Cond
-	pendTx    []hostPendingSend
 	nextRSS   int // round-robin connection-to-queue assignment
 
 	conns   map[uint64]*hostConn
@@ -76,11 +73,6 @@ type Node struct {
 
 	timeline []TimelineEvent
 	tracing  bool
-}
-
-type hostPendingSend struct {
-	tail uint64
-	sig  *sim.Signal
 }
 
 // hostConn is a host-terminated TCP-lite endpoint.
@@ -200,7 +192,6 @@ func NewNode(env *sim.Env, name string, kind Config, params Params) *Node {
 		n.SSDs = append(n.SSDs, nvme.NewSSD(env, n.Fab, fmt.Sprintf("%s-ssd%d", name, i), params.SSD))
 		n.FSs = append(n.FSs, hostos.NewFileSystem(64<<30))
 	}
-	n.SSD = n.SSDs[0]
 	n.FS = n.FSs[0]
 	n.fileDev = map[string]uint8{}
 	n.NIC = nic.NewNIC(env, n.Fab, name+"-nic", params.NIC)
@@ -233,7 +224,7 @@ func NewNode(env *sim.Env, name string, kind Config, params Params) *Node {
 			engineQIDs = append(engineQIDs, uint16(15+i))
 		}
 		n.Engine.AttachNIC(n.NIC, engineQIDs...)
-		units := map[uint8]ndp.Streamer{
+		units := map[uint8]ndp.Unit{
 			hdc.FnMD5: ndp.MD5{}, hdc.FnCRC32: ndp.CRC32{}, hdc.FnSHA256: ndp.SHA256{},
 			hdc.FnAES256: &ndp.AES256{Key: [32]byte{0x2a}}, hdc.FnGZIP: ndp.GZIP{}, hdc.FnGUNZIP: ndp.GUNZIP{},
 		}
@@ -369,7 +360,6 @@ func (n *Node) setupHostNIC() {
 		n.recvRings = append(n.recvRings, recv)
 		if q == 0 {
 			n.sendRing = nic.NewSendRing(n.Fab, n.NIC, cfg)
-			n.recvRing = recv
 		}
 		q := q
 		n.Fab.OnMSI(msiNICBase+q, func() {
@@ -378,7 +368,7 @@ func (n *Node) setupHostNIC() {
 				// re-arm the send side (queue 0 owns transmit); each
 				// receive service re-arms its own queue after draining.
 				if q == 0 {
-					n.sweepSendCompletions()
+					n.sendRing.Sweep()
 					n.sendRing.Arm()
 					n.sendCond.Broadcast()
 				}
@@ -435,41 +425,30 @@ func (n *Node) writebackPage(p *sim.Proc, f *hostos.File, page int, data []byte)
 	lba := f.LBAs()[page]
 	sig := sim.NewSignal(n.Env)
 	n.Host.Exec(p, "block-layer", n.Params.Host.BlockSubmit, nil)
-	n.submitHostNVMe(p, n.fileDev[f.Name], true, lba, 1, []mem.Addr{buf}, sig)
+	n.submitHostNVMe(p, n.fileDev[f.Name], true, lba, buf, 1, sig)
 	sig.Wait(p)
 }
 
-// Host NVMe driver recovery policy: a retryable media error is
-// re-submitted with exponential backoff a bounded number of times.
-const (
-	hostNVMeMaxRetries   = 4
-	hostNVMeRetryBackoff = 5 * sim.Microsecond
-)
-
-// submitHostNVMe issues one NVMe command from the host driver's ring.
-// CPU cost is charged by the caller; this performs the ring protocol.
-// The command's PRP-list page stays allocated until the command
-// succeeds: a retry re-submits the list verbatim.
-func (n *Node) submitHostNVMe(p *sim.Proc, dev uint8, write bool, lba uint64, blocks int, pages []mem.Addr, done *sim.Signal) {
-	prpBuf := n.allocHost(mem.PageSize)
-	prp1, prp2, err := nvme.BuildPRPs(n.MM, pages, prpBuf)
+// submitHostNVMe issues one NVMe command from the host driver's ring
+// for blocks blocks at lba and the contiguous buffer buf. CPU cost is
+// charged by the caller; this performs the ring protocol. A command
+// that needs a PRP list takes a staging page for it, held until the
+// command succeeds: a retry re-submits the list verbatim.
+func (n *Node) submitHostNVMe(p *sim.Proc, dev uint8, write bool, lba uint64, buf mem.Addr, blocks int, done *sim.Signal) {
+	var list mem.Addr
+	if nvme.NeedsPRPList(blocks) {
+		list = n.allocHost(mem.PageSize)
+	}
+	cmd, err := nvme.IOCommand(n.MM, write, lba, buf, blocks, list)
 	if err != nil {
 		panic(err)
 	}
-	op := nvme.OpRead
-	if write {
-		op = nvme.OpWrite
-	}
-	n.issueHostNVMe(p, dev, nvme.Command{
-		Opcode: op, NSID: 1, PRP1: prp1, PRP2: prp2,
-		SLBA: lba, NLB: uint16(blocks - 1),
-	}, prpBuf, done)
+	n.issueHostNVMe(p, dev, cmd, list, done)
 }
 
 // issueHostNVMe submits the first attempt of a command and arranges
-// retries. The PRP lists are reused verbatim: a media error is
-// injected before the SSD moves data or commits flash, so a
-// re-submission is idempotent.
+// retries under nvme's retry policy. prpBuf is the command's PRP-list
+// page, or 0 when it has none.
 func (n *Node) issueHostNVMe(p *sim.Proc, dev uint8, cmd nvme.Command, prpBuf mem.Addr, done *sim.Signal) {
 	ring := n.nvmeRings[dev]
 	for ring.Full() {
@@ -492,9 +471,11 @@ func (n *Node) hostNVMeCplFn(dev uint8, cmd nvme.Command, prpBuf mem.Addr, attem
 	return func(cpl nvme.Completion) {
 		switch {
 		case cpl.Status == nvme.StatusSuccess:
-			n.freeHost(prpBuf, mem.PageSize)
+			if prpBuf != 0 {
+				n.freeHost(prpBuf, mem.PageSize)
+			}
 			done.Fire(nil)
-		case nvme.Retryable(cpl.Status) && attempt < hostNVMeMaxRetries:
+		case nvme.Retryable(cpl.Status) && attempt < nvme.MaxRetries:
 			n.hostNVMeRetries++
 			m := &nvmeRetryMachine{n: n, dev: dev, cmd: cmd, prpBuf: prpBuf, attempt: attempt + 1, done: done}
 			n.Env.SpawnHandler(fmt.Sprintf("%s-nvme%d-retry", n.Name, dev), m.run)
@@ -521,7 +502,7 @@ type nvmeRetryMachine struct {
 func (m *nvmeRetryMachine) run(h *sim.HandlerCtx) {
 	if !m.slept {
 		m.slept = true
-		h.Rearm(hostNVMeRetryBackoff << uint(m.attempt-1))
+		h.Rearm(nvme.RetryBackoff << uint(m.attempt-1))
 		return
 	}
 	ring := m.n.nvmeRings[m.dev]

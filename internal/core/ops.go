@@ -1,14 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
-	"dcsctrl/internal/ether"
 	"dcsctrl/internal/hdc"
 	"dcsctrl/internal/hostos"
 	"dcsctrl/internal/mem"
 	"dcsctrl/internal/ndp"
-	"dcsctrl/internal/nic"
 	"dcsctrl/internal/sim"
 	"dcsctrl/internal/trace"
 )
@@ -36,24 +35,35 @@ func (n *Node) SendFileOp(p *sim.Proc, f *hostos.File, off, nbytes int, connID u
 	case DCSCtrl:
 		n.trace("user", "hdc_sendfile()")
 		n.trace("driver", "resolve metadata, post D2D command")
-		var res hdc.Result
-		res, err = n.Driver.SendFileDev(p, bd, n.fileDev[f.Name], f, off, nbytes, connID, uint8(proc))
+		res, cmdErr := n.Driver.SendFile(p, bd, n.fileDev[f.Name], f, off, nbytes, connID, uint8(proc), 0)
 		n.trace("driver", "completion interrupt, return to user")
-		digest = res.Aux
-		if err == hdc.ErrEngineFailed {
-			n.failoverToHost(p, bd)
-			n.fallbacks++
-			n.trace("kernel", "engine failed: host-mediated fallback")
-			digest, err = n.softwareSend(p, bd, f, off, nbytes, connID, proc)
-		} else if err == nil && res.Status != 0 {
-			err = fmt.Errorf("core: D2D command failed with status %d", res.Status)
-		}
+		digest, err = n.settleD2D(p, bd, res, cmdErr, func() ([]byte, error) {
+			return n.softwareSend(p, bd, f, off, nbytes, connID, proc)
+		})
 	case DevIntegration:
 		digest, err = n.integratedSend(p, bd, f, off, nbytes, connID, proc)
 	default:
 		digest, err = n.softwareSend(p, bd, f, off, nbytes, connID, proc)
 	}
 	return OpResult{Breakdown: bd, Latency: p.Now() - start, Digest: digest}, err
+}
+
+// settleD2D turns a D2D command's outcome into the operation's digest
+// and error: a non-zero completion status is an error, and an engine
+// failure hands the engine's connections to the host stack and runs
+// fallback, the operation's host-mediated path, in the command's
+// place.
+func (n *Node) settleD2D(p *sim.Proc, bd *trace.Breakdown, res hdc.Result, err error, fallback func() ([]byte, error)) ([]byte, error) {
+	switch {
+	case errors.Is(err, hdc.ErrEngineFailed):
+		n.failoverToHost(p, bd)
+		n.fallbacks++
+		n.trace("kernel", "engine failed: host-mediated fallback")
+		return fallback()
+	case err == nil && res.Status != 0:
+		return res.Aux, fmt.Errorf("core: D2D command failed with status %d", res.Status)
+	}
+	return res.Aux, err
 }
 
 // softwareSend is the Vanilla / SWOpt / SWP2P path: the host CPU runs
@@ -64,11 +74,8 @@ func (n *Node) softwareSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, of
 	n.trace("user", "read+process+send")
 	n.Host.Exec(p, trace.CatUser, hp.SyscallEntry, bd) // app dispatch
 
-	kernel, gpuOK := proc.gpuKernel()
-	useP2P := n.Kind == SWP2P && proc != ProcNone && gpuOK && n.GPU != nil
-	var digest []byte
-
-	if useP2P {
+	unit, onGPU := proc.digestUnit()
+	if n.Kind == SWP2P && onGPU && n.GPU != nil {
 		// SW-ctrl P2P: the SSD DMAs straight into GPU VRAM (the GPU is
 		// the only P2P target); the NIC later DMA-reads VRAM. Control
 		// stays on the CPU.
@@ -80,8 +87,7 @@ func (n *Node) softwareSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, of
 		n.hostReadFile(p, bd, f, off, nbytes, vbuf)
 		n.Host.Exec(p, trace.CatGPUCtrl, hp.GPULaunch, bd)
 		start := p.Now()
-		var err error
-		digest, err = n.GPU.RunHashKernel(p, kernel, vbuf, nbytes, vres)
+		digest, err := n.GPU.RunHashKernel(p, unit, vbuf, nbytes, vres)
 		if err != nil {
 			return nil, err
 		}
@@ -99,18 +105,27 @@ func (n *Node) softwareSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, of
 
 	// Host-staged path (Vanilla, SWOpt; and SWP2P when no P2P target
 	// exists — the paper's SSD↔NIC observation).
+	return n.hostStaged(p, bd, nbytes, proc,
+		func(buf mem.Addr) { n.hostReadFile(p, bd, f, off, nbytes, buf) },
+		func(buf mem.Addr) { n.hostNetSend(p, bd, connID, buf, nbytes) })
+}
+
+// hostStaged runs a host-mediated pipeline through one DRAM staging
+// buffer: fill lands nbytes in it, hostProcess applies proc to them,
+// and drain takes them on. It returns the processing digest.
+func (n *Node) hostStaged(p *sim.Proc, bd *trace.Breakdown, nbytes int, proc Processing, fill, drain func(buf mem.Addr)) ([]byte, error) {
 	size := uint64(nbytes) + 4096
 	buf := n.allocHost(size)
 	defer n.freeHost(buf, size)
-	n.hostReadFile(p, bd, f, off, nbytes, buf)
+	fill(buf)
+	var digest []byte
 	if proc != ProcNone {
 		var err error
-		digest, err = n.hostProcess(p, bd, buf, nbytes, proc)
-		if err != nil {
+		if digest, err = n.hostProcess(p, bd, buf, nbytes, proc); err != nil {
 			return nil, err
 		}
 	}
-	n.hostNetSend(p, bd, connID, buf, nbytes)
+	drain(buf)
 	return digest, nil
 }
 
@@ -119,8 +134,7 @@ func (n *Node) softwareSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, of
 // back), otherwise computed on the CPU.
 func (n *Node) hostProcess(p *sim.Proc, bd *trace.Breakdown, buf mem.Addr, nbytes int, proc Processing) ([]byte, error) {
 	hp := n.Params.Host
-	kernel, gpuOK := proc.gpuKernel()
-	if gpuOK && n.GPU != nil {
+	if unit, onGPU := proc.digestUnit(); onGPU && n.GPU != nil {
 		vsize := uint64(nbytes) + 4096
 		vbuf := n.allocVRAM(vsize)
 		defer n.freeVRAM(vbuf, vsize)
@@ -136,7 +150,7 @@ func (n *Node) hostProcess(p *sim.Proc, bd *trace.Breakdown, buf mem.Addr, nbyte
 		n.trace("driver", "kernel launch")
 		n.Host.Exec(p, trace.CatGPUCtrl, hp.GPULaunch, bd)
 		start = p.Now()
-		digest, err := n.GPU.RunHashKernel(p, kernel, vbuf, nbytes, vres)
+		digest, err := n.GPU.RunHashKernel(p, unit, vbuf, nbytes, vres)
 		if err != nil {
 			return nil, err
 		}
@@ -160,19 +174,12 @@ func (n *Node) hostProcess(p *sim.Proc, bd *trace.Breakdown, buf mem.Addr, nbyte
 // cpuDigest computes the real digest for a processing kind (nil when
 // the kind yields no digest).
 func cpuDigest(proc Processing, data []byte) []byte {
-	switch proc {
-	case ProcMD5:
-		_, aux, _ := ndp.MD5{}.Transform(data)
-		return aux
-	case ProcCRC32:
-		_, aux, _ := ndp.CRC32{}.Transform(data)
-		return aux
-	case ProcSHA256:
-		_, aux, _ := ndp.SHA256{}.Transform(data)
-		return aux
-	default:
+	unit, _ := proc.digestUnit()
+	if unit == nil {
 		return nil
 	}
+	_, digest, _ := ndp.Transform(unit, data)
+	return digest
 }
 
 // RecvFileOp receives nbytes from a connection, optionally processes
@@ -187,16 +194,10 @@ func (n *Node) RecvFileOp(p *sim.Proc, connID uint64, f *hostos.File, off, nbyte
 	var err error
 	switch n.Kind {
 	case DCSCtrl:
-		var res hdc.Result
-		res, err = n.Driver.RecvFileDev(p, bd, connID, n.fileDev[f.Name], f, off, nbytes, uint8(proc))
-		digest = res.Aux
-		if err == hdc.ErrEngineFailed {
-			n.failoverToHost(p, bd)
-			n.fallbacks++
-			digest, err = n.hostStagedRecv(p, bd, connID, f, off, nbytes, proc)
-		} else if err == nil && res.Status != 0 {
-			err = fmt.Errorf("core: D2D command failed with status %d", res.Status)
-		}
+		res, cmdErr := n.Driver.RecvFile(p, bd, connID, n.fileDev[f.Name], f, off, nbytes, uint8(proc))
+		digest, err = n.settleD2D(p, bd, res, cmdErr, func() ([]byte, error) {
+			return n.hostStagedRecv(p, bd, connID, f, off, nbytes, proc)
+		})
 	case DevIntegration:
 		err = fmt.Errorf("core: integrated device receive path not modelled")
 	default:
@@ -209,22 +210,10 @@ func (n *Node) RecvFileOp(p *sim.Proc, connID uint64, f *hostos.File, off, nbyte
 // into a DRAM staging buffer, process, write to the file — shared by
 // the software baselines and the DCS fallback path.
 func (n *Node) hostStagedRecv(p *sim.Proc, bd *trace.Breakdown, connID uint64, f *hostos.File, off, nbytes int, proc Processing) ([]byte, error) {
-	hp := n.Params.Host
-	n.Host.Exec(p, trace.CatUser, hp.SyscallEntry, bd)
-	size := uint64(nbytes) + 4096
-	buf := n.allocHost(size)
-	defer n.freeHost(buf, size)
-	n.hostNetRecvTo(p, bd, connID, nbytes, buf)
-	var digest []byte
-	if proc != ProcNone {
-		var err error
-		digest, err = n.hostProcess(p, bd, buf, nbytes, proc)
-		if err != nil {
-			return nil, err
-		}
-	}
-	n.hostWriteFile(p, bd, f, off, nbytes, buf)
-	return digest, nil
+	n.Host.Exec(p, trace.CatUser, n.Params.Host.SyscallEntry, bd)
+	return n.hostStaged(p, bd, nbytes, proc,
+		func(buf mem.Addr) { n.hostNetRecvTo(p, bd, connID, nbytes, buf) },
+		func(buf mem.Addr) { n.hostWriteFile(p, bd, f, off, nbytes, buf) })
 }
 
 // CopyFileOp moves nbytes between two files. On a DCS node it is a
@@ -236,28 +225,13 @@ func (n *Node) CopyFileOp(p *sim.Proc, srcF *hostos.File, srcOff int, dstF *host
 	if n.Kind != DCSCtrl {
 		return OpResult{}, fmt.Errorf("core: CopyFileOp requires a DCS-ctrl node")
 	}
-	res, err := n.Driver.CopyFile(p, bd, n.fileDev[srcF.Name], srcF, srcOff,
+	res, cmdErr := n.Driver.CopyFile(p, bd, n.fileDev[srcF.Name], srcF, srcOff,
 		n.fileDev[dstF.Name], dstF, dstOff, nbytes, uint8(proc))
-	digest := res.Aux
-	if err == hdc.ErrEngineFailed {
-		n.failoverToHost(p, bd)
-		n.fallbacks++
-		size := uint64(nbytes) + 4096
-		buf := n.allocHost(size)
-		defer n.freeHost(buf, size)
-		n.hostReadFile(p, bd, srcF, srcOff, nbytes, buf)
-		if proc != ProcNone {
-			digest, err = n.hostProcess(p, bd, buf, nbytes, proc)
-			if err != nil {
-				return OpResult{Breakdown: bd}, err
-			}
-		} else {
-			err = nil
-		}
-		n.hostWriteFile(p, bd, dstF, dstOff, nbytes, buf)
-	} else if err == nil && res.Status != 0 {
-		err = fmt.Errorf("core: D2D command failed with status %d", res.Status)
-	}
+	digest, err := n.settleD2D(p, bd, res, cmdErr, func() ([]byte, error) {
+		return n.hostStaged(p, bd, nbytes, proc,
+			func(buf mem.Addr) { n.hostReadFile(p, bd, srcF, srcOff, nbytes, buf) },
+			func(buf mem.Addr) { n.hostWriteFile(p, bd, dstF, dstOff, nbytes, buf) })
+	})
 	return OpResult{Breakdown: bd, Latency: p.Now() - start, Digest: digest}, err
 }
 
@@ -358,35 +332,12 @@ func (n *Node) integratedSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, 
 // job's header goes through one page: each job's fetch completes
 // before the next header is written.
 func (n *Node) deviceSend(p *sim.Proc, c *hostConn, src mem.Addr, nbytes int) {
-	const job = 64 << 10
 	hdrAddr := n.allocHost(64)
 	defer n.freeHost(hdrAddr, 64)
-	for off := 0; off < nbytes; off += job {
-		seg := nbytes - off
-		if seg > job {
-			seg = job
-		}
-		hdr := ether.HeaderTemplate(c.flow, c.txSeq, ether.FlagACK|ether.FlagPSH)
-		c.txSeq += uint32(seg)
-		n.MM.Write(hdrAddr, hdr)
-		bds := []nic.SendBD{{Addr: hdrAddr, Len: uint16(len(hdr)), Flags: nic.SendFlagLSO, MSS: ether.MSS}}
-		const frag = 32 << 10
-		for o := 0; o < seg; o += frag {
-			k := seg - o
-			if k > frag {
-				k = frag
-			}
-			bds = append(bds, nic.SendBD{Addr: src + mem.Addr(off+o), Len: uint16(k)})
-		}
-		bds[len(bds)-1].Flags |= nic.SendFlagEnd
-		for n.sendRing.FreeSlots() < len(bds) {
-			n.sendCond.Wait(p)
-		}
-		if err := n.sendRing.Push(bds); err != nil {
-			panic(err)
-		}
+	for off := 0; off < nbytes; off += lsoJob {
+		n.pushLSO(p, c, hdrAddr, src+mem.Addr(off), min(nbytes-off, lsoJob))
 		sig := sim.NewSignal(n.Env)
-		n.pendTx = append(n.pendTx, hostPendingSend{tail: n.sendRing.Tail(), sig: sig})
+		n.sendRing.Track(sig)
 		n.sendRing.RingDoorbell()
 		n.sendRing.Arm()
 		n.waitSendCompleted(p, sig)

@@ -23,6 +23,7 @@ import (
 	"dcsctrl/internal/gpu"
 	"dcsctrl/internal/hdc"
 	"dcsctrl/internal/hostos"
+	"dcsctrl/internal/ndp"
 	"dcsctrl/internal/nic"
 	"dcsctrl/internal/nvme"
 	"dcsctrl/internal/pcie"
@@ -138,16 +139,19 @@ const (
 
 func (p Processing) String() string { return hdc.FnName(uint8(p)) }
 
-// gpuKernel maps a processing kind to the GPU kernel the baselines
-// offload it to; ok is false when the GPU has no such kernel (the
-// baseline then computes on the CPU).
-func (p Processing) gpuKernel() (gpu.KernelKind, bool) {
+// digestUnit returns the NDP unit whose digest a processing kind
+// computes, or nil for a kind that computes none; onGPU reports whether
+// the baselines' GPU has a kernel for it (otherwise a baseline computes
+// it on the CPU).
+func (p Processing) digestUnit() (unit ndp.Unit, onGPU bool) {
 	switch p {
 	case ProcMD5:
-		return gpu.KernelMD5, true
+		return ndp.MD5{}, true
 	case ProcCRC32:
-		return gpu.KernelCRC32, true
+		return ndp.CRC32{}, true
+	case ProcSHA256:
+		return ndp.SHA256{}, false
 	default:
-		return 0, false
+		return nil, false
 	}
 }

@@ -138,12 +138,7 @@ func (r *Rack) OpenConn(client, server int, dataPlane bool) Conn {
 // connection. The calling process must run on the node's own domain
 // Env (spawn it via r.Nodes[node].Env).
 func (r *Rack) NodeSend(p *sim.Proc, node int, conn Conn, payload []byte) {
-	n := r.Nodes[node]
-	size := uint64(len(payload)) + 4096
-	buf := n.allocHost(size)
-	defer n.freeHost(buf, size)
-	n.MM.Write(buf, payload)
-	n.hostNetSend(p, trace.NewBreakdown(), conn.ID, buf, len(payload))
+	r.Nodes[node].sendPayload(p, trace.NewBreakdown(), conn.ID, payload)
 }
 
 // NodeRecv blocks until the node has received want bytes on the

@@ -159,8 +159,8 @@ func (n *Node) snap(c *snap.Codec) {
 	c.EndSection()
 
 	sec("rings")
-	if len(n.pendTx) != 0 {
-		c.Failf("%d unswept transmit jobs", len(n.pendTx))
+	if k := n.sendRing.Tracked(); k != 0 {
+		c.Failf("%d unswept transmit jobs", k)
 	}
 	snap.Check(c, "NVMe rings", uint32(len(n.nvmeRings)), c.U32)
 	for _, ring := range n.nvmeRings {

@@ -1,17 +1,17 @@
 // Package gpu models the accelerator the paper's baselines use for
 // intermediate processing (an NVIDIA Tesla K20m): device memory
 // exposed as a P2P target (GPUDirect-style), a DMA copy engine, and
-// kernel execution with launch latency and compute throughput. Kernels
-// compute real results (MD5/CRC32 over the actual bytes), so baseline
-// pipelines are functionally verifiable too.
+// kernel execution with launch latency and compute throughput. A hash
+// kernel computes the real digest over the actual bytes with the same
+// ndp unit the HDC Engine runs, so baseline pipelines are functionally
+// verifiable too.
 package gpu
 
 import (
-	"crypto/md5"
 	"fmt"
-	"hash/crc32"
 
 	"dcsctrl/internal/mem"
+	"dcsctrl/internal/ndp"
 	"dcsctrl/internal/pcie"
 	"dcsctrl/internal/sim"
 )
@@ -37,26 +37,6 @@ func DefaultParams() Params {
 		HashBps:      40e9,
 		CopyEngines:  2,
 		CopySetupLat: 10 * sim.Microsecond,
-	}
-}
-
-// KernelKind selects the checksum computed by a kernel.
-type KernelKind int
-
-// Supported kernels.
-const (
-	KernelMD5 KernelKind = iota
-	KernelCRC32
-)
-
-func (k KernelKind) String() string {
-	switch k {
-	case KernelMD5:
-		return "md5"
-	case KernelCRC32:
-		return "crc32"
-	default:
-		return fmt.Sprintf("kernel(%d)", int(k))
 	}
 }
 
@@ -106,10 +86,11 @@ func (g *GPU) Copy(p *sim.Proc, dst, src mem.Addr, n int) error {
 	return g.fab.DMA(p, g.port, dst, src, n)
 }
 
-// RunHashKernel launches a checksum kernel over VRAM[data:data+n] and
-// returns the digest bytes (16 for MD5, 4 for CRC32 big-endian). The
-// digest is also written back to VRAM at resultAddr.
-func (g *GPU) RunHashKernel(p *sim.Proc, kind KernelKind, data mem.Addr, n int, resultAddr mem.Addr) ([]byte, error) {
+// RunHashKernel launches a kernel computing unit's digest over
+// VRAM[data:data+n] and returns the digest bytes (16 for MD5, 4 for
+// CRC32 big-endian). The digest is also written back to VRAM at
+// resultAddr.
+func (g *GPU) RunHashKernel(p *sim.Proc, unit ndp.Unit, data mem.Addr, n int, resultAddr mem.Addr) ([]byte, error) {
 	if !g.VRAM.Contains(data) || !g.VRAM.Contains(resultAddr) {
 		return nil, fmt.Errorf("gpu: kernel operands must reside in VRAM")
 	}
@@ -117,18 +98,10 @@ func (g *GPU) RunHashKernel(p *sim.Proc, kind KernelKind, data mem.Addr, n int, 
 	defer g.smUnits.Release()
 	p.Sleep(g.params.LaunchLat)
 	p.Sleep(sim.BpsToTime(n, g.params.HashBps))
-	// View: the digest functions only read the bytes, synchronously.
-	buf := g.fab.Mem().View(data, n)
-	var digest []byte
-	switch kind {
-	case KernelMD5:
-		d := md5.Sum(buf)
-		digest = d[:]
-	case KernelCRC32:
-		c := crc32.ChecksumIEEE(buf)
-		digest = []byte{byte(c >> 24), byte(c >> 16), byte(c >> 8), byte(c)}
-	default:
-		return nil, fmt.Errorf("gpu: unknown kernel %v", kind)
+	// View: a digest stream only reads the bytes, synchronously.
+	_, digest, err := ndp.Transform(unit, g.fab.Mem().View(data, n))
+	if err != nil {
+		return nil, err
 	}
 	g.fab.Mem().Write(resultAddr, digest)
 	p.Sleep(g.params.CompleteLat)

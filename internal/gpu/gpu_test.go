@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dcsctrl/internal/mem"
+	"dcsctrl/internal/ndp"
 	"dcsctrl/internal/pcie"
 	"dcsctrl/internal/sim"
 )
@@ -64,7 +65,7 @@ func TestMD5KernelMatchesStdlib(t *testing.T) {
 	var digest []byte
 	r.env.Spawn("host", func(p *sim.Proc) {
 		var err error
-		digest, err = r.gpu.RunHashKernel(p, KernelMD5, vbuf, len(payload), vres)
+		digest, err = r.gpu.RunHashKernel(p, ndp.MD5{}, vbuf, len(payload), vres)
 		if err != nil {
 			t.Error(err)
 		}
@@ -87,7 +88,7 @@ func TestCRC32Kernel(t *testing.T) {
 	r.mm.Write(vbuf, payload)
 	var digest []byte
 	r.env.Spawn("host", func(p *sim.Proc) {
-		digest, _ = r.gpu.RunHashKernel(p, KernelCRC32, vbuf, len(payload), vres)
+		digest, _ = r.gpu.RunHashKernel(p, ndp.CRC32{}, vbuf, len(payload), vres)
 	})
 	r.env.Run(-1)
 	c := crc32.ChecksumIEEE(payload)
@@ -103,7 +104,7 @@ func TestKernelRequiresVRAMOperands(t *testing.T) {
 	vres := r.gpu.VRAM.Alloc(64, 64)
 	var err error
 	r.env.Spawn("host", func(p *sim.Proc) {
-		_, err = r.gpu.RunHashKernel(p, KernelMD5, hostBuf, 100, vres)
+		_, err = r.gpu.RunHashKernel(p, ndp.MD5{}, hostBuf, 100, vres)
 	})
 	r.env.Run(-1)
 	if err == nil {
@@ -119,7 +120,7 @@ func TestKernelLatencyModel(t *testing.T) {
 	var took sim.Time
 	r.env.Spawn("host", func(p *sim.Proc) {
 		start := p.Now()
-		r.gpu.RunHashKernel(p, KernelMD5, vbuf, n, vres)
+		r.gpu.RunHashKernel(p, ndp.MD5{}, vbuf, n, vres)
 		took = p.Now() - start
 	})
 	r.env.Run(-1)
@@ -137,7 +138,7 @@ func TestKernelsSerialize(t *testing.T) {
 	var ends []sim.Time
 	for i := 0; i < 2; i++ {
 		r.env.Spawn("host", func(p *sim.Proc) {
-			r.gpu.RunHashKernel(p, KernelMD5, vbuf, 4096, vres)
+			r.gpu.RunHashKernel(p, ndp.MD5{}, vbuf, 4096, vres)
 			ends = append(ends, p.Now())
 		})
 	}

@@ -22,14 +22,6 @@ type nvmeReq struct {
 	attempt int // retries already spent on this request
 }
 
-// NVMe retry policy of the engine's hardware controller: transient
-// media errors are re-issued with exponential backoff; deterministic
-// protocol errors still panic (they are model bugs).
-const (
-	nvmeMaxRetries   = 4
-	nvmeRetryBackoff = 5 * sim.Microsecond
-)
-
 // NVMeCtrl is the standard NVMe device controller of Figure 7a: a
 // queue pair in engine BRAM, hardware logic that builds NVMe commands
 // and handles completions, and doorbell writes to the SSD — all
@@ -48,7 +40,6 @@ type NVMeCtrl struct {
 
 	// Per-loop scratch and recycled completion callbacks, so the
 	// steady-state submit path allocates nothing (DESIGN.md §11).
-	pages  []mem.Addr
 	batch  []nvmeReq
 	cbFree []*nvmeCb
 
@@ -71,14 +62,15 @@ func (cb *nvmeCb) onCpl(cpl nvme.Completion) {
 	switch {
 	case cpl.Status == nvme.StatusSuccess:
 		req.done.Fire(nil)
-	case nvme.Retryable(cpl.Status) && req.attempt < nvmeMaxRetries:
-		// Transient media error: re-enqueue the request after an
-		// exponential backoff. The callback runs on the scheduler,
+	case nvme.Retryable(cpl.Status) && req.attempt < nvme.MaxRetries:
+		// Transient media error: re-enqueue the request after nvme's
+		// retry backoff; deterministic protocol errors still panic
+		// (they are model bugs). The callback runs on the scheduler,
 		// so the requeue is deferred rather than slept.
 		c.retries++
 		retry := req
 		retry.attempt++
-		c.eng.env.Schedule(nvmeRetryBackoff<<uint(req.attempt), func() {
+		c.eng.env.Schedule(nvme.RetryBackoff<<uint(req.attempt), func() {
 			c.reqQ.Put(retry)
 		})
 	default:
@@ -144,11 +136,6 @@ func (c *NVMeCtrl) loop(p *sim.Proc) {
 			batch = append(batch, r)
 		}
 		c.batch = batch
-		for _, r := range batch {
-			if r.blocks < 1 || r.blocks > nvme.MaxBlocksPerCmd {
-				panic(fmt.Sprintf("hdc: nvme request of %d blocks", r.blocks))
-			}
-		}
 		// Hardware command build: PRPs point straight at DDR3 pages.
 		p.Sleep(sim.Time(len(batch)) * c.eng.params.NVMeBuild)
 		unrung := 0 // submissions since the last doorbell
@@ -162,28 +149,15 @@ func (c *NVMeCtrl) loop(p *sim.Proc) {
 				}
 				c.room.Wait(p)
 			}
-			pages := c.pages[:0]
-			for i := 0; i < r.blocks; i++ {
-				pages = append(pages, r.buf+mem.Addr(i*nvme.BlockSize))
-			}
-			c.pages = pages
 			prpPage := c.prpPages[c.prpNext]
 			c.prpNext = (c.prpNext + 1) % len(c.prpPages)
-			prp1, prp2, err := nvme.BuildPRPs(c.eng.fab.Mem(), pages, prpPage)
+			cmd, err := nvme.IOCommand(c.eng.fab.Mem(), r.write, r.lba, r.buf, r.blocks, prpPage)
 			if err != nil {
 				panic(err)
 			}
-			op := nvme.OpRead
-			if r.write {
-				op = nvme.OpWrite
-			}
 			cb := c.getCb()
 			cb.req = r
-			_, err = c.ring.Submit(nvme.Command{
-				Opcode: op, NSID: 1, PRP1: prp1, PRP2: prp2,
-				SLBA: r.lba, NLB: uint16(r.blocks - 1),
-			}, cb.fn)
-			if err != nil {
+			if _, err := c.ring.Submit(cmd, cb.fn); err != nil {
 				panic(err)
 			}
 			unrung++
@@ -247,7 +221,6 @@ type NICCtrl struct {
 	recvQ     *sim.Queue[recvReq]
 	sendSpace *sim.Cond
 	cplKick   *sim.Cond
-	pendTx    []pendingSend
 
 	// Reused per-loop scratch (BD chains, restock lists, poll results,
 	// header template) — each is touched by exactly one controller
@@ -267,11 +240,6 @@ type NICCtrl struct {
 
 	sendJobs, recvPkts int64
 	gatheredBytes      int64
-}
-
-type pendingSend struct {
-	tail uint64
-	done *sim.Signal
 }
 
 func newNICCtrl(eng *Engine, dev *nic.NIC, qid uint16, entries int) *NICCtrl {
@@ -356,20 +324,8 @@ func (c *NICCtrl) DrainConn(id uint64) (flow ether.Flow, txSeq, rxSeq uint32, bu
 }
 
 func (c *NICCtrl) onStatus() {
-	// Send completions: fire every pending send at or below the
-	// cumulative counter.
-	completed := c.send.Completed()
-	n := 0
-	for _, ps := range c.pendTx {
-		if ps.tail > completed {
-			break
-		}
-		ps.done.Fire(nil)
-		n++
-	}
-	// Compact in place so the slice's capacity is reused forever
-	// instead of resliced away.
-	c.pendTx = append(c.pendTx[:0], c.pendTx[n:]...)
+	// Send completions: fire every send the NIC has fetched.
+	c.send.Sweep()
 	c.sendSpace.Broadcast()
 	// Receive completions: wake the receive controller.
 	c.cplKick.Broadcast()
@@ -407,18 +363,8 @@ func (c *NICCtrl) sendLoop(p *sim.Proc) {
 			c.eng.fab.Mem().Write(slotAddr, hdr)
 			cn.txSeq += uint32(r.length)
 
-			// Build the BD chain: header from BRAM, payload from DDR3 in
-			// ≤32 KB fragments (16-bit BD lengths).
-			bds := append(c.bds[:0], nic.SendBD{Addr: slotAddr, Len: uint16(len(hdr)), Flags: nic.SendFlagLSO, MSS: ether.MSS})
-			const frag = 32 << 10
-			for off := 0; off < r.length; off += frag {
-				n := r.length - off
-				if n > frag {
-					n = frag
-				}
-				bds = append(bds, nic.SendBD{Addr: r.buf + mem.Addr(off), Len: uint16(n)})
-			}
-			bds[len(bds)-1].Flags |= nic.SendFlagEnd
+			// The LSO chain: header from BRAM, payload from DDR3.
+			bds := nic.AppendLSOChain(c.bds[:0], slotAddr, len(hdr), r.buf, r.length)
 			for c.send.FreeSlots() < len(bds) {
 				// Flush chains the NIC hasn't been told about before
 				// parking, or it would never free a slot.
@@ -432,7 +378,7 @@ func (c *NICCtrl) sendLoop(p *sim.Proc) {
 				panic(err)
 			}
 			c.bds = bds
-			c.pendTx = append(c.pendTx, pendingSend{tail: c.send.Tail(), done: r.done})
+			c.send.Track(r.done)
 			unrung++
 			c.sendJobs++
 		}
@@ -549,8 +495,8 @@ func (c *NICCtrl) lookupByTuple(t ether.Tuple) *conn {
 
 // DebugState prints receive-side state (diagnostics).
 func (c *NICCtrl) DebugState() string {
-	out := fmt.Sprintf("recvPkts=%d gathered=%d sendJobs=%d pool(free=%d low=%d) recvQ=%d pendTx=%d",
-		c.recvPkts, c.gatheredBytes, c.sendJobs, c.eng.recvPool.Free(), c.eng.recvPool.LowWater(), c.recvQ.Len(), len(c.pendTx))
+	out := fmt.Sprintf("recvPkts=%d gathered=%d sendJobs=%d pool(free=%d low=%d) recvQ=%d unfetchedTx=%d",
+		c.recvPkts, c.gatheredBytes, c.sendJobs, c.eng.recvPool.Free(), c.eng.recvPool.LowWater(), c.recvQ.Len(), c.send.Tracked())
 	ids := make([]uint64, 0, len(c.conns))
 	for id := range c.conns {
 		ids = append(ids, id)

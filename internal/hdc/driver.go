@@ -342,22 +342,12 @@ func (d *Driver) prepare(p *sim.Proc, bd *trace.Breakdown, f *hostos.File) {
 }
 
 // SendFile is the HDC Library's sendfile-like call: transfer n bytes
-// of file f starting at off to connection connID, optionally through
-// NDP function fn (§IV-A). It blocks until the engine completes the
-// D2D command and returns the NDP digest when fn computes one.
-func (d *Driver) SendFile(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, off, n int, connID uint64, fn uint8) (Result, error) {
-	return d.SendFileDev(p, bd, 0, f, off, n, connID, fn)
-}
-
-// SendFileDev is SendFile addressing a specific SSD (multi-SSD
-// engines; dev is the index AttachSSD returned).
-func (d *Driver) SendFileDev(p *sim.Proc, bd *trace.Breakdown, dev uint8, f *hostos.File, off, n int, connID uint64, fn uint8) (Result, error) {
-	return d.SendFileAux(p, bd, dev, f, off, n, connID, fn, 0)
-}
-
-// SendFileAux is SendFileDev with an NDP function argument (e.g. the
-// AES key slot provisioned with Engine.ProvisionAESKey).
-func (d *Driver) SendFileAux(p *sim.Proc, bd *trace.Breakdown, dev uint8, f *hostos.File, off, n int, connID uint64, fn uint8, aux uint64) (Result, error) {
+// of file f starting at off, on SSD dev (the index AttachSSD returned),
+// to connection connID, optionally through NDP function fn with
+// argument aux (e.g. the AES key slot provisioned with
+// Engine.ProvisionAESKey; §IV-A). It blocks until the engine completes
+// the D2D command and returns the NDP digest when fn computes one.
+func (d *Driver) SendFile(p *sim.Proc, bd *trace.Breakdown, dev uint8, f *hostos.File, off, n int, connID uint64, fn uint8, aux uint64) (Result, error) {
 	d.prepare(p, bd, f)
 	ext, err := fileExtents(f, off, n)
 	if err != nil {
@@ -414,13 +404,9 @@ func (d *Driver) CopyFile(p *sim.Proc, bd *trace.Breakdown,
 }
 
 // RecvFile receives n bytes from connection connID into file f at
-// off, optionally through NDP function fn — the PUT-side D2D path.
-func (d *Driver) RecvFile(p *sim.Proc, bd *trace.Breakdown, connID uint64, f *hostos.File, off, n int, fn uint8) (Result, error) {
-	return d.RecvFileDev(p, bd, connID, 0, f, off, n, fn)
-}
-
-// RecvFileDev is RecvFile addressing a specific SSD.
-func (d *Driver) RecvFileDev(p *sim.Proc, bd *trace.Breakdown, connID uint64, dev uint8, f *hostos.File, off, n int, fn uint8) (Result, error) {
+// off on SSD dev, optionally through NDP function fn — the PUT-side
+// D2D path.
+func (d *Driver) RecvFile(p *sim.Proc, bd *trace.Breakdown, connID uint64, dev uint8, f *hostos.File, off, n int, fn uint8) (Result, error) {
 	d.prepare(p, bd, f)
 	ext, err := fileExtents(f, off, n)
 	if err != nil {

@@ -131,9 +131,8 @@ type Engine struct {
 	nicCtls   []*NICCtrl
 	connOwner map[uint64]*NICCtrl
 	nextNICRR int
-	aesKeys   map[uint64]ndp.Streamer // AES key slots (AuxData selects)
+	aesKeys   map[uint64]ndp.Unit // AES key slots (AuxData selects)
 	banks     map[uint8]*ndp.Bank
-	streamer  map[uint8]ndp.Streamer
 
 	host      HostConfig
 	hostSet   bool
@@ -163,11 +162,10 @@ func NewEngine(env *sim.Env, fab *pcie.Fabric, name string, params Params) *Engi
 		budget:    fpga.NewBudget(fpga.Virtex7VC707()),
 		cmdKick:   sim.NewCond(env),
 		banks:     map[uint8]*ndp.Bank{},
-		streamer:  map[uint8]ndp.Streamer{},
 		finished:  map[uint32]cmdResult{},
 		cplCond:   sim.NewCond(env),
 		connOwner: map[uint64]*NICCtrl{},
-		aesKeys:   map[uint64]ndp.Streamer{},
+		aesKeys:   map[uint64]ndp.Unit{},
 	}
 	for _, u := range fpga.ControllersUsage() {
 		e.budget.MustClaim(u)
@@ -246,9 +244,6 @@ func (e *Engine) AttachNIC(dev *nic.NIC, qids ...uint16) {
 	}
 }
 
-// NIC returns the first NIC controller (diagnostics/compatibility).
-func (e *Engine) NIC() *NICCtrl { return e.nicCtls[0] }
-
 // ctrlFor returns the NIC controller owning a connection.
 func (e *Engine) ctrlFor(connID uint64) *NICCtrl {
 	c, ok := e.connOwner[connID]
@@ -260,7 +255,7 @@ func (e *Engine) ctrlFor(connID uint64) *NICCtrl {
 
 // AddNDP provisions a bank of the unit sized for the engine's target
 // line rate, claiming FPGA resources.
-func (e *Engine) AddNDP(fn uint8, unit ndp.Streamer) error {
+func (e *Engine) AddNDP(fn uint8, unit ndp.Unit) error {
 	if _, dup := e.banks[fn]; dup {
 		return fmt.Errorf("hdc: NDP fn %s already provisioned", FnName(fn))
 	}
@@ -269,7 +264,6 @@ func (e *Engine) AddNDP(fn uint8, unit ndp.Streamer) error {
 		return err
 	}
 	e.banks[fn] = bank
-	e.streamer[fn] = unit
 	return nil
 }
 
@@ -438,7 +432,7 @@ func (e *Engine) completerLoop(p *sim.Proc) {
 				e.fab.Mem().Write(e.cplBuf+mem.Addr(i*CplEntrySize), entry[:])
 			}
 			slot := int(e.cplCount % uint64(e.params.CmdQueueEntries))
-			e.cplExts = ringExtents(e.cplExts[:0], e.host.CplRing.Base, slot, k,
+			e.cplExts = mem.RingExtents(e.cplExts[:0], e.host.CplRing.Base, slot, k,
 				e.params.CmdQueueEntries, CplEntrySize)
 			e.fab.MustDMAVec(p, e.port, e.cplBuf, e.cplExts, false)
 			e.cplCount += uint64(k)
@@ -451,20 +445,6 @@ func (e *Engine) completerLoop(p *sim.Proc) {
 		e.submitted = e.submitted[k:]
 		e.cmdsDone += int64(k)
 	}
-}
-
-// ringExtents maps n consecutive ring slots starting at head to at most
-// two extents (one wrap), appending to exts.
-func ringExtents(exts []mem.Extent, base mem.Addr, head, n, entries, esz int) []mem.Extent {
-	first := entries - head
-	if first > n {
-		first = n
-	}
-	exts = append(exts, mem.Extent{Addr: base + mem.Addr(uint64(head)*uint64(esz)), Len: first * esz})
-	if n > first {
-		exts = append(exts, mem.Extent{Addr: base, Len: (n - first) * esz})
-	}
-	return exts
 }
 
 func (e *Engine) headFinished() bool {

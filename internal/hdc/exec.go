@@ -236,15 +236,15 @@ func (e *Engine) sourceStage(p *sim.Proc, cmd Command, ext []ExtentEntry,
 func (e *Engine) ndpStage(p *sim.Proc, cmd Command, window *sim.Resource,
 	in, out *sim.Queue[chunkMsg], auxReady *sim.Signal) {
 	bank := e.banks[cmd.Fn]
-	streamerFor := e.streamer[cmd.Fn]
+	unit := bank.Unit()
 	if cmd.Fn == FnAES256 && cmd.AuxData != 0 {
 		keyed, ok := e.aesKeys[cmd.AuxData]
 		if !ok {
 			panic(fmt.Sprintf("hdc: AES key slot %d not provisioned", cmd.AuxData))
 		}
-		streamerFor = keyed
+		unit = keyed
 	}
-	stream := streamerFor.NewStream()
+	stream := unit.NewStream()
 	mm := e.fab.Mem()
 	sizeChanging := cmd.Fn == FnGZIP || cmd.Fn == FnGUNZIP
 

@@ -268,7 +268,7 @@ func newTestbed(t *testing.T) *testbed {
 	eng := NewEngine(env, fabA, "hdc", DefaultParams())
 	eng.AttachSSD(ssd, 1)
 	eng.AttachNIC(nicA, 1)
-	for fn, u := range map[uint8]ndp.Streamer{
+	for fn, u := range map[uint8]ndp.Unit{
 		FnMD5: ndp.MD5{}, FnCRC32: ndp.CRC32{}, FnSHA256: ndp.SHA256{},
 		FnAES256: &ndp.AES256{Key: [32]byte{42}}, FnGZIP: ndp.GZIP{}, FnGUNZIP: ndp.GUNZIP{},
 	} {
@@ -326,7 +326,7 @@ func TestSendFileEndToEnd(t *testing.T) {
 	var err error
 	tb.env.Spawn("app", func(p *sim.Proc) {
 		bd := trace.NewBreakdown()
-		res, err = tb.drv.SendFile(p, bd, f, 0, len(content), connAB, FnNone)
+		res, err = tb.drv.SendFile(p, bd, 0, f, 0, len(content), connAB, FnNone, 0)
 		tb.peer.waitFor(p, len(content))
 	})
 	tb.env.Run(-1)
@@ -351,7 +351,7 @@ func TestSendFileWithMD5(t *testing.T) {
 	f := tb.stageFile(t, "obj", content)
 	var res Result
 	tb.env.Spawn("app", func(p *sim.Proc) {
-		res, _ = tb.drv.SendFile(p, trace.NewBreakdown(), f, 0, len(content), connAB, FnMD5)
+		res, _ = tb.drv.SendFile(p, trace.NewBreakdown(), 0, f, 0, len(content), connAB, FnMD5, 0)
 		tb.peer.waitFor(p, len(content))
 	})
 	tb.env.Run(-1)
@@ -369,7 +369,7 @@ func TestSendFileEncrypted(t *testing.T) {
 	content := pattern(64 << 10)
 	f := tb.stageFile(t, "obj", content)
 	tb.env.Spawn("app", func(p *sim.Proc) {
-		tb.drv.SendFile(p, trace.NewBreakdown(), f, 0, len(content), connAB, FnAES256)
+		tb.drv.SendFile(p, trace.NewBreakdown(), 0, f, 0, len(content), connAB, FnAES256, 0)
 		tb.peer.waitFor(p, len(content))
 	})
 	tb.env.Run(-1)
@@ -377,7 +377,7 @@ func TestSendFileEncrypted(t *testing.T) {
 		t.Fatal("ciphertext equals plaintext")
 	}
 	unit := &ndp.AES256{Key: [32]byte{42}}
-	plain, _, _ := unit.Transform(tb.peer.got)
+	plain, _, _ := ndp.Transform(unit, tb.peer.got)
 	if !bytes.Equal(plain, content) {
 		t.Fatal("decryption does not recover plaintext")
 	}
@@ -389,7 +389,7 @@ func TestSendFileGzip(t *testing.T) {
 	f := tb.stageFile(t, "obj", content)
 	done := false
 	tb.env.Spawn("app", func(p *sim.Proc) {
-		res, err := tb.drv.SendFile(p, trace.NewBreakdown(), f, 0, len(content), connAB, FnGZIP)
+		res, err := tb.drv.SendFile(p, trace.NewBreakdown(), 0, f, 0, len(content), connAB, FnGZIP, 0)
 		if err != nil || res.Status != 0 {
 			t.Errorf("res=%+v err=%v", res, err)
 		}
@@ -403,7 +403,7 @@ func TestSendFileGzip(t *testing.T) {
 	if len(tb.peer.got) >= len(content)/2 {
 		t.Fatalf("no compression: %d -> %d", len(content), len(tb.peer.got))
 	}
-	plain, _, err := (ndp.GUNZIP{}).Transform(tb.peer.got)
+	plain, _, err := ndp.Transform(ndp.GUNZIP{}, tb.peer.got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestRecvFileEndToEnd(t *testing.T) {
 		tb.peer.sendPayload(tb.flowAB.Reverse(), 0, content)
 	})
 	tb.env.Spawn("app", func(p *sim.Proc) {
-		res, err = tb.drv.RecvFile(p, trace.NewBreakdown(), connAB, f, 0, len(content), FnCRC32)
+		res, err = tb.drv.RecvFile(p, trace.NewBreakdown(), connAB, 0, f, 0, len(content), FnCRC32)
 	})
 	tb.env.Run(-1)
 	if err != nil || res.Status != 0 {
@@ -463,11 +463,11 @@ func TestConcurrentCommandsMultipleConnections(t *testing.T) {
 	f2 := tb.stageFile(t, "f2", c2)
 	done := 0
 	tb.env.Spawn("app1", func(p *sim.Proc) {
-		tb.drv.SendFile(p, trace.NewBreakdown(), f1, 0, len(c1), connAB, FnMD5)
+		tb.drv.SendFile(p, trace.NewBreakdown(), 0, f1, 0, len(c1), connAB, FnMD5, 0)
 		done++
 	})
 	tb.env.Spawn("app2", func(p *sim.Proc) {
-		tb.drv.SendFile(p, trace.NewBreakdown(), f2, 0, len(c2), 8, FnMD5)
+		tb.drv.SendFile(p, trace.NewBreakdown(), 0, f2, 0, len(c2), 8, FnMD5, 0)
 		done++
 	})
 	tb.env.Run(-1)
@@ -495,7 +495,7 @@ func TestDriverChargesLittleCPU(t *testing.T) {
 	f := tb.stageFile(t, "obj", content)
 	bd := trace.NewBreakdown()
 	tb.env.Spawn("app", func(p *sim.Proc) {
-		tb.drv.SendFile(p, bd, f, 0, len(content), connAB, FnNone)
+		tb.drv.SendFile(p, bd, 0, f, 0, len(content), connAB, FnNone, 0)
 	})
 	tb.env.Run(-1)
 	drvTime := bd.Get(trace.CatHDCDriver)
@@ -556,7 +556,7 @@ func TestDirtyPageWritebackBeforeD2D(t *testing.T) {
 		wrote = true
 	}
 	tb.env.Spawn("app", func(p *sim.Proc) {
-		tb.drv.SendFile(p, trace.NewBreakdown(), f, 0, len(content), connAB, FnNone)
+		tb.drv.SendFile(p, trace.NewBreakdown(), 0, f, 0, len(content), connAB, FnNone, 0)
 		tb.peer.waitFor(p, len(content))
 	})
 	tb.env.Run(-1)
@@ -578,7 +578,7 @@ func TestSendFileUnalignedOffsetRejected(t *testing.T) {
 	f := tb.stageFile(t, "obj", pattern(64<<10))
 	var err error
 	tb.env.Spawn("app", func(p *sim.Proc) {
-		_, err = tb.drv.SendFile(p, trace.NewBreakdown(), f, 13, 100, connAB, FnNone)
+		_, err = tb.drv.SendFile(p, trace.NewBreakdown(), 0, f, 13, 100, connAB, FnNone, 0)
 	})
 	tb.env.Run(-1)
 	if err == nil {
@@ -624,7 +624,7 @@ func TestScoreboardBackpressure(t *testing.T) {
 	}
 	ok := false
 	env.Spawn("app", func(p *sim.Proc) {
-		res, err := drv.SendFile(p, trace.NewBreakdown(), f, 0, len(content), connAB, FnNone)
+		res, err := drv.SendFile(p, trace.NewBreakdown(), 0, f, 0, len(content), connAB, FnNone, 0)
 		ok = err == nil && res.Status == 0
 		peer.waitFor(p, len(content))
 	})
@@ -648,7 +648,7 @@ func TestDeterministicReplay(t *testing.T) {
 		var log []string
 		tb.env.Spawn("app", func(p *sim.Proc) {
 			for i := 0; i < 3; i++ {
-				res, _ := tb.drv.SendFile(p, trace.NewBreakdown(), f, 0, len(content), connAB, FnMD5)
+				res, _ := tb.drv.SendFile(p, trace.NewBreakdown(), 0, f, 0, len(content), connAB, FnMD5, 0)
 				log = append(log, fmt.Sprintf("%d:%x@%v", i, res.Aux[:4], p.Now()))
 			}
 		})
@@ -694,7 +694,7 @@ func TestForwardNICToNIC(t *testing.T) {
 		t.Fatal("forwarded data not encrypted")
 	}
 	unit := &ndp.AES256{Key: [32]byte{42}}
-	plain, _, _ := unit.Transform(tb.peer.got)
+	plain, _, _ := ndp.Transform(unit, tb.peer.got)
 	if !bytes.Equal(plain, payload) {
 		t.Fatal("forwarded ciphertext does not decrypt to the original")
 	}
@@ -727,7 +727,7 @@ func TestMultiSSDEngineRouting(t *testing.T) {
 		off += n
 	}
 	tb.env.Spawn("app", func(p *sim.Proc) {
-		res, err := tb.drv.SendFileDev(p, trace.NewBreakdown(), dev2, f, 0, len(content), connAB, FnNone)
+		res, err := tb.drv.SendFile(p, trace.NewBreakdown(), dev2, f, 0, len(content), connAB, FnNone, 0)
 		if err != nil || res.Status != 0 {
 			t.Errorf("res=%+v err=%v", res, err)
 		}
@@ -743,7 +743,7 @@ func TestBadDeviceIndexFails(t *testing.T) {
 	tb := newTestbed(t)
 	f := tb.stageFile(t, "obj", pattern(8<<10))
 	tb.env.Spawn("app", func(p *sim.Proc) {
-		res, err := tb.drv.SendFileDev(p, trace.NewBreakdown(), 9, f, 0, 8<<10, connAB, FnNone)
+		res, err := tb.drv.SendFile(p, trace.NewBreakdown(), 9, f, 0, 8<<10, connAB, FnNone, 0)
 		if err != nil {
 			t.Error(err)
 			return
@@ -806,7 +806,7 @@ func TestAESKeySlots(t *testing.T) {
 		content := pattern(64 << 10)
 		f := tb.stageFile(t, "obj", content)
 		tb.env.Spawn("app", func(p *sim.Proc) {
-			res, err := tb.drv.SendFileAux(p, trace.NewBreakdown(), 0, f, 0, len(content), connAB, FnAES256, slot)
+			res, err := tb.drv.SendFile(p, trace.NewBreakdown(), 0, f, 0, len(content), connAB, FnAES256, slot)
 			if err != nil || res.Status != 0 {
 				t.Errorf("slot %d: res=%+v err=%v", slot, res, err)
 			}
@@ -820,8 +820,8 @@ func TestAESKeySlots(t *testing.T) {
 	if bytes.Equal(ct1, ct2) {
 		t.Fatal("different key slots produced identical ciphertext")
 	}
-	plain1, _, _ := (&ndp.AES256{Key: [32]byte{0x11}}).Transform(ct1)
-	plain2, _, _ := (&ndp.AES256{Key: [32]byte{0x22}}).Transform(ct2)
+	plain1, _, _ := ndp.Transform(&ndp.AES256{Key: [32]byte{0x11}}, ct1)
+	plain2, _, _ := ndp.Transform(&ndp.AES256{Key: [32]byte{0x22}}, ct2)
 	if !bytes.Equal(plain1, content) || !bytes.Equal(plain2, content) {
 		t.Fatal("key-slot ciphertexts do not decrypt with their keys")
 	}

@@ -45,24 +45,15 @@ type Entry struct {
 	Dst   uint64
 	Aux   uint64
 	State EntryState
-
-	deps []*Entry
-	sb   *Scoreboard
-}
-
-// DepsDone reports whether every dependency has completed.
-func (e *Entry) DepsDone() bool {
-	for _, d := range e.deps {
-		if d.State != StateDone {
-			return false
-		}
-	}
-	return true
 }
 
 // Scoreboard tracks all in-flight device commands for user-requested
-// multi-device tasks. Capacity is bounded (hardware entries); Alloc
-// blocks when full, back-pressuring the command parser.
+// multi-device tasks. Capacity is bounded (hardware entries);
+// AllocIssue blocks when full, back-pressuring the command's stages.
+// Dependencies (§III-B: no NIC send before its NVMe read completes)
+// are enforced by the stage pipeline that allocates the entries: a
+// chunk reaches its destination stage only after its source command
+// completed.
 type Scoreboard struct {
 	env      *sim.Env
 	cap      int
@@ -101,75 +92,10 @@ func (s *Scoreboard) MaxLive() int { return s.maxLive }
 // Stats returns issued and completed device-command counts.
 func (s *Scoreboard) Stats() (issued, done int64) { return s.issued, s.done }
 
-// Alloc creates an entry in StateWait, blocking while the scoreboard
-// is full. deps are the entries that must complete before this one
-// may issue.
-func (s *Scoreboard) Alloc(p *sim.Proc, cmdID uint32, seq int, dev string, rw byte, deps ...*Entry) *Entry {
-	for s.live >= s.cap {
-		s.freeCond.Wait(p)
-	}
-	p.Sleep(s.opCost)
-	s.live++
-	if s.live > s.maxLive {
-		s.maxLive = s.live
-	}
-	return &Entry{CmdID: cmdID, Seq: seq, Dev: dev, RW: rw, State: StateWait, deps: deps, sb: s}
-}
-
-// MarkReady transitions wait->ready once the owner has filled in the
-// addressing fields.
-func (e *Entry) MarkReady(p *sim.Proc) {
-	if e.State != StateWait {
-		panic(fmt.Sprintf("hdc: MarkReady from %v", e.State))
-	}
-	p.Sleep(e.sb.opCost)
-	e.State = StateReady
-}
-
-// Issue transitions ready->issue; the scoreboard refuses when
-// dependencies are outstanding (the "conflict" case of §III-B).
-func (e *Entry) Issue(p *sim.Proc) error {
-	if e.State != StateReady {
-		return fmt.Errorf("hdc: issue from %v", e.State)
-	}
-	if !e.DepsDone() {
-		return fmt.Errorf("hdc: issue of %s[%d.%d] with incomplete dependencies", e.Dev, e.CmdID, e.Seq)
-	}
-	p.Sleep(e.sb.opCost)
-	e.State = StateIssue
-	e.sb.issued++
-	return nil
-}
-
-// WaitDeps blocks until all dependencies are done, then issues. This
-// is the scheduler's delay-until-ready behaviour; completion of any
-// entry broadcasts the scoreboard condition.
-func (e *Entry) WaitDeps(p *sim.Proc) {
-	for !e.DepsDone() {
-		e.sb.freeCond.Wait(p)
-	}
-	if err := e.Issue(p); err != nil {
-		panic(err)
-	}
-}
-
-// Done retires the entry, freeing its slot and waking waiters.
-func (e *Entry) Done(p *sim.Proc) {
-	if e.State != StateIssue {
-		panic(fmt.Sprintf("hdc: Done from %v", e.State))
-	}
-	p.Sleep(e.sb.opCost)
-	e.State = StateDone
-	e.sb.live--
-	e.sb.done++
-	e.sb.freeCond.Broadcast()
-}
-
 // AllocIssue allocates an entry and drives it wait→ready→issue in one
-// batched transition for the dependency-free common case: all three op
-// costs are charged in a single sleep instead of three separate parked
-// events. Blocks while the scoreboard is full, like Alloc. Not a
-// noalloc root: it returns a freshly allocated Entry by design.
+// batched transition: all three op costs are charged in a single
+// sleep. It blocks while the scoreboard is full. Not a noalloc root:
+// it returns a freshly allocated Entry by design.
 func (s *Scoreboard) AllocIssue(p *sim.Proc, cmdID uint32, seq int, dev string, rw byte) *Entry {
 	for s.live >= s.cap {
 		s.freeCond.Wait(p)
@@ -180,7 +106,7 @@ func (s *Scoreboard) AllocIssue(p *sim.Proc, cmdID uint32, seq int, dev string, 
 		s.maxLive = s.live
 	}
 	s.issued++
-	return &Entry{CmdID: cmdID, Seq: seq, Dev: dev, RW: rw, State: StateIssue, sb: s}
+	return &Entry{CmdID: cmdID, Seq: seq, Dev: dev, RW: rw, State: StateIssue}
 }
 
 // DeferDone hands a finished entry to the scoreboard's retire stage
@@ -199,7 +125,7 @@ func (s *Scoreboard) DeferDone(e *Entry) {
 
 // retireLoop batch-completes scoreboard entries: every entry finishing
 // at one instant retires under a single sleep covering the batch's op
-// costs, followed by one broadcast to capacity/dependency waiters.
+// costs, followed by one broadcast to capacity waiters.
 func (s *Scoreboard) retireLoop(p *sim.Proc) {
 	for {
 		for len(s.pendDone) == 0 {

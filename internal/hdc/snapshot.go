@@ -75,8 +75,8 @@ func (c *NICCtrl) snap(sc *snap.Codec) {
 		sc.Failf("q%d: %d queued sends", c.qid, c.sendQ.Len())
 	case c.recvQ.Len() != 0:
 		sc.Failf("q%d: %d queued receives", c.qid, c.recvQ.Len())
-	case len(c.pendTx) != 0:
-		sc.Failf("q%d: %d unacknowledged transmits", c.qid, len(c.pendTx))
+	case c.send.Tracked() != 0:
+		sc.Failf("q%d: %d unacknowledged transmits", c.qid, c.send.Tracked())
 	}
 	for _, id := range ids {
 		if c.conns[id].waiter != nil {

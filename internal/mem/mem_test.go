@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -234,5 +235,31 @@ func TestResolveProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRingExtents(t *testing.T) {
+	const base, entries, esz = Addr(0x10000), 8, 16
+	cases := []struct {
+		name    string
+		head, n int
+		want    []Extent
+	}{
+		{"no wrap", 2, 3, []Extent{{base + 32, 48}}},
+		{"ends at the ring end", 5, 3, []Extent{{base + 80, 48}}},
+		{"wraps", 6, 4, []Extent{{base + 96, 32}, {base, 32}}},
+		{"entries-1 without a wrap", 1, 7, []Extent{{base + 16, 112}}},
+		{"entries-1 wrapping", 3, 7, []Extent{{base + 48, 80}, {base, 32}}},
+	}
+	for _, tc := range cases {
+		if got := RingExtents(nil, base, tc.head, tc.n, entries, esz); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	// It appends: a caller's scratch keeps what it already holds.
+	prev := Extent{Addr: 0x99, Len: 1}
+	got := RingExtents([]Extent{prev}, base, 7, 2, entries, esz)
+	if want := []Extent{prev, {base + 112, 16}, {base, 16}}; !slices.Equal(got, want) {
+		t.Errorf("append: %v, want %v", got, want)
 	}
 }

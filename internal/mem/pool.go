@@ -188,6 +188,18 @@ type Extent struct {
 	Len  int
 }
 
+// RingExtents appends the extents covering n consecutive entries of
+// esz bytes from slot head of a ring of entries slots at base: one
+// extent, or two when the span wraps past the ring's end.
+func RingExtents(exts []Extent, base Addr, head, n, entries, esz int) []Extent {
+	first := min(entries-head, n)
+	exts = append(exts, Extent{Addr: base + Addr(uint64(head)*uint64(esz)), Len: first * esz})
+	if n > first {
+		exts = append(exts, Extent{Addr: base, Len: (n - first) * esz})
+	}
+	return exts
+}
+
 // Add appends an extent.
 func (s *ScatterList) Add(a Addr, n int) {
 	s.Extents = append(s.Extents, Extent{Addr: a, Len: n})

@@ -21,9 +21,27 @@ type Unit interface {
 	UnitThroughputBps() float64
 	// PerUnitUsage is one instance's FPGA resource cost (Table III).
 	PerUnitUsage() fpga.Usage
-	// Transform processes data, returning the output bytes and any
-	// auxiliary result (digest for integrity units, nil otherwise).
-	Transform(in []byte) (out, aux []byte, err error)
+	// NewStream returns a fresh instance of the unit's transformation
+	// for one object.
+	NewStream() Stream
+}
+
+// Transform runs in through a fresh stream of u as one chunk and
+// returns the output bytes and the auxiliary result (the digest of an
+// integrity unit, nil otherwise). It is the one-shot form in which a
+// CPU or GPU computes what the engine's unit computes. A one-shot GZIP
+// output carries the stream's sync-flush block; it decompresses the
+// same.
+func Transform(u Unit, in []byte) (out, aux []byte, err error) {
+	st := u.NewStream()
+	if out, err = st.Write(in); err != nil {
+		return nil, nil, fmt.Errorf("ndp: %s: %w", u.Name(), err)
+	}
+	tail, aux, err := st.Close()
+	if err != nil {
+		return nil, nil, fmt.Errorf("ndp: %s: %w", u.Name(), err)
+	}
+	return append(out, tail...), aux, nil
 }
 
 // TargetBps is the line rate the paper provisions NDP banks for.
@@ -88,17 +106,3 @@ func (b *Bank) AggregateBps() float64 { return b.bw.Rate() }
 
 // Stats returns invocation and byte counters.
 func (b *Bank) Stats() (invocations, bytes int64) { return b.invocations, b.bytes }
-
-// Process runs the transformation over data, charging simulated time
-// for the bank's throughput, and returns (output, aux).
-func (b *Bank) Process(p *sim.Proc, data []byte) ([]byte, []byte, error) {
-	p.Sleep(b.setup)
-	b.bw.Transfer(p, len(data))
-	out, aux, err := b.unit.Transform(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ndp: %s: %w", b.unit.Name(), err)
-	}
-	b.invocations++
-	b.bytes += int64(len(data))
-	return out, aux, nil
-}

@@ -2,10 +2,14 @@ package ndp
 
 import (
 	"bytes"
+	"compress/gzip"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/md5"
 	"crypto/sha1"
 	"crypto/sha256"
 	"hash/crc32"
+	"io"
 	"testing"
 	"testing/quick"
 
@@ -21,8 +25,33 @@ func data(n int) []byte {
 	return out
 }
 
+// unevenChunks are the chunk sizes streamIn cycles through: small,
+// odd and page-straddling, so no stream sees its data on a block
+// boundary.
+var unevenChunks = []int{1, 7, 100, 4093, 16 << 10, 3}
+
+// streamIn feeds in through a fresh stream of u in unevenChunks-sized
+// pieces, the way the engine feeds it chunk by chunk, and returns the
+// concatenated output and the auxiliary result.
+func streamIn(u Unit, in []byte) (out, aux []byte, err error) {
+	st := u.NewStream()
+	for i := 0; len(in) > 0; i++ {
+		k := min(unevenChunks[i%len(unevenChunks)], len(in))
+		// The stream may alias its input (pass-through units), so keep
+		// a copy of each chunk's output before feeding the next.
+		chunk, err := st.Write(in[:k])
+		if err != nil {
+			return nil, nil, err
+		}
+		out = append(out, chunk...)
+		in = in[k:]
+	}
+	tail, aux, err := st.Close()
+	return append(out, tail...), aux, err
+}
+
 func TestIntegrityUnitsMatchStdlib(t *testing.T) {
-	in := data(10000)
+	in := data(50000)
 	md := md5.Sum(in)
 	s1 := sha1.Sum(in)
 	s256 := sha256.Sum256(in)
@@ -39,7 +68,7 @@ func TestIntegrityUnitsMatchStdlib(t *testing.T) {
 		{CRC32{}, crcBE},
 	}
 	for _, tc := range cases {
-		out, aux, err := tc.unit.Transform(in)
+		out, aux, err := streamIn(tc.unit, in)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.unit.Name(), err)
 		}
@@ -47,26 +76,48 @@ func TestIntegrityUnitsMatchStdlib(t *testing.T) {
 			t.Fatalf("%s modified pass-through data", tc.unit.Name())
 		}
 		if !bytes.Equal(aux, tc.want) {
-			t.Fatalf("%s digest mismatch", tc.unit.Name())
+			t.Fatalf("%s: chunked digest %x, stdlib %x", tc.unit.Name(), aux, tc.want)
+		}
+		if _, one, _ := Transform(tc.unit, in); !bytes.Equal(one, tc.want) {
+			t.Fatalf("%s: one-shot digest %x, stdlib %x", tc.unit.Name(), one, tc.want)
 		}
 	}
 }
 
 func TestAESRoundTripProperty(t *testing.T) {
 	unit := &AES256{Key: [32]byte{1, 2, 3}, IV: [16]byte{9}}
+	block, err := aes.NewCipher(unit.Key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := func(in []byte) bool {
-		ct, _, err := unit.Transform(in)
+		// Chunk boundaries must not restart the keystream: the chunked
+		// ciphertext equals the stdlib's one-shot CTR.
+		ct, _, err := streamIn(unit, in)
 		if err != nil {
+			return false
+		}
+		want := make([]byte, len(in))
+		cipher.NewCTR(block, unit.IV[:]).XORKeyStream(want, in)
+		if !bytes.Equal(ct, want) {
 			return false
 		}
 		if len(in) > 0 && bytes.Equal(ct, in) {
 			return false // encryption must change non-empty data
 		}
-		pt, _, err := unit.Transform(ct) // CTR is symmetric
+		pt, _, err := Transform(unit, ct) // CTR is symmetric
 		return err == nil && bytes.Equal(pt, in)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+	// Past the quick inputs' sizes: a ciphertext spanning many blocks.
+	in := data(70000)
+	ct, _, _ := streamIn(unit, in)
+	want := make([]byte, len(in))
+	cipher.NewCTR(block, unit.IV[:]).XORKeyStream(want, in)
+	if !bytes.Equal(ct, want) {
+		t.Fatal("chunked AES-CTR differs from the one-shot keystream")
 	}
 }
 
@@ -74,8 +125,8 @@ func TestAESKeyMatters(t *testing.T) {
 	a := &AES256{Key: [32]byte{1}}
 	b := &AES256{Key: [32]byte{2}}
 	in := data(100)
-	ca, _, _ := a.Transform(in)
-	cb, _, _ := b.Transform(in)
+	ca, _, _ := Transform(a, in)
+	cb, _, _ := Transform(b, in)
 	if bytes.Equal(ca, cb) {
 		t.Fatal("different keys produced identical ciphertext")
 	}
@@ -83,11 +134,21 @@ func TestAESKeyMatters(t *testing.T) {
 
 func TestGzipRoundTripProperty(t *testing.T) {
 	f := func(in []byte) bool {
-		ct, _, err := (GZIP{}).Transform(in)
+		ct, _, err := streamIn(GZIP{}, in)
 		if err != nil {
 			return false
 		}
-		pt, _, err := (GUNZIP{}).Transform(ct)
+		// The stdlib reader decompresses the chunked stream, and so
+		// does the GUNZIP unit fed in chunks.
+		r, err := gzip.NewReader(bytes.NewReader(ct))
+		if err != nil {
+			return false
+		}
+		std, err := io.ReadAll(r)
+		if err != nil || !bytes.Equal(std, in) {
+			return false
+		}
+		pt, _, err := streamIn(GUNZIP{}, ct)
 		return err == nil && bytes.Equal(pt, in)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -97,7 +158,7 @@ func TestGzipRoundTripProperty(t *testing.T) {
 
 func TestGzipCompresses(t *testing.T) {
 	in := bytes.Repeat([]byte("scale-out storage "), 1000)
-	ct, _, err := (GZIP{}).Transform(in)
+	ct, _, err := Transform(GZIP{}, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +168,7 @@ func TestGzipCompresses(t *testing.T) {
 }
 
 func TestGunzipRejectsGarbage(t *testing.T) {
-	if _, _, err := (GUNZIP{}).Transform([]byte("not gzip")); err == nil {
+	if _, _, err := Transform(GUNZIP{}, []byte("not gzip")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -177,14 +238,19 @@ func TestBankProcessingTime(t *testing.T) {
 	var aux []byte
 	env.Spawn("proc", func(p *sim.Proc) {
 		start := p.Now()
-		_, aux, err = bank.Process(p, in)
+		st := bank.Unit().NewStream()
+		if _, err = bank.StreamChunk(p, st, in); err == nil {
+			_, aux, err = bank.StreamClose(p, st)
+		}
 		took = p.Now() - start
 	})
 	env.Run(-1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 500*sim.Nanosecond + sim.BpsToTime(len(in), 10e9)
+	// A setup slot for the chunk and one for the close, plus the chunk
+	// at the bank's aggregate rate.
+	want := 2*500*sim.Nanosecond + sim.BpsToTime(len(in), 10e9)
 	if took != want {
 		t.Fatalf("processing took %v, want %v", took, want)
 	}
@@ -206,7 +272,7 @@ func TestBankSerializesStreams(t *testing.T) {
 	var ends []sim.Time
 	for i := 0; i < 2; i++ {
 		env.Spawn("proc", func(p *sim.Proc) {
-			bank.Process(p, in)
+			bank.StreamChunk(p, bank.Unit().NewStream(), in)
 			ends = append(ends, p.Now())
 		})
 	}

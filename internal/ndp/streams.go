@@ -26,13 +26,6 @@ type Stream interface {
 	Close() (tail, aux []byte, err error)
 }
 
-// Streamer is a Unit that can process objects incrementally. All
-// units in this package implement it.
-type Streamer interface {
-	Unit
-	NewStream() Stream
-}
-
 // StreamChunk processes one chunk through st, charging the bank's
 // throughput model.
 func (b *Bank) StreamChunk(p *sim.Proc, st Stream, chunk []byte) ([]byte, error) {
@@ -58,39 +51,26 @@ func (b *Bank) StreamClose(p *sim.Proc, st Stream) (tail, aux []byte, err error)
 }
 
 // hashStream passes data through while accumulating a digest.
-type hashStream struct {
-	h     hash.Hash
-	final func(hash.Hash) []byte
-}
+type hashStream struct{ h hash.Hash }
 
 func (s *hashStream) Write(chunk []byte) ([]byte, error) {
 	s.h.Write(chunk)
 	return chunk, nil
 }
 
-func (s *hashStream) Close() ([]byte, []byte, error) {
-	return nil, s.final(s.h), nil
-}
+func (s *hashStream) Close() ([]byte, []byte, error) { return nil, s.h.Sum(nil), nil }
 
-// NewStream implements Streamer.
-func (MD5) NewStream() Stream {
-	return &hashStream{h: md5.New(), final: func(h hash.Hash) []byte { return h.Sum(nil) }}
-}
+// NewStream implements Unit.
+func (MD5) NewStream() Stream { return &hashStream{md5.New()} }
 
-// NewStream implements Streamer.
-func (SHA1) NewStream() Stream {
-	return &hashStream{h: sha1.New(), final: func(h hash.Hash) []byte { return h.Sum(nil) }}
-}
+// NewStream implements Unit.
+func (SHA1) NewStream() Stream { return &hashStream{sha1.New()} }
 
-// NewStream implements Streamer.
-func (SHA256) NewStream() Stream {
-	return &hashStream{h: sha256.New(), final: func(h hash.Hash) []byte { return h.Sum(nil) }}
-}
+// NewStream implements Unit.
+func (SHA256) NewStream() Stream { return &hashStream{sha256.New()} }
 
-// NewStream implements Streamer.
-func (CRC32) NewStream() Stream {
-	return &hashStream{h: crc32.NewIEEE(), final: func(h hash.Hash) []byte { return h.Sum(nil) }}
-}
+// NewStream implements Unit. The digest is the IEEE CRC32, big endian.
+func (CRC32) NewStream() Stream { return &hashStream{crc32.NewIEEE()} }
 
 // ctrStream carries the CTR keystream position across chunks.
 type ctrStream struct {
@@ -105,7 +85,7 @@ func (s *ctrStream) Write(chunk []byte) ([]byte, error) {
 
 func (s *ctrStream) Close() ([]byte, []byte, error) { return nil, nil, nil }
 
-// NewStream implements Streamer.
+// NewStream implements Unit.
 func (a *AES256) NewStream() Stream {
 	block, err := aes.NewCipher(a.Key[:])
 	if err != nil {
@@ -140,7 +120,7 @@ func (s *gzipStream) Close() ([]byte, []byte, error) {
 	return append([]byte(nil), s.buf.Bytes()...), nil, nil
 }
 
-// NewStream implements Streamer.
+// NewStream implements Unit.
 func (GZIP) NewStream() Stream {
 	s := &gzipStream{}
 	w, err := gzip.NewWriterLevel(&s.buf, gzip.BestSpeed)
@@ -175,16 +155,16 @@ func (s *gunzipStream) Close() ([]byte, []byte, error) {
 	return out, nil, nil
 }
 
-// NewStream implements Streamer.
+// NewStream implements Unit.
 func (GUNZIP) NewStream() Stream { return &gunzipStream{} }
 
 // Interface conformance checks.
 var (
-	_ Streamer = MD5{}
-	_ Streamer = SHA1{}
-	_ Streamer = SHA256{}
-	_ Streamer = CRC32{}
-	_ Streamer = (*AES256)(nil)
-	_ Streamer = GZIP{}
-	_ Streamer = GUNZIP{}
+	_ Unit = MD5{}
+	_ Unit = SHA1{}
+	_ Unit = SHA256{}
+	_ Unit = CRC32{}
+	_ Unit = (*AES256)(nil)
+	_ Unit = GZIP{}
+	_ Unit = GUNZIP{}
 )

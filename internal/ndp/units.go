@@ -1,19 +1,6 @@
 package ndp
 
-import (
-	"bytes"
-	"compress/gzip"
-	"crypto/aes"
-	"crypto/cipher"
-	"crypto/md5"
-	"crypto/sha1"
-	"crypto/sha256"
-	"fmt"
-	"hash/crc32"
-	"io"
-
-	"dcsctrl/internal/fpga"
-)
+import "dcsctrl/internal/fpga"
 
 // Table III: per-instance Virtex-7 resource utilization and measured
 // throughput of the open-source IP cores the paper synthesized.
@@ -53,12 +40,6 @@ func (MD5) UnitThroughputBps() float64 { return 0.97e9 }
 // PerUnitUsage implements Unit.
 func (MD5) PerUnitUsage() fpga.Usage { return usageFor("md5") }
 
-// Transform passes data through and returns its MD5 digest as aux.
-func (MD5) Transform(in []byte) ([]byte, []byte, error) {
-	d := md5.Sum(in)
-	return in, d[:], nil
-}
-
 // SHA1 is a data-integrity unit.
 type SHA1 struct{}
 
@@ -70,12 +51,6 @@ func (SHA1) UnitThroughputBps() float64 { return 1.10e9 }
 
 // PerUnitUsage implements Unit.
 func (SHA1) PerUnitUsage() fpga.Usage { return usageFor("sha1") }
-
-// Transform passes data through and returns its SHA-1 digest as aux.
-func (SHA1) Transform(in []byte) ([]byte, []byte, error) {
-	d := sha1.Sum(in)
-	return in, d[:], nil
-}
 
 // SHA256 is a data-integrity unit.
 type SHA256 struct{}
@@ -89,12 +64,6 @@ func (SHA256) UnitThroughputBps() float64 { return 0.80e9 }
 // PerUnitUsage implements Unit.
 func (SHA256) PerUnitUsage() fpga.Usage { return usageFor("sha256") }
 
-// Transform passes data through and returns its SHA-256 digest as aux.
-func (SHA256) Transform(in []byte) ([]byte, []byte, error) {
-	d := sha256.Sum256(in)
-	return in, d[:], nil
-}
-
 // CRC32 is the data-integrity unit used by HDFS (Table II).
 type CRC32 struct{}
 
@@ -106,13 +75,6 @@ func (CRC32) UnitThroughputBps() float64 { return 10e9 }
 
 // PerUnitUsage implements Unit.
 func (CRC32) PerUnitUsage() fpga.Usage { return usageFor("crc32") }
-
-// Transform passes data through and returns the IEEE CRC32 (big
-// endian) as aux.
-func (CRC32) Transform(in []byte) ([]byte, []byte, error) {
-	c := crc32.ChecksumIEEE(in)
-	return in, []byte{byte(c >> 24), byte(c >> 16), byte(c >> 8), byte(c)}, nil
-}
 
 // AES256 encrypts or decrypts with AES-256-CTR (symmetric, so one
 // unit type serves both directions, as the hardware core does).
@@ -130,17 +92,6 @@ func (*AES256) UnitThroughputBps() float64 { return 40.90e9 }
 // PerUnitUsage implements Unit.
 func (*AES256) PerUnitUsage() fpga.Usage { return usageFor("aes256") }
 
-// Transform returns the CTR keystream XOR of in (encrypt == decrypt).
-func (a *AES256) Transform(in []byte) ([]byte, []byte, error) {
-	block, err := aes.NewCipher(a.Key[:])
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]byte, len(in))
-	cipher.NewCTR(block, a.IV[:]).XORKeyStream(out, in)
-	return out, nil, nil
-}
-
 // GZIP compresses (the HDFS/S3 path of Table II).
 type GZIP struct{}
 
@@ -152,22 +103,6 @@ func (GZIP) UnitThroughputBps() float64 { return 100e9 }
 
 // PerUnitUsage implements Unit.
 func (GZIP) PerUnitUsage() fpga.Usage { return usageFor("gzip") }
-
-// Transform returns the gzip-compressed data.
-func (GZIP) Transform(in []byte) ([]byte, []byte, error) {
-	var buf bytes.Buffer
-	w, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := w.Write(in); err != nil {
-		return nil, nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, nil, err
-	}
-	return buf.Bytes(), nil, nil
-}
 
 // GUNZIP decompresses; resource-wise it shares the gzip core.
 type GUNZIP struct{}
@@ -183,18 +118,4 @@ func (GUNZIP) PerUnitUsage() fpga.Usage {
 	u := usageFor("gzip")
 	u.Component = "gunzip"
 	return u
-}
-
-// Transform returns the decompressed data.
-func (GUNZIP) Transform(in []byte) ([]byte, []byte, error) {
-	r, err := gzip.NewReader(bytes.NewReader(in))
-	if err != nil {
-		return nil, nil, fmt.Errorf("gunzip: %w", err)
-	}
-	defer r.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("gunzip: %w", err)
-	}
-	return out, nil, nil
 }

@@ -1,6 +1,10 @@
 package nic
 
-import "testing"
+import (
+	"testing"
+
+	"dcsctrl/internal/sim"
+)
 
 // BD and completion marshalling runs once per frame (often several
 // times per frame); the NIC's ring engines rely on it staying
@@ -36,4 +40,30 @@ func TestRecvCplCodecZeroAlloc(t *testing.T) {
 		t.Fatalf("recv-cpl encode/decode allocates %v per run", n)
 	}
 	_ = sink
+}
+
+// TestSendRingTrackZeroAlloc: both submitters track every transmit
+// job's fetch, so a steady push/track/sweep cycle must reuse the
+// ring's record slice.
+func TestSendRingTrackZeroAlloc(t *testing.T) {
+	env := sim.NewEnv()
+	a := newNode(env, "a", -1, false)
+	bds := []SendBD{{Addr: a.dram.Alloc(64, 64), Len: 1, Flags: SendFlagEnd}}
+	sig := sim.NewSignal(env)
+	posted := uint64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := a.send.Push(bds); err != nil {
+			panic(err)
+		}
+		posted++
+		a.send.Track(sig)
+		completeSends(a, posted)
+		a.send.Sweep()
+		sig.Reset()
+	}); n != 0 {
+		t.Fatalf("push/track/sweep allocates %v per run", n)
+	}
+	if a.send.Tracked() != 0 {
+		t.Fatalf("%d records left after the sweeps", a.send.Tracked())
+	}
 }

@@ -4,12 +4,19 @@
 // split on receive, flow steering, armed (NAPI-style) interrupts, and
 // a serializing 10 Gbps wire to a peer NIC. Frames are real bytes
 // built and verified by the ether package.
+//
+// The submitter side serves both submitters the paper compares, the
+// host NIC driver and the HDC Engine's NIC controller (rings in FPGA
+// BRAM): SendRing and RecvRing, the LSO chain builder
+// (AppendLSOChain) and transmit-fetch tracking (SendRing.Track and
+// Sweep). The two differ only in whose cycles pay for the work.
 package nic
 
 import (
 	"encoding/binary"
 	"fmt"
 
+	"dcsctrl/internal/ether"
 	"dcsctrl/internal/mem"
 )
 
@@ -44,6 +51,23 @@ func (b *SendBD) Encode() [SendBDSize]byte {
 	binary.LittleEndian.PutUint16(out[10:], b.Flags)
 	binary.LittleEndian.PutUint16(out[12:], b.MSS)
 	return out
+}
+
+// lsoFrag is the largest payload fragment an LSO chain puts in one BD:
+// BD lengths are 16-bit.
+const lsoFrag = 32 << 10
+
+// AppendLSOChain appends the BD chain of one large-send job to bds: a
+// header BD for the hdrLen-byte header template at hdr, carrying
+// SendFlagLSO and ether.MSS, then the n payload bytes at payload in
+// BDs of at most 32 KB, with SendFlagEnd on the last BD.
+func AppendLSOChain(bds []SendBD, hdr mem.Addr, hdrLen int, payload mem.Addr, n int) []SendBD {
+	bds = append(bds, SendBD{Addr: hdr, Len: uint16(hdrLen), Flags: SendFlagLSO, MSS: ether.MSS})
+	for off := 0; off < n; off += lsoFrag {
+		bds = append(bds, SendBD{Addr: payload + mem.Addr(off), Len: uint16(min(n-off, lsoFrag))})
+	}
+	bds[len(bds)-1].Flags |= SendFlagEnd
+	return bds
 }
 
 // DecodeSendBD parses a send BD.

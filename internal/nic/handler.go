@@ -13,6 +13,7 @@ package nic
 import (
 	"dcsctrl/internal/ether"
 	"dcsctrl/internal/fault"
+	"dcsctrl/internal/mem"
 	"dcsctrl/internal/pcie"
 	"dcsctrl/internal/sim"
 )
@@ -79,7 +80,7 @@ func (m *txMachine) run(h *sim.HandlerCtx) {
 				continue
 			}
 			slot := int(q.sendFetched % uint64(q.cfg.SendEntries))
-			q.sendExts = ringExtents(q.sendExts[:0], q.cfg.SendRing.Base, slot, m.avail, q.cfg.SendEntries, SendBDSize)
+			q.sendExts = mem.RingExtents(q.sendExts[:0], q.cfg.SendRing.Base, slot, m.avail, q.cfg.SendEntries, SendBDSize)
 			m.vec.Start(n.fab, n.port, q.bdStage, q.sendExts, true)
 			m.stuck = false
 			m.st = txFetchDMA

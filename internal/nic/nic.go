@@ -471,21 +471,6 @@ func (n *NIC) decodeSendBDs(q *nicQueue, avail int) {
 	q.sendFetched += uint64(avail)
 }
 
-// ringExtents appends the wrap-aware extents (at most two) covering n
-// consecutive entries of size esz starting at slot head in a ring of
-// entries slots based at base.
-func ringExtents(exts []mem.Extent, base mem.Addr, head, n, entries, esz int) []mem.Extent {
-	first := entries - head
-	if first > n {
-		first = n
-	}
-	exts = append(exts, mem.Extent{Addr: base + mem.Addr(uint64(head)*uint64(esz)), Len: first * esz})
-	if n > first {
-		exts = append(exts, mem.Extent{Addr: base, Len: (n - first) * esz})
-	}
-	return exts
-}
-
 // nextChain finds one complete chain (through its END flag) in the
 // queue's descriptor cache, consumes it, and stages its gather: the
 // physically adjacent fragments merge into one extent each, in
@@ -638,7 +623,7 @@ func (n *NIC) prepFlush(q *nicQueue) int {
 	stage.WriteAt(stageOff+uint64(k*RecvCplSize), cnt[:])
 
 	slot := int(q.cplFirst % uint64(q.cfg.RecvEntries))
-	exts := ringExtents(q.cplExts[:0], q.cfg.RecvCpl.Base, slot, k, q.cfg.RecvEntries, RecvCplSize)
+	exts := mem.RingExtents(q.cplExts[:0], q.cfg.RecvCpl.Base, slot, k, q.cfg.RecvEntries, RecvCplSize)
 	exts = append(exts, mem.Extent{Addr: q.cfg.RecvStatus, Len: 8})
 	q.cplExts = exts
 	return k

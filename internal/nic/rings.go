@@ -5,17 +5,27 @@ import (
 
 	"dcsctrl/internal/mem"
 	"dcsctrl/internal/pcie"
+	"dcsctrl/internal/sim"
 )
 
 // SendRing is the submitter side of a transmit queue: it formats BDs
-// into ring memory and rings doorbells. Both the host NIC driver and
-// the HDC Engine's NIC controller drive one of these; they differ in
-// whose cycles pay for it.
+// into ring memory, rings doorbells and tracks which posted BDs the
+// NIC has fetched. Both the host NIC driver and the HDC Engine's NIC
+// controller drive one of these; they differ in whose cycles pay for
+// it.
 type SendRing struct {
-	fab  *pcie.Fabric
-	nic  *NIC
-	cfg  QueueConfig
+	fab   *pcie.Fabric
+	nic   *NIC
+	cfg   QueueConfig
+	tail  uint64
+	waits []fetchWait // Track order, so tails ascend
+}
+
+// fetchWait is a signal to fire once the completed-BD counter reaches
+// tail.
+type fetchWait struct {
 	tail uint64
+	sig  *sim.Signal
 }
 
 // NewSendRing returns a send ring over the queue.
@@ -72,8 +82,35 @@ func (r *SendRing) Arm() {
 	r.fab.PostedWrite(sendArm, r.Completed())
 }
 
-// Tail returns the cumulative posted-BD count.
-func (r *SendRing) Tail() uint64 { return r.tail }
+// Track arranges for sig to fire once the NIC has fetched every BD
+// posted so far, which frees the buffers they point at. Sweep fires
+// it.
+func (r *SendRing) Track(sig *sim.Signal) {
+	r.waits = append(r.waits, fetchWait{tail: r.tail, sig: sig})
+}
+
+// Sweep fires, in Track order, every tracked signal whose BDs the
+// completed-BD counter has passed, and drops them. The submitter calls
+// it wherever it learns of completions: its interrupt or status snoop.
+func (r *SendRing) Sweep() {
+	completed := r.Completed()
+	k := 0
+	for _, w := range r.waits {
+		if w.tail > completed {
+			break
+		}
+		w.sig.Fire(nil)
+		k++
+	}
+	// Compact in place: reslicing the front would bleed capacity
+	// (DESIGN.md §11), and Track's append would reallocate.
+	m := copy(r.waits, r.waits[k:])
+	clear(r.waits[m:])
+	r.waits = r.waits[:m]
+}
+
+// Tracked returns the number of tracked signals not yet fired.
+func (r *SendRing) Tracked() int { return len(r.waits) }
 
 // RecvRing is the submitter side of a receive queue: it posts buffers
 // and consumes completions.

@@ -4,11 +4,13 @@
 // with doorbells, and an SSD device model with a flash backend that
 // stores real bytes (calibrated to the Intel 750 of Table V).
 //
-// The same ring code serves both submitters the paper compares: the
-// host NVMe driver (software control path) and the HDC Engine's NVMe
-// device controller (hardware control path, rings in FPGA BRAM). Who
-// pays the submission cost — CPU cycles or FPGA cycles — is decided by
-// the caller, which is precisely the paper's point.
+// The same code serves both submitters the paper compares, the host
+// NVMe driver (software control path) and the HDC Engine's NVMe device
+// controller (hardware control path, rings in FPGA BRAM): the Ring,
+// the I/O command builder (IOCommand) and the retry policy
+// (MaxRetries, RetryBackoff). Who pays the submission cost — CPU
+// cycles or FPGA cycles — is decided by the caller, which is precisely
+// the paper's point.
 package nvme
 
 import (
@@ -16,6 +18,7 @@ import (
 	"fmt"
 
 	"dcsctrl/internal/mem"
+	"dcsctrl/internal/sim"
 )
 
 // Command sizes and block geometry.
@@ -102,6 +105,17 @@ const (
 // PRP) are deterministic and never retried.
 func Retryable(status uint16) bool { return status == StatusMediaErr }
 
+// Retry policy of both submitters, the host driver and the HDC
+// Engine's controller: a command that completes with a Retryable
+// status is re-issued at most MaxRetries times, retry k (from 0)
+// after a backoff of RetryBackoff<<k. The media error is injected
+// before the SSD moves data or commits flash, so a re-issue of the
+// same command, PRP list included, is idempotent.
+const (
+	MaxRetries   = 4
+	RetryBackoff = 5 * sim.Microsecond
+)
+
 // Completion is a decoded NVMe completion queue entry.
 type Completion struct {
 	Result uint32 // command-specific result (DW0)
@@ -141,6 +155,33 @@ func DecodeCompletion(b []byte) (Completion, error) {
 		Status: sf >> 1,
 		Phase:  sf&1 == 1,
 	}, nil
+}
+
+// NeedsPRPList reports whether an I/O command of the given block count
+// carries a PRP list: one or two pages fit in PRP1 and PRP2.
+func NeedsPRPList(blocks int) bool { return blocks > 2 }
+
+// IOCommand builds the namespace-1 read command, or write command when
+// write is set, that moves blocks logical blocks at lba to or from the
+// contiguous buffer at buf. A command that NeedsPRPList writes its PRP
+// list into the page at list; any other ignores list.
+func IOCommand(mm *mem.Map, write bool, lba uint64, buf mem.Addr, blocks int, list mem.Addr) (Command, error) {
+	if blocks < 1 || blocks > MaxBlocksPerCmd {
+		return Command{}, fmt.Errorf("nvme: %d-block command (limit %d)", blocks, MaxBlocksPerCmd)
+	}
+	var pages [MaxBlocksPerCmd]mem.Addr
+	for i := 0; i < blocks; i++ {
+		pages[i] = buf + mem.Addr(i*BlockSize)
+	}
+	prp1, prp2, err := BuildPRPs(mm, pages[:blocks], list)
+	if err != nil {
+		return Command{}, err
+	}
+	op := OpRead
+	if write {
+		op = OpWrite
+	}
+	return Command{Opcode: op, NSID: 1, PRP1: prp1, PRP2: prp2, SLBA: lba, NLB: uint16(blocks - 1)}, nil
 }
 
 // BuildPRPs lays out the PRP fields for a transfer covering the given

@@ -528,3 +528,54 @@ func TestRingRestoreRejectsCursorOutsideRing(t *testing.T) {
 		}
 	}
 }
+
+// TestIOCommandMatchesBuildPRPs checks the command builder both
+// submitters use against BuildPRPs over the same contiguous pages: the
+// same SQE and the same PRP list, and no list write for a command that
+// fits in PRP1 and PRP2.
+func TestIOCommandMatchesBuildPRPs(t *testing.T) {
+	mm := mem.NewMap()
+	r := mm.AddRegion("dram", mem.HostDRAM, 1<<20, true)
+	buf := r.Alloc(MaxBlocksPerCmd*BlockSize, BlockSize)
+	list := r.Alloc(BlockSize, BlockSize)
+	sentinel := bytes.Repeat([]byte{0xEE}, BlockSize)
+	for blocks := 1; blocks <= MaxBlocksPerCmd; blocks++ {
+		for _, write := range []bool{false, true} {
+			mm.Write(list, sentinel)
+			got, err := IOCommand(mm, write, 77, buf, blocks, list)
+			if err != nil {
+				t.Fatalf("%d blocks: %v", blocks, err)
+			}
+			gotList := mm.Read(list, BlockSize)
+			if !NeedsPRPList(blocks) && !bytes.Equal(gotList, sentinel) {
+				t.Fatalf("%d blocks: wrote a PRP list it does not need", blocks)
+			}
+
+			pages := make([]mem.Addr, blocks)
+			for i := range pages {
+				pages[i] = buf + mem.Addr(i*BlockSize)
+			}
+			mm.Write(list, sentinel)
+			prp1, prp2, err := BuildPRPs(mm, pages, list)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op := OpRead
+			if write {
+				op = OpWrite
+			}
+			want := Command{Opcode: op, NSID: 1, PRP1: prp1, PRP2: prp2, SLBA: 77, NLB: uint16(blocks - 1)}
+			if got.Encode() != want.Encode() {
+				t.Fatalf("%d blocks, write=%v: SQE %+v, want %+v", blocks, write, got, want)
+			}
+			if !bytes.Equal(gotList, mm.Read(list, BlockSize)) {
+				t.Fatalf("%d blocks: PRP list differs from BuildPRPs", blocks)
+			}
+		}
+	}
+	for _, blocks := range []int{0, MaxBlocksPerCmd + 1} {
+		if _, err := IOCommand(mm, false, 0, buf, blocks, list); err == nil {
+			t.Fatalf("%d-block command accepted", blocks)
+		}
+	}
+}

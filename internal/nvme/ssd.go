@@ -216,21 +216,6 @@ func (s *SSD) onDoorbell(off uint64, n int) {
 	}
 }
 
-// ringExtents appends the wrap-aware extents (at most two) covering n
-// consecutive entries of size esz starting at index head in a ring of
-// entries slots based at base.
-func ringExtents(exts []mem.Extent, base mem.Addr, head, n, entries, esz int) []mem.Extent {
-	first := entries - head
-	if first > n {
-		first = n
-	}
-	exts = append(exts, mem.Extent{Addr: base + mem.Addr(uint64(head)*uint64(esz)), Len: first * esz})
-	if n > first {
-		exts = append(exts, mem.Extent{Addr: base, Len: (n - first) * esz})
-	}
-	return exts
-}
-
 func (s *SSD) qpLoop(p *sim.Proc, qp *devQP) {
 	for {
 		for qp.sqHead == qp.dbTail {
@@ -240,7 +225,7 @@ func (s *SSD) qpLoop(p *sim.Proc, qp *devQP) {
 		// whole window by vectored DMA (one or two extents depending on
 		// ring wrap), decode the batch in one sitting, then dispatch.
 		avail := (qp.dbTail - qp.sqHead + qp.cfg.Entries) % qp.cfg.Entries
-		qp.sqExts = ringExtents(qp.sqExts[:0], qp.cfg.SQ.Base, qp.sqHead, avail, qp.cfg.Entries, CommandSize)
+		qp.sqExts = mem.RingExtents(qp.sqExts[:0], qp.cfg.SQ.Base, qp.sqHead, avail, qp.cfg.Entries, CommandSize)
 		s.fab.MustDMAVec(p, s.port, qp.sqBatch, qp.sqExts, true)
 		p.Sleep(s.params.CmdDecode * sim.Time(avail))
 		for i := 0; i < avail; i++ {
@@ -420,7 +405,7 @@ func (s *SSD) cplLoop(p *sim.Proc, qp *devQP) {
 		if free := s.cqFree(qp); k > free {
 			k = free
 		}
-		qp.cqExts = ringExtents(qp.cqExts[:0], qp.cfg.CQ.Base, qp.cqTail, k, qp.cfg.Entries, CompletionSize)
+		qp.cqExts = mem.RingExtents(qp.cqExts[:0], qp.cfg.CQ.Base, qp.cqTail, k, qp.cfg.Entries, CompletionSize)
 		for i := 0; i < k; i++ {
 			cpl := qp.cplPend[i]
 			cpl.Phase = qp.phase

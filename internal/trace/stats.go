@@ -94,68 +94,3 @@ func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f p50=%.2f p99=%.2f max=%.2f",
 		s.N(), s.Mean(), s.Percentile(50), s.Percentile(99), s.Max())
 }
-
-// Histogram is a fixed-width bucket histogram over [0, width×buckets),
-// with an overflow bucket at the end.
-type Histogram struct {
-	width   float64
-	counts  []int64
-	total   int64
-	overMax float64
-}
-
-// NewHistogram returns a histogram with n buckets of the given width.
-func NewHistogram(width float64, n int) *Histogram {
-	if width <= 0 || n <= 0 {
-		panic("trace: bad histogram shape")
-	}
-	return &Histogram{width: width, counts: make([]int64, n+1)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	i := int(v / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts)-1 {
-		i = len(h.counts) - 1
-		if v > h.overMax {
-			h.overMax = v
-		}
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.counts[i] }
-
-// Buckets returns the number of buckets including overflow.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Counter is a monotonically increasing named counter set.
-type Counter struct {
-	m    map[string]int64
-	keys []string
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{m: map[string]int64{}} }
-
-// Inc adds delta to key.
-func (c *Counter) Inc(key string, delta int64) {
-	if _, ok := c.m[key]; !ok {
-		c.keys = append(c.keys, key)
-	}
-	c.m[key] += delta
-}
-
-// Get returns the value of key.
-func (c *Counter) Get(key string) int64 { return c.m[key] }
-
-// Keys returns keys in first-use order.
-func (c *Counter) Keys() []string { return append([]string(nil), c.keys...) }

@@ -205,33 +205,3 @@ func TestMeanBoundedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 5) // buckets [0,10) ... [40,50) + overflow
-	for _, v := range []float64{1, 5, 15, 44, 49, 100, 200} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Bucket(0) != 2 || h.Bucket(1) != 1 || h.Bucket(4) != 2 {
-		t.Fatalf("buckets: %d %d %d", h.Bucket(0), h.Bucket(1), h.Bucket(4))
-	}
-	if h.Bucket(h.Buckets()-1) != 2 {
-		t.Fatalf("overflow = %d", h.Bucket(h.Buckets()-1))
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("cmds", 3)
-	c.Inc("irqs", 1)
-	c.Inc("cmds", 2)
-	if c.Get("cmds") != 5 || c.Get("irqs") != 1 {
-		t.Fatalf("cmds=%d irqs=%d", c.Get("cmds"), c.Get("irqs"))
-	}
-	keys := c.Keys()
-	if len(keys) != 2 || keys[0] != "cmds" || keys[1] != "irqs" {
-		t.Fatalf("keys = %v", keys)
-	}
-}
