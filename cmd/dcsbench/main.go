@@ -7,6 +7,7 @@
 //	dcsbench                  # run everything, serially
 //	dcsbench -parallel 8      # fan independent trial cells over 8 workers
 //	dcsbench -only fig11a,table4
+//	dcsbench -only warmfork   # warm-fork grid, both ways, with per-cell verdicts
 //	dcsbench -list            # show available experiment ids
 //	dcsbench -benchjson BENCH_kernel.json   # emit kernel + wall-time perf report
 //	dcsbench -dataplanejson BENCH_dataplane.json   # emit data-plane ns/op + allocs/op report
@@ -46,7 +47,6 @@ func main() {
 	domains := flag.Int("domains", 4, "rack experiment: shard domains (1 = serial reference)")
 	checkpoint := flag.String("checkpoint", "", "write a warm checkpoint artifact (gzip) to this file or directory and exit")
 	restore := flag.String("restore", "", "restore a checkpoint artifact, verify the round-trip byte-for-byte, and exit")
-	warmfork := flag.Bool("warmfork", false, "run the warm-fork grid experiment (alias for -only warmfork)")
 	flag.Parse()
 
 	if *list {
@@ -86,11 +86,6 @@ func main() {
 		return
 	}
 
-	if *warmfork && *only == "" {
-		*only = "warmfork"
-	} else if *warmfork {
-		*only += ",warmfork"
-	}
 	want := map[string]bool{}
 	if *only == "" {
 		for _, e := range experiments {

@@ -81,17 +81,15 @@ func Table4(w io.Writer) {
 		budget.MustClaim(u)
 	}
 	luts, regs, brams, power := budget.Totals()
+	lutPct, regPct, bramPct := budget.UtilizationPct()
 	dev := budget.Device()
 	t := report.Table{
 		Title:   "Table IV: HDC Engine device controllers on Virtex-7",
 		Headers: []string{"resource", "used", "available", "utilization"},
 	}
-	t.AddRow("LUTs", fmt.Sprintf("%d", luts), fmt.Sprintf("%d", dev.LUTs),
-		fmt.Sprintf("%.0f%%", 100*float64(luts)/float64(dev.LUTs)))
-	t.AddRow("Registers", fmt.Sprintf("%d", regs), fmt.Sprintf("%d", dev.Registers),
-		fmt.Sprintf("%.0f%%", 100*float64(regs)/float64(dev.Registers)))
-	t.AddRow("BRAMs", fmt.Sprintf("%d", brams), fmt.Sprintf("%d", dev.BRAMs),
-		fmt.Sprintf("%.0f%%", 100*float64(brams)/float64(dev.BRAMs)))
+	t.AddRow("LUTs", fmt.Sprintf("%d", luts), fmt.Sprintf("%d", dev.LUTs), fmt.Sprintf("%.0f%%", lutPct))
+	t.AddRow("Registers", fmt.Sprintf("%d", regs), fmt.Sprintf("%d", dev.Registers), fmt.Sprintf("%.0f%%", regPct))
+	t.AddRow("BRAMs", fmt.Sprintf("%d", brams), fmt.Sprintf("%d", dev.BRAMs), fmt.Sprintf("%.0f%%", bramPct))
 	t.AddRow("Power", fmt.Sprintf("%.2f W", power), "-", "-")
 	t.Render(w)
 

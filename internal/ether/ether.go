@@ -253,24 +253,12 @@ func HeaderTemplateTo(b []byte, flow Flow, seq uint32, flags uint8) []byte {
 	return hdr
 }
 
-// Segmentize splits payload into MSS-sized segments starting at seq —
-// what the NIC's large-send-offload engine does in hardware. The final
-// segment carries PSH. Each segment's payload is an independent copy;
-// transmit paths that marshal the segments before the source buffer
-// is reused should use AppendSegments to skip the copies.
-func Segmentize(flow Flow, seq uint32, payload []byte, mss int) []Segment {
-	out := AppendSegments(nil, flow, seq, payload, mss)
-	for i := range out {
-		out[i].Payload = append([]byte(nil), out[i].Payload...)
-	}
-	return out
-}
-
-// AppendSegments is Segmentize into a caller-owned slice and without
-// the payload copies: each segment's Payload aliases the corresponding
-// window of payload, so the segments are only valid while payload is
-// stable (see DESIGN.md §11). It appends to dst and returns the
-// extended slice, allocating nothing when dst has capacity.
+// AppendSegments splits payload into MSS-sized segments starting at
+// seq — what the NIC's large-send-offload engine does in hardware —
+// and appends them to dst. The final segment carries PSH. Each
+// segment's Payload aliases the corresponding window of payload, so
+// the segments are only valid while payload is stable (see DESIGN.md
+// §11); nothing is allocated when dst has capacity.
 func AppendSegments(dst []Segment, flow Flow, seq uint32, payload []byte, mss int) []Segment {
 	if mss <= 0 {
 		mss = MSS

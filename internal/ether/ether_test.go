@@ -69,7 +69,7 @@ func TestSegmentizeBoundaries(t *testing.T) {
 		{0, 1}, {1, 1}, {MSS, 1}, {MSS + 1, 2}, {3 * MSS, 3}, {3*MSS + 7, 4},
 	}
 	for _, c := range cases {
-		segs := Segmentize(flow, 0, make([]byte, c.payload), MSS)
+		segs := AppendSegments(nil, flow, 0, make([]byte, c.payload), MSS)
 		if len(segs) != c.want {
 			t.Fatalf("payload %d: %d segments, want %d", c.payload, len(segs), c.want)
 		}
@@ -84,7 +84,7 @@ func TestSegmentizeSequenceNumbers(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	segs := Segmentize(testFlow(), 7777, payload, MSS)
+	segs := AppendSegments(nil, testFlow(), 7777, payload, MSS)
 	want := uint32(7777)
 	var rebuilt []byte
 	for _, s := range segs {
@@ -189,7 +189,7 @@ func TestSegmentizeCoverageProperty(t *testing.T) {
 		for i := range payload {
 			payload[i] = byte(i * 13)
 		}
-		segs := Segmentize(testFlow(), 0, payload, mss)
+		segs := AppendSegments(nil, testFlow(), 0, payload, mss)
 		var rebuilt []byte
 		for i, s := range segs {
 			if i < len(segs)-1 && len(s.Payload) != mss {

@@ -156,9 +156,6 @@ func (f *FabricSim) Stats() (frames, wireBytes, drops int64) {
 	return f.frames, f.wireBytes, f.drops
 }
 
-// Pending reports whether any frame is still in flight in the fabric.
-func (f *FabricSim) Pending() bool { return len(f.heap) > 0 }
-
 // push inserts an event, stamping its tie-break sequence number.
 func (f *FabricSim) push(ev fabEvent) {
 	f.seq++

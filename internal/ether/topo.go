@@ -70,9 +70,6 @@ func NewTopology(spec RackSpec) *Topology {
 // Spec returns the topology's (defaulted) specification.
 func (t *Topology) Spec() RackSpec { return t.spec }
 
-// Nodes returns the leaf node count.
-func (t *Topology) Nodes() int { return t.spec.Nodes }
-
 // ToRs returns the top-of-rack switch count.
 func (t *Topology) ToRs() int { return t.tors }
 

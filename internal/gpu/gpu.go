@@ -44,7 +44,6 @@ func DefaultParams() Params {
 type GPU struct {
 	Name string
 
-	env    *sim.Env
 	fab    *pcie.Fabric
 	params Params
 	port   *pcie.Port
@@ -61,7 +60,7 @@ type GPU struct {
 
 // NewGPU builds the device on a new fabric port.
 func NewGPU(env *sim.Env, fab *pcie.Fabric, name string, params Params) *GPU {
-	g := &GPU{Name: name, env: env, fab: fab, params: params}
+	g := &GPU{Name: name, fab: fab, params: params}
 	g.port = fab.AddPort(name)
 	g.VRAM = fab.Mem().AddRegion(name+"-vram", mem.GPUVRAM, params.VRAMBytes, true)
 	fab.Attach(g.port, g.VRAM)
@@ -69,9 +68,6 @@ func NewGPU(env *sim.Env, fab *pcie.Fabric, name string, params Params) *GPU {
 	g.smUnits = sim.NewResource(env, name+"-sm", 1)
 	return g
 }
-
-// Port returns the GPU's fabric port.
-func (g *GPU) Port() *pcie.Port { return g.port }
 
 // Stats returns kernels launched and bytes copied by the copy engine.
 func (g *GPU) Stats() (kernels, copiedBytes int64) { return g.kernels, g.copied }

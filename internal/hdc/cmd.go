@@ -12,8 +12,6 @@ package hdc
 import (
 	"encoding/binary"
 	"fmt"
-
-	"dcsctrl/internal/mem"
 )
 
 // ChunkSize is the engine's fixed intermediate-buffer block size
@@ -63,12 +61,6 @@ func FnName(fn uint8) string {
 	}
 }
 
-// Command flags.
-const (
-	// FlagAuxWriteback requests the NDP digest be DMA'd to AuxAddr.
-	FlagAuxWriteback uint8 = 1 << 0
-)
-
 // CommandSize is the fixed D2D command size; the 64-entry command
 // queue is 4 KB (§IV-C).
 const CommandSize = 64
@@ -109,13 +101,13 @@ func DecodeExtents(raw []byte, count int) ([]ExtentEntry, error) {
 // Command is a decoded D2D command: move Length bytes from the source
 // device to the destination device, optionally through NDP function
 // Fn. Storage endpoints address data by an extent table in host
-// memory; network endpoints by a registered connection ID.
+// memory; network endpoints by a registered connection ID. An NDP
+// digest returns in the completion entry's aux bytes.
 type Command struct {
 	ID       uint32
 	SrcClass uint8
 	DstClass uint8
 	Fn       uint8
-	Flags    uint8
 	SrcArg   uint64 // extent-table bus address (SSD) or connection ID (NIC)
 	SrcCount uint32 // extent count (SSD endpoints)
 	SrcDev   uint8  // SSD index for ClassSSD sources
@@ -123,18 +115,17 @@ type Command struct {
 	DstCount uint32
 	DstDev   uint8 // SSD index for ClassSSD destinations
 	Length   uint64
-	AuxAddr  mem.Addr // digest writeback address (FlagAuxWriteback)
-	AuxData  uint64   // function argument (e.g. key slot for AES)
+	AuxData  uint64 // function argument (e.g. key slot for AES)
 }
 
-// Encode serializes the command into its 64-byte wire format.
+// Encode serializes the command into its 64-byte wire format. Bytes
+// 7, 21–23, 37–39 and 48–55 are reserved and encode as zero.
 func (c *Command) Encode() [CommandSize]byte {
 	var b [CommandSize]byte
 	binary.LittleEndian.PutUint32(b[0:], c.ID)
 	b[4] = c.SrcClass
 	b[5] = c.DstClass
 	b[6] = c.Fn
-	b[7] = c.Flags
 	binary.LittleEndian.PutUint64(b[8:], c.SrcArg)
 	binary.LittleEndian.PutUint32(b[16:], c.SrcCount)
 	b[20] = c.SrcDev
@@ -142,12 +133,12 @@ func (c *Command) Encode() [CommandSize]byte {
 	binary.LittleEndian.PutUint32(b[32:], c.DstCount)
 	b[36] = c.DstDev
 	binary.LittleEndian.PutUint64(b[40:], c.Length)
-	binary.LittleEndian.PutUint64(b[48:], uint64(c.AuxAddr))
 	binary.LittleEndian.PutUint64(b[56:], c.AuxData)
 	return b
 }
 
-// DecodeCommand parses a 64-byte D2D command.
+// DecodeCommand parses a 64-byte D2D command; reserved bytes are
+// ignored.
 func DecodeCommand(raw []byte) (Command, error) {
 	if len(raw) < CommandSize {
 		return Command{}, fmt.Errorf("hdc: short D2D command (%d bytes)", len(raw))
@@ -157,7 +148,6 @@ func DecodeCommand(raw []byte) (Command, error) {
 		SrcClass: raw[4],
 		DstClass: raw[5],
 		Fn:       raw[6],
-		Flags:    raw[7],
 		SrcArg:   binary.LittleEndian.Uint64(raw[8:]),
 		SrcCount: binary.LittleEndian.Uint32(raw[16:]),
 		SrcDev:   raw[20],
@@ -165,7 +155,6 @@ func DecodeCommand(raw []byte) (Command, error) {
 		DstCount: binary.LittleEndian.Uint32(raw[32:]),
 		DstDev:   raw[36],
 		Length:   binary.LittleEndian.Uint64(raw[40:]),
-		AuxAddr:  mem.Addr(binary.LittleEndian.Uint64(raw[48:])),
 		AuxData:  binary.LittleEndian.Uint64(raw[56:]),
 	}, nil
 }

@@ -2,7 +2,6 @@ package hdc
 
 import (
 	"fmt"
-	"sort"
 
 	"dcsctrl/internal/ether"
 	"dcsctrl/internal/mem"
@@ -231,7 +230,8 @@ type NICCtrl struct {
 	hdrScratch []byte
 	sendBatch  []sendReq
 
-	conns map[uint64]*conn
+	conns   map[uint64]*conn
+	connsRx map[ether.Tuple]*conn // receive-tuple index for the rx path
 
 	// hdrNext rotates through the BRAM header-buffer slots; a field (not
 	// a sendLoop local) so a checkpoint restore resumes the rotation at
@@ -272,6 +272,7 @@ func newNICCtrl(eng *Engine, dev *nic.NIC, qid uint16, entries int) *NICCtrl {
 		sendSpace: sim.NewCond(eng.env),
 		cplKick:   sim.NewCond(eng.env),
 		conns:     map[uint64]*conn{},
+		connsRx:   map[ether.Tuple]*conn{},
 	}
 	// Status words double as the completion snoop points.
 	status.SetWriteHook(func(off uint64, n int) { c.onStatus() })
@@ -288,17 +289,11 @@ func (c *NICCtrl) RegisterConnection(id uint64, flow ether.Flow, txSeq, rxSeq ui
 	if _, dup := c.conns[id]; dup {
 		panic(fmt.Sprintf("hdc: connection %d already registered", id))
 	}
-	c.conns[id] = &conn{id: id, flow: flow, txSeq: txSeq, rxSeq: rxSeq}
-	c.dev.SetSteering(flow.Reverse().Tuple(), c.qid)
-}
-
-// Conn returns a registered connection's state (diagnostics).
-func (c *NICCtrl) Conn(id uint64) (ether.Flow, uint32, uint32, bool) {
-	cn, ok := c.conns[id]
-	if !ok {
-		return ether.Flow{}, 0, 0, false
-	}
-	return cn.flow, cn.txSeq, cn.rxSeq, true
+	cn := &conn{id: id, flow: flow, txSeq: txSeq, rxSeq: rxSeq}
+	rx := flow.Reverse().Tuple()
+	c.conns[id] = cn
+	c.connsRx[rx] = cn
+	c.dev.SetSteering(rx, c.qid)
 }
 
 // DrainConn removes a connection from the controller and returns its
@@ -320,6 +315,7 @@ func (c *NICCtrl) DrainConn(id uint64) (flow ether.Flow, txSeq, rxSeq uint32, bu
 		c.eng.recvPool.Put(ext.buf)
 	}
 	delete(c.conns, id)
+	delete(c.connsRx, cn.flow.Reverse().Tuple())
 	return cn.flow, cn.txSeq, cn.rxSeq, buffered, true
 }
 
@@ -456,7 +452,7 @@ func (c *NICCtrl) recvLoop(p *sim.Proc) {
 			if err != nil {
 				panic(fmt.Sprintf("hdc: unparsable received header: %v", err))
 			}
-			cn := c.lookupByTuple(seg.Flow.Tuple())
+			cn := c.connsRx[seg.Flow.Tuple()]
 			if cn == nil {
 				// Not ours: recycle the buffer and move on.
 				c.eng.recvPool.Put(f.Addr)
@@ -482,35 +478,6 @@ func (c *NICCtrl) recvLoop(p *sim.Proc) {
 		}
 		c.restockRecvBuffers()
 	}
-}
-
-func (c *NICCtrl) lookupByTuple(t ether.Tuple) *conn {
-	for _, cn := range c.conns {
-		if cn.flow.Reverse().Tuple() == t {
-			return cn
-		}
-	}
-	return nil
-}
-
-// DebugState prints receive-side state (diagnostics).
-func (c *NICCtrl) DebugState() string {
-	out := fmt.Sprintf("recvPkts=%d gathered=%d sendJobs=%d pool(free=%d low=%d) recvQ=%d unfetchedTx=%d",
-		c.recvPkts, c.gatheredBytes, c.sendJobs, c.eng.recvPool.Free(), c.eng.recvPool.LowWater(), c.recvQ.Len(), c.send.Tracked())
-	ids := make([]uint64, 0, len(c.conns))
-	for id := range c.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		cn := c.conns[id]
-		w := -1
-		if cn.waiter != nil {
-			w = cn.waiter.want
-		}
-		out += fmt.Sprintf("\n  conn %d: rxSeq=%d avail=%d waiterWant=%d txSeq=%d", id, cn.rxSeq, cn.rxALen, w, cn.txSeq)
-	}
-	return out
 }
 
 // tryGather satisfies the connection's pending receive request when

@@ -123,8 +123,7 @@ func NewDriver(env *sim.Env, host *hostos.Host, fs *hostos.FileSystem,
 
 	eng.ConfigureHost(HostConfig{
 		CplRing:    d.cplRing,
-		CplStatus:  d.cplRing.Base + mem.Addr(uint64(entries*CplEntrySize)),
-		HeadMirror: d.cplRing.Base + mem.Addr(uint64(entries*CplEntrySize)) + 8,
+		HeadMirror: d.cplRing.Base + mem.Addr(uint64(entries*CplEntrySize)),
 		MSIVector:  msiVector,
 	})
 	fab.OnMSI(msiVector, func() {
@@ -223,11 +222,11 @@ func (d *Driver) post(p *sim.Proc, cmd Command) *cmdWaiter {
 }
 
 // await blocks the library call on a posted command's outcome —
-// completion or watchdog timeout — charging the context switch and
-// idle wait the way hostos.Host.BlockOnDevice does. A timed-out
-// command is abandoned: its queue slot is reclaimed and a late
-// completion is dropped as an orphan; it is never re-posted, so the
-// engine cannot execute it twice.
+// completion or watchdog timeout. The thread's context-switch pair is
+// charged as interrupt work; the wait itself burns no CPU and is
+// recorded as idle wait. A timed-out command is abandoned: its queue
+// slot is reclaimed and a late completion is dropped as an orphan; it
+// is never re-posted, so the engine cannot execute it twice.
 func (d *Driver) await(p *sim.Proc, bd *trace.Breakdown, id uint32, w *cmdWaiter) (Result, bool) {
 	d.host.Exec(p, trace.CatInterrupt, d.host.Params.CtxSwitch, bd)
 	start := p.Now()
@@ -361,7 +360,6 @@ func (d *Driver) SendFile(p *sim.Proc, bd *trace.Breakdown, dev uint8, f *hostos
 			}
 			return Command{
 				ID: id, SrcClass: ClassSSD, DstClass: ClassNIC, Fn: fn,
-				Flags:  FlagAuxWriteback,
 				SrcArg: uint64(extAddr), SrcCount: uint32(len(ext)), SrcDev: dev,
 				DstArg: connID, Length: uint64(n), AuxData: aux,
 			}, nil
@@ -395,7 +393,6 @@ func (d *Driver) CopyFile(p *sim.Proc, bd *trace.Breakdown,
 			d.fab.Mem().Write(base+2048, EncodeExtents(dstExt))
 			return Command{
 				ID: id, SrcClass: ClassSSD, DstClass: ClassSSD, Fn: fn,
-				Flags:  FlagAuxWriteback,
 				SrcArg: uint64(base), SrcCount: uint32(len(srcExt)), SrcDev: srcDev,
 				DstArg: uint64(base + 2048), DstCount: uint32(len(dstExt)), DstDev: dstDev,
 				Length: uint64(n),
@@ -420,7 +417,6 @@ func (d *Driver) RecvFile(p *sim.Proc, bd *trace.Breakdown, connID uint64, dev u
 			}
 			return Command{
 				ID: id, SrcClass: ClassNIC, DstClass: ClassSSD, Fn: fn,
-				Flags:  FlagAuxWriteback,
 				SrcArg: connID, DstArg: uint64(extAddr), DstCount: uint32(len(ext)), DstDev: dev,
 				Length: uint64(n),
 			}, nil
@@ -435,7 +431,6 @@ func (d *Driver) Forward(p *sim.Proc, bd *trace.Breakdown, srcConn, dstConn uint
 		func(id uint32) (Command, error) {
 			return Command{
 				ID: id, SrcClass: ClassNIC, DstClass: ClassNIC, Fn: fn,
-				Flags:  FlagAuxWriteback,
 				SrcArg: srcConn, DstArg: dstConn, Length: uint64(n),
 			}, nil
 		})

@@ -84,7 +84,6 @@ func DefaultParams() Params {
 // host DRAM plus the MSI vector the interrupt generator uses.
 type HostConfig struct {
 	CplRing    *mem.Region // host DRAM: CplEntrySize × CmdQueueEntries
-	CplStatus  mem.Addr    // 8-byte cumulative completion counter
 	HeadMirror mem.Addr    // 8-byte cumulative consumed-command counter
 	MSIVector  int
 }
@@ -124,7 +123,6 @@ type Engine struct {
 	chunks    *mem.ChunkPool
 	recvPool  *mem.ChunkPool
 	chunkCond *sim.Cond
-	prpList   mem.Addr // scratch page for PRP lists
 
 	sb        *Scoreboard
 	nvmeCtls  []*NVMeCtrl
@@ -182,7 +180,6 @@ func NewEngine(env *sim.Env, fab *pcie.Fabric, name string, params Params) *Engi
 	e.chunks = mem.NewChunkPool(e.ddr3, ChunkSize, params.ChunkCount)
 	e.recvPool = mem.NewChunkPool(e.ddr3, 2048, params.RecvBufs)
 	e.chunkCond = sim.NewCond(env)
-	e.prpList = e.ddr3.Alloc(4096, 4096)
 	e.cplBuf = e.ddr3.Alloc(uint64(params.CmdQueueEntries*CplEntrySize), 64)
 	e.cplExts = make([]mem.Extent, 0, 2)
 	e.mirrorBuf = e.ddr3.Alloc(8, 8)
@@ -205,9 +202,6 @@ func (e *Engine) Budget() *fpga.Budget { return e.budget }
 
 // Scoreboard returns the engine's scoreboard (diagnostics).
 func (e *Engine) Scoreboard() *Scoreboard { return e.sb }
-
-// Port returns the engine's fabric port.
-func (e *Engine) Port() *pcie.Port { return e.port }
 
 // CommandsDone returns the number of completed D2D commands.
 func (e *Engine) CommandsDone() int64 { return e.cmdsDone }
@@ -510,16 +504,6 @@ func (e *Engine) AdoptConnections() []AdoptedConn {
 		}
 		delete(e.connOwner, id)
 		out = append(out, AdoptedConn{ID: id, Flow: flow, TxSeq: txSeq, RxSeq: rxSeq, Buffered: buffered})
-	}
-	return out
-}
-
-// DebugState prints engine state (diagnostics).
-func (e *Engine) DebugState() string {
-	out := fmt.Sprintf("cmds: head=%d tail=%d done=%d submitted=%v finishedIDs=%d chunks(free=%d low=%d) sbLive=%d",
-		e.cmdHead, e.cmdTail, e.cmdsDone, e.submitted, len(e.finished), e.chunks.Free(), e.chunks.LowWater(), e.sb.Live())
-	for _, ctl := range e.nicCtls {
-		out += "\n" + ctl.DebugState()
 	}
 	return out
 }

@@ -176,13 +176,11 @@ func (e *Engine) sourceStage(p *sim.Proc, cmd Command, ext []ExtentEntry,
 			if n > ChunkSize {
 				n = ChunkSize
 			}
-			entry := e.sb.AllocIssue(p, cmd.ID, seq, "nic", 'R')
-			entry.Src = cmd.SrcArg
-			entry.Dst = uint64(buf)
+			e.sb.AllocIssue(p)
 			sig := sim.NewSignal(e.env)
 			e.ctrlFor(cmd.SrcArg).SubmitRecv(recvReq{connID: cmd.SrcArg, want: n, buf: buf, done: sig})
 			sig.Wait(p)
-			e.sb.DeferDone(entry)
+			e.sb.DeferDone()
 			out.Put(chunkMsg{buf: buf, n: n, seq: seq, last: seq == nChunks-1})
 			off += n
 		}
@@ -207,9 +205,7 @@ func (e *Engine) sourceStage(p *sim.Proc, cmd Command, ext []ExtentEntry,
 		if err != nil {
 			panic(err) // validated by the driver; a mismatch is a model bug
 		}
-		entry := e.sb.AllocIssue(p, cmd.ID, seq, "nvme", 'R')
-		entry.Src = runs[0].lba
-		entry.Dst = uint64(buf)
+		e.sb.AllocIssue(p)
 		seq, n, buf := seq, n, buf
 		ctl := e.nvmeCtls[cmd.SrcDev]
 		e.env.Spawn(fmt.Sprintf("%s-cmd%d-rd%d", e.name, cmd.ID, seq), func(rp *sim.Proc) {
@@ -221,7 +217,7 @@ func (e *Engine) sourceStage(p *sim.Proc, cmd Command, ext []ExtentEntry,
 			for _, s := range sigs {
 				s.Wait(rp)
 			}
-			e.sb.DeferDone(entry)
+			e.sb.DeferDone()
 			delivered[seq].Wait(rp)
 			out.Put(chunkMsg{buf: buf, n: n, seq: seq, last: seq == nChunks-1})
 			delivered[seq+1].Fire(nil)
@@ -277,12 +273,9 @@ func (e *Engine) ndpStage(p *sim.Proc, cmd Command, window *sim.Resource,
 		}
 	}
 
-	seq := 0
 	for {
 		msg := in.Get(p)
-		entry := e.sb.AllocIssue(p, cmd.ID, seq, "ndp", 'P')
-		entry.Src = uint64(msg.buf)
-		entry.Aux = uint64(cmd.Fn)
+		e.sb.AllocIssue(p)
 		// View: msg.buf is not freed (and the window credit not
 		// released) until after StreamChunk returns, so the bytes are
 		// stable across its simulated delays. In-place units mutating
@@ -292,8 +285,7 @@ func (e *Engine) ndpStage(p *sim.Proc, cmd Command, window *sim.Resource,
 		if err != nil {
 			panic(err)
 		}
-		e.sb.DeferDone(entry)
-		seq++
+		e.sb.DeferDone()
 
 		if sizeChanging {
 			e.freeChunk(msg.buf)
@@ -340,9 +332,7 @@ func (e *Engine) destStage(p *sim.Proc, cmd Command, ext []ExtentEntry,
 	for {
 		msg := in.Get(p)
 		if msg.n > 0 {
-			entry := e.sb.AllocIssue(p, cmd.ID, msg.seq, devName(cmd.DstClass), 'W')
-			entry.Src = uint64(msg.buf)
-			entry.Dst = cmd.DstArg
+			e.sb.AllocIssue(p)
 			sig := sim.NewSignal(e.env)
 			if cmd.DstClass == ClassNIC {
 				e.ctrlFor(cmd.DstArg).SubmitSend(sendReq{connID: cmd.DstArg, buf: msg.buf, length: msg.n, done: sig})
@@ -369,7 +359,7 @@ func (e *Engine) destStage(p *sim.Proc, cmd Command, ext []ExtentEntry,
 			msgCopy := msg
 			e.env.Spawn("dst-finish", func(fp *sim.Proc) {
 				sig.Wait(fp)
-				e.sb.DeferDone(entry)
+				e.sb.DeferDone()
 				e.freeChunk(msgCopy.buf)
 				if !sizeChanging {
 					window.Release()
@@ -385,11 +375,4 @@ func (e *Engine) destStage(p *sim.Proc, cmd Command, ext []ExtentEntry,
 	for i := 0; i < outstanding; i++ {
 		doneQ.Get(p)
 	}
-}
-
-func devName(class uint8) string {
-	if class == ClassNIC {
-		return "nic"
-	}
-	return "nvme"
 }

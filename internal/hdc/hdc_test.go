@@ -20,10 +20,10 @@ import (
 )
 
 func TestCommandRoundTripProperty(t *testing.T) {
-	f := func(id uint32, src, dst, fn, flags uint8, a1, a2, ln, auxA, auxD uint64, c1, c2 uint32) bool {
-		c := Command{ID: id, SrcClass: src, DstClass: dst, Fn: fn, Flags: flags,
+	f := func(id uint32, src, dst, fn uint8, a1, a2, ln, auxD uint64, c1, c2 uint32) bool {
+		c := Command{ID: id, SrcClass: src, DstClass: dst, Fn: fn,
 			SrcArg: a1, SrcCount: c1, DstArg: a2, DstCount: c2, Length: ln,
-			AuxAddr: mem.Addr(auxA), AuxData: auxD}
+			AuxData: auxD}
 		enc := c.Encode()
 		got, err := DecodeCommand(enc[:])
 		return err == nil && got == c
@@ -181,7 +181,7 @@ func newPeer(env *sim.Env, name string) *peerNode {
 		gotAll: sim.NewCond(env), rxBufLen: 2048}
 	// Collector: drain receive completions into the byte stream.
 	status.SetWriteHook(func(off uint64, nn int) {
-		for _, f := range p.recv.Poll() {
+		for _, f := range p.recv.AppendPoll(nil) {
 			frame := p.mm.Read(f.Addr, int(f.Cpl.HdrLen)+int(f.Cpl.PayLen))
 			seg, err := ether.Parse(frame)
 			if err != nil {
@@ -486,6 +486,65 @@ func TestConcurrentCommandsMultipleConnections(t *testing.T) {
 	}
 	if tb.eng.Scoreboard().Live() != 0 {
 		t.Fatalf("scoreboard leaked %d entries", tb.eng.Scoreboard().Live())
+	}
+}
+
+// TestRecvFramesWithoutConnectionRecycled pins the NIC controller's
+// receive-tuple index with two connections on one controller: frames
+// whose tuple no connection claims — one never registered, one whose
+// connection was drained — are recycled into the receive pool without
+// touching either connection, and the live connection still receives.
+func TestRecvFramesWithoutConnectionRecycled(t *testing.T) {
+	tb := newTestbed(t)
+	ctl := tb.eng.nicCtls[0]
+	flow2 := tb.flowAB
+	flow2.SrcPort = 6001
+	tb.drv.Connect(8, flow2, 0, 0)
+	stray := tb.flowAB
+	stray.SrcPort = 6002
+	tb.nicA.SetSteering(stray.Reverse().Tuple(), ctl.qid) // steered, never registered
+	free := tb.eng.recvPool.Free()
+	noise := pattern(10 << 10) // eight frames per flow
+
+	checkRecycled := func(what string) {
+		t.Helper()
+		before := ctl.recv.Completions()
+		tb.env.Run(-1)
+		if got := ctl.recv.Completions() - before; got != 8 {
+			t.Fatalf("%s: the engine's queue received %d frames, want 8", what, got)
+		}
+		if got := tb.eng.recvPool.Free(); got != free {
+			t.Fatalf("%s: receive pool has %d free buffers, want %d", what, got, free)
+		}
+		if ctl.recvPkts != 0 || ctl.conns[connAB].rxALen != 0 {
+			t.Fatalf("%s: %d frames reached a connection, %d bytes buffered on %d",
+				what, ctl.recvPkts, ctl.conns[connAB].rxALen, connAB)
+		}
+	}
+	tb.env.Spawn("stray", func(p *sim.Proc) { tb.peer.sendPayload(stray.Reverse(), 0, noise) })
+	checkRecycled("unregistered tuple")
+	if _, _, _, _, ok := ctl.DrainConn(8); !ok {
+		t.Fatal("connection 8 not registered")
+	}
+	tb.env.Spawn("drained", func(p *sim.Proc) { tb.peer.sendPayload(flow2.Reverse(), 0, noise) })
+	checkRecycled("drained connection")
+
+	content := pattern(100 << 10)
+	f, err := tb.fsA.Create("upload", len(content))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	tb.env.Spawn("remote", func(p *sim.Proc) { tb.peer.sendPayload(tb.flowAB.Reverse(), 0, content) })
+	tb.env.Spawn("app", func(p *sim.Proc) {
+		res, err = tb.drv.RecvFile(p, trace.NewBreakdown(), connAB, 0, f, 0, len(content), FnNone)
+	})
+	tb.env.Run(-1)
+	if err != nil || res.Status != 0 || ctl.recvPkts == 0 {
+		t.Fatalf("live connection: res=%+v err=%v frames=%d", res, err, ctl.recvPkts)
+	}
+	if got := tb.eng.recvPool.Free(); got != free {
+		t.Fatalf("after the live receive: %d free buffers, want %d", got, free)
 	}
 }
 

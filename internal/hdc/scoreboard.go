@@ -1,51 +1,8 @@
 package hdc
 
 import (
-	"fmt"
-
 	"dcsctrl/internal/sim"
 )
-
-// EntryState is a scoreboard entry's lifecycle state (Figure 6).
-type EntryState int
-
-// Scoreboard entry states: wait (dependencies outstanding), ready
-// (issuable), issue (at a device controller), done.
-const (
-	StateWait EntryState = iota
-	StateReady
-	StateIssue
-	StateDone
-)
-
-func (s EntryState) String() string {
-	switch s {
-	case StateWait:
-		return "wait"
-	case StateReady:
-		return "ready"
-	case StateIssue:
-		return "issue"
-	case StateDone:
-		return "done"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
-// Entry is one device command tracked by the scoreboard: which device
-// it targets, read/write direction, source and destination addresses,
-// auxiliary data, and state — the fields of Figure 6.
-type Entry struct {
-	CmdID uint32 // owning D2D command
-	Seq   int    // chunk sequence within the command
-	Dev   string // "nvme", "nic", "ndp"
-	RW    byte   // 'R' or 'W'
-	Src   uint64
-	Dst   uint64
-	Aux   uint64
-	State EntryState
-}
 
 // Scoreboard tracks all in-flight device commands for user-requested
 // multi-device tasks. Capacity is bounded (hardware entries);
@@ -53,9 +10,10 @@ type Entry struct {
 // Dependencies (§III-B: no NIC send before its NVMe read completes)
 // are enforced by the stage pipeline that allocates the entries: a
 // chunk reaches its destination stage only after its source command
-// completed.
+// completed. So an entry is a slot and its state transitions, not a
+// record: the scoreboard counts live entries and charges each
+// transition's cost.
 type Scoreboard struct {
-	env      *sim.Env
 	cap      int
 	live     int
 	opCost   sim.Time // per state transition (FPGA cycles)
@@ -64,10 +22,10 @@ type Scoreboard struct {
 	done     int64
 	maxLive  int
 
-	// Batched retirement: DeferDone parks finished entries here and the
-	// retire stage completes every same-instant batch in one pass (one
-	// sleep covering the batch's op costs, one broadcast).
-	pendDone []*Entry
+	// Batched retirement: DeferDone counts finished entries here and
+	// the retire stage completes every same-instant batch in one pass
+	// (one sleep covering the batch's op costs, one broadcast).
+	pendDone int
 	doneKick *sim.Cond
 }
 
@@ -77,7 +35,7 @@ func NewScoreboard(env *sim.Env, capacity int, opCost sim.Time) *Scoreboard {
 	if capacity < 1 {
 		panic("hdc: scoreboard capacity")
 	}
-	s := &Scoreboard{env: env, cap: capacity, opCost: opCost,
+	s := &Scoreboard{cap: capacity, opCost: opCost,
 		freeCond: sim.NewCond(env), doneKick: sim.NewCond(env)}
 	env.Spawn("sb-retire", s.retireLoop)
 	return s
@@ -94,9 +52,8 @@ func (s *Scoreboard) Stats() (issued, done int64) { return s.issued, s.done }
 
 // AllocIssue allocates an entry and drives it wait→ready→issue in one
 // batched transition: all three op costs are charged in a single
-// sleep. It blocks while the scoreboard is full. Not a noalloc root:
-// it returns a freshly allocated Entry by design.
-func (s *Scoreboard) AllocIssue(p *sim.Proc, cmdID uint32, seq int, dev string, rw byte) *Entry {
+// sleep. It blocks while the scoreboard is full.
+func (s *Scoreboard) AllocIssue(p *sim.Proc) {
 	for s.live >= s.cap {
 		s.freeCond.Wait(p)
 	}
@@ -106,20 +63,19 @@ func (s *Scoreboard) AllocIssue(p *sim.Proc, cmdID uint32, seq int, dev string, 
 		s.maxLive = s.live
 	}
 	s.issued++
-	return &Entry{CmdID: cmdID, Seq: seq, Dev: dev, RW: rw, State: StateIssue}
 }
 
 // DeferDone hands a finished entry to the scoreboard's retire stage
 // without blocking the caller; retirement cost is charged there, in
-// same-instant batches.
+// same-instant batches. Every DeferDone needs a live entry whose
+// retirement is not yet pending; anything else is a model bug.
 //
 //dcslint:hotpath
-func (s *Scoreboard) DeferDone(e *Entry) {
-	if e.State != StateIssue {
-		panic(fmt.Sprintf("hdc: DeferDone from %v", e.State))
+func (s *Scoreboard) DeferDone() {
+	if s.pendDone >= s.live {
+		panic("hdc: DeferDone with no live, unretired entry")
 	}
-	//dcslint:allow noalloc pendDone keeps its capacity across batches; steady state is 0 allocs/op (BENCH_dataplane hdc_gather)
-	s.pendDone = append(s.pendDone, e)
+	s.pendDone++
 	s.doneKick.Broadcast()
 }
 
@@ -128,19 +84,15 @@ func (s *Scoreboard) DeferDone(e *Entry) {
 // costs, followed by one broadcast to capacity waiters.
 func (s *Scoreboard) retireLoop(p *sim.Proc) {
 	for {
-		for len(s.pendDone) == 0 {
+		for s.pendDone == 0 {
 			s.doneKick.Wait(p)
 		}
 		p.Yield() // gather every entry retiring at this instant
-		k := len(s.pendDone)
+		k := s.pendDone
 		p.Sleep(sim.Time(k) * s.opCost)
-		for _, e := range s.pendDone[:k] {
-			e.State = StateDone
-			s.live--
-			s.done++
-		}
-		n := copy(s.pendDone, s.pendDone[k:])
-		s.pendDone = s.pendDone[:n]
+		s.pendDone -= k
+		s.live -= k
+		s.done += int64(k)
 		s.freeCond.Broadcast()
 	}
 }

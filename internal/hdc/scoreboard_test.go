@@ -11,24 +11,20 @@ import (
 func TestScoreboardLifecycle(t *testing.T) {
 	env := sim.NewEnv()
 	sb := NewScoreboard(env, 8, 100*sim.Nanosecond)
-	var e *Entry
 	var issuedAt sim.Time
 	env.Spawn("owner", func(p *sim.Proc) {
-		e = sb.AllocIssue(p, 1, 0, "nvme", 'R')
+		sb.AllocIssue(p)
 		issuedAt = p.Now()
-		if e.State != StateIssue || sb.Live() != 1 {
-			t.Errorf("after AllocIssue: state %v, live %d", e.State, sb.Live())
+		if sb.Live() != 1 {
+			t.Errorf("after AllocIssue: live %d", sb.Live())
 		}
-		sb.DeferDone(e)
+		sb.DeferDone()
 	})
 	end := env.Run(-1)
 	// wait→ready→issue is three op costs in one sleep; the retire stage
 	// charges the fourth.
 	if issuedAt != 300*sim.Nanosecond || end != 400*sim.Nanosecond {
 		t.Fatalf("issued at %v, retired by %v; want 300ns, 400ns", issuedAt, end)
-	}
-	if e.State != StateDone {
-		t.Fatalf("state = %v, want done", e.State)
 	}
 	if issued, done := sb.Stats(); issued != 1 || done != 1 {
 		t.Fatalf("stats: %d %d", issued, done)
@@ -74,16 +70,16 @@ func TestScoreboardCapacityBackpressure(t *testing.T) {
 	sb := NewScoreboard(env, 2, 0)
 	var thirdAllocAt sim.Time
 	env.Spawn("owner", func(p *sim.Proc) {
-		a := sb.AllocIssue(p, 1, 0, "nvme", 'R')
-		b := sb.AllocIssue(p, 1, 1, "nvme", 'R')
+		sb.AllocIssue(p)
+		sb.AllocIssue(p)
 		env.Spawn("finisher", func(fp *sim.Proc) {
 			fp.Sleep(15 * sim.Microsecond)
-			sb.DeferDone(a)
+			sb.DeferDone()
 		})
-		c := sb.AllocIssue(p, 1, 2, "nic", 'W') // blocks until a slot frees
+		sb.AllocIssue(p) // blocks until a slot frees
 		thirdAllocAt = p.Now()
-		sb.DeferDone(c)
-		sb.DeferDone(b)
+		sb.DeferDone()
+		sb.DeferDone()
 	})
 	env.Run(-1)
 	if thirdAllocAt != 15*sim.Microsecond {
@@ -97,37 +93,35 @@ func TestScoreboardCapacityBackpressure(t *testing.T) {
 	}
 }
 
-func TestScoreboardStateStrings(t *testing.T) {
-	for s, want := range map[EntryState]string{
-		StateWait: "wait", StateReady: "ready", StateIssue: "issue", StateDone: "done",
-	} {
-		if s.String() != want {
-			t.Fatalf("%v", s)
-		}
-	}
-}
-
+// TestScoreboardBadTransitionsPanic checks that retiring an entry the
+// scoreboard does not hold live is a model bug: DeferDone panics with
+// nothing allocated, when the entry's retirement is already pending,
+// and after the entry retired.
 func TestScoreboardBadTransitionsPanic(t *testing.T) {
 	env := sim.NewEnv()
 	sb := NewScoreboard(env, 4, 0)
 	paniced := 0
-	deferDone := func(e *Entry) {
+	deferDone := func() {
 		defer func() {
 			if recover() != nil {
 				paniced++
 			}
 		}()
-		sb.DeferDone(e)
+		sb.DeferDone()
 	}
 	env.Spawn("owner", func(p *sim.Proc) {
-		deferDone(&Entry{State: StateWait}) // never issued
-		e := sb.AllocIssue(p, 1, 0, "nvme", 'R')
-		sb.DeferDone(e)
+		deferDone() // nothing allocated
+		sb.AllocIssue(p)
+		sb.DeferDone()
+		deferDone()              // retirement already pending
 		p.Sleep(sim.Microsecond) // the retire stage completes it
-		deferDone(e)             // done -> done is illegal
+		deferDone()              // already retired
 	})
 	env.Run(-1)
-	if paniced != 2 {
-		t.Fatalf("paniced = %d", paniced)
+	if paniced != 3 {
+		t.Fatalf("paniced = %d, want 3", paniced)
+	}
+	if issued, done := sb.Stats(); issued != 1 || done != 1 || sb.Live() != 0 {
+		t.Fatalf("issued %d, done %d, live %d; want 1, 1, 0", issued, done, sb.Live())
 	}
 }

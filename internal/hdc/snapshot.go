@@ -32,8 +32,8 @@ func (e *Engine) Snap(c *snap.Codec) {
 		c.Failf("%s: a queued parser kick", e.name)
 	case len(e.submitted) != 0 || len(e.finished) != 0:
 		c.Failf("%s: %d submitted / %d finished commands in flight", e.name, len(e.submitted), len(e.finished))
-	case e.sb.live != 0 || len(e.sb.pendDone) != 0:
-		c.Failf("%s: %d live / %d retiring scoreboard entries", e.name, e.sb.live, len(e.sb.pendDone))
+	case e.sb.live != 0 || e.sb.pendDone != 0:
+		c.Failf("%s: %d live / %d retiring scoreboard entries", e.name, e.sb.live, e.sb.pendDone)
 	}
 	c.U64(&e.cmdTail)
 	if c.Loading() {

@@ -114,15 +114,6 @@ func (fs *FileSystem) Create(name string, size int) (*File, error) {
 	return f, nil
 }
 
-// Lookup returns the file named name.
-func (fs *FileSystem) Lookup(name string) (*File, error) {
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, fmt.Errorf("hostos: no such file %s", name)
-	}
-	return f, nil
-}
-
 // Files returns all file names, sorted.
 func (fs *FileSystem) Files() []string {
 	out := make([]string, 0, len(fs.files))
@@ -189,12 +180,6 @@ func (fs *FileSystem) CleanPage(name string, page int) ([]byte, bool) {
 	}
 	ps.dirty = false
 	return ps.data, true
-}
-
-// DropFile evicts all cached pages of a file.
-func (fs *FileSystem) DropFile(name string) {
-	fs.cachePages -= len(fs.cache[name])
-	delete(fs.cache, name)
 }
 
 // CachedPages returns the number of resident pages.

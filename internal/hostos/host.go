@@ -178,9 +178,6 @@ func (x *ExecH) Start(host *Host, cat trace.Category, d sim.Time, bd *trace.Brea
 	x.st = execAcq
 }
 
-// Active reports whether a charge is staged or in flight.
-func (x *ExecH) Active() bool { return x.st != execIdle }
-
 // Step advances the charge and reports whether it completed. On false
 // the caller must return (a handler) or park (a goroutine proc): the
 // machine enrolled on the core pool or re-armed for its occupancy and
@@ -225,18 +222,6 @@ func (h *Host) CopyTime(n int) sim.Time {
 // Copy charges a CPU-mediated copy of n bytes to category cat.
 func (h *Host) Copy(p *sim.Proc, cat trace.Category, n int, bd *trace.Breakdown) {
 	h.Exec(p, cat, h.CopyTime(n), bd)
-}
-
-// BlockOnDevice models a thread blocking for a device completion: the
-// context-switch pair is charged, but the wait itself burns no CPU.
-// It returns after sig fires.
-func (h *Host) BlockOnDevice(p *sim.Proc, sig *sim.Signal, bd *trace.Breakdown) {
-	h.Exec(p, trace.CatInterrupt, h.Params.CtxSwitch, bd)
-	start := p.Now()
-	sig.Wait(p)
-	if bd != nil {
-		bd.Add(trace.CatIdleWait, p.Now()-start)
-	}
 }
 
 // Utilization returns total CPU utilization across all cores since the

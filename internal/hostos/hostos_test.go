@@ -109,31 +109,6 @@ func TestIRQsSerializeOnQueue(t *testing.T) {
 	}
 }
 
-func TestBlockOnDevice(t *testing.T) {
-	env, h := newHost(1)
-	sig := sim.NewSignal(env)
-	bd := trace.NewBreakdown()
-	var end sim.Time
-	env.Spawn("driver", func(p *sim.Proc) {
-		h.BlockOnDevice(p, sig, bd)
-		end = p.Now()
-	})
-	env.Spawn("device", func(p *sim.Proc) {
-		p.Sleep(50 * sim.Microsecond)
-		sig.Fire(nil)
-	})
-	env.Run(-1)
-	if end != 50*sim.Microsecond {
-		t.Fatalf("woke at %v", end)
-	}
-	if bd.Get(trace.CatIdleWait) <= 0 {
-		t.Fatal("no wait recorded")
-	}
-	if bd.Get(trace.CatInterrupt) != h.Params.CtxSwitch {
-		t.Fatalf("ctx switch = %v", bd.Get(trace.CatInterrupt))
-	}
-}
-
 func TestCopyTime(t *testing.T) {
 	_, h := newHost(1)
 	// 48 Gbps => 6000 bytes per µs
@@ -156,9 +131,6 @@ func TestFileCreateAndExtents(t *testing.T) {
 	}
 	if _, err := fs.Create("obj1", 10); err == nil {
 		t.Fatal("duplicate create allowed")
-	}
-	if _, err := fs.Lookup("missing"); err == nil {
-		t.Fatal("lookup of missing file succeeded")
 	}
 }
 
@@ -243,10 +215,6 @@ func TestPageCache(t *testing.T) {
 	}
 	if fs.CachedPages() != 2 {
 		t.Fatalf("cached pages = %d", fs.CachedPages())
-	}
-	fs.DropFile("f")
-	if fs.CachedPages() != 0 {
-		t.Fatal("drop did not evict")
 	}
 }
 

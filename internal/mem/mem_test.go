@@ -170,35 +170,6 @@ func TestChunkPoolMisalignedPutPanics(t *testing.T) {
 	p.Put(a + 1)
 }
 
-func TestScatterGather(t *testing.T) {
-	m := NewMap()
-	src := m.AddRegion("bufs", DeviceDRAM, 1<<20, true)
-	dst := m.AddRegion("gather", DeviceDRAM, 1<<20, true)
-	// Three scattered fragments simulating split NIC packets.
-	frags := [][]byte{[]byte("first-"), []byte("second-"), []byte("third")}
-	var sl ScatterList
-	off := uint64(0)
-	for _, f := range frags {
-		m.Write(src.Base+Addr(off), f)
-		sl.Add(src.Base+Addr(off), len(f))
-		off += 4096 // scattered, non-contiguous
-	}
-	n := sl.GatherInto(m, dst.Base)
-	want := []byte("first-second-third")
-	if n != len(want) {
-		t.Fatalf("gathered %d bytes", n)
-	}
-	if got := m.Read(dst.Base, n); !bytes.Equal(got, want) {
-		t.Fatalf("gathered %q", got)
-	}
-	if got := sl.ReadAll(m); !bytes.Equal(got, want) {
-		t.Fatalf("ReadAll %q", got)
-	}
-	if sl.TotalLen() != len(want) {
-		t.Fatalf("TotalLen = %d", sl.TotalLen())
-	}
-}
-
 // Property: any data written at any offset reads back identically
 // (within bounds), across region kinds.
 func TestRoundTripProperty(t *testing.T) {

@@ -175,13 +175,6 @@ func (a *Arena) Free(addr Addr, n uint64) {
 // Live returns the outstanding spans and their bytes.
 func (a *Arena) Live() (spans int, bytes uint64) { return a.live, a.liveBytes }
 
-// ScatterList is an ordered set of (addr, len) extents describing data
-// spread across buffers — NIC receive payloads before gathering, or a
-// PRP-style page list.
-type ScatterList struct {
-	Extents []Extent
-}
-
 // Extent is one contiguous span.
 type Extent struct {
 	Addr Addr
@@ -198,39 +191,4 @@ func RingExtents(exts []Extent, base Addr, head, n, entries, esz int) []Extent {
 		exts = append(exts, Extent{Addr: base, Len: (n - first) * esz})
 	}
 	return exts
-}
-
-// Add appends an extent.
-func (s *ScatterList) Add(a Addr, n int) {
-	s.Extents = append(s.Extents, Extent{Addr: a, Len: n})
-}
-
-// TotalLen returns the summed extent length.
-func (s *ScatterList) TotalLen() int {
-	t := 0
-	for _, e := range s.Extents {
-		t += e.Len
-	}
-	return t
-}
-
-// GatherInto copies all extents, in order, to contiguous memory at dst
-// and returns the byte count — the "packet gathering" operation the
-// HDC Engine performs for NIC-sourced D2D transfers (§IV-C).
-func (s *ScatterList) GatherInto(m *Map, dst Addr) int {
-	off := 0
-	for _, e := range s.Extents {
-		m.Copy(dst+Addr(off), e.Addr, e.Len)
-		off += e.Len
-	}
-	return off
-}
-
-// ReadAll returns the concatenated bytes of all extents.
-func (s *ScatterList) ReadAll(m *Map) []byte {
-	out := make([]byte, 0, s.TotalLen())
-	for _, e := range s.Extents {
-		out = append(out, m.Read(e.Addr, e.Len)...)
-	}
-	return out
 }

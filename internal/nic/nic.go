@@ -291,9 +291,6 @@ func (n *NIC) wireOut(frame []byte, wireLen, payLen int) {
 	n.scheduleDelivery(n.peer.rxQ, frame, n.params.PropDelay)
 }
 
-// Port returns the NIC's fabric port.
-func (n *NIC) Port() *pcie.Port { return n.port }
-
 // Stats returns frame/byte/drop counters.
 func (n *NIC) Stats() (txFrames, rxFrames, txPayload, rxPayload, drops, rxErrors int64) {
 	return n.txFrames, n.rxFrames, n.txPayload, n.rxPayload, n.drops, n.rxErrors

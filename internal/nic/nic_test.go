@@ -152,7 +152,7 @@ func TestSmallSendReceive(t *testing.T) {
 	env.Spawn("tx", func(p *sim.Proc) { sendJob(a, testFlow(), 100, payload, false) })
 	env.Run(-1)
 
-	fills := b.recv.Poll()
+	fills := b.recv.AppendPoll(nil)
 	if len(fills) != 1 {
 		t.Fatalf("completions = %d", len(fills))
 	}
@@ -191,7 +191,7 @@ func TestLSOSegmentsAndReassembly(t *testing.T) {
 	env.Spawn("tx", func(p *sim.Proc) { sendJob(a, testFlow(), 0, payload, true) })
 	env.Run(-1)
 
-	fills := b.recv.Poll()
+	fills := b.recv.AppendPoll(nil)
 	if len(fills) != wantFrames {
 		t.Fatalf("frames = %d, want %d", len(fills), wantFrames)
 	}
@@ -229,7 +229,7 @@ func TestPauseWithoutRecvBuffers(t *testing.T) {
 	if rx != 1 || drops != 0 {
 		t.Fatalf("after buffers: rx=%d drops=%d", rx, drops)
 	}
-	if got := len(b.recv.Poll()); got != 1 {
+	if got := len(b.recv.AppendPoll(nil)); got != 1 {
 		t.Fatalf("completions = %d", got)
 	}
 }
@@ -264,7 +264,7 @@ func TestUndersizedRecvBufferKeepsCompletionsInStep(t *testing.T) {
 		})
 		env.Run(-1)
 
-		fills := b.recv.Poll()
+		fills := b.recv.AppendPoll(nil)
 		if len(fills) != len(payloads) {
 			t.Fatalf("split=%v: %d completions for %d consumed buffers", split, len(fills), len(payloads))
 		}
@@ -346,10 +346,10 @@ func TestFlowSteering(t *testing.T) {
 	env.Spawn("tx", func(p *sim.Proc) { sendJob(a, testFlow(), 0, []byte("steered"), false) })
 	env.Run(-1)
 
-	if got := len(recv1.Poll()); got != 1 {
+	if got := len(recv1.AppendPoll(nil)); got != 1 {
 		t.Fatalf("queue 1 completions = %d", got)
 	}
-	if got := len(b.recv.Poll()); got != 0 {
+	if got := len(b.recv.AppendPoll(nil)); got != 0 {
 		t.Fatalf("queue 0 completions = %d", got)
 	}
 }
@@ -373,7 +373,7 @@ func TestArmedIRQRaisedOnce(t *testing.T) {
 	if irqs != 1 {
 		t.Fatalf("IRQs = %d, want 1 (armed once)", irqs)
 	}
-	if got := len(b.recv.Poll()); got != 3 {
+	if got := len(b.recv.AppendPoll(nil)); got != 3 {
 		t.Fatalf("completions = %d", got)
 	}
 	// Re-arm with work already pending fires immediately.
@@ -500,7 +500,7 @@ func TestCorruptFrameDroppedByChecksum(t *testing.T) {
 	if rx != 1 || drops != 0 {
 		t.Fatalf("rx=%d drops=%d", rx, drops)
 	}
-	fills := b.recv.Poll()
+	fills := b.recv.AppendPoll(nil)
 	if len(fills) != 1 {
 		t.Fatalf("delivered %d frames", len(fills))
 	}

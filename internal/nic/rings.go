@@ -166,10 +166,6 @@ func (r *RecvRing) Completions() uint64 {
 	return le64(r.fab.Mem().View(r.cfg.RecvStatus, 8))
 }
 
-// Outstanding returns posted-but-unfilled buffer count as seen by the
-// device (completion counter).
-func (r *RecvRing) Outstanding() int { return int(r.tail - r.Completions()) }
-
 // Unconsumed returns posted-minus-locally-consumed buffers — the bound
 // Post enforces; use it when deciding how many buffers to repost.
 func (r *RecvRing) Unconsumed() int { return int(r.tail - r.cplHead) }
@@ -181,14 +177,10 @@ type Filled struct {
 	Addr mem.Addr
 }
 
-// Poll consumes all available completions (submitter-local memory
-// reads) and returns them with their buffer addresses resolved.
-func (r *RecvRing) Poll() []Filled {
-	return r.AppendPoll(nil)
-}
-
-// AppendPoll is Poll into a caller-owned slice: consumers that poll in
-// a loop reuse one scratch slice and allocate nothing per wake.
+// AppendPoll consumes all available completions (submitter-local
+// memory reads) and appends them, with their buffer addresses
+// resolved, to out. Consumers that poll in a loop reuse one scratch
+// slice and allocate nothing per wake.
 //
 //dcslint:hotpath
 func (r *RecvRing) AppendPoll(out []Filled) []Filled {

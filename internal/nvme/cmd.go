@@ -216,14 +216,9 @@ func BuildPRPs(mm *mem.Map, pages []mem.Addr, listBuf mem.Addr) (mem.Addr, mem.A
 	}
 }
 
-// ReadPRPList decodes n page addresses from a PRP list at addr.
-func ReadPRPList(mm *mem.Map, addr mem.Addr, n int) ([]mem.Addr, error) {
-	return AppendPRPList(make([]mem.Addr, 0, n), mm, addr, n)
-}
-
-// AppendPRPList is ReadPRPList into a caller-owned slice: it decodes
-// straight out of a memory view and allocates nothing when dst has
-// capacity. The list pointer comes from a submitted command, so a list
+// AppendPRPList decodes n page addresses from a PRP list at addr and
+// appends them to dst, straight out of a memory view: it allocates
+// nothing when dst has capacity. The list pointer comes from a submitted command, so a list
 // at an unmapped address, or one running past its region's end, is an
 // error.
 func AppendPRPList(dst []mem.Addr, mm *mem.Map, addr mem.Addr, n int) ([]mem.Addr, error) {

@@ -106,7 +106,7 @@ func TestBuildPRPs(t *testing.T) {
 	if err != nil || a != pages[0] || b != list {
 		t.Fatalf("5 pages: %v %v %v", a, b, err)
 	}
-	got, err := ReadPRPList(mm, list, 4)
+	got, err := AppendPRPList(nil, mm, list, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

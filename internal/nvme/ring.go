@@ -48,9 +48,6 @@ func NewRing(fab *pcie.Fabric, cfg RingConfig) *Ring {
 	return &Ring{cfg: cfg, fab: fab, phase: true, pending: map[uint16]func(Completion){}}
 }
 
-// Config returns the ring configuration.
-func (r *Ring) Config() RingConfig { return r.cfg }
-
 // Outstanding returns the number of commands submitted but not yet
 // completed.
 func (r *Ring) Outstanding() int { return len(r.pending) }

@@ -147,9 +147,6 @@ func NewSSD(env *sim.Env, fab *pcie.Fabric, name string, params Params) *SSD {
 	return s
 }
 
-// Port returns the SSD's fabric port.
-func (s *SSD) Port() *pcie.Port { return s.port }
-
 // Stats returns commands completed and bytes read/written.
 func (s *SSD) Stats() (cmds, bytesRead, bytesWritten int64) {
 	return s.cmdsDone, s.bytesRd, s.bytesWr

@@ -186,24 +186,3 @@ func BusyBar(label string, busy map[trace.Category]sim.Time, window sim.Time, co
 
 // Pct formats a ratio as a percentage string.
 func Pct(x float64) string { return fmt.Sprintf("%.1f%%", x*100) }
-
-// WriteCSV emits the table as CSV (for external plotting).
-func (t *Table) WriteCSV(w io.Writer) {
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
-		}
-		return s
-	}
-	row := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = esc(c)
-		}
-		fmt.Fprintln(w, strings.Join(parts, ","))
-	}
-	row(t.Headers)
-	for _, r := range t.Rows {
-		row(r)
-	}
-}

@@ -110,16 +110,3 @@ func TestPct(t *testing.T) {
 		t.Fatalf("Pct = %s", Pct(0.423))
 	}
 }
-
-func TestWriteCSV(t *testing.T) {
-	tb := Table{Headers: []string{"a", "b"}}
-	tb.AddRow("plain", `has,comma`)
-	tb.AddRow(`has"quote`, "x")
-	var sb strings.Builder
-	tb.WriteCSV(&sb)
-	got := sb.String()
-	want := "a,b\nplain,\"has,comma\"\n\"has\"\"quote\",x\n"
-	if got != want {
-		t.Fatalf("csv:\n%q\nwant\n%q", got, want)
-	}
-}

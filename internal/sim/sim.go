@@ -393,12 +393,6 @@ type Proc struct {
 	ctx HandlerCtx        // the proc's wait context (ctx.proc is the proc)
 }
 
-// Name returns the process name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
 // Now returns the current simulation time.
 func (p *Proc) Now() Time { return p.env.now }
 
@@ -452,15 +446,6 @@ func (e *Env) SpawnHandler(name string, fn func(*HandlerCtx)) *HandlerCtx {
 	e.enqueue(e.now, event{proc: p})
 	return &p.ctx
 }
-
-// Name returns the handler proc's name given at SpawnHandler time.
-func (h *HandlerCtx) Name() string { return h.proc.name }
-
-// Env returns the environment the handler proc belongs to.
-func (h *HandlerCtx) Env() *Env { return h.proc.env }
-
-// Now returns the current simulation time.
-func (h *HandlerCtx) Now() Time { return h.proc.env.now }
 
 // Rearm schedules the proc's next wake after d. A handler body saves
 // its continuation state and returns, to be re-invoked then; Sleep is

@@ -292,7 +292,11 @@ func TestResourceBusyTime(t *testing.T) {
 	e := NewEnv()
 	r := NewResource(e, "r", 2)
 	for i := 0; i < 2; i++ {
-		e.Spawn("u", func(p *Proc) { r.Use(p, 30*Microsecond) })
+		e.Spawn("u", func(p *Proc) {
+			r.Acquire(p)
+			p.Sleep(30 * Microsecond)
+			r.Release()
+		})
 	}
 	e.Run(-1)
 	if got := r.BusyTime(); got != 60*Microsecond {
@@ -420,7 +424,11 @@ func TestResourceMakespanProperty(t *testing.T) {
 		e := NewEnv()
 		r := NewResource(e, "r", c)
 		for i := 0; i < n; i++ {
-			e.Spawn("job", func(p *Proc) { r.Use(p, 10*Microsecond) })
+			e.Spawn("job", func(p *Proc) {
+				r.Acquire(p)
+				p.Sleep(10 * Microsecond)
+				r.Release()
+			})
 		}
 		end := e.Run(-1)
 		waves := (n + c - 1) / c

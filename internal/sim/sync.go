@@ -14,12 +14,6 @@ type Signal struct {
 // NewSignal returns an unfired signal.
 func NewSignal(e *Env) *Signal { return &Signal{env: e} }
 
-// Done reports whether the signal has fired.
-func (s *Signal) Done() bool { return s.done }
-
-// Value returns the value passed to Fire (nil before firing).
-func (s *Signal) Value() any { return s.val }
-
 // Fire marks the signal done and wakes all waiters. Firing twice
 // panics: completions in the model must be unique.
 func (s *Signal) Fire(val any) {
@@ -296,9 +290,6 @@ func NewResource(e *Env, name string, capacity int) *Resource {
 	return &Resource{env: e, name: name, cap: capacity}
 }
 
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
 func (r *Resource) stamp() {
 	now := r.env.now
 	r.busy += Time(r.inUse) * (now - r.lastStamp)
@@ -362,12 +353,4 @@ func (r *Resource) Release() {
 	}
 	r.stamp()
 	r.inUse--
-}
-
-// Use acquires the resource, sleeps for d, and releases it — the
-// common "occupy a server for a service time" pattern.
-func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
 }

@@ -94,16 +94,6 @@ func (a *CPUAccount) Categories() []Category {
 	return cs
 }
 
-// Utilization returns busy/(cores×window) for category c — the
-// fraction of total CPU capacity spent in c.
-func (a *CPUAccount) Utilization(c Category, cores int) float64 {
-	w := a.Window()
-	if w <= 0 || cores <= 0 {
-		return 0
-	}
-	return float64(a.busy[c]) / (float64(w) * float64(cores))
-}
-
 // TotalUtilization returns total busy / (cores×window).
 func (a *CPUAccount) TotalUtilization(cores int) float64 {
 	w := a.Window()
@@ -153,21 +143,6 @@ func (b *Breakdown) Phases() []Category {
 	return append([]Category(nil), b.order...)
 }
 
-// Merge accumulates other into b, preserving b's phase order and
-// appending any new phases.
-func (b *Breakdown) Merge(other *Breakdown) {
-	for _, c := range other.order {
-		b.Add(c, other.dur[c])
-	}
-}
-
-// Scale multiplies every phase by f (used for averaging).
-func (b *Breakdown) Scale(f float64) {
-	for c, v := range b.dur {
-		b.dur[c] = sim.Time(float64(v) * f)
-	}
-}
-
 // String renders "phase=dur" pairs in order.
 func (b *Breakdown) String() string {
 	var sb strings.Builder
@@ -179,39 +154,3 @@ func (b *Breakdown) String() string {
 	}
 	return sb.String()
 }
-
-// AverageBreakdowns merges n breakdowns and divides by n.
-func AverageBreakdowns(bs []*Breakdown) *Breakdown {
-	out := NewBreakdown()
-	if len(bs) == 0 {
-		return out
-	}
-	for _, b := range bs {
-		out.Merge(b)
-	}
-	out.Scale(1 / float64(len(bs)))
-	return out
-}
-
-// Span measures one operation: wall-clock start/end plus a Breakdown.
-// A Span is handed down a pipeline so each stage can self-report.
-type Span struct {
-	Name      string
-	Start     sim.Time
-	End       sim.Time
-	Breakdown *Breakdown
-}
-
-// NewSpan opens a span at the current time.
-func NewSpan(env *sim.Env, name string) *Span {
-	return &Span{Name: name, Start: env.Now(), Breakdown: NewBreakdown()}
-}
-
-// Close records the end time and returns the span for chaining.
-func (s *Span) Close(env *sim.Env) *Span {
-	s.End = env.Now()
-	return s
-}
-
-// Latency returns End-Start.
-func (s *Span) Latency() sim.Time { return s.End - s.Start }

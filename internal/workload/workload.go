@@ -168,6 +168,3 @@ func (m *Mix) Next() Request {
 	}
 	return Request{Kind: k, Size: m.sizes.Sample(m.rng)}
 }
-
-// Rand exposes the generator's PRNG (for arrival sampling).
-func (m *Mix) Rand() *Rand { return m.rng }
