@@ -7,6 +7,9 @@
 //	dcsctl -config dcs-ctrl -op send -size 262144 -proc md5 -n 4
 //	dcsctl -config sw-p2p   -op recv -size 1048576 -proc crc32
 //	dcsctl -config dcs-ctrl -op send -n 8 -faults heavy -fault-seed 42
+//
+// The integrated-device design models no receive path, so
+// -config dev-integration -op recv is rejected before anything runs.
 package main
 
 import (
@@ -23,7 +26,7 @@ import (
 
 func main() {
 	cfgName := flag.String("config", "dcs-ctrl", "vanilla|sw-opt|sw-p2p|dev-integration|dcs-ctrl")
-	op := flag.String("op", "send", "send (SSD->NIC) or recv (NIC->SSD)")
+	op := flag.String("op", "send", "send (SSD->NIC) or recv (NIC->SSD; not on dev-integration)")
 	size := flag.Int("size", 256<<10, "bytes per operation")
 	procName := flag.String("proc", "md5", "none|md5|crc32|aes256|gzip")
 	count := flag.Int("n", 1, "operations to run back to back")
@@ -32,7 +35,7 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 1, "deterministic fault-injection seed")
 	flag.Parse()
 
-	kind, proc, err := parse(*cfgName, *procName)
+	kind, proc, err := parse(*cfgName, *op, *procName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dcsctl:", err)
 		os.Exit(2)
@@ -86,9 +89,6 @@ func main() {
 				results = append(results, res)
 			}
 		})
-	default:
-		fmt.Fprintf(os.Stderr, "dcsctl: unknown op %q\n", *op)
-		os.Exit(2)
 	}
 	end := env.Run(-1)
 
@@ -127,7 +127,10 @@ func main() {
 	}
 }
 
-func parse(cfgName, procName string) (core.Config, core.Processing, error) {
+// parse checks the command line's choices before anything is built:
+// the configuration, the operation (and that the configuration models
+// it) and the processing unit.
+func parse(cfgName, op, procName string) (core.Config, core.Processing, error) {
 	var kind core.Config
 	found := false
 	for _, k := range []core.Config{core.Vanilla, core.SWOpt, core.SWP2P, core.DevIntegration, core.DCSCtrl} {
@@ -137,6 +140,12 @@ func parse(cfgName, procName string) (core.Config, core.Processing, error) {
 	}
 	if !found {
 		return 0, 0, fmt.Errorf("unknown config %q", cfgName)
+	}
+	switch {
+	case op != "send" && op != "recv":
+		return 0, 0, fmt.Errorf("unknown op %q", op)
+	case op == "recv" && kind == core.DevIntegration:
+		return 0, 0, fmt.Errorf("-config %s -op recv: the integrated device models no receive path", cfgName)
 	}
 	procs := map[string]core.Processing{
 		"none": core.ProcNone, "md5": core.ProcMD5, "crc32": core.ProcCRC32,

@@ -179,7 +179,8 @@ func (t *Testbed) Run() Time { return t.Env.Run(-1) }
 func (t *Testbed) RunFor(d Time) Time { return t.Env.Run(d) }
 
 // StageFile creates a server file and loads its content onto the
-// server SSD.
+// server SSD. The SSD keeps content by reference as its disk image,
+// so do not modify content after staging.
 func (t *Testbed) StageFile(name string, content []byte) (*File, error) {
 	return t.Cluster.Server.StageFile(name, content)
 }

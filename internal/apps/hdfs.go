@@ -66,10 +66,7 @@ func RunHDFS(env *sim.Env, cl *core.Cluster, cfg HDFSConfig) (HDFSResult, error)
 		ReceiverBusy: map[trace.Category]sim.Time{},
 	}
 
-	content := make([]byte, cfg.BlockSize)
-	for i := range content {
-		content[i] = byte(i*7 + 1)
-	}
+	content := periodic(cfg.BlockSize, 7, 1)
 
 	stop := false
 	measuring := false

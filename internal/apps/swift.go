@@ -97,6 +97,20 @@ func relayed(k core.Config) bool {
 	return k == core.Vanilla || k == core.SWOpt || k == core.SWP2P
 }
 
+// periodic returns the n-byte object pattern byte(i*mul + add). It
+// repeats every 256 bytes, so one period is filled and then doubled
+// with copy.
+func periodic(n, mul, add int) []byte {
+	b := make([]byte, n)
+	for i := range min(n, 256) {
+		b[i] = byte(i*mul + add)
+	}
+	for done := 256; done < n; done *= 2 {
+		copy(b[done:], b[:done])
+	}
+	return b
+}
+
 // swiftPair is one client connection pair with its staged objects.
 type swiftPair struct {
 	ctrl, data core.Conn
@@ -143,10 +157,7 @@ func PrepareSwift(env *sim.Env, cl *core.Cluster, cfg SwiftConfig) (*SwiftSessio
 		}
 	}
 	s := &SwiftSession{env: env, cl: cl, cfg: cfg, maxSize: maxSize}
-	content := make([]byte, maxSize)
-	for i := range content {
-		content[i] = byte(i * 31)
-	}
+	content := periodic(maxSize, 31, 0)
 	s.pairs = make([]*swiftPair, cfg.Conns)
 	for i := range s.pairs {
 		getF, err := cl.Server.StageFile(fmt.Sprintf("vol-get-%d", i), content)
@@ -236,14 +247,15 @@ func (s *SwiftSession) RunPhaseSeed(warmup, duration sim.Time, phaseSeed uint64)
 		})
 	}
 
-	// Clients: Poisson arrivals per connection.
+	// Clients: Poisson arrivals per connection. Every PUT body is a
+	// prefix of one zero buffer that nothing writes.
 	mix := workload.NewMix(phaseSeed, cfg.Sizes, cfg.GETRatio)
+	payload := make([]byte, s.maxSize)
 	for i, pr := range s.pairs {
 		pr := pr
 		seed := phaseSeed + uint64(i)*7919
 		env.Spawn("swift-client", func(p *sim.Proc) {
 			rng := workload.NewRand(seed)
-			payload := make([]byte, s.maxSize)
 			var reqID uint64
 			for !stop {
 				p.Sleep(rng.ExpTime(cfg.MeanGap))

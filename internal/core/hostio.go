@@ -159,6 +159,8 @@ func (n *Node) hostWriteFile(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, o
 
 // StageFile creates a file (round-robin across the node's SSDs) and
 // loads its content onto that SSD (testbed setup, no simulated cost).
+// The SSD keeps content by reference as its disk image, so the caller
+// must not modify content after staging.
 func (n *Node) StageFile(name string, content []byte) (*hostos.File, error) {
 	f, err := n.CreateFile(name, len(content))
 	if err != nil {

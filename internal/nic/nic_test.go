@@ -47,6 +47,49 @@ func TestRecvCplRoundTripProperty(t *testing.T) {
 	}
 }
 
+// FuzzDecodeDescriptors feeds arbitrary bytes to the three descriptor
+// parsers: none may panic, each must reject anything shorter than a
+// descriptor (16 bytes), and each decoded descriptor must re-encode to
+// the input's first 16 bytes with the bytes its format leaves
+// undefined zeroed: 14–15 of a send BD and a receive completion,
+// 12–15 of a receive BD.
+func FuzzDecodeDescriptors(f *testing.F) {
+	send := SendBD{Addr: 0x1000, Len: 1448, Flags: SendFlagLSO | SendFlagEnd, MSS: ether.MSS}
+	recv := RecvBD{Addr: 0x2000, Len: 2048}
+	cpl := RecvCpl{BDIndex: 5, HdrLen: 54, PayLen: 1448, Seq: 9, Flags: 1, Valid: 1}
+	for _, enc := range [][16]byte{send.Encode(), recv.Encode(), cpl.Encode()} {
+		f.Add(enc[:])
+	}
+	check := func(t *testing.T, name string, raw []byte, err error, enc []byte, undefined int) {
+		t.Helper()
+		if len(raw) < len(enc) {
+			if err == nil {
+				t.Fatalf("%s: %d-byte descriptor decoded", name, len(raw))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		want := bytes.Clone(raw[:len(enc)])
+		clear(want[undefined:])
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("%s re-encoded\n %x\nwant\n %x", name, enc, want)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		sbd, err := DecodeSendBD(raw)
+		enc := sbd.Encode()
+		check(t, "send BD", raw, err, enc[:], 14)
+		rbd, err := DecodeRecvBD(raw)
+		enc = rbd.Encode()
+		check(t, "recv BD", raw, err, enc[:], 12)
+		rc, err := DecodeRecvCpl(raw)
+		enc = rc.Encode()
+		check(t, "recv completion", raw, err, enc[:], 14)
+	})
+}
+
 // node is one endpoint: its own address map/fabric, a host port with
 // DRAM, and a NIC with one configured queue driven from host memory.
 type node struct {

@@ -231,6 +231,131 @@ func TestWriteThenReadBack(t *testing.T) {
 	}
 }
 
+// TestPreloadKeepsImageByReference stages whole blocks and a short
+// tail: every full block reads back as a subslice of the caller's
+// array, and the tail as a private block zero-padded past the data.
+// Staging by reference allocates nothing per block.
+func TestPreloadKeepsImageByReference(t *testing.T) {
+	for _, n := range []int{256 * BlockSize, 5000} {
+		tb := newTestbed(t, 64, true)
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = byte(i*13 + 1)
+		}
+		tb.ssd.Preload(100, data)
+		for off := 0; off < n; off += BlockSize {
+			blk := tb.ssd.readBlock(100 + uint64(off/BlockSize))
+			want := make([]byte, BlockSize)
+			copy(want, data[off:])
+			if !bytes.Equal(blk, want) {
+				t.Fatalf("%d bytes: block at %d differs", n, off)
+			}
+			aliased := &blk[0] == &data[off]
+			if full := off+BlockSize <= n; aliased != full {
+				t.Fatalf("%d bytes: block at %d aliases the caller's array: %v, want %v", n, off, aliased, full)
+			}
+		}
+	}
+
+	tb := newTestbed(t, 64, true)
+	data := make([]byte, 256*BlockSize)
+	if allocs := testing.AllocsPerRun(10, func() { tb.ssd.Preload(0, data) }); allocs != 0 {
+		t.Fatalf("a 256-block Preload allocates %v times", allocs)
+	}
+}
+
+// overwriteStaged stages two two-block files from one slice, at LBAs
+// 10 and 20, then overwrites LBA 11 with an NVMe write command. It
+// returns the staged slice, a copy of its bytes, and the block written.
+func overwriteStaged(t *testing.T, tb *testbed) (staged, orig, written []byte) {
+	t.Helper()
+	staged = bytes.Repeat([]byte("img!"), 2*BlockSize/4)
+	staged[BlockSize] = 'I'
+	orig = bytes.Clone(staged)
+	tb.ssd.Preload(10, staged)
+	tb.ssd.Preload(20, staged)
+	written = bytes.Repeat([]byte{0x5A}, BlockSize)
+	src := tb.dram.Alloc(BlockSize, BlockSize)
+	tb.mm.Write(src, written)
+	tb.env.Spawn("driver", func(p *sim.Proc) {
+		if s := tb.issue(Command{Opcode: OpWrite, NSID: 1, PRP1: src, SLBA: 11, NLB: 0}).Wait(p).(uint16); s != StatusSuccess {
+			t.Errorf("write status %#x", s)
+		}
+	})
+	tb.env.Run(-1)
+	return staged, orig, written
+}
+
+// TestWriteOverStagedBlockIsPrivate checks copy-on-write: a write to
+// a staged LBA lands in a block of its own, so neither the caller's
+// slice nor another file staged from it changes.
+func TestWriteOverStagedBlockIsPrivate(t *testing.T) {
+	tb := newTestbed(t, 64, true)
+	staged, orig, written := overwriteStaged(t, tb)
+	if got := tb.ssd.PeekBlock(11); !bytes.Equal(got, written) {
+		t.Fatal("overwritten LBA does not read the written block")
+	}
+	if !bytes.Equal(staged, orig) {
+		t.Fatal("the write changed the caller's staged slice")
+	}
+	for _, b := range []struct {
+		lba uint64
+		off int
+	}{{10, 0}, {20, 0}, {21, BlockSize}} {
+		if got := tb.ssd.PeekBlock(b.lba); !bytes.Equal(got, orig[b.off:b.off+BlockSize]) {
+			t.Fatalf("LBA %d changed", b.lba)
+		}
+	}
+}
+
+// TestSnapshotEncodesImageUnderWrites round-trips an SSD holding image
+// blocks and a written block over one of them: the load restores the
+// union as written blocks, the written block winning, and saving the
+// restored SSD gives the same bytes.
+func TestSnapshotEncodesImageUnderWrites(t *testing.T) {
+	tb := newTestbed(t, 64, true)
+	_, orig, written := overwriteStaged(t, tb)
+	save := func(s *SSD) []byte {
+		c := snap.NewSaver(snap.Header{Version: snap.Version})
+		c.Section("ssd")
+		s.Snap(c)
+		c.EndSection()
+		data, err := c.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	data := save(tb.ssd)
+
+	fresh := newTestbed(t, 64, true)
+	lc, _, err := snap.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc.Section("ssd")
+	fresh.ssd.Snap(lc)
+	lc.EndSection()
+	if err := lc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.ssd.image) != 0 {
+		t.Fatalf("restored SSD keeps %d image blocks", len(fresh.ssd.image))
+	}
+	want := map[uint64][]byte{10: orig[:BlockSize], 11: written, 20: orig[:BlockSize], 21: orig[BlockSize:]}
+	if len(fresh.ssd.flash) != len(want) {
+		t.Fatalf("restored SSD holds %d written blocks, want %d", len(fresh.ssd.flash), len(want))
+	}
+	for _, lba := range sim.SortedKeys(want) {
+		if !bytes.Equal(fresh.ssd.flash[lba], want[lba]) {
+			t.Fatalf("restored LBA %d differs", lba)
+		}
+	}
+	if !bytes.Equal(save(fresh.ssd), data) {
+		t.Fatal("saving the restored SSD gives different bytes")
+	}
+}
+
 func TestReadWithPRPList(t *testing.T) {
 	tb := newTestbed(t, 64, true)
 	const blocks = 16

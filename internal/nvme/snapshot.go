@@ -2,6 +2,7 @@ package nvme
 
 import (
 	"cmp"
+	"maps"
 
 	"dcsctrl/internal/mem"
 	"dcsctrl/internal/sim"
@@ -58,20 +59,25 @@ func (s *SSD) Snap(c *snap.Codec) {
 		s.PrimeExecPool(idle)
 	}
 
+	// Staged and written blocks encode as one map, written blocks
+	// winning, so how a block got there does not show in the bytes. A
+	// load restores every block as a written one.
+	blocks := s.flash
 	if !c.Loading() {
-		size := 0
-		for _, blk := range s.flash {
-			size += 16 + len(blk)
-		}
-		c.Grow(size)
+		blocks = maps.Clone(s.image)
+		maps.Copy(blocks, s.flash)
+		c.Grow(len(blocks) * (16 + BlockSize))
 	}
-	sim.SnapMap(c, &s.flash, cmp.Less[uint64], 8+4+BlockSize, func(lba *uint64, blk *[]byte) {
+	sim.SnapMap(c, &blocks, cmp.Less[uint64], 8+4+BlockSize, func(lba *uint64, blk *[]byte) {
 		c.U64(lba)
 		c.Bytes(blk)
 		if len(*blk) != BlockSize {
 			c.Failf("block %d is %d bytes", *lba, len(*blk))
 		}
 	})
+	if c.Loading() {
+		s.flash, s.image = blocks, map[uint64][]byte{}
+	}
 
 	snap.Check(c, "queue pairs", uint32(len(qids)), c.U32)
 	for _, qid := range qids {

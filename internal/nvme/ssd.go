@@ -60,7 +60,13 @@ type SSD struct {
 	writeBW *sim.BandwidthServer
 	exec    *sim.Resource // concurrent command execution (channels)
 
+	// flash holds the device's own blocks (written ones and copied
+	// short tails); image holds staged blocks by reference to the
+	// stager's bytes. Both map an LBA to BlockSize bytes. A read looks
+	// in flash, then image, then zeroBlock; a write lands in flash, so
+	// image blocks are never written.
 	flash map[uint64][]byte
+	image map[uint64][]byte
 	qps   map[uint16]*devQP
 
 	// Command-execution worker pool: finished workers park on
@@ -123,6 +129,7 @@ func NewSSD(env *sim.Env, fab *pcie.Fabric, name string, params Params) *SSD {
 		fab:       fab,
 		params:    params,
 		flash:     map[uint64][]byte{},
+		image:     map[uint64][]byte{},
 		qps:       map[uint16]*devQP{},
 		execJobs:  sim.NewQueue[execJob](env, name+"-exec-jobs"),
 		zeroBlock: make([]byte, BlockSize),
@@ -334,7 +341,8 @@ func (s *SSD) execute(p *sim.Proc, cmd Command, pageScratch *[]mem.Addr, extScra
 		for i := 0; i < cmd.Blocks(); i++ {
 			// Overwrites land in the existing block — the flash map is
 			// the device's deterministic block cache; only first writes
-			// to an LBA allocate.
+			// to an LBA allocate. A first write over a staged LBA gets
+			// its own block, which hides the image block.
 			lba := cmd.SLBA + uint64(i)
 			blk, ok := s.flash[lba]
 			if !ok {
@@ -424,23 +432,37 @@ func (s *SSD) cplLoop(p *sim.Proc, qp *devQP) {
 	}
 }
 
-// readBlock returns the flash content of lba. Never-written LBAs read
-// as the shared zero block, which no caller may mutate (every use
+// readBlock returns the content of lba: its written block, else its
+// staged image block, else the shared zero block. Image and zero
+// blocks are shared, so no caller may mutate the result (every use
 // copies out of it).
 func (s *SSD) readBlock(lba uint64) []byte {
 	if b, ok := s.flash[lba]; ok {
 		return b
 	}
+	if b, ok := s.image[lba]; ok {
+		return b
+	}
 	return s.zeroBlock
 }
 
-// Preload writes data directly into flash at setup time (no simulated
-// cost) — the testbed's way of staging datasets.
+// Preload stages data at lba at setup time (no simulated cost) — the
+// testbed's way of staging datasets. The SSD keeps each full block of
+// data by reference as its disk image, so the caller must not modify
+// data after staging; a later write command gives the LBA a private
+// block instead. A short tail block is copied, zero-padded.
 func (s *SSD) Preload(lba uint64, data []byte) {
 	for off := 0; off < len(data); off += BlockSize {
+		l := lba + uint64(off/BlockSize)
+		if end := off + BlockSize; end <= len(data) {
+			delete(s.flash, l)
+			s.image[l] = data[off:end:end]
+			continue
+		}
 		blk := make([]byte, BlockSize)
 		copy(blk, data[off:])
-		s.flash[lba+uint64(off/BlockSize)] = blk
+		delete(s.image, l)
+		s.flash[l] = blk
 	}
 }
 
