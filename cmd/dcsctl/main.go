@@ -20,6 +20,7 @@ import (
 
 	"dcsctrl/internal/core"
 	"dcsctrl/internal/fault"
+	"dcsctrl/internal/mem"
 	"dcsctrl/internal/sim"
 	"dcsctrl/internal/trace"
 )
@@ -27,7 +28,7 @@ import (
 func main() {
 	cfgName := flag.String("config", "dcs-ctrl", "vanilla|sw-opt|sw-p2p|dev-integration|dcs-ctrl")
 	op := flag.String("op", "send", "send (SSD->NIC) or recv (NIC->SSD; not on dev-integration)")
-	size := flag.Int("size", 256<<10, "bytes per operation")
+	size := flag.Int("size", 256<<10, fmt.Sprintf("bytes per operation, 1 to %d (the GPU VRAM less two pages)", maxSize))
 	procName := flag.String("proc", "md5", "none|md5|crc32|aes256|gzip")
 	count := flag.Int("n", 1, "operations to run back to back")
 	faults := flag.String("faults", "none",
@@ -35,7 +36,7 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 1, "deterministic fault-injection seed")
 	flag.Parse()
 
-	kind, proc, err := parse(*cfgName, *op, *procName)
+	kind, proc, err := parse(*cfgName, *op, *procName, *size, *count)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dcsctl:", err)
 		os.Exit(2)
@@ -75,7 +76,7 @@ func main() {
 			cl.ClientRecv(p, conn, *count**size)
 		})
 	case "recv":
-		f, err := cl.Server.FS.Create("upload", *size)
+		f, err := cl.Server.CreateFile("upload", *size)
 		must(err)
 		env.Spawn("client", func(p *sim.Proc) {
 			for i := 0; i < *count; i++ {
@@ -127,10 +128,15 @@ func main() {
 	}
 }
 
+// maxSize is the largest operation every configuration runs: the
+// baselines' GPU path stages the operation's bytes plus a spare page
+// and a result page in GPU VRAM.
+var maxSize = int(core.DefaultParams().GPU.VRAMBytes) - 2*mem.PageSize
+
 // parse checks the command line's choices before anything is built:
 // the configuration, the operation (and that the configuration models
-// it) and the processing unit.
-func parse(cfgName, op, procName string) (core.Config, core.Processing, error) {
+// it), the processing unit, the operation size and the count.
+func parse(cfgName, op, procName string, size, count int) (core.Config, core.Processing, error) {
 	var kind core.Config
 	found := false
 	for _, k := range []core.Config{core.Vanilla, core.SWOpt, core.SWP2P, core.DevIntegration, core.DCSCtrl} {
@@ -152,8 +158,13 @@ func parse(cfgName, op, procName string) (core.Config, core.Processing, error) {
 		"aes256": core.ProcAES256, "gzip": core.ProcGZIP,
 	}
 	proc, ok := procs[procName]
-	if !ok {
+	switch {
+	case !ok:
 		return 0, 0, fmt.Errorf("unknown processing %q", procName)
+	case size < 1 || size > maxSize:
+		return 0, 0, fmt.Errorf("-size %d: want 1 to %d bytes", size, maxSize)
+	case count < 1:
+		return 0, 0, fmt.Errorf("-n %d: want at least 1 operation", count)
 	}
 	return kind, proc, nil
 }

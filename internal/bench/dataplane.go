@@ -202,16 +202,8 @@ func benchNVMeRead() DataplaneStat {
 	dram := mm.AddRegion("dram", mem.HostDRAM, 1<<20, true)
 	fab.Attach(port, dram)
 	ssd := nvme.NewSSD(env, fab, "nvme0", nvme.DefaultParams())
-	const entries = 64
-	sq := mm.AddRegion("sq", mem.HostDRAM, entries*nvme.CommandSize, true)
-	cq := mm.AddRegion("cq", mem.HostDRAM, entries*nvme.CompletionSize, true)
-	fab.Attach(port, sq)
-	fab.Attach(port, cq)
-	sqdb, cqdb := ssd.DoorbellAddrs(1)
-	cfg := nvme.RingConfig{QID: 1, Entries: entries, SQ: sq, CQ: cq, SQDoorbell: sqdb, CQDoorbell: cqdb}
-	ring := nvme.NewRing(fab, cfg)
+	ring, cq := ssd.NewQueuePair(port, "root", mem.HostDRAM, 1, 64, -1)
 	cq.SetWriteHook(func(off uint64, n int) { ring.ProcessCompletions() })
-	ssd.CreateQueuePair(cfg, -1)
 	ssd.Preload(0, make([]byte, nvme.BlockSize))
 
 	b := &nvmeBench{env: env, ring: ring, kick: sim.NewCond(env)}
@@ -252,27 +244,8 @@ func newNicNode(env *sim.Env, name string) *nicNode {
 	dram := mm.AddRegion(name+"-dram", mem.HostDRAM, 16<<20, true)
 	fab.Attach(port, dram)
 	n := nic.NewNIC(env, fab, name+"-nic", nic.DefaultParams())
-	const entries = 256
-	sring := mm.AddRegion(name+"-sring", mem.HostDRAM, entries*nic.SendBDSize, true)
-	rring := mm.AddRegion(name+"-rring", mem.HostDRAM, entries*nic.RecvBDSize, true)
-	rcpl := mm.AddRegion(name+"-rcpl", mem.HostDRAM, entries*nic.RecvCplSize, true)
-	status := mm.AddRegion(name+"-status", mem.HostDRAM, 64, true)
-	for _, r := range []*mem.Region{sring, rring, rcpl, status} {
-		fab.Attach(port, r)
-	}
-	cfg := nic.QueueConfig{
-		QID: 0, SendRing: sring, SendEntries: entries,
-		SendStatus: status.Base,
-		RecvRing:   rring, RecvEntries: entries,
-		RecvCpl: rcpl, RecvStatus: status.Base + 8,
-		MSIVector: -1,
-	}
-	n.ConfigureQueue(cfg)
-	return &nicNode{
-		mm: mm, fab: fab, dram: dram, status: status, nic: n,
-		send: nic.NewSendRing(fab, n, cfg),
-		recv: nic.NewRecvRing(fab, n, cfg),
-	}
+	send, recv, status := n.NewQueuePair(port, name, mem.HostDRAM, 0, 256, -1, false)
+	return &nicNode{mm: mm, fab: fab, dram: dram, status: status, nic: n, send: send, recv: recv}
 }
 
 // postBufs posts count 2 KiB receive buffers carved from addr.

@@ -158,17 +158,17 @@ func TestRestoreRejectsUnreachableState(t *testing.T) {
 	slots := int(binary.LittleEndian.Uint32(ckpt[ssd+4:]))
 	// SSD count, slot queue, read/write bandwidth servers, exec
 	// accumulator, three counters, then the exec pool.
-	execIdle := ssd + 4 + 4 + 8*slots + 2*32 + 16 + 3*8
+	execPool := ssd + 4 + 4 + 8*slots + 2*32 + 16 + 3*8
 	// The flash map (a count, then LBA and length-prefixed block per
 	// entry) and the queue-pair count; then per pair in QID order its
 	// QID, SQ head, CQ tail and phase. QP 2, the engine's, is second.
-	flash := execIdle + 8
+	flash := execPool + 8
 	engine := flash + 4 + int(binary.LittleEndian.Uint32(ckpt[flash:]))*(8+4+nvme.BlockSize) + 4 + (2 + 8 + 8 + 1)
 	if qid := binary.LittleEndian.Uint16(ckpt[engine:]); qid != 2 {
 		t.Fatalf("second queue pair is QP %d: checkpoint layout changed", qid)
 	}
 	// Posted-write clock and two byte counters, then the async pool.
-	asyncIdle := sectionBody(t, ckpt, "server.pcie") + 3*8
+	asyncPool := sectionBody(t, ckpt, "server.pcie") + 3*8
 	// Region count, then the first region's name, size, allocator
 	// cursor and high-water mark.
 	region := sectionBody(t, ckpt, "server.mem") + 4
@@ -191,9 +191,9 @@ func TestRestoreRejectsUnreachableState(t *testing.T) {
 		off   int
 		limit uint64
 	}{
-		{"idle exec workers", execIdle, hostQP + engineQP},
+		{"idle exec workers", execPool, hostQP + engineQP},
 		{"engine QP SQ head", engine + 2, engineQP - 1},
-		{"idle async-DMA workers", asyncIdle, rxTagSlots},
+		{"idle async-DMA workers", asyncPool, rxTagSlots},
 		{"region high-water mark", region + 16, regionSize},
 		{"client NIC receive BDs consumed", recvHead, posted},
 		{"client NIC receive BDs posted", recvTail, consumed + recvEntries - 1},

@@ -129,7 +129,7 @@ func TestRecvFileWritesThroughToFlash(t *testing.T) {
 		env := sim.NewEnv()
 		cl := NewCluster(env, kind, DefaultParams())
 		content := pattern(100 << 10)
-		f, err := cl.Server.FS.Create("upload", len(content))
+		f, err := cl.Server.FSs[0].Create("upload", len(content))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,6 +346,51 @@ func TestMultiSSDDistributionAndTransfer(t *testing.T) {
 	}
 }
 
+// TestDirtyPageWrittenBackOnEverySSD dirties page 2 of a file in the
+// page cache of the SSD holding it, then sends the file on the
+// DCS-ctrl data path. Whichever SSD holds the file, the driver's
+// consistency check (§IV-B) must write the page back before the D2D
+// command reads the flash: the client receives the written page and
+// the page is clean afterwards.
+func TestDirtyPageWrittenBackOnEverySSD(t *testing.T) {
+	for _, dev := range []uint8{0, 1} {
+		t.Run(fmt.Sprintf("ssd%d", dev), func(t *testing.T) {
+			env := sim.NewEnv()
+			params := DefaultParams()
+			params.NumSSDs = 2
+			cl := NewCluster(env, DCSCtrl, params)
+			content := pattern(64 << 10)
+			var f *hostos.File
+			for i := 0; f == nil || cl.Server.DevOf(f) != dev; i++ {
+				var err error
+				if f, err = cl.Server.StageFile(fmt.Sprintf("obj%d", i), content); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fs := cl.Server.FSs[dev]
+			page := bytes.Repeat([]byte{0xAA}, hostos.BlockSize)
+			fs.CacheWrite(f.Name, 2, page)
+			conn := cl.OpenConn(true)
+			var got []byte
+			env.Spawn("server", func(p *sim.Proc) {
+				if _, err := cl.Server.SendFileOp(p, f, 0, len(content), conn.ID, ProcNone); err != nil {
+					t.Error(err)
+				}
+			})
+			env.Spawn("client", func(p *sim.Proc) { got = cl.ClientRecv(p, conn, len(content)) })
+			env.Run(-1)
+			want := append([]byte(nil), content...)
+			copy(want[2*hostos.BlockSize:], page)
+			if !bytes.Equal(got, want) {
+				t.Fatal("client received the stale page, not the dirty one written back")
+			}
+			if dirty := fs.Dirty(f.Name); len(dirty) != 0 {
+				t.Fatalf("pages %v still dirty", dirty)
+			}
+		})
+	}
+}
+
 func TestMultiSSDUploadLandsOnRightDevice(t *testing.T) {
 	env := sim.NewEnv()
 	params := DefaultParams()
@@ -441,7 +486,7 @@ func TestVanillaPageCacheHits(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("cache-served bytes differ")
 	}
-	hits, _ := cl.Server.FS.CacheStats()
+	hits, _ := cl.Server.FSs[0].CacheStats()
 	if hits == 0 {
 		t.Fatal("no cache hits recorded")
 	}

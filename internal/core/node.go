@@ -35,7 +35,6 @@ type Node struct {
 	HostPort *pcie.Port
 	DRAM     *mem.Region
 	Host     *hostos.Host
-	FS       *hostos.FileSystem
 
 	SSDs []*nvme.SSD          // all SSDs, indexed by device number
 	FSs  []*hostos.FileSystem // one namespace per SSD
@@ -192,7 +191,6 @@ func NewNode(env *sim.Env, name string, kind Config, params Params) *Node {
 		n.SSDs = append(n.SSDs, nvme.NewSSD(env, n.Fab, fmt.Sprintf("%s-ssd%d", name, i), params.SSD))
 		n.FSs = append(n.FSs, hostos.NewFileSystem(64<<30))
 	}
-	n.FS = n.FSs[0]
 	n.fileDev = map[string]uint8{}
 	n.NIC = nic.NewNIC(env, n.Fab, name+"-nic", params.NIC)
 	if kind == Vanilla || kind == SWOpt || kind == SWP2P {
@@ -237,7 +235,7 @@ func NewNode(env *sim.Env, name string, kind Config, params Params) *Node {
 				panic(err)
 			}
 		}
-		n.Driver = hdc.NewDriver(env, n.Host, n.FSs[0], n.Fab, n.HostPort, n.Engine, msiHDC, params.Driver)
+		n.Driver = hdc.NewDriver(env, n.Host, n.FSs, n.Fab, n.HostPort, n.Engine, msiHDC, params.Driver)
 		n.Driver.Writeback = n.writebackPage
 	}
 	return n
@@ -309,27 +307,19 @@ func (n *Node) StagingLive() (spans int, bytes uint64) {
 }
 
 // setupHostNVMe creates the host kernel driver's queue pair (QP 1) in
-// host DRAM with MSI completion, one per SSD.
+// host DRAM with MSI completion, one per SSD. Each interrupt's bottom
+// half is bound once here, not per interrupt.
 func (n *Node) setupHostNVMe() {
-	entries := 256
 	for i, ssd := range n.SSDs {
-		sq := n.MM.AddRegion(fmt.Sprintf("%s-h-nvme%d-sq", n.Name, i), mem.HostDRAM, uint64(entries*nvme.CommandSize), true)
-		cq := n.MM.AddRegion(fmt.Sprintf("%s-h-nvme%d-cq", n.Name, i), mem.HostDRAM, uint64(entries*nvme.CompletionSize), true)
-		n.Fab.Attach(n.HostPort, sq)
-		n.Fab.Attach(n.HostPort, cq)
-		sqdb, cqdb := ssd.DoorbellAddrs(1)
-		cfg := nvme.RingConfig{QID: 1, Entries: entries, SQ: sq, CQ: cq, SQDoorbell: sqdb, CQDoorbell: cqdb}
-		ring := nvme.NewRing(n.Fab, cfg)
-		n.nvmeRings = append(n.nvmeRings, ring)
 		vector := msiNVMeBase + i
-		n.Fab.OnMSI(vector, func() {
-			n.Host.RaiseIRQ("interrupt", n.Params.Host.BlockComplete, func() {
-				if ring.ProcessCompletions() > 0 {
-					n.nvmeWait.Broadcast()
-				}
-			})
-		})
-		ssd.CreateQueuePair(cfg, vector)
+		ring, _ := ssd.NewQueuePair(n.HostPort, fmt.Sprintf("%s-h-nvme%d", n.Name, i), mem.HostDRAM, 1, 256, vector)
+		n.nvmeRings = append(n.nvmeRings, ring)
+		bottom := func() {
+			if ring.ProcessCompletions() > 0 {
+				n.nvmeWait.Broadcast()
+			}
+		}
+		n.Fab.OnMSI(vector, func() { n.Host.RaiseIRQ("interrupt", n.Params.Host.BlockComplete, bottom) })
 	}
 }
 
@@ -338,43 +328,29 @@ func (n *Node) setupHostNVMe() {
 // queue (multi-queue RSS: the 40 GbE experiments need the softirq
 // path to scale across cores).
 func (n *Node) setupHostNIC() {
-	entries := 1024
 	queues := n.Params.HostNICQueues
 	if queues < 1 {
 		queues = 1
 	}
 	for q := 0; q < queues; q++ {
-		qid := hostQID(q)
-		sring := n.MM.AddRegion(fmt.Sprintf("%s-h-nic%d-sring", n.Name, q), mem.HostDRAM, uint64(entries*nic.SendBDSize), true)
-		rring := n.MM.AddRegion(fmt.Sprintf("%s-h-nic%d-rring", n.Name, q), mem.HostDRAM, uint64(entries*nic.RecvBDSize), true)
-		rcpl := n.MM.AddRegion(fmt.Sprintf("%s-h-nic%d-rcpl", n.Name, q), mem.HostDRAM, uint64(entries*nic.RecvCplSize), true)
-		status := n.MM.AddRegion(fmt.Sprintf("%s-h-nic%d-status", n.Name, q), mem.HostDRAM, 64, true)
-		for _, r := range []*mem.Region{sring, rring, rcpl, status} {
-			n.Fab.Attach(n.HostPort, r)
-		}
-		cfg := nic.QueueConfig{QID: qid, SendRing: sring, SendEntries: entries,
-			SendStatus: status.Base, RecvRing: rring, RecvEntries: entries,
-			RecvCpl: rcpl, RecvStatus: status.Base + 8, MSIVector: msiNICBase + q}
-		n.NIC.ConfigureQueue(cfg)
-		recv := nic.NewRecvRing(n.Fab, n.NIC, cfg)
+		send, recv, _ := n.NIC.NewQueuePair(n.HostPort, fmt.Sprintf("%s-h-nic%d", n.Name, q), mem.HostDRAM, hostQID(q), 1024, msiNICBase+q, false)
 		n.recvRings = append(n.recvRings, recv)
 		if q == 0 {
-			n.sendRing = nic.NewSendRing(n.Fab, n.NIC, cfg)
+			n.sendRing = send
 		}
-		q := q
-		n.Fab.OnMSI(msiNICBase+q, func() {
-			n.Host.RaiseIRQ("interrupt", 0, func() {
-				// NAPI-style bottom half: complete transmit jobs and
-				// re-arm the send side (queue 0 owns transmit); each
-				// receive service re-arms its own queue after draining.
-				if q == 0 {
-					n.sendRing.Sweep()
-					n.sendRing.Arm()
-					n.sendCond.Broadcast()
-				}
+		// NAPI-style bottom half: complete transmit jobs and re-arm the
+		// send side (queue 0 owns transmit); each receive service
+		// re-arms its own queue after draining.
+		bottom := n.rxWake.Broadcast
+		if q == 0 {
+			bottom = func() {
+				n.sendRing.Sweep()
+				n.sendRing.Arm()
+				n.sendCond.Broadcast()
 				n.rxWake.Broadcast()
-			})
-		})
+			}
+		}
+		n.Fab.OnMSI(msiNICBase+q, func() { n.Host.RaiseIRQ("interrupt", 0, bottom) })
 		n.Env.SpawnHandler(fmt.Sprintf("%s-net-rx%d", n.Name, q), (&netRxMachine{n: n, recv: recv}).run)
 		n.postRecvBuffers(recv)
 		recv.Arm()

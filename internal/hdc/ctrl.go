@@ -31,6 +31,10 @@ type NVMeCtrl struct {
 	reqQ *sim.Queue[nvmeReq]
 	room *sim.Cond
 
+	// requeue re-enqueues a request after a retryable media error's
+	// backoff.
+	requeue *sim.Deferred[nvmeReq]
+
 	// prpPages rotate per submission; the ring's outstanding cap
 	// (entries-1) guarantees a page is reused only after its previous
 	// command completed.
@@ -69,9 +73,7 @@ func (cb *nvmeCb) onCpl(cpl nvme.Completion) {
 		c.retries++
 		retry := req
 		retry.attempt++
-		c.eng.env.Schedule(nvme.RetryBackoff<<uint(req.attempt), func() {
-			c.reqQ.Put(retry)
-		})
+		c.requeue.After(nvme.RetryBackoff<<uint(req.attempt), retry)
 	default:
 		panic(fmt.Sprintf("hdc: nvme status %#x after %d attempts", cpl.Status, req.attempt+1))
 	}
@@ -89,19 +91,15 @@ func (c *NVMeCtrl) getCb() *nvmeCb {
 }
 
 func newNVMeCtrl(eng *Engine, ssd *nvme.SSD, qid uint16, entries, idx int) *NVMeCtrl {
-	mm := eng.fab.Mem()
-	sq := mm.AddRegion(fmt.Sprintf("%s-nvme%d-sq", eng.name, idx), mem.DeviceBRAM, uint64(entries*nvme.CommandSize), true)
-	cq := mm.AddRegion(fmt.Sprintf("%s-nvme%d-cq", eng.name, idx), mem.DeviceBRAM, uint64(entries*nvme.CompletionSize), true)
-	eng.fab.Attach(eng.port, sq)
-	eng.fab.Attach(eng.port, cq)
-	sqdb, cqdb := ssd.DoorbellAddrs(qid)
-	cfg := nvme.RingConfig{QID: qid, Entries: entries, SQ: sq, CQ: cq, SQDoorbell: sqdb, CQDoorbell: cqdb}
+	// No MSI: the engine polls its own BRAM (msiVector < 0).
+	ring, cq := ssd.NewQueuePair(eng.port, fmt.Sprintf("%s-nvme%d", eng.name, idx), mem.DeviceBRAM, qid, entries, -1)
 	c := &NVMeCtrl{
 		eng:  eng,
-		ring: nvme.NewRing(eng.fab, cfg),
+		ring: ring,
 		reqQ: sim.NewQueue[nvmeReq](eng.env, eng.name+"-nvme-reqs"),
 		room: sim.NewCond(eng.env),
 	}
+	c.requeue = sim.NewDeferred(eng.env, c.reqQ.Put)
 	for i := 0; i < entries; i++ {
 		c.prpPages = append(c.prpPages, eng.ddr3.Alloc(256, 64))
 	}
@@ -112,8 +110,6 @@ func newNVMeCtrl(eng *Engine, ssd *nvme.SSD, qid uint16, entries, idx int) *NVMe
 			c.room.Broadcast()
 		}
 	})
-	// No MSI: the engine polls its own BRAM (msiVector < 0).
-	ssd.CreateQueuePair(cfg, -1)
 	eng.env.Spawn(fmt.Sprintf("%s-nvme%d-ctrl", eng.name, idx), c.loop)
 	return c
 }
@@ -243,29 +239,16 @@ type NICCtrl struct {
 }
 
 func newNICCtrl(eng *Engine, dev *nic.NIC, qid uint16, entries int) *NICCtrl {
-	mm := eng.fab.Mem()
 	pfx := fmt.Sprintf("%s-nic-q%d", eng.name, qid)
-	sring := mm.AddRegion(pfx+"-sring", mem.DeviceBRAM, uint64(entries*nic.SendBDSize), true)
-	rring := mm.AddRegion(pfx+"-rring", mem.DeviceBRAM, uint64(entries*nic.RecvBDSize), true)
-	rcpl := mm.AddRegion(pfx+"-rcpl", mem.DeviceBRAM, uint64(entries*nic.RecvCplSize), true)
-	status := mm.AddRegion(pfx+"-status", mem.DeviceBRAM, 64, true)
-	hdrBuf := mm.AddRegion(pfx+"-hdrs", mem.DeviceBRAM, 64<<10, true)
-	for _, r := range []*mem.Region{sring, rring, rcpl, status, hdrBuf} {
-		eng.fab.Attach(eng.port, r)
-	}
-	cfg := nic.QueueConfig{
-		QID: qid, SendRing: sring, SendEntries: entries,
-		SendStatus: status.Base,
-		RecvRing:   rring, RecvEntries: entries,
-		RecvCpl: rcpl, RecvStatus: status.Base + 8,
-		MSIVector:   -1,   // the engine snoops its BRAM, no interrupts
-		HeaderSplit: true, // hardware header/data split (§IV-C)
-	}
-	dev.ConfigureQueue(cfg)
+	// The engine snoops its BRAM, no interrupts; hardware header/data
+	// split (§IV-C).
+	send, recv, status := dev.NewQueuePair(eng.port, pfx, mem.DeviceBRAM, qid, entries, -1, true)
+	hdrBuf := eng.fab.Mem().AddRegion(pfx+"-hdrs", mem.DeviceBRAM, 64<<10, true)
+	eng.fab.Attach(eng.port, hdrBuf)
 	c := &NICCtrl{
 		eng: eng, dev: dev, qid: qid,
-		send:      nic.NewSendRing(eng.fab, dev, cfg),
-		recv:      nic.NewRecvRing(eng.fab, dev, cfg),
+		send:      send,
+		recv:      recv,
 		hdrBuf:    hdrBuf,
 		sendQ:     sim.NewQueue[sendReq](eng.env, pfx+"-send"),
 		recvQ:     sim.NewQueue[recvReq](eng.env, pfx+"-recv"),

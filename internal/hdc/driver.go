@@ -70,7 +70,7 @@ type Result struct {
 type Driver struct {
 	env    *sim.Env
 	host   *hostos.Host
-	fs     *hostos.FileSystem
+	fss    []*hostos.FileSystem // page caches, indexed by SSD (the dev of a library call)
 	fab    *pcie.Fabric
 	eng    *Engine
 	params DriverParams
@@ -84,6 +84,11 @@ type Driver struct {
 	slotFree    *sim.Cond
 	waiting     map[uint32]*cmdWaiter
 	cplHead     uint64
+
+	// mmio delivers the MMIO writes of a posted command (its slot, then
+	// the tail doorbell); watchdog times it out.
+	mmio     *sim.Deferred[mmioWrite]
+	watchdog *sim.Deferred[*cmdWaiter]
 
 	failed   bool  // engine declared dead after a command timeout
 	retries  int64 // transient-status re-issues
@@ -105,13 +110,22 @@ type cmdWaiter struct {
 	cond     *sim.Cond
 }
 
+// mmioWrite is one MMIO write of up to a command's bytes into the
+// engine BAR.
+type mmioWrite struct {
+	addr mem.Addr
+	n    int
+	b    [CommandSize]byte
+}
+
 // NewDriver builds the driver, allocating its host-memory interface
-// regions and registering the completion interrupt.
-func NewDriver(env *sim.Env, host *hostos.Host, fs *hostos.FileSystem,
+// regions and registering the completion interrupt. fss holds each
+// SSD's namespace, whose page cache the consistency check consults.
+func NewDriver(env *sim.Env, host *hostos.Host, fss []*hostos.FileSystem,
 	fab *pcie.Fabric, hostPort *pcie.Port, eng *Engine, msiVector int, params DriverParams) *Driver {
 	mm := fab.Mem()
 	d := &Driver{
-		env: env, host: host, fs: fs, fab: fab, eng: eng, params: params,
+		env: env, host: host, fss: fss, fab: fab, eng: eng, params: params,
 		slotFree: sim.NewCond(env),
 		waiting:  map[uint32]*cmdWaiter{},
 	}
@@ -126,8 +140,16 @@ func NewDriver(env *sim.Env, host *hostos.Host, fs *hostos.FileSystem,
 		HeadMirror: d.cplRing.Base + mem.Addr(uint64(entries*CplEntrySize)),
 		MSIVector:  msiVector,
 	})
+	d.mmio = sim.NewDeferred(env, func(w mmioWrite) { mm.Write(w.addr, w.b[:w.n]) })
+	d.watchdog = sim.NewDeferred(env, func(w *cmdWaiter) {
+		if !w.done && !w.timedOut {
+			w.timedOut = true
+			w.cond.Broadcast()
+		}
+	})
+	drain := d.drainCompletions
 	fab.OnMSI(msiVector, func() {
-		host.RaiseIRQ(trace.CatHDCDriver, params.IRQHandle, d.drainCompletions)
+		host.RaiseIRQ(trace.CatHDCDriver, params.IRQHandle, drain)
 	})
 	return d
 }
@@ -198,25 +220,15 @@ func (d *Driver) post(p *sim.Proc, cmd Command) *cmdWaiter {
 	d.waiting[cmd.ID] = w
 	d.outstanding++
 	slot := d.tail % uint64(d.eng.params.CmdQueueEntries)
-	enc := cmd.Encode()
 	// MMIO writes into the engine BAR: command body, then doorbell.
 	d.tail++
-	tail := d.tail
-	mmio := d.fab.Params().MMIOLatency
-	slotAddr := d.eng.CmdSlotAddr(int(slot))
-	d.env.Schedule(mmio, func() { d.fab.Mem().Write(slotAddr, enc[:]) })
-	d.env.Schedule(mmio, func() {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], tail)
-		d.fab.Mem().Write(d.eng.TailDoorbell(), b[:])
-	})
+	lat := d.fab.Params().MMIOLatency
+	d.mmio.After(lat, mmioWrite{addr: d.eng.CmdSlotAddr(int(slot)), n: CommandSize, b: cmd.Encode()})
+	db := mmioWrite{addr: d.eng.TailDoorbell(), n: 8}
+	binary.LittleEndian.PutUint64(db.b[:], d.tail)
+	d.mmio.After(lat, db)
 	if d.params.CmdTimeout > 0 {
-		d.env.Schedule(d.params.CmdTimeout, func() {
-			if !w.done && !w.timedOut {
-				w.timedOut = true
-				w.cond.Broadcast()
-			}
-		})
+		d.watchdog.After(d.params.CmdTimeout, w)
 	}
 	return w
 }
@@ -319,21 +331,27 @@ func fileExtents(f *hostos.File, off, n int) ([]ExtentEntry, error) {
 }
 
 // prepare runs the driver's common preamble: syscall entry, metadata
-// and consistency work. Command IDs are allocated per attempt by
-// submit, so prepare runs exactly once per library call even when the
-// command is retried.
-func (d *Driver) prepare(p *sim.Proc, bd *trace.Breakdown, f *hostos.File) {
+// and consistency work on file f of SSD dev's namespace (f nil: no
+// file). A device with no namespace has no page cache to check; the
+// engine rejects a command that addresses it. Command IDs are
+// allocated per attempt by submit, so prepare runs exactly once per
+// library call even when the command is retried.
+func (d *Driver) prepare(p *sim.Proc, bd *trace.Breakdown, dev uint8, f *hostos.File) {
 	hp := d.host.Params
 	d.host.Exec(p, trace.CatHDCDriver, hp.SyscallEntry, bd)
 	d.host.Exec(p, trace.CatHDCDriver, d.params.MetadataLookup, bd)
 	if f != nil {
 		d.host.Exec(p, trace.CatHDCDriver, d.params.DirtyCheck, bd)
-		if dirty := d.fs.Dirty(f.Name); len(dirty) > 0 {
+		if int(dev) >= len(d.fss) {
+			return
+		}
+		fs := d.fss[dev]
+		if dirty := fs.Dirty(f.Name); len(dirty) > 0 {
 			if d.Writeback == nil {
 				panic("hdc: dirty pages with no writeback path configured")
 			}
 			for _, pg := range dirty {
-				data, _ := d.fs.CleanPage(f.Name, pg)
+				data, _ := fs.CleanPage(f.Name, pg)
 				d.Writeback(p, f, pg, data)
 			}
 		}
@@ -347,7 +365,7 @@ func (d *Driver) prepare(p *sim.Proc, bd *trace.Breakdown, f *hostos.File) {
 // Engine.ProvisionAESKey; §IV-A). It blocks until the engine completes
 // the D2D command and returns the NDP digest when fn computes one.
 func (d *Driver) SendFile(p *sim.Proc, bd *trace.Breakdown, dev uint8, f *hostos.File, off, n int, connID uint64, fn uint8, aux uint64) (Result, error) {
-	d.prepare(p, bd, f)
+	d.prepare(p, bd, dev, f)
 	ext, err := fileExtents(f, off, n)
 	if err != nil {
 		return Result{}, err
@@ -373,7 +391,7 @@ func (d *Driver) SendFile(p *sim.Proc, bd *trace.Breakdown, dev uint8, f *hostos
 func (d *Driver) CopyFile(p *sim.Proc, bd *trace.Breakdown,
 	srcDev uint8, srcF *hostos.File, srcOff int,
 	dstDev uint8, dstF *hostos.File, dstOff, n int, fn uint8) (Result, error) {
-	d.prepare(p, bd, srcF)
+	d.prepare(p, bd, srcDev, srcF)
 	srcExt, err := fileExtents(srcF, srcOff, n)
 	if err != nil {
 		return Result{}, err
@@ -404,7 +422,7 @@ func (d *Driver) CopyFile(p *sim.Proc, bd *trace.Breakdown,
 // off on SSD dev, optionally through NDP function fn — the PUT-side
 // D2D path.
 func (d *Driver) RecvFile(p *sim.Proc, bd *trace.Breakdown, connID uint64, dev uint8, f *hostos.File, off, n int, fn uint8) (Result, error) {
-	d.prepare(p, bd, f)
+	d.prepare(p, bd, dev, f)
 	ext, err := fileExtents(f, off, n)
 	if err != nil {
 		return Result{}, err
@@ -426,7 +444,7 @@ func (d *Driver) RecvFile(p *sim.Proc, bd *trace.Breakdown, connID uint64, dev u
 // Forward moves n bytes from one connection to another through the
 // engine (network-to-network, e.g. proxying with re-encryption).
 func (d *Driver) Forward(p *sim.Proc, bd *trace.Breakdown, srcConn, dstConn uint64, n int, fn uint8) (Result, error) {
-	d.prepare(p, bd, nil)
+	d.prepare(p, bd, 0, nil)
 	return d.submit(p, bd, 2*d.params.ConnLookup+d.params.CmdBuild+d.params.CmdPost,
 		func(id uint32) (Command, error) {
 			return Command{

@@ -111,12 +111,11 @@ type Engine struct {
 	budget *fpga.Budget
 
 	// Host interface: 64-entry command queue + tail doorbell in BRAM.
-	cmdq       *mem.Region
-	cmdHead    uint64
-	cmdTail    uint64 // doorbell value
-	cmdKick    *sim.Cond
-	kickQueued bool   // a parser kick is already chained at this instant
-	kickFn     func() // bound once; clears kickQueued and broadcasts cmdKick
+	cmdq    *mem.Region
+	cmdHead uint64
+	cmdTail uint64 // doorbell value
+	cmdKick *sim.Cond
+	kick    *sim.Coalesced // one cmdKick broadcast per instant's doorbells
 
 	// On-board DDR3: intermediate chunks and packet receive buffers.
 	ddr3      *mem.Region
@@ -187,10 +186,7 @@ func NewEngine(env *sim.Env, fab *pcie.Fabric, name string, params Params) *Engi
 		e.extBufs = append(e.extBufs, e.ddr3.Alloc(4096, 64))
 	}
 
-	e.kickFn = func() {
-		e.kickQueued = false
-		e.cmdKick.Broadcast()
-	}
+	e.kick = sim.NewCoalesced(env, e.cmdKick.Broadcast)
 	e.sb = NewScoreboard(env, params.ScoreboardEntries, params.ScoreboardOp)
 	env.Spawn(name+"-parser", e.parserLoop)
 	env.Spawn(name+"-completer", e.completerLoop)
@@ -301,12 +297,9 @@ func (e *Engine) TailDoorbell() mem.Addr {
 func (e *Engine) onCmdqWrite(off uint64, n int) {
 	if off == uint64(e.params.CmdQueueEntries*CommandSize) {
 		e.cmdTail = binary.LittleEndian.Uint64(e.cmdq.Bytes(off, 8))
-		// Chain the parser kick so several doorbell writes landing at one
-		// instant wake the parser once, after the last write is visible.
-		if !e.kickQueued {
-			e.kickQueued = true
-			e.env.Chain(e.kickFn)
-		}
+		// Several doorbell writes landing at one instant wake the parser
+		// once, after the last write is visible.
+		e.kick.Raise()
 	}
 }
 

@@ -165,20 +165,9 @@ func newPeer(env *sim.Env, name string) *peerNode {
 	dram := mm.AddRegion(name+"-dram", mem.HostDRAM, 128<<20, true)
 	fab.Attach(hostPort, dram)
 	n := nic.NewNIC(env, fab, name+"-nic", nic.DefaultParams())
-	sring := mm.AddRegion(name+"-sring", mem.HostDRAM, 1024*nic.SendBDSize, true)
-	rring := mm.AddRegion(name+"-rring", mem.HostDRAM, 1024*nic.RecvBDSize, true)
-	rcpl := mm.AddRegion(name+"-rcpl", mem.HostDRAM, 1024*nic.RecvCplSize, true)
-	status := mm.AddRegion(name+"-status", mem.HostDRAM, 64, true)
-	for _, r := range []*mem.Region{sring, rring, rcpl, status} {
-		fab.Attach(hostPort, r)
-	}
-	cfg := nic.QueueConfig{QID: 0, SendRing: sring, SendEntries: 1024,
-		SendStatus: status.Base, RecvRing: rring, RecvEntries: 1024,
-		RecvCpl: rcpl, RecvStatus: status.Base + 8, MSIVector: -1}
-	n.ConfigureQueue(cfg)
+	send, recv, status := n.NewQueuePair(hostPort, name, mem.HostDRAM, 0, 1024, -1, false)
 	p := &peerNode{env: env, mm: mm, fab: fab, dram: dram, nic: n,
-		send: nic.NewSendRing(fab, n, cfg), recv: nic.NewRecvRing(fab, n, cfg),
-		gotAll: sim.NewCond(env), rxBufLen: 2048}
+		send: send, recv: recv, gotAll: sim.NewCond(env), rxBufLen: 2048}
 	// Collector: drain receive completions into the byte stream.
 	status.SetWriteHook(func(off uint64, nn int) {
 		for _, f := range p.recv.AppendPoll(nil) {
@@ -276,7 +265,7 @@ func newTestbed(t *testing.T) *testbed {
 			t.Fatal(err)
 		}
 	}
-	drv := NewDriver(env, hostA, fsA, fabA, hostPort, eng, 9, DefaultDriverParams())
+	drv := NewDriver(env, hostA, []*hostos.FileSystem{fsA}, fabA, hostPort, eng, 9, DefaultDriverParams())
 
 	peer := newPeer(env, "b")
 	nic.Connect(nicA, peer.nic)
@@ -663,7 +652,7 @@ func TestScoreboardBackpressure(t *testing.T) {
 	eng := NewEngine(env, fabA, "hdc", params)
 	eng.AttachSSD(ssd, 1)
 	eng.AttachNIC(nicA, 1)
-	drv := NewDriver(env, hostA, fsA, fabA, hostPort, eng, 9, DefaultDriverParams())
+	drv := NewDriver(env, hostA, []*hostos.FileSystem{fsA}, fabA, hostPort, eng, 9, DefaultDriverParams())
 	peer := newPeer(env, "b")
 	nic.Connect(nicA, peer.nic)
 	flow := ether.Flow{SrcMAC: ether.MAC{2}, DstMAC: ether.MAC{4},

@@ -28,7 +28,7 @@ func (e *Engine) Snap(c *snap.Codec) {
 		c.Failf("%s: checkpoint of a failed engine is unsupported", e.name)
 	case e.cmdHead != e.cmdTail:
 		c.Failf("%s: unparsed commands (head=%d tail=%d)", e.name, e.cmdHead, e.cmdTail)
-	case e.kickQueued:
+	case e.kick.Pending():
 		c.Failf("%s: a queued parser kick", e.name)
 	case len(e.submitted) != 0 || len(e.finished) != 0:
 		c.Failf("%s: %d submitted / %d finished commands in flight", e.name, len(e.submitted), len(e.finished))

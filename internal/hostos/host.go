@@ -145,7 +145,7 @@ func (h *Host) Exec(p *sim.Proc, cat trace.Category, d sim.Time, bd *trace.Break
 type execHState int
 
 const (
-	execIdle execHState = iota // nothing staged (or a zero-cost Exec)
+	execNone execHState = iota // nothing staged (or a zero-cost Exec)
 	execAcq                    // acquiring a core
 	execHold                   // core occupancy elapsing
 )
@@ -168,7 +168,7 @@ type ExecH struct {
 
 // Start stages one core charge. Panics if a charge is in flight.
 func (x *ExecH) Start(host *Host, cat trace.Category, d sim.Time, bd *trace.Breakdown) {
-	if x.st != execIdle {
+	if x.st != execNone {
 		panic("hostos: ExecH started while a charge is in flight")
 	}
 	if d <= 0 {
@@ -184,7 +184,7 @@ func (x *ExecH) Start(host *Host, cat trace.Category, d sim.Time, bd *trace.Brea
 // resumes on the next dispatch.
 func (x *ExecH) Step(h *sim.HandlerCtx) bool {
 	switch x.st {
-	case execIdle:
+	case execNone:
 		return true // zero-cost charge: completed at Start
 	case execAcq:
 		if !x.host.Cores.AcquireH(h) {
@@ -199,7 +199,7 @@ func (x *ExecH) Step(h *sim.HandlerCtx) bool {
 		if x.bd != nil {
 			x.bd.Add(x.cat, x.d)
 		}
-		x.st = execIdle
+		x.st = execNone
 		x.host, x.bd = nil, nil
 		return true
 	default:

@@ -18,8 +18,9 @@ package lint
 //   - writes to package-level variables (assignment, ++/--, indexed
 //     stores, pointer-receiver method calls on a global);
 //   - kernel callback registrations (sim.Env.Spawn/Schedule/Chain,
-//     mem write hooks, pcie MSI handlers, shard.Kernel.AddNode
-//     sinks) — the roots of "runs on the simulated timeline";
+//     sim.NewDeferred/NewCoalesced/NewPool, mem write hooks, pcie MSI
+//     handlers, shard.Kernel.AddNode sinks) — the roots of "runs on
+//     the simulated timeline";
 //   - the //dcslint:hotpath directive marking a zero-allocation root.
 //
 // Function literals are flattened into their enclosing declaration's
@@ -111,12 +112,13 @@ type CallbackKind int
 // Callback registration kinds.
 const (
 	CallbackSpawn    CallbackKind = iota // sim.Env.Spawn process body
-	CallbackSchedule                     // sim.Env.Schedule event fn
-	CallbackChain                        // sim.Env.Chain continuation
+	CallbackSchedule                     // sim.Env.Schedule event fn, sim.NewDeferred fn
+	CallbackChain                        // sim.Env.Chain continuation, sim.NewCoalesced action
 	CallbackHook                         // mem.Region.SetWriteHook
 	CallbackMSI                          // pcie.Fabric.OnMSI handler
 	CallbackSink                         // shard.Kernel.AddNode delivery sink
 	CallbackHandler                      // sim.Env.SpawnHandler handler body
+	CallbackPool                         // sim.NewPool worker start
 )
 
 func (k CallbackKind) String() string {
@@ -127,6 +129,8 @@ func (k CallbackKind) String() string {
 		return "sim.Env.Schedule callback"
 	case CallbackChain:
 		return "sim.Env.Chain continuation"
+	case CallbackPool:
+		return "sim.Pool worker start"
 	case CallbackHook:
 		return "mem.Region write hook"
 	case CallbackMSI:
@@ -845,6 +849,14 @@ func (s *summarizer) callback(call *ast.CallExpr, fn *types.Func) {
 		kind, argIdx = CallbackSchedule, 1
 	case fn.Pkg().Path() == SimKernelPath && recvTypeName(fn) == "Env" && fn.Name() == "Chain":
 		kind, argIdx = CallbackChain, 0
+	// The kernel's plumbing types register their function argument
+	// with Schedule, Chain or (through the worker start) Spawn.
+	case fn.Pkg().Path() == SimKernelPath && recvTypeName(fn) == "" && fn.Name() == "NewDeferred":
+		kind, argIdx = CallbackSchedule, 1
+	case fn.Pkg().Path() == SimKernelPath && recvTypeName(fn) == "" && fn.Name() == "NewCoalesced":
+		kind, argIdx = CallbackChain, 1
+	case fn.Pkg().Path() == SimKernelPath && recvTypeName(fn) == "" && fn.Name() == "NewPool":
+		kind, argIdx = CallbackPool, 2
 	case fn.Pkg().Path() == ModulePath+"/internal/mem" && recvTypeName(fn) == "Region" && fn.Name() == "SetWriteHook":
 		kind, argIdx = CallbackHook, 0
 	case fn.Pkg().Path() == ModulePath+"/internal/pcie" && recvTypeName(fn) == "Fabric" && fn.Name() == "OnMSI":

@@ -25,8 +25,9 @@ import (
 //     into every domain.
 //
 // The analyzer seeds reachability at every kernel-callback
-// registration (sim.Env Spawn/Schedule/Chain, mem write hooks, pcie
-// MSI handlers, shard sinks), walks the static call graph, and flags
+// registration (sim.Env Spawn/Schedule/Chain, the functions of
+// sim.NewDeferred/NewCoalesced/NewPool, mem write hooks, pcie MSI
+// handlers, shard sinks), walks the static call graph, and flags
 // both mechanisms. Simulation-model packages and out-of-module code
 // (testdata models) are checked; host-side packages (bench, cmd) are
 // exempt — their procs run single-domain experiments. Suppress a

@@ -89,3 +89,20 @@ func wireAllowed(k *shard.Kernel, domains []*shard.Domain, sink *node) {
 		k.AddNode(i, domains[0], sink.inject)
 	}
 }
+
+// The kernel's plumbing types register their functions on the
+// simulated timeline too: a deferred call, a coalesced action and a
+// worker pool's start function.
+var plumbed int
+
+func plumbing(env *sim.Env) {
+	sim.NewDeferred(env, func(n int) {
+		plumbed += n // want `package-level variable shardsafe\.plumbed assigned from simulated-timeline code`
+	})
+	sim.NewCoalesced(env, func() {
+		plumbed = 0 // want `package-level variable shardsafe\.plumbed assigned from simulated-timeline code`
+	})
+	sim.NewPool(env, "workers", func(job int, ok bool) {
+		plumbed = job // want `package-level variable shardsafe\.plumbed assigned from simulated-timeline code`
+	})
+}

@@ -53,7 +53,7 @@ func TestAppendLSOChain(t *testing.T) {
 func completeSends(n *node, completed uint64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], completed)
-	n.mm.Write(n.cfg.SendStatus, b[:])
+	n.mm.Write(n.status.Base, b[:])
 }
 
 func TestSendRingTrack(t *testing.T) {

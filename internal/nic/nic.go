@@ -120,10 +120,10 @@ type nicQueue struct {
 	sendExts    []mem.Extent // fetch/gather extents scratch (txMachine only)
 	cplExts     []mem.Extent // completion-flush extents scratch (rxCplMachine only)
 
-	// irqQueued coalesces same-instant arm doorbells into one deferred
-	// interrupt check (irqFn bound once; see Env.Chain).
-	irqQueued bool
-	irqFn     func()
+	// irqCheck coalesces same-instant arm doorbells into one interrupt
+	// check (and at most one MSI). The doorbell hook is in tail position
+	// of the posted-write delivery, so the check may run inline.
+	irqCheck *sim.Coalesced
 
 	// Reused per-packet LSO segment scratch: one packet is in flight
 	// per queue at a time, so a single slice makes the transmit path
@@ -163,13 +163,13 @@ type NIC struct {
 	txReplays            int64 // wire corruptions replayed by the link layer
 	bdRefetches          int64 // stuck descriptor fetches re-read
 
-	// Deterministic free lists (DESIGN.md §11): frames recycles
-	// consumed frame buffers back to the marshalling side (shared with
-	// a Connect'ed peer), fdFree recycles wire-delivery records and
-	// their bound callbacks. Both are LIFO lists driven only from the
-	// simulated timeline.
+	// frames recycles consumed frame buffers back to the marshalling
+	// side (shared with a Connect'ed peer), a deterministic LIFO list
+	// driven only from the simulated timeline (DESIGN.md §11); toPeer
+	// delivers frames to a back-to-back peer after the propagation
+	// delay.
 	frames *framePool
-	fdFree []*frameDelivery
+	toPeer *sim.Deferred[[]byte]
 
 	// realInFlight counts frames between txFIFO.Put and wire exit; a
 	// checkpoint refuses a NIC that still holds one.
@@ -208,39 +208,6 @@ func (n *NIC) putFrameBuf(b []byte) {
 	}
 }
 
-// frameDelivery is one propagation-delayed frame hand-off to the peer
-// NIC. fn is the record's bound deliver method, created once per
-// record and reused.
-type frameDelivery struct {
-	nic   *NIC
-	to    *sim.Queue[[]byte]
-	frame []byte
-	fn    func()
-}
-
-func (d *frameDelivery) deliver() {
-	d.to.Put(d.frame)
-	d.frame = nil
-	d.nic.fdFree = append(d.nic.fdFree, d)
-}
-
-// scheduleDelivery hands frame to q after delay d without allocating a
-// closure per frame.
-func (n *NIC) scheduleDelivery(q *sim.Queue[[]byte], frame []byte, d sim.Time) {
-	var fd *frameDelivery
-	if k := len(n.fdFree); k > 0 {
-		fd = n.fdFree[k-1]
-		n.fdFree = n.fdFree[:k-1]
-	} else {
-		//dcslint:allow noalloc pool-miss arm: each frameDelivery and its bound deliver are created once, then free-listed
-		fd = &frameDelivery{nic: n}
-		//dcslint:allow noalloc see above: one-time per pooled record, reused forever after
-		fd.fn = fd.deliver
-	}
-	fd.to, fd.frame = q, frame
-	n.env.Schedule(d, fd.fn)
-}
-
 // NewNIC builds the device on a new fabric port.
 func NewNIC(env *sim.Env, fab *pcie.Fabric, name string, params Params) *NIC {
 	n := &NIC{
@@ -263,6 +230,7 @@ func NewNIC(env *sim.Env, fab *pcie.Fabric, name string, params Params) *NIC {
 	n.txBW = sim.NewBandwidthServer(env, name+"-wire-tx", params.WireBps, 0)
 	n.txFIFO = sim.NewQueue[outFrame](env, name+"-txfifo")
 	n.txSpace = sim.NewCond(env)
+	n.toPeer = sim.NewDeferred(env, func(frame []byte) { n.peer.rxQ.Put(frame) })
 	n.Doorbells.SetWriteHook(n.onDoorbell)
 	env.SpawnHandler(name+"-rx", (&rxDemuxMachine{n: n}).run)
 	env.SpawnHandler(name+"-tx-wire", (&txWireMachine{n: n}).run)
@@ -288,7 +256,7 @@ func (n *NIC) wireOut(frame []byte, wireLen, payLen int) {
 		n.uplink.SendFrame(frame, wireLen, payLen)
 		return
 	}
-	n.scheduleDelivery(n.peer.rxQ, frame, n.params.PropDelay)
+	n.toPeer.After(n.params.PropDelay, frame)
 }
 
 // Stats returns frame/byte/drop counters.
@@ -352,19 +320,36 @@ func (n *NIC) SetSteering(t ether.Tuple, qid uint16) { n.steering[t] = qid }
 // ClearSteering removes a steering rule.
 func (n *NIC) ClearSteering(t ether.Tuple) { delete(n.steering, t) }
 
-// ConfigureQueue registers a queue pair and starts its transmit
-// process (configuration-time operation, no simulated cost).
-func (n *NIC) ConfigureQueue(cfg QueueConfig) {
-	if _, dup := n.queues[cfg.QID]; dup {
-		panic(fmt.Sprintf("nic: queue %d exists on %s", cfg.QID, n.Name))
+// NewQueuePair sets up a submitter's queue pair qid of entries BDs a
+// side, a configuration-time operation with no simulated cost: it
+// allocates <prefix>-sring, -rring, -rcpl and -status in the
+// submitter's memory (kind, attached to port), registers the queue
+// (header split, MSI vector; <0: none, the submitter snoops the status
+// region's writes), starts its transmit and receive machines, and
+// returns the submitter's send and receive rings and the status
+// region. The status region holds the send ring's completed-BD counter
+// at +0 and the receive completion counter at +8.
+func (n *NIC) NewQueuePair(port *pcie.Port, prefix string, kind mem.Kind, qid uint16, entries, msiVector int, headerSplit bool) (*SendRing, *RecvRing, *mem.Region) {
+	if _, dup := n.queues[qid]; dup {
+		panic(fmt.Sprintf("nic: queue %d exists on %s", qid, n.Name))
 	}
-	if cfg.SendEntries < 2 || cfg.RecvEntries < 2 {
+	if entries < 2 {
 		panic("nic: queue too small")
 	}
-	if cfg.SendRing.Size < uint64(cfg.SendEntries*SendBDSize) ||
-		cfg.RecvRing.Size < uint64(cfg.RecvEntries*RecvBDSize) ||
-		cfg.RecvCpl.Size < uint64(cfg.RecvEntries*RecvCplSize) {
-		panic("nic: ring region too small")
+	mm := n.fab.Mem()
+	sring := mm.AddRegion(prefix+"-sring", kind, uint64(entries*SendBDSize), true)
+	rring := mm.AddRegion(prefix+"-rring", kind, uint64(entries*RecvBDSize), true)
+	rcpl := mm.AddRegion(prefix+"-rcpl", kind, uint64(entries*RecvCplSize), true)
+	status := mm.AddRegion(prefix+"-status", kind, 64, true)
+	for _, r := range []*mem.Region{sring, rring, rcpl, status} {
+		n.fab.Attach(port, r)
+	}
+	cfg := QueueConfig{
+		QID: qid, SendRing: sring, SendEntries: entries,
+		SendStatus: status.Base,
+		RecvRing:   rring, RecvEntries: entries,
+		RecvCpl: rcpl, RecvStatus: status.Base + 8,
+		MSIVector: msiVector, HeaderSplit: headerSplit,
 	}
 	q := &nicQueue{
 		cfg:      cfg,
@@ -372,30 +357,29 @@ func (n *NIC) ConfigureQueue(cfg QueueConfig) {
 		recvKick: sim.NewCond(n.env),
 		txStage:  n.internal.Alloc(128<<10, 4096),
 		scratch:  n.internal.Alloc(256, 64),
-		rxFIFO:   sim.NewQueue[rxFrame](n.env, fmt.Sprintf("%s-rxq%d", n.Name, cfg.QID)),
+		rxFIFO:   sim.NewQueue[rxFrame](n.env, fmt.Sprintf("%s-rxq%d", n.Name, qid)),
 		rxSpace:  sim.NewCond(n.env),
 		rxStage:  n.internal.Alloc(4<<10, 64),
-		rxSlots:  sim.NewQueue[mem.Addr](n.env, fmt.Sprintf("%s-rxslots%d", n.Name, cfg.QID)),
-		rxPend:   sim.NewQueue[rxPending](n.env, fmt.Sprintf("%s-rxpend%d", n.Name, cfg.QID)),
+		rxSlots:  sim.NewQueue[mem.Addr](n.env, fmt.Sprintf("%s-rxslots%d", n.Name, qid)),
+		rxPend:   sim.NewQueue[rxPending](n.env, fmt.Sprintf("%s-rxpend%d", n.Name, qid)),
 		cplStage: n.internal.Alloc(4<<10, 64),
-		bdStage:  n.internal.Alloc(uint64(cfg.SendEntries)*SendBDSize, 64),
+		bdStage:  n.internal.Alloc(uint64(entries)*SendBDSize, 64),
 	}
-	q.irqFn = func() {
-		q.irqQueued = false
-		n.maybeIRQ(q)
-	}
+	q.irqCheck = sim.NewCoalesced(n.env, func() { n.maybeIRQ(q) })
 	for i := 0; i < rxDMATags; i++ {
 		q.rxSlots.Put(n.internal.Alloc(2048, 64))
 	}
-	n.queues[cfg.QID] = q
+	n.queues[qid] = q
 	n.queueList = append(n.queueList, q)
-	n.env.SpawnHandler(fmt.Sprintf("%s-tx-q%d", n.Name, cfg.QID), (&txMachine{n: n, q: q}).run)
-	n.env.SpawnHandler(fmt.Sprintf("%s-rx-q%d", n.Name, cfg.QID), (&rxQueueMachine{n: n, q: q}).run)
-	n.env.SpawnHandler(fmt.Sprintf("%s-rxcpl-q%d", n.Name, cfg.QID), (&rxCplMachine{n: n, q: q}).run)
+	n.env.SpawnHandler(fmt.Sprintf("%s-tx-q%d", n.Name, qid), (&txMachine{n: n, q: q}).run)
+	n.env.SpawnHandler(fmt.Sprintf("%s-rx-q%d", n.Name, qid), (&rxQueueMachine{n: n, q: q}).run)
+	n.env.SpawnHandler(fmt.Sprintf("%s-rxcpl-q%d", n.Name, qid), (&rxCplMachine{n: n, q: q}).run)
+	return &SendRing{fab: n.fab, nic: n, cfg: cfg},
+		&RecvRing{fab: n.fab, nic: n, cfg: cfg, addrs: make([]mem.Addr, entries)}, status
 }
 
-// DoorbellAddrs returns the four doorbell addresses for a queue.
-func (n *NIC) DoorbellAddrs(qid uint16) (sendTail, sendArm, recvTail, recvArm mem.Addr) {
+// doorbellAddrs returns the four doorbell addresses for a queue.
+func (n *NIC) doorbellAddrs(qid uint16) (sendTail, sendArm, recvTail, recvArm mem.Addr) {
 	base := n.Doorbells.Base + mem.Addr(uint64(qid)*dbStride)
 	return base + dbSendTail, base + dbSendArm, base + dbRecvTail, base + dbRecvArm
 }
@@ -414,26 +398,14 @@ func (n *NIC) onDoorbell(off uint64, _ int) {
 	case dbSendArm:
 		q.sendAck = val
 		q.armed = true
-		n.queueIRQCheck(q)
+		q.irqCheck.Raise()
 	case dbRecvTail:
 		q.recvTail = val
 		q.recvKick.Broadcast()
 	case dbRecvArm:
 		q.recvAck = val
 		q.armed = true
-		n.queueIRQCheck(q)
-	}
-}
-
-// queueIRQCheck defers the queue's interrupt check to the end of the
-// current instant so same-instant send-arm and recv-arm doorbells
-// coalesce into one check (and at most one MSI). The doorbell hook is
-// in tail position of the posted-write delivery, so Chain may legally
-// run the check inline when nothing else is due.
-func (n *NIC) queueIRQCheck(q *nicQueue) {
-	if !q.irqQueued {
-		q.irqQueued = true
-		n.env.Chain(q.irqFn)
+		q.irqCheck.Raise()
 	}
 }
 

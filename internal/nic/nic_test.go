@@ -98,7 +98,7 @@ type node struct {
 	hostPort *pcie.Port
 	dram     *mem.Region
 	nic      *NIC
-	cfg      QueueConfig
+	status   *mem.Region // send completed-BD counter at +0, receive completions at +8
 	send     *SendRing
 	recv     *RecvRing
 }
@@ -110,27 +110,8 @@ func newNode(env *sim.Env, name string, msiVector int, headerSplit bool) *node {
 	dram := mm.AddRegion(name+"-dram", mem.HostDRAM, 64<<20, true)
 	fab.Attach(hostPort, dram)
 	n := NewNIC(env, fab, name+"-nic", DefaultParams())
-
-	sendRing := mm.AddRegion(name+"-sring", mem.HostDRAM, 1024*SendBDSize, true)
-	recvRing := mm.AddRegion(name+"-rring", mem.HostDRAM, 1024*RecvBDSize, true)
-	recvCpl := mm.AddRegion(name+"-rcpl", mem.HostDRAM, 1024*RecvCplSize, true)
-	status := mm.AddRegion(name+"-status", mem.HostDRAM, 64, true)
-	for _, r := range []*mem.Region{sendRing, recvRing, recvCpl, status} {
-		fab.Attach(hostPort, r)
-	}
-	cfg := QueueConfig{
-		QID: 0, SendRing: sendRing, SendEntries: 1024,
-		SendStatus: status.Base,
-		RecvRing:   recvRing, RecvEntries: 1024,
-		RecvCpl: recvCpl, RecvStatus: status.Base + 8,
-		MSIVector: msiVector, HeaderSplit: headerSplit,
-	}
-	n.ConfigureQueue(cfg)
-	return &node{
-		mm: mm, fab: fab, hostPort: hostPort, dram: dram, nic: n, cfg: cfg,
-		send: NewSendRing(fab, n, cfg),
-		recv: NewRecvRing(fab, n, cfg),
-	}
+	send, recv, status := n.NewQueuePair(hostPort, name, mem.HostDRAM, 0, 1024, msiVector, headerSplit)
+	return &node{mm: mm, fab: fab, hostPort: hostPort, dram: dram, nic: n, status: status, send: send, recv: recv}
 }
 
 func testFlow() ether.Flow {
@@ -369,18 +350,7 @@ func TestFlowSteering(t *testing.T) {
 	Connect(a.nic, b.nic)
 
 	// Configure a second queue on b and steer the test flow to it.
-	q1send := b.mm.AddRegion("b-s1", mem.HostDRAM, 64*SendBDSize, true)
-	q1recv := b.mm.AddRegion("b-r1", mem.HostDRAM, 64*RecvBDSize, true)
-	q1cpl := b.mm.AddRegion("b-c1", mem.HostDRAM, 64*RecvCplSize, true)
-	q1status := b.mm.AddRegion("b-st1", mem.HostDRAM, 64, true)
-	for _, r := range []*mem.Region{q1send, q1recv, q1cpl, q1status} {
-		b.fab.Attach(b.hostPort, r)
-	}
-	cfg1 := QueueConfig{QID: 1, SendRing: q1send, SendEntries: 64,
-		SendStatus: q1status.Base, RecvRing: q1recv, RecvEntries: 64,
-		RecvCpl: q1cpl, RecvStatus: q1status.Base + 8, MSIVector: -1}
-	b.nic.ConfigureQueue(cfg1)
-	recv1 := NewRecvRing(b.fab, b.nic, cfg1)
+	_, recv1, _ := b.nic.NewQueuePair(b.hostPort, "b-q1", mem.HostDRAM, 1, 64, -1, false)
 	recv1.Post([]RecvBD{{Addr: b.dram.Alloc(2048, 64), Len: 2048}})
 	recv1.RingDoorbell()
 	b.nic.SetSteering(testFlow().Tuple(), 1)

@@ -28,11 +28,6 @@ type fetchWait struct {
 	sig  *sim.Signal
 }
 
-// NewSendRing returns a send ring over the queue.
-func NewSendRing(fab *pcie.Fabric, n *NIC, cfg QueueConfig) *SendRing {
-	return &SendRing{fab: fab, nic: n, cfg: cfg}
-}
-
 // Completed reads the cumulative completed-BD counter (submitter-local
 // memory read).
 func (r *SendRing) Completed() uint64 {
@@ -71,14 +66,14 @@ func (r *SendRing) Push(bds []SendBD) error {
 //
 //dcslint:hotpath
 func (r *SendRing) RingDoorbell() {
-	sendTail, _, _, _ := r.nic.DoorbellAddrs(r.cfg.QID)
+	sendTail, _, _, _ := r.nic.doorbellAddrs(r.cfg.QID)
 	r.fab.PostedWrite(sendTail, r.tail)
 }
 
 // Arm acknowledges the completions seen so far and requests an
 // interrupt as soon as the completed-BD counter passes them.
 func (r *SendRing) Arm() {
-	_, sendArm, _, _ := r.nic.DoorbellAddrs(r.cfg.QID)
+	_, sendArm, _, _ := r.nic.doorbellAddrs(r.cfg.QID)
 	r.fab.PostedWrite(sendArm, r.Completed())
 }
 
@@ -123,11 +118,6 @@ type RecvRing struct {
 	addrs   []mem.Addr
 }
 
-// NewRecvRing returns a receive ring over the queue.
-func NewRecvRing(fab *pcie.Fabric, n *NIC, cfg QueueConfig) *RecvRing {
-	return &RecvRing{fab: fab, nic: n, cfg: cfg, addrs: make([]mem.Addr, cfg.RecvEntries)}
-}
-
 // Post writes receive BDs into the ring. The caller must ring the
 // doorbell afterwards.
 //
@@ -150,14 +140,14 @@ func (r *RecvRing) Post(bds []RecvBD) error {
 //
 //dcslint:hotpath
 func (r *RecvRing) RingDoorbell() {
-	_, _, recvTail, _ := r.nic.DoorbellAddrs(r.cfg.QID)
+	_, _, recvTail, _ := r.nic.doorbellAddrs(r.cfg.QID)
 	r.fab.PostedWrite(recvTail, r.tail)
 }
 
 // Arm acknowledges the completions consumed so far and requests an
 // interrupt as soon as new ones land.
 func (r *RecvRing) Arm() {
-	_, _, _, recvArm := r.nic.DoorbellAddrs(r.cfg.QID)
+	_, _, _, recvArm := r.nic.doorbellAddrs(r.cfg.QID)
 	r.fab.PostedWrite(recvArm, r.cplHead)
 }
 

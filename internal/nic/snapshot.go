@@ -69,7 +69,7 @@ func (n *NIC) snapQueue(c *snap.Codec, q *nicQueue) {
 		c.Failf("%s q%d: %d staged receive frames", n.Name, qid, q.rxFIFO.Len())
 	case q.rxPend.Len() != 0:
 		c.Failf("%s q%d: %d in-flight receive DMAs", n.Name, qid, q.rxPend.Len())
-	case q.irqQueued:
+	case q.irqCheck.Pending():
 		c.Failf("%s q%d: a queued interrupt check", n.Name, qid)
 	}
 	snap.Check(c, "queue", qid, c.U16)

@@ -114,7 +114,7 @@ func runMix(mix mixConfig) (string, sim.Stats) {
 		fn.post(fn.free)
 		fn.free = fn.free[:0]
 		fn := fn
-		_, off := fn.mm.MustResolve(fn.cfg.RecvStatus)
+		_, off := fn.mm.MustResolve(fn.status.Base + 8)
 		fn.statusRegion().SetWriteHook(func(o uint64, k int) {
 			if o != off {
 				return
@@ -180,7 +180,7 @@ func timelineFingerprint(env *sim.Env, lines []string, nodes []*goldenNode) stri
 
 // statusRegion resolves the node's status region for hook installation.
 func (fn *goldenNode) statusRegion() *mem.Region {
-	r, _ := fn.mm.MustResolve(fn.cfg.RecvStatus)
+	r, _ := fn.mm.MustResolve(fn.status.Base + 8)
 	return r
 }
 
@@ -197,26 +197,8 @@ func newFaultyNode(env *sim.Env, name string, inj *fault.Injector) *node {
 	params := DefaultParams()
 	params.Faults = inj
 	n := NewNIC(env, fab, name+"-nic", params)
-	sendRing := mm.AddRegion(name+"-sring", mem.HostDRAM, 1024*SendBDSize, true)
-	recvRing := mm.AddRegion(name+"-rring", mem.HostDRAM, 1024*RecvBDSize, true)
-	recvCpl := mm.AddRegion(name+"-rcpl", mem.HostDRAM, 1024*RecvCplSize, true)
-	status := mm.AddRegion(name+"-status", mem.HostDRAM, 64, true)
-	for _, r := range []*mem.Region{sendRing, recvRing, recvCpl, status} {
-		fab.Attach(hostPort, r)
-	}
-	cfg := QueueConfig{
-		QID: 0, SendRing: sendRing, SendEntries: 1024,
-		SendStatus: status.Base,
-		RecvRing:   recvRing, RecvEntries: 1024,
-		RecvCpl: recvCpl, RecvStatus: status.Base + 8,
-		MSIVector: -1,
-	}
-	n.ConfigureQueue(cfg)
-	return &node{
-		mm: mm, fab: fab, hostPort: hostPort, dram: dram, nic: n, cfg: cfg,
-		send: NewSendRing(fab, n, cfg),
-		recv: NewRecvRing(fab, n, cfg),
-	}
+	send, recv, status := n.NewQueuePair(hostPort, name, mem.HostDRAM, 0, 1024, -1, false)
+	return &node{mm: mm, fab: fab, hostPort: hostPort, dram: dram, nic: n, status: status, send: send, recv: recv}
 }
 
 // mixFlow returns flow fl of node i's transmit direction.
@@ -394,7 +376,7 @@ func runEcho(cfg echoConfig) (string, sim.Stats) {
 		fn := nodes[i]
 		fn.post(fn.free)
 		fn.free = fn.free[:0]
-		_, off := fn.mm.MustResolve(fn.cfg.RecvStatus)
+		_, off := fn.mm.MustResolve(fn.status.Base + 8)
 		fn.statusRegion().SetWriteHook(func(o uint64, k int) {
 			if o != off {
 				return

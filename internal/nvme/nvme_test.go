@@ -159,21 +159,16 @@ func newTestbed(t *testing.T, entries int, msi bool) *testbed {
 	fab.Attach(hostPort, dram)
 	ssd := NewSSD(env, fab, "nvme0", DefaultParams())
 
-	sq := mm.AddRegion("sq0", mem.HostDRAM, uint64(entries*CommandSize), true)
-	cq := mm.AddRegion("cq0", mem.HostDRAM, uint64(entries*CompletionSize), true)
-	fab.Attach(hostPort, sq)
-	fab.Attach(hostPort, cq)
-	sqdb, cqdb := ssd.DoorbellAddrs(1)
-	cfg := RingConfig{QID: 1, Entries: entries, SQ: sq, CQ: cq, SQDoorbell: sqdb, CQDoorbell: cqdb}
-	ring := NewRing(fab, cfg)
 	vector := -1
 	if msi {
 		vector = 1
+	}
+	ring, cq := ssd.NewQueuePair(hostPort, "host", mem.HostDRAM, 1, entries, vector)
+	if msi {
 		fab.OnMSI(vector, func() { ring.ProcessCompletions() })
 	} else {
 		cq.SetWriteHook(func(off uint64, n int) { ring.ProcessCompletions() })
 	}
-	ssd.CreateQueuePair(cfg, vector)
 	return &testbed{env: env, mm: mm, fab: fab, ssd: ssd, ring: ring, dram: dram}
 }
 

@@ -33,21 +33,6 @@ type Ring struct {
 	pending map[uint16]func(Completion)
 }
 
-// NewRing returns a ring over cfg. The queue regions must hold
-// Entries SQEs and CQEs respectively.
-func NewRing(fab *pcie.Fabric, cfg RingConfig) *Ring {
-	if cfg.Entries < 2 {
-		panic(fmt.Sprintf("nvme: ring %d too small (%d entries)", cfg.QID, cfg.Entries))
-	}
-	if cfg.SQ.Size < uint64(cfg.Entries*CommandSize) {
-		panic(fmt.Sprintf("nvme: SQ region %s too small", cfg.SQ.Name))
-	}
-	if cfg.CQ.Size < uint64(cfg.Entries*CompletionSize) {
-		panic(fmt.Sprintf("nvme: CQ region %s too small", cfg.CQ.Name))
-	}
-	return &Ring{cfg: cfg, fab: fab, phase: true, pending: map[uint16]func(Completion){}}
-}
-
 // Outstanding returns the number of commands submitted but not yet
 // completed.
 func (r *Ring) Outstanding() int { return len(r.pending) }

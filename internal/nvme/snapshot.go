@@ -16,11 +16,8 @@ import (
 // phase bits, flash content, the staging slot free list (order is
 // schedule state: which slot a future command gets decides DMA
 // extents), bandwidth/execution accounting, and counters. The exec
-// worker pool population is schedule state too: a Put into a pool
-// with parked workers can chain-wake them (spurious re-parking
-// dispatches a fresh Spawn never causes), so the snapshot records the
-// idle-worker count and the restore path primes that many parked
-// workers (PrimeExecPool).
+// worker pool's idle population is schedule state too, so the snapshot
+// records it and a load primes it (sim.Pool.Snap).
 
 // Snap codes the device state. QPs iterate in sorted-QID order so
 // encode order never leaks map iteration order.
@@ -35,7 +32,7 @@ func (s *SSD) Snap(c *snap.Codec) {
 			c.Failf("%s QP %d has unfetched SQEs (head=%d tail=%d)", s.Name, qid, qp.sqHead, qp.dbTail)
 		case len(qp.cplPend) != 0:
 			c.Failf("%s QP %d has %d pending completions", s.Name, qid, len(qp.cplPend))
-		case qp.kickQueued:
+		case qp.kick.Pending():
 			c.Failf("%s QP %d has a queued doorbell kick", s.Name, qid)
 		case qp.cqHeadSee != qp.cqTail:
 			c.Failf("%s QP %d has unconsumed CQEs (seen=%d tail=%d)", s.Name, qid, qp.cqHeadSee, qp.cqTail)
@@ -50,14 +47,7 @@ func (s *SSD) Snap(c *snap.Codec) {
 	c.I64(&s.bytesWr)
 	// The pool grows only while every worker holds a fetched command,
 	// and the queue pairs hold fewer than their depth in commands.
-	idle := s.execIdle
-	c.Int(&idle)
-	if idle < 0 || idle > depth {
-		c.Failf("%s exec pool of %d workers, queue pairs hold at most %d commands", s.Name, idle, depth)
-	}
-	if c.Loading() && c.Err() == nil {
-		s.PrimeExecPool(idle)
-	}
+	s.execs.Snap(c, depth, "queue pairs hold at most %d commands")
 
 	// Staged and written blocks encode as one map, written blocks
 	// winning, so how a block got there does not show in the bytes. A

@@ -69,13 +69,10 @@ type SSD struct {
 	image map[uint64][]byte
 	qps   map[uint16]*devQP
 
-	// Command-execution worker pool: finished workers park on
-	// execJobs instead of exiting, so steady-state command execution
-	// reuses proc stacks and scratch slices rather than allocating
-	// per command. A deterministic free list, not sync.Pool — see
-	// DESIGN.md §11.
-	execJobs *sim.Queue[execJob]
-	execIdle int
+	// Command-execution worker pool: finished workers park instead of
+	// exiting, so steady-state command execution reuses proc stacks
+	// and scratch slices rather than allocating per command.
+	execs *sim.Pool[execJob]
 
 	// zeroBlock is the shared read-only content of never-written LBAs.
 	zeroBlock []byte
@@ -105,11 +102,9 @@ type devQP struct {
 	sqBatch   mem.Addr  // staging for burst-fetched SQEs (Entries slots)
 	cqBatch   mem.Addr  // staging for coalesced CQE posts (Entries slots)
 
-	// kickQueued coalesces same-instant SQ doorbell rings into one
-	// deferred sqKick broadcast (kickFn is bound once at setup so the
-	// doorbell hot path does not allocate a closure per ring).
-	kickQueued bool
-	kickFn     func()
+	// kick coalesces same-instant SQ doorbell rings into one sqKick
+	// broadcast.
+	kick *sim.Coalesced
 
 	// cplPend holds finished commands awaiting a CQ slot; the per-QP
 	// completer drains it in same-instant batches. Bounded by the
@@ -131,7 +126,6 @@ func NewSSD(env *sim.Env, fab *pcie.Fabric, name string, params Params) *SSD {
 		flash:     map[uint64][]byte{},
 		image:     map[uint64][]byte{},
 		qps:       map[uint16]*devQP{},
-		execJobs:  sim.NewQueue[execJob](env, name+"-exec-jobs"),
 		zeroBlock: make([]byte, BlockSize),
 	}
 	s.port = fab.AddPort(name)
@@ -149,6 +143,9 @@ func NewSSD(env *sim.Env, fab *pcie.Fabric, name string, params Params) *SSD {
 	s.readBW = sim.NewBandwidthServer(env, name+"-flash-rd", params.ReadBps, 0)
 	s.writeBW = sim.NewBandwidthServer(env, name+"-flash-wr", params.WriteBps, 0)
 	s.exec = sim.NewResource(env, name+"-exec", params.Channels)
+	s.execs = sim.NewPool(env, name+" exec", func(job execJob, ok bool) {
+		env.Spawn(name+"-exec", func(ep *sim.Proc) { s.execWorker(ep, job, ok) })
+	})
 
 	s.Doorbells.SetWriteHook(s.onDoorbell)
 	return s
@@ -159,41 +156,47 @@ func (s *SSD) Stats() (cmds, bytesRead, bytesWritten int64) {
 	return s.cmdsDone, s.bytesRd, s.bytesWr
 }
 
-// CreateQueuePair registers a queue pair (the admin-queue step of a
-// real device, performed at configuration time). msiVector < 0 means
-// no interrupt: the submitter detects completions by CQ memory write
-// (the HDC Engine mode).
-func (s *SSD) CreateQueuePair(cfg RingConfig, msiVector int) {
-	if _, dup := s.qps[cfg.QID]; dup {
-		panic(fmt.Sprintf("nvme: QP %d exists on %s", cfg.QID, s.Name))
+// NewQueuePair sets up a submitter's queue pair qid of entries
+// commands, the admin-queue step of a real device, performed at
+// configuration time: it allocates <prefix>-sq and <prefix>-cq in the
+// submitter's memory (kind, attached to port), registers the pair with
+// the SSD, starts its fetch and completion loops, and returns the
+// submitter's ring and the CQ region, whose write hook is the
+// completion snoop of a submitter without interrupts. msiVector < 0
+// means no interrupt: the submitter detects completions by CQ memory
+// write (the HDC Engine mode).
+func (s *SSD) NewQueuePair(port *pcie.Port, prefix string, kind mem.Kind, qid uint16, entries, msiVector int) (*Ring, *mem.Region) {
+	if entries < 2 {
+		panic(fmt.Sprintf("nvme: queue pair %d too small (%d entries)", qid, entries))
 	}
+	if _, dup := s.qps[qid]; dup {
+		panic(fmt.Sprintf("nvme: QP %d exists on %s", qid, s.Name))
+	}
+	mm := s.fab.Mem()
+	sq := mm.AddRegion(prefix+"-sq", kind, uint64(entries*CommandSize), true)
+	cq := mm.AddRegion(prefix+"-cq", kind, uint64(entries*CompletionSize), true)
+	s.fab.Attach(port, sq)
+	s.fab.Attach(port, cq)
+	db := s.Doorbells.Base + mem.Addr(uint64(qid)*dbStride) // SQ tail; CQ head at +16
+	cfg := RingConfig{QID: qid, Entries: entries, SQ: sq, CQ: cq, SQDoorbell: db, CQDoorbell: db + 16}
 	qp := &devQP{
 		cfg:       cfg,
 		msiVector: msiVector,
 		phase:     true,
 		sqKick:    sim.NewCond(s.env),
 		cqKick:    sim.NewCond(s.env),
-		sqBatch:   s.staging.Alloc(uint64(cfg.Entries)*CommandSize, 64),
-		cqBatch:   s.staging.Alloc(uint64(cfg.Entries)*CompletionSize, 64),
-		cplPend:   make([]Completion, 0, cfg.Entries),
+		sqBatch:   s.staging.Alloc(uint64(entries)*CommandSize, 64),
+		cqBatch:   s.staging.Alloc(uint64(entries)*CompletionSize, 64),
+		cplPend:   make([]Completion, 0, entries),
 		cplWork:   sim.NewCond(s.env),
 		sqExts:    make([]mem.Extent, 0, 2),
 		cqExts:    make([]mem.Extent, 0, 2),
 	}
-	qp.kickFn = func() {
-		qp.kickQueued = false
-		qp.sqKick.Broadcast()
-	}
-	s.qps[cfg.QID] = qp
-	s.env.Spawn(fmt.Sprintf("%s-qp%d", s.Name, cfg.QID), func(p *sim.Proc) { s.qpLoop(p, qp) })
-	s.env.Spawn(fmt.Sprintf("%s-qp%d-cpl", s.Name, cfg.QID), func(p *sim.Proc) { s.cplLoop(p, qp) })
-}
-
-// DoorbellAddrs returns the SQ-tail and CQ-head doorbell addresses for
-// a queue pair ID.
-func (s *SSD) DoorbellAddrs(qid uint16) (sq, cq mem.Addr) {
-	base := s.Doorbells.Base + mem.Addr(uint64(qid)*dbStride)
-	return base, base + 16
+	qp.kick = sim.NewCoalesced(s.env, qp.sqKick.Broadcast)
+	s.qps[qid] = qp
+	s.env.Spawn(fmt.Sprintf("%s-qp%d", s.Name, qid), func(p *sim.Proc) { s.qpLoop(p, qp) })
+	s.env.Spawn(fmt.Sprintf("%s-qp%d-cpl", s.Name, qid), func(p *sim.Proc) { s.cplLoop(p, qp) })
+	return &Ring{cfg: cfg, fab: s.fab, phase: true, pending: map[uint16]func(Completion){}}, cq
 }
 
 func (s *SSD) onDoorbell(off uint64, n int) {
@@ -210,10 +213,7 @@ func (s *SSD) onDoorbell(off uint64, n int) {
 		// drain, as real NVMe devices do). The continuation is a pure
 		// scheduling action, so Chain may legally run it inline.
 		qp.dbTail = val
-		if !qp.kickQueued {
-			qp.kickQueued = true
-			s.env.Chain(qp.kickFn)
-		}
+		qp.kick.Raise()
 	} else {
 		qp.cqHeadSee = val
 		qp.cqKick.Broadcast()
@@ -242,51 +242,30 @@ func (s *SSD) qpLoop(p *sim.Proc, qp *devQP) {
 				continue
 			}
 			// Execute concurrently up to the channel count; completions may
-			// land out of order, which the CID matching absorbs. Handing the
-			// job to a parked pool worker enqueues the same resume event a
-			// fresh Spawn would, so pooling does not perturb event order.
-			job := execJob{qp: qp, cmd: cmd, sqHead: sqHead}
-			if s.execIdle > 0 {
-				s.execIdle--
-				s.execJobs.Put(job)
-			} else {
-				s.env.Spawn(s.Name+"-exec", func(ep *sim.Proc) { s.execWorker(ep, job) })
-			}
+			// land out of order, which the CID matching absorbs.
+			s.execs.Submit(execJob{qp: qp, cmd: cmd, sqHead: sqHead})
 		}
 	}
 }
 
-// PrimeExecPool rebuilds the exec worker pool population after a
-// snapshot restore: n workers parked on the job queue, exactly as the
-// checkpointed device had. The pool population is schedule state — a
-// Put into a pool with parked workers can chain-wake them, which an
-// empty pool's Spawn path never does — so the restore must reproduce
-// it, not merely rely on per-job event parity. The caller runs the
-// environment to quiescence afterwards so the workers reach their
-// park points before simulated time resumes.
-func (s *SSD) PrimeExecPool(n int) {
-	for i := 0; i < n; i++ {
-		s.execIdle++
-		s.env.Spawn(s.Name+"-exec", func(ep *sim.Proc) {
-			s.execWorker(ep, s.execJobs.Get(ep))
-		})
-	}
-}
-
 // execWorker runs fetched commands for the lifetime of the SSD,
-// parking on the job queue between commands. The PRP-page and
-// DMA-extent scratch slices live for the worker's lifetime, so
-// steady-state execution allocates nothing.
-func (s *SSD) execWorker(ep *sim.Proc, job execJob) {
+// parking on the pool between commands; a primed worker (ok false)
+// fetches its first. The PRP-page and DMA-extent scratch slices live
+// for the worker's lifetime, so steady-state execution allocates
+// nothing.
+func (s *SSD) execWorker(ep *sim.Proc, job execJob, ok bool) {
 	pages := make([]mem.Addr, 0, MaxBlocksPerCmd)
 	exts := make([]mem.Extent, 0, MaxBlocksPerCmd)
+	if !ok {
+		job = s.execs.Get(ep)
+	}
 	for {
 		s.exec.Acquire(ep)
 		status := s.execute(ep, job.cmd, &pages, &exts)
 		s.exec.Release()
 		s.finishCmd(job.qp, Completion{CID: job.cmd.CID, SQHead: uint16(job.sqHead), SQID: job.qp.cfg.QID, Status: status})
-		s.execIdle++
-		job = s.execJobs.Get(ep)
+		s.execs.Done()
+		job = s.execs.Get(ep)
 	}
 }
 

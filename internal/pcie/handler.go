@@ -299,7 +299,7 @@ func (w *dmaWorker) run(h *sim.HandlerCtx) {
 	f := w.f
 	for {
 		if !w.hasJob {
-			job, ok := f.asyncJobs.GetH(h)
+			job, ok := f.async.GetH(h)
 			if !ok {
 				return // parked on the job queue until DMAAsync hands it a job
 			}
@@ -314,7 +314,7 @@ func (w *dmaWorker) run(h *sim.HandlerCtx) {
 			return
 		}
 		w.job.sig.Fire(nil)
-		f.asyncIdle++
+		f.async.Done()
 		w.job = asyncJob{}
 		w.hasJob, w.running = false, false
 	}

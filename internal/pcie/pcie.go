@@ -100,41 +100,28 @@ type Fabric struct {
 	// by its own doorbell.
 	postedClock sim.Time
 
-	// Async-DMA engine state: instead of spawning a fresh proc (and
-	// allocating its stack and completion signal) per DMAAsync call,
-	// finished transfers park their worker on asyncJobs and recycle
-	// their signal through sigFree. Both are plain LIFO/FIFO lists
-	// drained on the simulated timeline, so reuse order is
-	// deterministic — see DESIGN.md §11.
-	asyncJobs *sim.Queue[asyncJob]
-	asyncIdle int // workers parked on asyncJobs right now
-	sigFree   []*sim.Signal
+	// async runs DMAAsync transfers on a pool of handler workers, and
+	// sigFree recycles their completion signals, so async DMA allocates
+	// nothing in steady state (DESIGN.md §11).
+	async   *sim.Pool[asyncJob]
+	sigFree []*sim.Signal
 
-	// pwFree recycles posted-write delivery records (and their bound
-	// callbacks) so every doorbell ring doesn't allocate a closure.
-	pwFree []*postedWrite
-
-	// msiPending counts scheduled-but-undelivered MSIs (a checkpoint
-	// refuses an interrupt in flight); msiFree recycles the delivery
-	// records that keep it countable.
-	msiPending int
-	msiFree    []*msiEvent
+	// posted delivers posted writes; msis delivers MSIs, and its
+	// Pending count lets a checkpoint refuse an interrupt in flight.
+	posted *sim.Deferred[postedWrite]
+	msis   *sim.Deferred[func()]
 }
 
-// postedWrite is one in-flight posted write. fn is the record's bound
-// deliver method, created once per record and reused.
+// postedWrite is one in-flight posted write.
 type postedWrite struct {
-	f    *Fabric
 	addr mem.Addr
 	val  uint64
-	fn   func()
 }
 
-func (pw *postedWrite) deliver() {
+func (f *Fabric) deliverPosted(pw postedWrite) {
 	var b [8]byte
 	putLE64(b[:], pw.val)
-	pw.f.mem.Write(pw.addr, b[:])
-	pw.f.pwFree = append(pw.f.pwFree, pw)
+	f.mem.Write(pw.addr, b[:])
 }
 
 // asyncJob is one queued DMAAsync transfer.
@@ -150,15 +137,24 @@ func NewFabric(env *sim.Env, m *mem.Map, params Params) *Fabric {
 	if params.CoreBps <= 0 {
 		params.CoreBps = 80e9
 	}
-	return &Fabric{
-		env:       env,
-		mem:       m,
-		params:    params,
-		owner:     map[*mem.Region]*Port{},
-		core:      sim.NewBandwidthServer(env, "pcie-core", params.CoreBps, 0),
-		msi:       map[int]func(){},
-		asyncJobs: sim.NewQueue[asyncJob](env, "dma-async-jobs"),
+	f := &Fabric{
+		env:    env,
+		mem:    m,
+		params: params,
+		owner:  map[*mem.Region]*Port{},
+		core:   sim.NewBandwidthServer(env, "pcie-core", params.CoreBps, 0),
+		msi:    map[int]func(){},
 	}
+	f.async = sim.NewPool(env, "async-DMA", func(job asyncJob, ok bool) {
+		// A worker is a handler proc: no goroutine and no park/resume
+		// handoffs. The machine and its bound body are created once per
+		// pooled worker.
+		w := &dmaWorker{f: f, job: job, hasJob: ok}
+		env.SpawnHandler("dma-async", w.run)
+	})
+	f.posted = sim.NewDeferred(env, f.deliverPosted)
+	f.msis = sim.NewDeferred(env, func(handler func()) { handler() })
+	return f
 }
 
 // Mem returns the fabric's address map.
@@ -273,14 +269,10 @@ func (f *Fabric) account(srcPort *Port, srcReg *mem.Region, dstPort *Port, dstRe
 // hide per-transaction latency. Policy errors panic (callers validate
 // paths at configuration time).
 //
-// Transfers run on a free-listed pool of worker procs: a new worker is
-// spawned only when every existing one is busy. Handing a job to a
-// parked worker and spawning a fresh proc both enqueue exactly one
-// proc-resume event at the current instant, so the pooled and the
-// spawn-per-call implementations dispatch in identical (time, seq)
-// order — the pool changes allocation cost, not the event timeline.
-// The returned signal may be recycled via RecycleAsyncSignal once the
-// waiter has consumed the completion.
+// Transfers run on a pool of worker procs (sim.Pool): a new worker
+// starts only when every existing one is busy, and pooling does not
+// move the event timeline. The returned signal may be recycled via
+// RecycleAsyncSignal once the waiter has consumed the completion.
 func (f *Fabric) DMAAsync(initiator *Port, dst, src mem.Addr, n int) *sim.Signal {
 	var sig *sim.Signal
 	if k := len(f.sigFree); k > 0 {
@@ -289,37 +281,8 @@ func (f *Fabric) DMAAsync(initiator *Port, dst, src mem.Addr, n int) *sim.Signal
 	} else {
 		sig = sim.NewSignal(f.env)
 	}
-	if f.asyncIdle > 0 {
-		// Reserve the worker now: a second DMAAsync in the same instant
-		// must not count this one as still idle. The job literal stays
-		// out of the closure below so this warm path never heap-escapes.
-		f.asyncIdle--
-		f.asyncJobs.Put(asyncJob{initiator: initiator, dst: dst, src: src, n: n, sig: sig})
-		return sig
-	}
-	// A new worker is a handler proc: no goroutine and no park/resume
-	// handoffs. The machine and its bound body are created once per
-	// pooled worker.
-	job := asyncJob{initiator: initiator, dst: dst, src: src, n: n, sig: sig}
-	w := &dmaWorker{f: f, job: job, hasJob: true}
-	f.env.SpawnHandler("dma-async", w.run)
+	f.async.Submit(asyncJob{initiator: initiator, dst: dst, src: src, n: n, sig: sig})
 	return sig
-}
-
-// PrimeAsyncPool rebuilds the async-DMA worker pool population after
-// a snapshot restore: n workers parked on the job queue, exactly as
-// the checkpointed fabric had. A restored pool must not be left empty
-// — a Put into a pool with parked workers can chain-wake them
-// (spurious re-parking dispatches), so an empty pool and a populated
-// one produce different dispatch counts. The caller runs the
-// environment to quiescence afterwards so the workers reach their
-// park points before simulated time resumes.
-func (f *Fabric) PrimeAsyncPool(n int) {
-	for i := 0; i < n; i++ {
-		f.asyncIdle++
-		w := &dmaWorker{f: f}
-		f.env.SpawnHandler("dma-async", w.run)
-	}
 }
 
 // RecycleAsyncSignal returns a consumed DMAAsync completion signal to
@@ -397,18 +360,7 @@ func (f *Fabric) PostedWrite(addr mem.Addr, val uint64) {
 		deliverAt = f.postedClock
 	}
 	f.postedClock = deliverAt
-	var pw *postedWrite
-	if k := len(f.pwFree); k > 0 {
-		pw = f.pwFree[k-1]
-		f.pwFree = f.pwFree[:k-1]
-	} else {
-		//dcslint:allow noalloc pool-miss arm: each postedWrite and its bound deliver are created once, then free-listed
-		pw = &postedWrite{f: f}
-		//dcslint:allow noalloc see above: one-time per pooled object, reused forever after
-		pw.fn = pw.deliver
-	}
-	pw.addr, pw.val = addr, val
-	f.env.Schedule(deliverAt-f.env.Now(), pw.fn)
+	f.posted.After(deliverAt-f.env.Now(), postedWrite{addr: addr, val: val})
 }
 
 // OnMSI registers a handler for an interrupt vector. Handlers run on
@@ -420,40 +372,13 @@ func (f *Fabric) OnMSI(vector int, fn func()) {
 	f.msi[vector] = fn
 }
 
-// msiEvent is one in-flight MSI delivery, counted so a checkpoint can
-// refuse an interrupt still in flight.
-type msiEvent struct {
-	f  *Fabric
-	hn func() // registered handler
-	fn func() // bound deliver
-}
-
-func (m *msiEvent) deliver() {
-	f := m.f
-	f.msiPending--
-	hn := m.hn
-	m.hn = nil
-	f.msiFree = append(f.msiFree, m)
-	hn()
-}
-
 // RaiseMSI posts an interrupt toward the root complex.
 func (f *Fabric) RaiseMSI(vector int) {
 	fn, ok := f.msi[vector]
 	if !ok {
 		panic(fmt.Sprintf("pcie: MSI vector %d has no handler", vector))
 	}
-	var m *msiEvent
-	if k := len(f.msiFree); k > 0 {
-		m = f.msiFree[k-1]
-		f.msiFree = f.msiFree[:k-1]
-	} else {
-		m = &msiEvent{f: f}
-		m.fn = m.deliver
-	}
-	m.hn = fn
-	f.msiPending++
-	f.env.Schedule(f.params.MMIOLatency, m.fn)
+	f.msis.After(f.params.MMIOLatency, fn)
 }
 
 func putLE64(b []byte, v uint64) {

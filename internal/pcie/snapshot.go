@@ -8,12 +8,8 @@ import "dcsctrl/internal/sim/snap"
 // counters and bandwidth-server accounting.
 // The object free lists (recycled signals, posted-write and MSI
 // records) restore empty: they trade allocations, not schedule. The
-// async-DMA worker pool is different — a parked worker woken by a
-// queue Put can chain-wake further parked workers (spurious
-// re-parking dispatches that a fresh Spawn never causes) — so the
-// snapshot records the pool population and the restore path primes
-// that many parked workers (PrimeAsyncPool), keeping the dispatch
-// count byte-identical to the checkpointed process.
+// async-DMA worker pool's idle population is schedule state, so the
+// snapshot records it and a load primes it (sim.Pool.Snap).
 
 // Snap codes the fabric state. Ports iterate in slice (ID) order,
 // which is the deterministic construction order. asyncMax bounds the
@@ -25,20 +21,13 @@ func (f *Fabric) Snap(c *snap.Codec, asyncMax int) {
 	if f.postedClock > f.env.Now() {
 		c.Failf("posted write in flight (clock %v > now %v)", f.postedClock, f.env.Now())
 	}
-	if f.msiPending != 0 {
-		c.Failf("%d MSIs in flight", f.msiPending)
+	if n := f.msis.Pending(); n != 0 {
+		c.Failf("%d MSIs in flight", n)
 	}
 	c.I64((*int64)(&f.postedClock))
 	c.I64(&f.p2pBytes)
 	c.I64(&f.hostBytes)
-	idle := f.asyncIdle
-	c.Int(&idle)
-	if idle < 0 || idle > asyncMax {
-		c.Failf("async-DMA pool of %d workers, callers hold at most %d transfers", idle, asyncMax)
-	}
-	if c.Loading() && c.Err() == nil {
-		f.PrimeAsyncPool(idle)
-	}
+	f.async.Snap(c, asyncMax, "callers hold at most %d transfers")
 	f.core.Snap(c)
 	snap.Check(c, "ports", uint32(len(f.ports)), c.U32)
 	for _, p := range f.ports {

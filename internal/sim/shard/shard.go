@@ -88,11 +88,14 @@ func (o *Outbox) SendFrame(frame []byte, wireLen, payLen int) {
 	o.buf = append(o.buf, injection{at: o.env.Now(), src: o.src, wireLen: wireLen, frame: frame})
 }
 
-// nodeReg is one node's routing entry: its domain and delivery sink.
+// nodeReg is one node's routing entry: its domain, its outbox and its
+// arrivals — the delivery sink, deferred on the domain's Env. The
+// coordinator takes arrival records at barriers and the domain returns
+// them inside its window, so the barrier orders every access.
 type nodeReg struct {
-	dom  *Domain
-	sink func(frame []byte)
-	out  *Outbox
+	dom    *Domain
+	arrive *sim.Deferred[[]byte]
+	out    *Outbox
 }
 
 // Stats counts the kernel's synchronization work. ParWindows is the
@@ -166,7 +169,7 @@ func (k *Kernel) AddNode(id int, d *Domain, sink func(frame []byte)) *Outbox {
 		panic(fmt.Sprintf("shard: node %d added out of order (want %d)", id, len(k.nodes)))
 	}
 	out := &Outbox{env: d.env, src: id}
-	k.nodes = append(k.nodes, nodeReg{dom: d, sink: sink, out: out})
+	k.nodes = append(k.nodes, nodeReg{dom: d, arrive: sim.NewDeferred(d.env, sink), out: out})
 	return out
 }
 
@@ -308,8 +311,7 @@ func (k *Kernel) deliver(dst int, at sim.Time, frame []byte) {
 		panic(fmt.Sprintf("shard: delivery to node %d at %v is in its domain's past (now %v): lookahead violation",
 			dst, at, env.Now()))
 	}
-	sink := reg.sink
-	env.Schedule(d, func() { sink(frame) })
+	reg.arrive.After(d, frame)
 }
 
 // task is one domain window handed to a pool worker.
