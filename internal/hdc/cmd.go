@@ -159,14 +159,16 @@ func DecodeCommand(raw []byte) (Command, error) {
 	}, nil
 }
 
+// validClass reports whether cl names a device class.
+func validClass(cl uint8) bool { return cl == ClassSSD || cl == ClassNIC }
+
 // Validate performs the structural checks the command parser applies
 // before admitting a command to the scoreboard.
 func (c *Command) Validate() error {
 	if c.Length == 0 {
 		return fmt.Errorf("hdc: command %d has zero length", c.ID)
 	}
-	valid := func(cl uint8) bool { return cl == ClassSSD || cl == ClassNIC }
-	if !valid(c.SrcClass) || !valid(c.DstClass) {
+	if !validClass(c.SrcClass) || !validClass(c.DstClass) {
 		return fmt.Errorf("hdc: command %d has invalid classes %d->%d", c.ID, c.SrcClass, c.DstClass)
 	}
 	if c.Fn > FnGUNZIP {

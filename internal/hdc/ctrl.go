@@ -85,7 +85,9 @@ func (c *NVMeCtrl) getCb() *nvmeCb {
 		c.cbFree = c.cbFree[:k-1]
 		return cb
 	}
+	//dcslint:allow noalloc pool-miss arm: a callback record is made once per ring slot in use, then free-listed
 	cb := &nvmeCb{c: c}
+	//dcslint:allow noalloc see above: the bound method is made once per record
 	cb.fn = cb.onCpl
 	return cb
 }
@@ -110,56 +112,91 @@ func newNVMeCtrl(eng *Engine, ssd *nvme.SSD, qid uint16, entries, idx int) *NVMe
 			c.room.Broadcast()
 		}
 	})
-	eng.env.Spawn(fmt.Sprintf("%s-nvme%d-ctrl", eng.name, idx), c.loop)
+	eng.env.SpawnHandler(fmt.Sprintf("%s-nvme%d-ctrl", eng.name, idx), (&nvmeCtrlMachine{c: c}).run)
 	return c
 }
 
 // Submit enqueues a request; done fires when the SSD completes it.
 func (c *NVMeCtrl) Submit(r nvmeReq) { c.reqQ.Put(r) }
 
-func (c *NVMeCtrl) loop(p *sim.Proc) {
+// nvmeCtrlState enumerates where the NVMe controller resumes.
+type nvmeCtrlState int
+
+const (
+	nvmeCtrlGet   nvmeCtrlState = iota // take the next batch of requests
+	nvmeCtrlBuilt                      // build time elapsed; submit the batch
+)
+
+// nvmeCtrlMachine is the controller's submission hardware: it drains
+// every request queued by an instant into one batch, charges the
+// batch's command build once and rings the doorbell once per batch
+// instead of once per command.
+type nvmeCtrlMachine struct {
+	c      *NVMeCtrl
+	st     nvmeCtrlState
+	i      int // next batch entry to submit
+	unrung int // submissions since the last doorbell
+}
+
+//dcslint:hotpath
+func (m *nvmeCtrlMachine) run(h *sim.HandlerCtx) {
+	c := m.c
 	for {
-		// Drain every request queued by this instant into one batch:
-		// the build cost is charged in a single sleep and the doorbell
-		// rings once per batch instead of once per command.
-		batch := append(c.batch[:0], c.reqQ.Get(p))
-		for {
-			r, ok := c.reqQ.TryGet()
+		switch m.st {
+		case nvmeCtrlGet:
+			r, ok := c.reqQ.GetH(h)
 			if !ok {
-				break
+				return
 			}
-			batch = append(batch, r)
-		}
-		c.batch = batch
-		// Hardware command build: PRPs point straight at DDR3 pages.
-		p.Sleep(sim.Time(len(batch)) * c.eng.params.NVMeBuild)
-		unrung := 0 // submissions since the last doorbell
-		for _, r := range batch {
-			for c.ring.Full() {
-				// Flush submissions the SSD hasn't been told about
-				// before parking, or it would never free a slot.
-				if unrung > 0 {
-					c.ring.RingDoorbell()
-					unrung = 0
+			//dcslint:allow noalloc batch scratch is capacity-preserving (reset to [:0] per batch)
+			batch := append(c.batch[:0], r)
+			for {
+				r, ok := c.reqQ.TryGet()
+				if !ok {
+					break
 				}
-				c.room.Wait(p)
+				//dcslint:allow noalloc see above
+				batch = append(batch, r)
 			}
-			prpPage := c.prpPages[c.prpNext]
-			c.prpNext = (c.prpNext + 1) % len(c.prpPages)
-			cmd, err := nvme.IOCommand(c.eng.fab.Mem(), r.write, r.lba, r.buf, r.blocks, prpPage)
-			if err != nil {
-				panic(err)
+			c.batch = batch
+			m.i, m.unrung = 0, 0
+			m.st = nvmeCtrlBuilt
+			// Hardware command build: PRPs point straight at DDR3 pages.
+			if d := sim.Time(len(batch)) * c.eng.params.NVMeBuild; d > 0 {
+				h.Rearm(d)
+				return
 			}
-			cb := c.getCb()
-			cb.req = r
-			if _, err := c.ring.Submit(cmd, cb.fn); err != nil {
-				panic(err)
+		case nvmeCtrlBuilt:
+			for ; m.i < len(c.batch); m.i++ {
+				if c.ring.Full() {
+					// Flush submissions the SSD hasn't been told about
+					// before waiting, or it would never free a slot.
+					if m.unrung > 0 {
+						c.ring.RingDoorbell()
+						m.unrung = 0
+					}
+					c.room.WaitH(h)
+					return
+				}
+				r := c.batch[m.i]
+				prpPage := c.prpPages[c.prpNext]
+				c.prpNext = (c.prpNext + 1) % len(c.prpPages)
+				cmd, err := nvme.IOCommand(c.eng.fab.Mem(), r.write, r.lba, r.buf, r.blocks, prpPage)
+				if err != nil {
+					panic(err)
+				}
+				cb := c.getCb()
+				cb.req = r
+				if _, err := c.ring.Submit(cmd, cb.fn); err != nil {
+					panic(err)
+				}
+				m.unrung++
+				c.cmds++
 			}
-			unrung++
-			c.cmds++
-		}
-		if unrung > 0 {
-			c.ring.RingDoorbell()
+			if m.unrung > 0 {
+				c.ring.RingDoorbell()
+			}
+			m.st = nvmeCtrlGet
 		}
 	}
 }
@@ -189,9 +226,11 @@ type conn struct {
 	txSeq  uint32
 	rxSeq  uint32 // next expected receive sequence
 	rxBufs []rxExtent
-	rxHead int      // next unconsumed rxBufs entry (capacity-preserving)
-	rxALen int      // bytes available in rxBufs
-	waiter *recvReq // at most one outstanding receive per connection
+	rxHead int     // next unconsumed rxBufs entry (capacity-preserving)
+	rxALen int     // bytes available in rxBufs
+	waiter recvReq // the outstanding receive, when waiting
+	// waiting marks a pending receive: at most one per connection.
+	waiting bool
 }
 
 type rxExtent struct {
@@ -259,8 +298,8 @@ func newNICCtrl(eng *Engine, dev *nic.NIC, qid uint16, entries int) *NICCtrl {
 	}
 	// Status words double as the completion snoop points.
 	status.SetWriteHook(func(off uint64, n int) { c.onStatus() })
-	eng.env.Spawn(pfx+"-sendctrl", c.sendLoop)
-	eng.env.Spawn(pfx+"-recvctrl", c.recvLoop)
+	eng.env.SpawnHandler(pfx+"-sendctrl", (&sendMachine{c: c, hdrSlots: int(hdrBuf.Size / 64)}).run)
+	eng.env.SpawnHandler(pfx+"-recvctrl", (&recvMachine{c: c}).run)
 	// Keep the NIC stocked with receive buffers from DDR3.
 	c.restockRecvBuffers()
 	return c
@@ -310,27 +349,65 @@ func (c *NICCtrl) onStatus() {
 	c.cplKick.Broadcast()
 }
 
-// sendLoop implements hardware transmit: header generation into the
-// BRAM header buffer, BD chain construction, doorbell.
-func (c *NICCtrl) sendLoop(p *sim.Proc) {
-	hdrSlots := int(c.hdrBuf.Size / 64)
+// sendState enumerates where the send controller resumes.
+type sendState int
+
+const (
+	sendGet  sendState = iota // take the next batch of sends
+	sendItem                  // generate the next send's header and chain
+	sendRoom                  // push the chain once the ring has room
+)
+
+// sendMachine implements hardware transmit: header generation into the
+// BRAM header buffer, BD chain construction, doorbell. It drains every
+// send queued by an instant into one batch: the header-generation cost
+// is charged once and the doorbell rings once per batch instead of
+// once per job.
+type sendMachine struct {
+	c        *NICCtrl
+	st       sendState
+	hdrSlots int
+	i        int // batch entry in progress
+	unrung   int // chains pushed since the last doorbell
+}
+
+//dcslint:hotpath
+func (m *sendMachine) run(h *sim.HandlerCtx) {
+	c := m.c
 	for {
-		// Drain every send queued by this instant into one batch: the
-		// header-generation cost is charged in a single sleep and the
-		// doorbell rings once per batch instead of once per job.
-		batch := append(c.sendBatch[:0], c.sendQ.Get(p))
-		for {
-			r, ok := c.sendQ.TryGet()
+		switch m.st {
+		case sendGet:
+			r, ok := c.sendQ.GetH(h)
 			if !ok {
-				break
+				return
 			}
-			batch = append(batch, r)
-		}
-		c.sendBatch = batch
-		// Generate the TCP/IP header templates in hardware.
-		p.Sleep(sim.Time(len(batch)) * c.eng.params.NICHeaderGen)
-		unrung := 0 // chains pushed since the last doorbell
-		for _, r := range batch {
+			//dcslint:allow noalloc batch scratch is capacity-preserving (reset to [:0] per batch)
+			batch := append(c.sendBatch[:0], r)
+			for {
+				r, ok := c.sendQ.TryGet()
+				if !ok {
+					break
+				}
+				//dcslint:allow noalloc see above
+				batch = append(batch, r)
+			}
+			c.sendBatch = batch
+			m.i, m.unrung = 0, 0
+			m.st = sendItem
+			// Generate the TCP/IP header templates in hardware.
+			if d := sim.Time(len(batch)) * c.eng.params.NICHeaderGen; d > 0 {
+				h.Rearm(d)
+				return
+			}
+		case sendItem:
+			if m.i == len(c.sendBatch) {
+				if m.unrung > 0 {
+					c.send.RingDoorbell()
+				}
+				m.st = sendGet
+				continue
+			}
+			r := c.sendBatch[m.i]
 			cn, ok := c.conns[r.connID]
 			if !ok {
 				panic(fmt.Sprintf("hdc: send on unknown connection %d", r.connID))
@@ -338,31 +415,31 @@ func (c *NICCtrl) sendLoop(p *sim.Proc) {
 			hdr := ether.HeaderTemplateTo(c.hdrScratch, cn.flow, cn.txSeq, ether.FlagACK|ether.FlagPSH)
 			c.hdrScratch = hdr
 			slotAddr := c.hdrBuf.Base + mem.Addr(c.hdrNext*64)
-			c.hdrNext = (c.hdrNext + 1) % hdrSlots
+			c.hdrNext = (c.hdrNext + 1) % m.hdrSlots
 			c.eng.fab.Mem().Write(slotAddr, hdr)
 			cn.txSeq += uint32(r.length)
-
 			// The LSO chain: header from BRAM, payload from DDR3.
-			bds := nic.AppendLSOChain(c.bds[:0], slotAddr, len(hdr), r.buf, r.length)
-			for c.send.FreeSlots() < len(bds) {
+			c.bds = nic.AppendLSOChain(c.bds[:0], slotAddr, len(hdr), r.buf, r.length)
+			m.st = sendRoom
+		case sendRoom:
+			if c.send.FreeSlots() < len(c.bds) {
 				// Flush chains the NIC hasn't been told about before
-				// parking, or it would never free a slot.
-				if unrung > 0 {
+				// waiting, or it would never free a slot.
+				if m.unrung > 0 {
 					c.send.RingDoorbell()
-					unrung = 0
+					m.unrung = 0
 				}
-				c.sendSpace.Wait(p)
+				c.sendSpace.WaitH(h)
+				return
 			}
-			if err := c.send.Push(bds); err != nil {
+			if err := c.send.Push(c.bds); err != nil {
 				panic(err)
 			}
-			c.bds = bds
-			c.send.Track(r.done)
-			unrung++
+			c.send.Track(c.sendBatch[m.i].done)
+			m.unrung++
 			c.sendJobs++
-		}
-		if unrung > 0 {
-			c.send.RingDoorbell()
+			m.i++
+			m.st = sendItem
 		}
 	}
 }
@@ -384,6 +461,7 @@ func (c *NICCtrl) restockRecvBuffers() {
 		if !ok {
 			break
 		}
+		//dcslint:allow noalloc restock scratch is capacity-preserving (reset to [:0] per restock)
 		bds = append(bds, nic.RecvBD{Addr: buf, Len: uint32(c.eng.recvPool.ChunkSize())})
 	}
 	if len(bds) > 0 {
@@ -395,35 +473,75 @@ func (c *NICCtrl) restockRecvBuffers() {
 	c.rbds = bds
 }
 
-// recvLoop implements hardware receive: packet header parsing, flow
+// recvState enumerates where the receive controller resumes.
+type recvState int
+
+const (
+	recvAdopt    recvState = iota // adopt submitted requests; poll the ring
+	recvAdopted                   // an adopted request's gather time elapsed
+	recvFill                      // parse the next received frame
+	recvParsed                    // its parse time elapsed; account it
+	recvGathered                  // the frame's gather time elapsed
+)
+
+// recvMachine implements hardware receive: packet header parsing, flow
 // identification, payload bookkeeping, and gather into contiguous
 // chunks — the NIC-specific intermediate processing of §IV-C.
-func (c *NICCtrl) recvLoop(p *sim.Proc) {
+type recvMachine struct {
+	c  *NICCtrl
+	st recvState
+	i  int   // next entry of c.fills
+	cn *conn // the connection whose gather is elapsing
+}
+
+//dcslint:hotpath
+func (m *recvMachine) run(h *sim.HandlerCtx) {
+	c := m.c
 	mm := c.eng.fab.Mem()
 	for {
-		// Adopt newly submitted receive requests; buffered bytes may
-		// already satisfy them.
-		for c.recvQ.Len() > 0 {
-			r, _ := c.recvQ.TryGet()
-			cn := c.conns[r.connID]
-			if cn == nil {
-				panic(fmt.Sprintf("hdc: recv on unknown connection %d", r.connID))
+		switch m.st {
+		case recvAdopt:
+			// Adopt newly submitted receive requests; buffered bytes may
+			// already satisfy them.
+			for c.recvQ.Len() > 0 {
+				r, _ := c.recvQ.TryGet()
+				cn := c.conns[r.connID]
+				if cn == nil {
+					panic(fmt.Sprintf("hdc: recv on unknown connection %d", r.connID))
+				}
+				if cn.waiting {
+					panic(fmt.Sprintf("hdc: two receive requests on connection %d", r.connID))
+				}
+				cn.waiter, cn.waiting = r, true
+				if m.gather(h, cn, recvAdopted) {
+					return
+				}
 			}
-			if cn.waiter != nil {
-				panic(fmt.Sprintf("hdc: two receive requests on connection %d", r.connID))
+			c.fills = c.recv.AppendPoll(c.fills[:0])
+			if len(c.fills) == 0 {
+				c.cplKick.WaitH(h)
+				return
 			}
-			rr := r
-			cn.waiter = &rr
-			c.tryGather(p, cn)
-		}
-		c.fills = c.recv.AppendPoll(c.fills[:0])
-		fills := c.fills
-		if len(fills) == 0 {
-			c.cplKick.Wait(p)
-			continue
-		}
-		for _, f := range fills {
-			p.Sleep(c.eng.params.RecvParse)
+			m.i = 0
+			m.st = recvFill
+		case recvAdopted:
+			c.gathered(m.cn)
+			m.st = recvAdopt
+		case recvFill:
+			if m.i == len(c.fills) {
+				c.restockRecvBuffers()
+				m.st = recvAdopt
+				continue
+			}
+			m.st = recvParsed
+			if d := c.eng.params.RecvParse; d > 0 {
+				h.Rearm(d)
+				return
+			}
+		case recvParsed:
+			f := c.fills[m.i]
+			m.i++
+			m.st = recvFill
 			if f.Cpl.HdrLen == 0 {
 				// Zero-length completion: the buffer was too small and
 				// the NIC dropped the frame. Recycle it for restocking.
@@ -451,26 +569,36 @@ func (c *NICCtrl) recvLoop(p *sim.Proc) {
 					cn.rxBufs = cn.rxBufs[:0]
 					cn.rxHead = 0
 				}
+				//dcslint:allow noalloc receive extents are capacity-preserving (rewound when drained)
 				cn.rxBufs = append(cn.rxBufs, rxExtent{addr: f.Addr + nic.HdrOff, n: int(f.Cpl.PayLen), buf: f.Addr})
 				cn.rxALen += int(f.Cpl.PayLen)
 			} else {
 				c.eng.recvPool.Put(f.Addr)
 			}
 			c.recvPkts++
-			c.tryGather(p, cn)
+			if m.gather(h, cn, recvGathered) {
+				return
+			}
+		case recvGathered:
+			c.gathered(m.cn)
+			m.st = recvFill
 		}
-		c.restockRecvBuffers()
 	}
 }
 
-// tryGather satisfies the connection's pending receive request when
+// gather satisfies the connection's pending receive request when
 // enough in-order bytes have accumulated: the packet-gather hardware
-// copies scattered payloads into the contiguous destination chunk.
-func (c *NICCtrl) tryGather(p *sim.Proc, cn *conn) {
-	r := cn.waiter
-	if r == nil || cn.rxALen < r.want {
-		return
+// copies scattered payloads into the contiguous destination chunk,
+// taking DDR3-internal copy time. When that time is due, gather
+// re-arms the proc, moves the machine to next and reports true; the
+// request completes in gathered. Otherwise gather completes it (or
+// leaves it pending) inline and reports false.
+func (m *recvMachine) gather(h *sim.HandlerCtx, cn *conn, next recvState) bool {
+	c := m.c
+	if !cn.waiting || cn.rxALen < cn.waiter.want {
+		return false
 	}
+	r := cn.waiter
 	mm := c.eng.fab.Mem()
 	remaining := r.want
 	off := 0
@@ -493,9 +621,21 @@ func (c *NICCtrl) tryGather(p *sim.Proc, cn *conn) {
 	}
 	cn.rxALen -= r.want
 	// Gather engine time: DDR3-internal copy bandwidth.
-	p.Sleep(sim.BpsToTime(r.want, c.eng.params.GatherBps))
+	if d := sim.BpsToTime(r.want, c.eng.params.GatherBps); d > 0 {
+		m.cn, m.st = cn, next
+		h.Rearm(d)
+		return true
+	}
+	c.gathered(cn)
+	return false
+}
+
+// gathered completes the connection's pending receive once its gather
+// time has elapsed.
+func (c *NICCtrl) gathered(cn *conn) {
+	r := cn.waiter
 	c.gatheredBytes += int64(r.want)
-	cn.waiter = nil
+	cn.waiter, cn.waiting = recvReq{}, false
 	c.restockRecvBuffers()
-	r.done.Fire(r.want)
+	r.done.Fire(nil)
 }

@@ -142,6 +142,12 @@ type Engine struct {
 	mirrorBuf mem.Addr     // head-mirror staging
 	extBufs   []mem.Addr   // per-command-slot extent staging
 
+	// cmdFree and jobFree recycle per-command records and per-chunk
+	// stage records; the 64-entry command queue bounds the commands in
+	// flight, so the lists stay small (DESIGN.md §11).
+	cmdFree []*cmdRun
+	jobFree []*chunkJob
+
 	cmdsDone int64
 	dead     bool // parser suffered a hard failure; no command makes progress
 }
@@ -188,8 +194,8 @@ func NewEngine(env *sim.Env, fab *pcie.Fabric, name string, params Params) *Engi
 
 	e.kick = sim.NewCoalesced(env, e.cmdKick.Broadcast)
 	e.sb = NewScoreboard(env, params.ScoreboardEntries, params.ScoreboardOp)
-	env.Spawn(name+"-parser", e.parserLoop)
-	env.Spawn(name+"-completer", e.completerLoop)
+	env.SpawnHandler(name+"-parser", (&parserMachine{e: e}).run)
+	env.SpawnHandler(name+"-completer", (&completerMachine{e: e}).run)
 	return e
 }
 
@@ -307,79 +313,116 @@ func (e *Engine) onCmdqWrite(off uint64, n int) {
 // failure: the parser stopped and queued commands never complete.
 func (e *Engine) Failed() bool { return e.dead }
 
-// parserLoop is the command parser of §IV-C: it decodes queued D2D
+// parserState enumerates where the command parser resumes.
+type parserState int
+
+const (
+	parserWait   parserState = iota // wait for the tail doorbell; draw faults
+	parserStall                     // injected stalls elapsed
+	parserParsed                    // parse time elapsed; admit the batch
+	parserMirror                    // the head-mirror DMA is in flight
+)
+
+// parserMachine is the command parser of §IV-C: it decodes queued D2D
 // commands in order and admits them to the scoreboard pipeline.
 //
 // Fault injection models two parser failure modes: a transient stall
-// (recovered by waiting) and a hard failure that stops the loop for
+// (recovered by waiting) and a hard failure that stops the parser for
 // good — queued commands then never complete and the driver's command
 // timeout is the only way out.
-func (e *Engine) parserLoop(p *sim.Proc) {
-	for {
-		for e.cmdHead == e.cmdTail {
-			e.cmdKick.Wait(p)
-		}
-		// Drain every command posted by this instant in one pass. Fault
-		// draws stay per-command (injection statistics are unchanged),
-		// but stall and parse costs are charged in one sleep each and
-		// the head mirror is published once per batch.
-		avail := int(e.cmdTail - e.cmdHead)
-		n, stalls := avail, 0
-		failed := false
-		for i := 0; i < avail; i++ {
-			if e.params.Faults.Hit(fault.HDCEngineFail) {
-				n, failed = i, true
-				break
-			}
-			if e.params.Faults.Hit(fault.HDCEngineStall) {
-				stalls++
-			}
-		}
-		if stalls > 0 {
-			p.Sleep(sim.Time(stalls) * engineStallDelay)
-		}
-		if n > 0 {
-			p.Sleep(sim.Time(n) * e.params.CmdParse)
-		}
-		for i := 0; i < n; i++ {
-			slot := e.cmdHead % uint64(e.params.CmdQueueEntries)
-			var raw [CommandSize]byte
-			e.cmdq.ReadAt(slot*CommandSize, raw[:])
-			e.cmdHead++
-			cmd, err := DecodeCommand(raw[:])
-			if err == nil {
-				err = cmd.Validate()
-			}
-			e.submitted = append(e.submitted, cmd.ID)
-			if err != nil {
-				e.finish(cmd.ID, CplStatusInvalid, nil)
-				continue
-			}
-			c := cmd
-			e.env.Spawn(fmt.Sprintf("%s-cmd%d", e.name, cmd.ID), func(ep *sim.Proc) {
-				e.execute(ep, c)
-			})
-		}
-		if n > 0 {
-			e.mirrorHead(p)
-		}
-		if failed {
-			e.dead = true
-			return
-		}
-	}
+type parserMachine struct {
+	e      *Engine
+	st     parserState
+	n      int  // commands admitted from this batch
+	failed bool // a hard failure hit the batch's command n
+	x      pcie.Xfer
 }
 
-// mirrorHead publishes the consumed-command counter to host memory so
-// the driver can track free command-queue slots.
-func (e *Engine) mirrorHead(p *sim.Proc) {
-	if !e.hostSet || e.host.HeadMirror == 0 {
-		return
+// run is the parser's handler body. It is no noalloc root: each
+// admitted command takes a record and starts its proc.
+func (m *parserMachine) run(h *sim.HandlerCtx) {
+	e := m.e
+	for {
+		switch m.st {
+		case parserWait:
+			if e.cmdHead == e.cmdTail {
+				e.cmdKick.WaitH(h)
+				return
+			}
+			// Drain every command posted by this instant in one pass.
+			// Fault draws stay per-command (injection statistics are
+			// unchanged), but stall and parse costs are charged in one
+			// re-arm each and the head mirror is published once per
+			// batch.
+			avail := int(e.cmdTail - e.cmdHead)
+			n, stalls := avail, 0
+			m.failed = false
+			for i := 0; i < avail; i++ {
+				if e.params.Faults.Hit(fault.HDCEngineFail) {
+					n, m.failed = i, true
+					break
+				}
+				if e.params.Faults.Hit(fault.HDCEngineStall) {
+					stalls++
+				}
+			}
+			m.n = n
+			m.st = parserStall
+			if stalls > 0 {
+				h.Rearm(sim.Time(stalls) * engineStallDelay)
+				return
+			}
+		case parserStall:
+			m.st = parserParsed
+			if d := sim.Time(m.n) * e.params.CmdParse; d > 0 {
+				h.Rearm(d)
+				return
+			}
+		case parserParsed:
+			for i := 0; i < m.n; i++ {
+				slot := e.cmdHead % uint64(e.params.CmdQueueEntries)
+				var raw [CommandSize]byte
+				e.cmdq.ReadAt(slot*CommandSize, raw[:])
+				e.cmdHead++
+				cmd, err := DecodeCommand(raw[:])
+				if err == nil {
+					err = cmd.Validate()
+				}
+				e.submitted = append(e.submitted, cmd.ID)
+				if err != nil {
+					e.finish(cmd.ID, CplStatusInvalid, nil)
+					continue
+				}
+				e.startCommand(cmd)
+			}
+			if m.n > 0 && e.hostSet && e.host.HeadMirror != 0 {
+				// Publish the consumed-command counter to host memory so
+				// the driver can track free command-queue slots.
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], e.cmdHead)
+				e.fab.Mem().Write(e.mirrorBuf, b[:])
+				m.x.Start(e.fab, e.port, e.host.HeadMirror, e.mirrorBuf, 8)
+				m.st = parserMirror
+				continue
+			}
+			if m.failed {
+				e.dead = true
+				h.Exit()
+				return
+			}
+			m.st = parserWait
+		case parserMirror:
+			if !m.x.Step(h) {
+				return
+			}
+			if m.failed {
+				e.dead = true
+				h.Exit()
+				return
+			}
+			m.st = parserWait
+		}
 	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], e.cmdHead)
-	e.fab.Mem().Write(e.mirrorBuf, b[:])
-	e.fab.MustDMA(p, e.port, e.host.HeadMirror, e.mirrorBuf, 8)
 }
 
 // finish records a command result; the completer delivers results in
@@ -389,25 +432,62 @@ func (e *Engine) finish(id uint32, status uint32, aux []byte) {
 	e.cplCond.Broadcast()
 }
 
-// completerLoop drains in-order-finished commands to the host
+// completerState enumerates where the completer resumes.
+type completerState int
+
+const (
+	completerWait   completerState = iota // wait for the head command to finish
+	completerGather                       // same-instant finishes have landed
+	completerPost                         // post costs elapsed; write the batch
+	completerDMA                          // the ring DMA is in flight
+)
+
+// completerMachine drains in-order-finished commands to the host
 // completion ring and raises MSI. Every command whose turn has come at
-// one instant is posted as a batch: one sleep covering the batch's
+// one instant is posted as a batch: one charge covering the batch's
 // post costs, one wrap-aware vectored DMA to the ring, one MSI.
-func (e *Engine) completerLoop(p *sim.Proc) {
+type completerMachine struct {
+	e  *Engine
+	st completerState
+	k  int
+	v  pcie.XferVec
+}
+
+//dcslint:hotpath
+func (m *completerMachine) run(h *sim.HandlerCtx) {
+	e := m.e
 	for {
-		for len(e.submitted) == 0 || !e.headFinished() {
-			e.cplCond.Wait(p)
-		}
-		p.Yield() // gather every command finishing at this instant
-		k := 0
-		for k < len(e.submitted) && k < e.params.CmdQueueEntries {
-			if _, ok := e.finished[e.submitted[k]]; !ok {
-				break
+		switch m.st {
+		case completerWait:
+			if len(e.submitted) == 0 || !e.headFinished() {
+				e.cplCond.WaitH(h)
+				return
 			}
-			k++
-		}
-		p.Sleep(sim.Time(k) * e.params.CompletionPost)
-		if e.hostSet {
+			// Gather every command finishing at this instant.
+			m.st = completerGather
+			if !h.Yield() {
+				return
+			}
+		case completerGather:
+			k := 0
+			for k < len(e.submitted) && k < e.params.CmdQueueEntries {
+				if _, ok := e.finished[e.submitted[k]]; !ok {
+					break
+				}
+				k++
+			}
+			m.k = k
+			m.st = completerPost
+			if d := sim.Time(k) * e.params.CompletionPost; d > 0 {
+				h.Rearm(d)
+				return
+			}
+		case completerPost:
+			if !e.hostSet {
+				m.retire()
+				continue
+			}
+			k := m.k
 			for i := 0; i < k; i++ {
 				res := e.finished[e.submitted[i]]
 				entry := [CplEntrySize]byte{}
@@ -421,17 +501,31 @@ func (e *Engine) completerLoop(p *sim.Proc) {
 			slot := int(e.cplCount % uint64(e.params.CmdQueueEntries))
 			e.cplExts = mem.RingExtents(e.cplExts[:0], e.host.CplRing.Base, slot, k,
 				e.params.CmdQueueEntries, CplEntrySize)
-			e.fab.MustDMAVec(p, e.port, e.cplBuf, e.cplExts, false)
-			e.cplCount += uint64(k)
-			e.env.CountIO(k)
+			m.v.Start(e.fab, e.port, e.cplBuf, e.cplExts, false)
+			m.st = completerDMA
+		case completerDMA:
+			if !m.v.Step(h) {
+				return
+			}
+			e.cplCount += uint64(m.k)
+			e.env.CountIO(m.k)
 			e.fab.RaiseMSI(e.host.MSIVector)
+			m.retire()
 		}
-		for i := 0; i < k; i++ {
-			delete(e.finished, e.submitted[i])
-		}
-		e.submitted = e.submitted[k:]
-		e.cmdsDone += int64(k)
 	}
+}
+
+// retire drops the posted batch from the in-order bookkeeping.
+func (m *completerMachine) retire() {
+	e, k := m.e, m.k
+	for i := 0; i < k; i++ {
+		delete(e.finished, e.submitted[i])
+	}
+	// Slide the live window to the front so the backing array is reused.
+	n := copy(e.submitted, e.submitted[k:])
+	e.submitted = e.submitted[:n]
+	e.cmdsDone += int64(k)
+	m.st = completerWait
 }
 
 func (e *Engine) headFinished() bool {
@@ -439,15 +533,17 @@ func (e *Engine) headFinished() bool {
 	return ok
 }
 
-// allocChunk takes a 64 KB intermediate buffer, blocking while the
-// pool is dry (back-pressure toward the scoreboard).
-func (e *Engine) allocChunk(p *sim.Proc) mem.Addr {
-	for {
-		if a, ok := e.chunks.Get(); ok {
-			return a
-		}
-		e.chunkCond.Wait(p)
+// allocChunk takes a 64 KB intermediate buffer. ok=false means the
+// pool is dry and the proc is enrolled for the next free (back-pressure
+// toward the scoreboard): the caller must return and retry.
+//
+//dcslint:hotpath
+func (e *Engine) allocChunk(h *sim.HandlerCtx) (mem.Addr, bool) {
+	if a, ok := e.chunks.Get(); ok {
+		return a, true
 	}
+	e.chunkCond.WaitH(h)
+	return 0, false
 }
 
 // freeChunk returns an intermediate buffer.

@@ -133,8 +133,11 @@ type testbed struct {
 	mmA    *mem.Map
 	fabA   *pcie.Fabric
 	hostA  *hostos.Host
-	fsA    *hostos.FileSystem
-	ssd    *nvme.SSD
+	fsA    *hostos.FileSystem // SSD 0's namespace
+	ssd    *nvme.SSD          // SSD 0
+	fss    []*hostos.FileSystem
+	ssds   []*nvme.SSD
+	devs   []uint8 // AttachSSD's index for each of ssds
 	nicA   *nic.NIC
 	eng    *Engine
 	drv    *Driver
@@ -241,7 +244,12 @@ func (p *peerNode) sendOne(flow ether.Flow, seq uint32, payload []byte) {
 
 const connAB = 7
 
-func newTestbed(t *testing.T) *testbed {
+func newTestbed(t *testing.T) *testbed { return newTestbedSSDs(t, 1) }
+
+// newTestbedSSDs builds the testbed with n SSDs on node A, wired as
+// core.NewNode wires a node: every SSD attached to the engine, each
+// with its own file-system namespace, before the driver is built.
+func newTestbedSSDs(t *testing.T, n int) *testbed {
 	t.Helper()
 	env := sim.NewEnv()
 	mmA := mem.NewMap()
@@ -250,12 +258,26 @@ func newTestbed(t *testing.T) *testbed {
 	dramA := mmA.AddRegion("a-dram", mem.HostDRAM, 64<<20, true)
 	fabA.Attach(hostPort, dramA)
 	hostA := hostos.NewHost(env, hostos.DefaultParams())
-	fsA := hostos.NewFileSystem(4 << 30)
 
-	ssd := nvme.NewSSD(env, fabA, "a-ssd", nvme.DefaultParams())
+	var ssds []*nvme.SSD
+	var fss []*hostos.FileSystem
+	for i := 0; i < n; i++ {
+		name := "a-ssd"
+		if i > 0 {
+			name = fmt.Sprintf("a-ssd%d", i+1)
+		}
+		ssds = append(ssds, nvme.NewSSD(env, fabA, name, nvme.DefaultParams()))
+		fss = append(fss, hostos.NewFileSystem(4<<30))
+	}
 	nicA := nic.NewNIC(env, fabA, "a-nic", nic.DefaultParams())
 	eng := NewEngine(env, fabA, "hdc", DefaultParams())
-	eng.AttachSSD(ssd, 1)
+	devs := make([]uint8, n)
+	for i, ssd := range ssds {
+		devs[i] = eng.AttachSSD(ssd, 1)
+		if int(devs[i]) != i {
+			t.Fatalf("SSD %d index = %d", i, devs[i])
+		}
+	}
 	eng.AttachNIC(nicA, 1)
 	for fn, u := range map[uint8]ndp.Unit{
 		FnMD5: ndp.MD5{}, FnCRC32: ndp.CRC32{}, FnSHA256: ndp.SHA256{},
@@ -265,7 +287,7 @@ func newTestbed(t *testing.T) *testbed {
 			t.Fatal(err)
 		}
 	}
-	drv := NewDriver(env, hostA, []*hostos.FileSystem{fsA}, fabA, hostPort, eng, 9, DefaultDriverParams())
+	drv := NewDriver(env, hostA, fss, fabA, hostPort, eng, 9, DefaultDriverParams())
 
 	peer := newPeer(env, "b")
 	nic.Connect(nicA, peer.nic)
@@ -276,14 +298,21 @@ func newTestbed(t *testing.T) *testbed {
 		SrcPort: 6000, DstPort: 8080,
 	}
 	drv.Connect(connAB, flowAB, 0, 0)
-	return &testbed{env: env, mmA: mmA, fabA: fabA, hostA: hostA, fsA: fsA,
-		ssd: ssd, nicA: nicA, eng: eng, drv: drv, dramA: dramA, peer: peer, flowAB: flowAB}
+	return &testbed{env: env, mmA: mmA, fabA: fabA, hostA: hostA, fsA: fss[0],
+		ssd: ssds[0], fss: fss, ssds: ssds, devs: devs, nicA: nicA, eng: eng, drv: drv, dramA: dramA, peer: peer, flowAB: flowAB}
 }
 
-// stageFile creates a file and preloads its content on the SSD.
+// stageFile creates a file on SSD 0 and preloads its content there.
 func (tb *testbed) stageFile(t *testing.T, name string, content []byte) *hostos.File {
 	t.Helper()
-	f, err := tb.fsA.Create(name, len(content))
+	return tb.stageFileOn(t, 0, name, content)
+}
+
+// stageFileOn creates a file in SSD dev's namespace and preloads its
+// content on that SSD.
+func (tb *testbed) stageFileOn(t *testing.T, dev int, name string, content []byte) *hostos.File {
+	t.Helper()
+	f, err := tb.fss[dev].Create(name, len(content))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +322,7 @@ func (tb *testbed) stageFile(t *testing.T, name string, content []byte) *hostos.
 		if off+n > len(content) {
 			n = len(content) - off
 		}
-		tb.ssd.Preload(e.LBA, content[off:off+n])
+		tb.ssds[dev].Preload(e.LBA, content[off:off+n])
 		off += n
 	}
 	return f
@@ -751,29 +780,13 @@ func TestForwardNICToNIC(t *testing.T) {
 func TestMultiSSDEngineRouting(t *testing.T) {
 	// A second SSD attached to the same engine: commands address it by
 	// device index; data comes from the right flash.
-	tb := newTestbed(t)
-	ssd2 := nvme.NewSSD(tb.env, tb.fabA, "a-ssd2", nvme.DefaultParams())
-	dev2 := tb.eng.AttachSSD(ssd2, 2)
-	if dev2 != 1 {
-		t.Fatalf("second SSD index = %d", dev2)
-	}
+	tb := newTestbedSSDs(t, 2)
 	if tb.eng.SSDCount() != 2 {
 		t.Fatalf("SSD count = %d", tb.eng.SSDCount())
 	}
+	dev2 := tb.devs[1]
 	content := pattern(80 << 10)
-	f, err := tb.fsA.Create("on-ssd2", len(content))
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := 0
-	for _, e := range f.Extents() {
-		n := e.Blocks * hostos.BlockSize
-		if off+n > len(content) {
-			n = len(content) - off
-		}
-		ssd2.Preload(e.LBA, content[off:off+n])
-		off += n
-	}
+	f := tb.stageFileOn(t, 1, "on-ssd2", content)
 	tb.env.Spawn("app", func(p *sim.Proc) {
 		res, err := tb.drv.SendFile(p, trace.NewBreakdown(), dev2, f, 0, len(content), connAB, FnNone, 0)
 		if err != nil || res.Status != 0 {
@@ -804,13 +817,13 @@ func TestBadDeviceIndexFails(t *testing.T) {
 }
 
 func TestCopyFileBetweenSSDs(t *testing.T) {
-	tb := newTestbed(t)
-	ssd2 := nvme.NewSSD(tb.env, tb.fabA, "a-ssd2", nvme.DefaultParams())
-	dev2 := tb.eng.AttachSSD(ssd2, 2)
+	tb := newTestbedSSDs(t, 2)
+	dev2 := tb.devs[1]
+	ssd2 := tb.ssds[1]
 
 	content := pattern(192 << 10)
 	src := tb.stageFile(t, "src", content)
-	dst, err := tb.fsA.Create("dst", len(content))
+	dst, err := tb.fss[1].Create("dst", len(content))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,21 @@ import (
 	"dcsctrl/internal/trace"
 )
 
+// allocIssue drives the staged AllocIssue from a goroutine proc,
+// parking while it reports not done.
+func allocIssue(sb *Scoreboard, p *sim.Proc) {
+	var is Issue
+	for !sb.AllocIssue(p.Ctx(), &is) {
+		p.Park()
+	}
+}
+
 func TestScoreboardLifecycle(t *testing.T) {
 	env := sim.NewEnv()
 	sb := NewScoreboard(env, 8, 100*sim.Nanosecond)
 	var issuedAt sim.Time
 	env.Spawn("owner", func(p *sim.Proc) {
-		sb.AllocIssue(p)
+		allocIssue(sb, p)
 		issuedAt = p.Now()
 		if sb.Live() != 1 {
 			t.Errorf("after AllocIssue: live %d", sb.Live())
@@ -70,13 +79,13 @@ func TestScoreboardCapacityBackpressure(t *testing.T) {
 	sb := NewScoreboard(env, 2, 0)
 	var thirdAllocAt sim.Time
 	env.Spawn("owner", func(p *sim.Proc) {
-		sb.AllocIssue(p)
-		sb.AllocIssue(p)
+		allocIssue(sb, p)
+		allocIssue(sb, p)
 		env.Spawn("finisher", func(fp *sim.Proc) {
 			fp.Sleep(15 * sim.Microsecond)
 			sb.DeferDone()
 		})
-		sb.AllocIssue(p) // blocks until a slot frees
+		allocIssue(sb, p) // waits until a slot frees
 		thirdAllocAt = p.Now()
 		sb.DeferDone()
 		sb.DeferDone()
@@ -111,7 +120,7 @@ func TestScoreboardBadTransitionsPanic(t *testing.T) {
 	}
 	env.Spawn("owner", func(p *sim.Proc) {
 		deferDone() // nothing allocated
-		sb.AllocIssue(p)
+		allocIssue(sb, p)
 		sb.DeferDone()
 		deferDone()              // retirement already pending
 		p.Sleep(sim.Microsecond) // the retire stage completes it

@@ -79,7 +79,7 @@ func (c *NICCtrl) snap(sc *snap.Codec) {
 		sc.Failf("q%d: %d unacknowledged transmits", c.qid, c.send.Tracked())
 	}
 	for _, id := range ids {
-		if c.conns[id].waiter != nil {
+		if c.conns[id].waiting {
 			sc.Failf("q%d: a receive waiter on connection %d", c.qid, id)
 		}
 	}

@@ -153,9 +153,14 @@ type Callback struct {
 
 	// Exactly one of Target (named function / method value) and Lit
 	// (function literal) is set when the argument was resolvable; both
-	// nil means the registration passed an opaque func value.
+	// nil means the registration passed an opaque func value, unless
+	// Field is set.
 	Target *types.Func
 	Lit    *ast.FuncLit
+	// Field is set when the argument reads a func-typed struct field
+	// (a body bound once, then registered many times): the values
+	// stored into that field resolve it (Facts.CallbackRoots).
+	Field *types.Var
 
 	// For CallbackSink: the AddNode call's domain argument and the
 	// innermost for/range statement enclosing the call (nil outside a
@@ -192,6 +197,17 @@ type FuncFacts struct {
 	Dynamic      []CallSite // unresolvable call sites
 	GlobalWrites []GlobalWrite
 	Callbacks    []Callback
+	FieldBinds   []FieldBind
+}
+
+// FieldBind is one store of a function value into a func-typed struct
+// field (x.f = v, or f: v in a composite literal). Target or Lit is
+// set when v resolves statically; both nil means an opaque value.
+type FieldBind struct {
+	Pos    token.Pos
+	Field  *types.Var
+	Target *types.Func
+	Lit    *ast.FuncLit
 }
 
 // Name renders the function's name for diagnostics, e.g.
@@ -235,6 +251,8 @@ type Facts struct {
 	All   []*FuncFacts // every declared-function summary, in load/source order
 	Roots []*FuncFacts // hotpath-annotated, in source order
 
+	binds map[*types.Var][]fieldBindIn // func-typed field → values stored
+
 	// Dangling hotpath directives (not attached to a function
 	// declaration) surface as diagnostics.
 	BadHotpaths []token.Pos
@@ -276,6 +294,57 @@ func BuildFacts(pkgs []*Package) *Facts {
 		}
 	}
 	return f
+}
+
+// fieldBindIn is a FieldBind with the summary it was found in.
+type fieldBindIn struct {
+	bind FieldBind
+	in   *FuncFacts
+}
+
+// CallbackRoots returns the summaries a registration runs: its target
+// or literal, or, for a func-typed field, every resolvable value
+// stored into that field anywhere in the summarized module. ok is
+// false when the registration cannot be checked: an opaque argument,
+// a target outside the summarized set, a field never stored, or a
+// field given an opaque value.
+func (f *Facts) CallbackRoots(ff *FuncFacts, cb Callback) (roots []*FuncFacts, ok bool) {
+	switch {
+	case cb.Target != nil:
+		if root := f.Lookup(cb.Target); root != nil {
+			return []*FuncFacts{root}, true
+		}
+		return nil, false
+	case cb.Lit != nil:
+		return []*FuncFacts{f.litFacts(ff.Pkg, cb.Lit)}, true
+	case cb.Field == nil:
+		return nil, false
+	}
+	if f.binds == nil {
+		f.binds = map[*types.Var][]fieldBindIn{}
+		for _, g := range f.All {
+			for _, b := range g.FieldBinds {
+				f.binds[b.Field] = append(f.binds[b.Field], fieldBindIn{b, g})
+			}
+		}
+	}
+	bs := f.binds[cb.Field.Origin()]
+	ok = len(bs) > 0
+	for _, b := range bs {
+		var root *FuncFacts
+		switch {
+		case b.bind.Target != nil:
+			root = f.Lookup(b.bind.Target)
+		case b.bind.Lit != nil:
+			root = f.litFacts(b.in.Pkg, b.bind.Lit)
+		}
+		if root == nil {
+			ok = false
+			continue
+		}
+		roots = append(roots, root)
+	}
+	return roots, ok
 }
 
 // Lookup returns the facts for fn (seeing through generic
@@ -479,7 +548,14 @@ func (s *summarizer) stmt(st ast.Stmt) {
 }
 
 func (s *summarizer) assign(st *ast.AssignStmt) {
-	for _, lhs := range st.Lhs {
+	for i, lhs := range st.Lhs {
+		if field := s.funcField(lhs); field != nil {
+			var v ast.Expr // nil (opaque) for a multi-value right side
+			if len(st.Rhs) == len(st.Lhs) {
+				v = st.Rhs[i]
+			}
+			s.bindField(lhs.Pos(), field, v)
+		}
 		if st.Tok != token.DEFINE {
 			s.writeTarget(lhs, "assigned")
 		}
@@ -557,10 +633,24 @@ func (s *summarizer) expr(e ast.Expr) {
 				s.alloc(e.Pos(), AllocMapLit, "")
 			}
 		}
-		for _, el := range e.Elts {
+		var st *types.Struct
+		if tv, ok := s.pkg.Info.Types[e]; ok && tv.Type != nil {
+			st, _ = tv.Type.Underlying().(*types.Struct)
+		}
+		for i, el := range e.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				if st != nil {
+					if key, isID := kv.Key.(*ast.Ident); isID {
+						if field, isVar := s.pkg.Info.Uses[key].(*types.Var); isVar && isFuncType(field.Type()) {
+							s.bindField(kv.Pos(), field, kv.Value)
+						}
+					}
+				}
 				s.expr(kv.Value)
 				continue
+			}
+			if st != nil && i < st.NumFields() && isFuncType(st.Field(i).Type()) {
+				s.bindField(el.Pos(), st.Field(i), el)
 			}
 			s.expr(el)
 		}
@@ -614,6 +704,56 @@ func (s *summarizer) expr(e ast.Expr) {
 			return true
 		})
 	}
+}
+
+// funcField returns the func-typed struct field e selects, or nil.
+func (s *summarizer) funcField(e ast.Expr) *types.Var {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if fs, ok := s.pkg.Info.Selections[sel]; ok && fs.Kind() == types.FieldVal {
+		if v, ok := fs.Obj().(*types.Var); ok && isFuncType(v.Type()) {
+			return v
+		}
+	}
+	return nil
+}
+
+// bindField records the store of v (nil: an opaque value) into field.
+func (s *summarizer) bindField(pos token.Pos, field *types.Var, v ast.Expr) {
+	b := FieldBind{Pos: pos, Field: field.Origin()}
+	if v != nil {
+		b.Target, b.Lit = s.funcValue(v)
+	}
+	s.out.FieldBinds = append(s.out.FieldBinds, b)
+}
+
+// funcValue resolves a function-valued expression to the function or
+// method it names, or the literal it is; both nil when opaque.
+func (s *summarizer) funcValue(e ast.Expr) (*types.Func, *ast.FuncLit) {
+	switch arg := ast.Unparen(e).(type) {
+	case *ast.FuncLit:
+		return nil, arg
+	case *ast.Ident:
+		if f, ok := s.pkg.Info.Uses[arg].(*types.Func); ok {
+			return canonical(f), nil
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := s.pkg.Info.Selections[arg]; ok && sel.Kind() == types.MethodVal {
+			if f, ok := sel.Obj().(*types.Func); ok {
+				return canonical(f), nil
+			}
+		} else if f, ok := s.pkg.Info.Uses[arg.Sel].(*types.Func); ok {
+			return canonical(f), nil
+		}
+	}
+	return nil, nil
+}
+
+func isFuncType(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Signature)
+	return ok
 }
 
 // selector handles a selector used as a value: a method value binds
@@ -870,21 +1010,9 @@ func (s *summarizer) callback(call *ast.CallExpr, fn *types.Func) {
 		return
 	}
 	cb := Callback{Pos: call.Pos(), Kind: kind, ArgExpr: call.Args[argIdx]}
-	switch arg := ast.Unparen(call.Args[argIdx]).(type) {
-	case *ast.FuncLit:
-		cb.Lit = arg
-	case *ast.Ident:
-		if f, ok := s.pkg.Info.Uses[arg].(*types.Func); ok {
-			cb.Target = canonical(f)
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := s.pkg.Info.Selections[arg]; ok && sel.Kind() == types.MethodVal {
-			if f, ok := sel.Obj().(*types.Func); ok {
-				cb.Target = canonical(f)
-			}
-		} else if f, ok := s.pkg.Info.Uses[arg.Sel].(*types.Func); ok {
-			cb.Target = canonical(f)
-		}
+	cb.Target, cb.Lit = s.funcValue(call.Args[argIdx])
+	if cb.Target == nil && cb.Lit == nil {
+		cb.Field = s.funcField(call.Args[argIdx])
 	}
 	if kind == CallbackSink {
 		cb.DomainArg = call.Args[1]

@@ -26,6 +26,8 @@ func TestNoGoroutine(t *testing.T) {
 func TestNoGoroutineDevicePumps(t *testing.T) {
 	analysistest.RunAs(t, lint.NoGoroutine,
 		filepath.Join("testdata", "src", "nogoroutine", "nic"), lint.ModulePath+"/internal/nic")
+	analysistest.RunAs(t, lint.NoGoroutine,
+		filepath.Join("testdata", "src", "nogoroutine", "hdc"), lint.ModulePath+"/internal/hdc")
 }
 
 func TestNoChainRecursion(t *testing.T) {

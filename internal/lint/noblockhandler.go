@@ -49,27 +49,20 @@ func runNoBlockHandler(pass *ModulePass) error {
 			if cb.Kind != CallbackHandler {
 				continue
 			}
-			var root *FuncFacts
-			switch {
-			case cb.Target != nil:
-				root = facts.Lookup(cb.Target)
-			case cb.Lit != nil:
-				root = facts.litFacts(ff.Pkg, cb.Lit)
+			roots, ok := facts.CallbackRoots(ff, cb)
+			if !ok && !reported[cb.Pos] {
+				reported[cb.Pos] = true
+				chain := []ChainLink{{Func: ff.Name()}}
+				pass.Reportf(cb.Pos, chain,
+					"handler proc registered with an opaque func value dcslint cannot check for blocking calls [%s]", ff.Name())
 			}
-			if root == nil {
-				if !reported[cb.Pos] {
-					reported[cb.Pos] = true
-					chain := []ChainLink{{Func: ff.Name()}}
-					pass.Reportf(cb.Pos, chain,
-						"handler proc registered with an opaque func value dcslint cannot check for blocking calls [%s]", ff.Name())
+			for _, root := range roots {
+				if checked[root] {
+					continue
 				}
-				continue
+				checked[root] = true
+				checkHandlerRoot(pass, facts, root, parkCapable, reported)
 			}
-			if checked[root] {
-				continue
-			}
-			checked[root] = true
-			checkHandlerRoot(pass, facts, root, parkCapable, reported)
 		}
 	}
 	return nil

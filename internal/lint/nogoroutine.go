@@ -25,19 +25,24 @@ var NoGoroutine = &Analyzer{
 		"Model concurrency must go through sim.Env.Spawn/SpawnHandler and " +
 		"the kernel's synchronisation types; raw goroutines break the single-" +
 		"runnable-process invariant the park/resume handoff depends on. The " +
-		"device packages (nic, pcie, ether, hostos) may not spawn goroutine " +
-		"procs at all: their pumps are handler procs.",
+		"device packages (nic, pcie, ether, hostos, nvme, hdc, ndp) may not " +
+		"spawn goroutine procs at all: their loops and stages are handler procs.",
 	Run: runNoGoroutine,
 }
 
 // devicePumpPackages are the device-model packages whose every proc is
-// a flat pump and so a handler proc. Goroutine procs stay legal in
-// apps, bench, test drivers and the multi-stage hdc/nvme task paths.
+// a handler proc: the flat pumps, the NVMe queue and exec machines, and
+// the HDC Engine's loops and per-command stages. Goroutine procs stay
+// legal in the apps, the core host paths, and the bench and test
+// drivers.
 var devicePumpPackages = []string{
 	"internal/nic",
 	"internal/pcie",
 	"internal/ether",
 	"internal/hostos",
+	"internal/nvme",
+	"internal/hdc",
+	"internal/ndp",
 }
 
 func runNoGoroutine(pass *Pass) error {

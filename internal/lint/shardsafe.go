@@ -59,10 +59,9 @@ func runShardSafe(pass *ModulePass) error {
 	r := facts.newReach()
 	seedCallbacks := func(ff *FuncFacts) {
 		for _, cb := range ff.Callbacks {
-			if cb.Target != nil {
-				r.addRoot(facts.Lookup(cb.Target))
-			} else if cb.Lit != nil {
-				r.addRoot(facts.litFacts(ff.Pkg, cb.Lit))
+			roots, _ := facts.CallbackRoots(ff, cb)
+			for _, root := range roots {
+				r.addRoot(root)
 			}
 		}
 	}

@@ -108,3 +108,43 @@ func spawnPark(env *sim.Env) {
 func (m *machine) runPark(h *sim.HandlerCtx) {
 	m.p.Park() // want `handler proc \(\*noblockhandler\.machine\)\.runPark reaches park-capable \(\*sim\.Proc\)\.Park`
 }
+
+// A body bound once into a func-typed field, then registered through
+// the field, is checked like the method value itself: the analyzer
+// resolves the field to every value stored into it. A field given an
+// opaque value, or never stored, cannot be checked.
+type bound struct {
+	sig     *sim.Signal
+	p       *sim.Proc
+	cleanFn func(*sim.HandlerCtx)
+	blockFn func(*sim.HandlerCtx)
+	litFn   func(*sim.HandlerCtx)
+	anyFn   func(*sim.HandlerCtx)
+	neverFn func(*sim.HandlerCtx)
+}
+
+func newBound(sig *sim.Signal, fn func(*sim.HandlerCtx)) *bound {
+	b := &bound{sig: sig, litFn: func(h *sim.HandlerCtx) { h.Exit() }}
+	b.cleanFn, b.blockFn = b.runClean, b.runBlock
+	b.anyFn = fn
+	return b
+}
+
+func spawnBound(env *sim.Env, b *bound) {
+	env.SpawnHandler("bound-clean", b.cleanFn)
+	env.SpawnHandler("bound-block", b.blockFn)
+	env.SpawnHandler("bound-lit", b.litFn)
+	env.SpawnHandler("bound-opaque", b.anyFn)  // want `handler proc registered with an opaque func value dcslint cannot check for blocking calls \[noblockhandler\.spawnBound\]`
+	env.SpawnHandler("bound-never", b.neverFn) // want `handler proc registered with an opaque func value dcslint cannot check for blocking calls \[noblockhandler\.spawnBound\]`
+}
+
+func (b *bound) runClean(h *sim.HandlerCtx) {
+	if !b.sig.WaitH(h) {
+		return
+	}
+	h.Exit()
+}
+
+func (b *bound) runBlock(h *sim.HandlerCtx) {
+	b.sig.Wait(b.p) // want `handler proc \(\*noblockhandler\.bound\)\.runBlock reaches park-capable \(\*sim\.Signal\)\.Wait`
+}

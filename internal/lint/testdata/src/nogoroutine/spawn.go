@@ -1,5 +1,5 @@
-// Goroutine procs stay legal outside the device packages: apps, bench
-// drivers and the multi-stage hdc/nvme task paths spawn them.
+// Goroutine procs stay legal outside the device packages: the apps,
+// the core host paths and the bench and test drivers spawn them.
 package nogoroutine
 
 import "dcsctrl/internal/sim"

@@ -14,6 +14,7 @@ package mem
 import (
 	"fmt"
 	"sort"
+	"syscall"
 )
 
 // Kind classifies a memory region.
@@ -182,13 +183,31 @@ func (m *Map) AddRegion(name string, kind Kind, size uint64, p2pTarget bool) *Re
 		Base:      m.next,
 		Size:      size,
 		P2PTarget: p2pTarget,
-		data:      make([]byte, size),
+		data:      mapBacking(name, size),
 	}
 	m.regions = append(m.regions, r)
 	// Keep a guard gap between regions so off-by-one addressing faults
 	// are caught instead of silently landing in a neighbour.
 	m.next += Addr(size) + 1<<20
 	return r
+}
+
+// mapBacking returns a region's backing store: a private anonymous
+// mapping, outside the Go heap, whose pages the kernel zero-fills on
+// first touch (DESIGN.md §11). A region sized like hardware costs only
+// the pages the run writes, and the allocator never re-zeroes a
+// finished cluster's spans for the next one. Nothing unmaps a region:
+// a view (View, Region.Bytes) does not keep its region reachable, so
+// unmapping an unreachable region could free pages under a live view.
+func mapBacking(name string, size uint64) []byte {
+	if size == 0 {
+		return nil
+	}
+	b, err := syscall.Mmap(-1, 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		panic(fmt.Sprintf("mem: mapping %d bytes for region %s: %v", size, name, err))
+	}
+	return b
 }
 
 // Resolve returns the region containing addr and the offset within it.

@@ -65,6 +65,7 @@ func (p *ChunkPool) Put(a Addr) {
 	if len(p.free) >= p.total {
 		panic("mem: chunk pool overflow (double free?)")
 	}
+	//dcslint:allow noalloc the free list never outgrows the pool's total chunks (checked above), so its capacity settles
 	p.free = append(p.free, a)
 }
 
@@ -186,8 +187,10 @@ type Extent struct {
 // extent, or two when the span wraps past the ring's end.
 func RingExtents(exts []Extent, base Addr, head, n, entries, esz int) []Extent {
 	first := min(entries-head, n)
+	//dcslint:allow noalloc ring loops pass a capacity-2 scratch reset to [:0]; a ring span is at most two extents
 	exts = append(exts, Extent{Addr: base + Addr(uint64(head)*uint64(esz)), Len: first * esz})
 	if n > first {
+		//dcslint:allow noalloc see above
 		exts = append(exts, Extent{Addr: base, Len: (n - first) * esz})
 	}
 	return exts

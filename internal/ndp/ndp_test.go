@@ -226,6 +226,14 @@ func TestBankRejectedWhenDeviceFull(t *testing.T) {
 	}
 }
 
+// runOp drives a staged bank invocation from a goroutine proc,
+// parking while it reports not done.
+func runOp(p *sim.Proc, op *Op) {
+	for !op.Step(p.Ctx()) {
+		p.Park()
+	}
+}
+
 func TestBankProcessingTime(t *testing.T) {
 	budget := fpga.NewBudget(fpga.Virtex7VC707())
 	env := sim.NewEnv()
@@ -239,8 +247,13 @@ func TestBankProcessingTime(t *testing.T) {
 	env.Spawn("proc", func(p *sim.Proc) {
 		start := p.Now()
 		st := bank.Unit().NewStream()
-		if _, err = bank.StreamChunk(p, st, in); err == nil {
-			_, aux, err = bank.StreamClose(p, st)
+		var op Op
+		op.StartChunk(bank, len(in))
+		runOp(p, &op)
+		if _, err = bank.StreamChunk(st, in); err == nil {
+			op.StartClose(bank)
+			runOp(p, &op)
+			_, aux, err = bank.StreamClose(st)
 		}
 		took = p.Now() - start
 	})
@@ -272,7 +285,9 @@ func TestBankSerializesStreams(t *testing.T) {
 	var ends []sim.Time
 	for i := 0; i < 2; i++ {
 		env.Spawn("proc", func(p *sim.Proc) {
-			bank.StreamChunk(p, bank.Unit().NewStream(), in)
+			var op Op
+			op.StartChunk(bank, len(in))
+			runOp(p, &op)
 			ends = append(ends, p.Now())
 		})
 	}

@@ -26,11 +26,83 @@ type Stream interface {
 	Close() (tail, aux []byte, err error)
 }
 
-// StreamChunk processes one chunk through st, charging the bank's
-// throughput model.
-func (b *Bank) StreamChunk(p *sim.Proc, st Stream, chunk []byte) ([]byte, error) {
-	p.Sleep(b.setup)
-	b.bw.Transfer(p, len(chunk))
+// Op is one bank invocation's simulated cost as a Start/Step machine
+// (DESIGN.md §16): a setup slot (buffer switch, unit dispatch), then,
+// for a chunk, the bank's aggregate bandwidth for its bytes. Once Step
+// reports true the caller applies the transformation with StreamChunk
+// or StreamClose. The zero value is idle and reusable.
+type Op struct {
+	b  *Bank
+	n  int // chunk bytes; a close charges no bandwidth
+	st opState
+}
+
+// opState enumerates where an Op resumes.
+type opState int
+
+const (
+	opIdle  opState = iota // nothing staged
+	opStart                // charge the setup slot
+	opSetup                // setup elapsed; acquire the bank (a chunk) or finish (a close)
+	opHold                 // bandwidth occupancy elapsed
+)
+
+// StartChunk stages the cost of one n-byte chunk through b.
+func (o *Op) StartChunk(b *Bank, n int) { o.start(b, n) }
+
+// StartClose stages the cost of finalizing a stream on b: a setup
+// slot, no bandwidth.
+func (o *Op) StartClose(b *Bank) { o.start(b, -1) }
+
+func (o *Op) start(b *Bank, n int) {
+	if o.st != opIdle {
+		panic("ndp: Op started while an invocation is in flight")
+	}
+	o.b, o.n, o.st = b, n, opStart
+}
+
+// Step advances the invocation and reports whether its cost has been
+// paid. On false the proc is re-armed or enrolled on the bank, and the
+// caller must return (a handler body) or park.
+//
+//dcslint:hotpath
+func (o *Op) Step(h *sim.HandlerCtx) bool {
+	b := o.b
+	for {
+		switch o.st {
+		case opStart:
+			o.st = opSetup
+			if b.setup > 0 {
+				h.Rearm(b.setup)
+				return false
+			}
+		case opSetup:
+			if o.n < 0 {
+				o.st = opIdle
+				return true
+			}
+			if !b.bw.AcquireH(h) {
+				return false
+			}
+			o.st = opHold
+			if d := b.bw.HoldTime(o.n); d > 0 {
+				h.Rearm(d)
+				return false
+			}
+		case opHold:
+			b.bw.CompleteH(o.n)
+			o.st = opIdle
+			return true
+		default:
+			panic("ndp: Step on idle Op")
+		}
+	}
+}
+
+// StreamChunk processes one chunk through st once its Op (StartChunk)
+// has completed, and returns the output produced for the chunk.
+func (b *Bank) StreamChunk(st Stream, chunk []byte) ([]byte, error) {
+	//dcslint:allow noblockhandler a unit's Write is its stdlib transformation; it takes no Proc and cannot park
 	out, err := st.Write(chunk)
 	if err != nil {
 		return nil, fmt.Errorf("ndp: %s stream: %w", b.unit.Name(), err)
@@ -39,9 +111,9 @@ func (b *Bank) StreamChunk(p *sim.Proc, st Stream, chunk []byte) ([]byte, error)
 	return out, nil
 }
 
-// StreamClose finalizes st (no simulated cost beyond a setup slot).
-func (b *Bank) StreamClose(p *sim.Proc, st Stream) (tail, aux []byte, err error) {
-	p.Sleep(b.setup)
+// StreamClose finalizes st once its Op (StartClose) has completed.
+func (b *Bank) StreamClose(st Stream) (tail, aux []byte, err error) {
+	//dcslint:allow noblockhandler a unit's Close finalizes its stdlib transformation; it takes no Proc and cannot park
 	tail, aux, err = st.Close()
 	if err != nil {
 		return nil, nil, fmt.Errorf("ndp: %s close: %w", b.unit.Name(), err)

@@ -62,8 +62,10 @@ const lsoFrag = 32 << 10
 // SendFlagLSO and ether.MSS, then the n payload bytes at payload in
 // BDs of at most 32 KB, with SendFlagEnd on the last BD.
 func AppendLSOChain(bds []SendBD, hdr mem.Addr, hdrLen int, payload mem.Addr, n int) []SendBD {
+	//dcslint:allow noalloc callers pass a capacity-preserving chain scratch reset to [:0] per job
 	bds = append(bds, SendBD{Addr: hdr, Len: uint16(hdrLen), Flags: SendFlagLSO, MSS: ether.MSS})
 	for off := 0; off < n; off += lsoFrag {
+		//dcslint:allow noalloc see above
 		bds = append(bds, SendBD{Addr: payload + mem.Addr(off), Len: uint16(min(n-off, lsoFrag))})
 	}
 	bds[len(bds)-1].Flags |= SendFlagEnd

@@ -206,6 +206,7 @@ func BuildPRPs(mm *mem.Map, pages []mem.Addr, listBuf mem.Addr) (mem.Addr, mem.A
 		if need := 8 * (len(pages) - 1); need <= len(buf) {
 			buf = buf[:need]
 		} else {
+			//dcslint:allow noalloc fallback for lists past MaxBlocksPerCmd pages, which no device model builds
 			buf = make([]byte, need)
 		}
 		for i, pg := range pages[1:] {
@@ -231,6 +232,7 @@ func AppendPRPList(dst []mem.Addr, mm *mem.Map, addr mem.Addr, n int) ([]mem.Add
 	}
 	raw := r.Bytes(off, 8*n)
 	for i := 0; i < n; i++ {
+		//dcslint:allow noalloc device models pass a MaxBlocksPerCmd-capacity page scratch reset to [:0]
 		dst = append(dst, mem.Addr(binary.LittleEndian.Uint64(raw[8*i:])))
 	}
 	return dst, nil
@@ -247,16 +249,19 @@ func AppendDataPages(dst []mem.Addr, mm *mem.Map, cmd Command) ([]mem.Addr, erro
 	n := cmd.Blocks()
 	switch {
 	case n == 1:
+		//dcslint:allow noalloc device models pass a MaxBlocksPerCmd-capacity page scratch reset to [:0]
 		return append(dst, cmd.PRP1), nil
 	case n == 2:
 		if cmd.PRP2 == 0 {
 			return nil, fmt.Errorf("nvme: 2-block command without PRP2")
 		}
+		//dcslint:allow noalloc see above
 		return append(dst, cmd.PRP1, cmd.PRP2), nil
 	default:
 		if cmd.PRP2 == 0 {
 			return nil, fmt.Errorf("nvme: %d-block command without PRP list", n)
 		}
+		//dcslint:allow noalloc see above
 		return AppendPRPList(append(dst, cmd.PRP1), mm, cmd.PRP2, n-1)
 	}
 }

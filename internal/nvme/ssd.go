@@ -111,8 +111,8 @@ type devQP struct {
 	// submitter's ring flow control (< Entries outstanding commands).
 	cplPend []Completion
 	cplWork *sim.Cond
-	sqExts  []mem.Extent // wrap-aware fetch extents (qpLoop only)
-	cqExts  []mem.Extent // wrap-aware post extents (cplLoop only)
+	sqExts  []mem.Extent // wrap-aware fetch extents (fetch machine only)
+	cqExts  []mem.Extent // wrap-aware post extents (completer only)
 }
 
 // NewSSD builds the device, allocating its BAR and staging regions and
@@ -144,7 +144,19 @@ func NewSSD(env *sim.Env, fab *pcie.Fabric, name string, params Params) *SSD {
 	s.writeBW = sim.NewBandwidthServer(env, name+"-flash-wr", params.WriteBps, 0)
 	s.exec = sim.NewResource(env, name+"-exec", params.Channels)
 	s.execs = sim.NewPool(env, name+" exec", func(job execJob, ok bool) {
-		env.Spawn(name+"-exec", func(ep *sim.Proc) { s.execWorker(ep, job, ok) })
+		// A worker is a handler proc; its machine, scratch slices and
+		// bound body are made once per pooled worker.
+		w := &execWorker{
+			s:     s,
+			job:   job,
+			st:    exAcquire,
+			pages: make([]mem.Addr, 0, MaxBlocksPerCmd),
+			exts:  make([]mem.Extent, 0, MaxBlocksPerCmd),
+		}
+		if !ok {
+			w.st = exFetch
+		}
+		env.SpawnHandler(name+"-exec", w.run)
 	})
 
 	s.Doorbells.SetWriteHook(s.onDoorbell)
@@ -194,8 +206,8 @@ func (s *SSD) NewQueuePair(port *pcie.Port, prefix string, kind mem.Kind, qid ui
 	}
 	qp.kick = sim.NewCoalesced(s.env, qp.sqKick.Broadcast)
 	s.qps[qid] = qp
-	s.env.Spawn(fmt.Sprintf("%s-qp%d", s.Name, qid), func(p *sim.Proc) { s.qpLoop(p, qp) })
-	s.env.Spawn(fmt.Sprintf("%s-qp%d-cpl", s.Name, qid), func(p *sim.Proc) { s.cplLoop(p, qp) })
+	s.env.SpawnHandler(fmt.Sprintf("%s-qp%d", s.Name, qid), (&fetchMachine{s: s, qp: qp}).run)
+	s.env.SpawnHandler(fmt.Sprintf("%s-qp%d-cpl", s.Name, qid), (&cplMachine{s: s, qp: qp}).run)
 	return &Ring{cfg: cfg, fab: s.fab, phase: true, pending: map[uint16]func(Completion){}}, cq
 }
 
@@ -220,145 +232,310 @@ func (s *SSD) onDoorbell(off uint64, n int) {
 	}
 }
 
-func (s *SSD) qpLoop(p *sim.Proc, qp *devQP) {
+// fetchState enumerates where a queue pair's fetch machine resumes.
+type fetchState int
+
+const (
+	fetchWait   fetchState = iota // wait for the SQ tail doorbell
+	fetchDMA                      // burst-fetch the posted SQEs
+	fetchDecode                   // decode time elapsed; dispatch
+)
+
+// fetchMachine is a queue pair's SQ fetch loop as a handler: on each
+// doorbell it drains every newly posted SQE in one pass — a burst
+// fetch of the whole window by vectored DMA (one or two extents
+// depending on ring wrap), one decode charge for the batch, then
+// dispatch to the exec pool.
+type fetchMachine struct {
+	s     *SSD
+	qp    *devQP
+	st    fetchState
+	avail int
+	v     pcie.XferVec
+}
+
+//dcslint:hotpath
+func (m *fetchMachine) run(h *sim.HandlerCtx) {
+	s, qp := m.s, m.qp
 	for {
-		for qp.sqHead == qp.dbTail {
-			qp.sqKick.Wait(p)
-		}
-		// Drain every newly posted SQE in one pass: burst-fetch the
-		// whole window by vectored DMA (one or two extents depending on
-		// ring wrap), decode the batch in one sitting, then dispatch.
-		avail := (qp.dbTail - qp.sqHead + qp.cfg.Entries) % qp.cfg.Entries
-		qp.sqExts = mem.RingExtents(qp.sqExts[:0], qp.cfg.SQ.Base, qp.sqHead, avail, qp.cfg.Entries, CommandSize)
-		s.fab.MustDMAVec(p, s.port, qp.sqBatch, qp.sqExts, true)
-		p.Sleep(s.params.CmdDecode * sim.Time(avail))
-		for i := 0; i < avail; i++ {
-			raw := s.fab.Mem().View(qp.sqBatch+mem.Addr(i*CommandSize), CommandSize)
-			cmd, err := DecodeCommand(raw)
-			sqHead := (qp.sqHead + 1) % qp.cfg.Entries
-			qp.sqHead = sqHead
-			if err != nil {
-				s.finishCmd(qp, Completion{CID: cmd.CID, SQHead: uint16(sqHead), SQID: qp.cfg.QID, Status: StatusInternalErr})
-				continue
+		switch m.st {
+		case fetchWait:
+			if qp.sqHead == qp.dbTail {
+				qp.sqKick.WaitH(h)
+				return
 			}
-			// Execute concurrently up to the channel count; completions may
-			// land out of order, which the CID matching absorbs.
-			s.execs.Submit(execJob{qp: qp, cmd: cmd, sqHead: sqHead})
+			m.avail = (qp.dbTail - qp.sqHead + qp.cfg.Entries) % qp.cfg.Entries
+			qp.sqExts = mem.RingExtents(qp.sqExts[:0], qp.cfg.SQ.Base, qp.sqHead, m.avail, qp.cfg.Entries, CommandSize)
+			m.v.Start(s.fab, s.port, qp.sqBatch, qp.sqExts, true)
+			m.st = fetchDMA
+		case fetchDMA:
+			if !m.v.Step(h) {
+				return
+			}
+			m.st = fetchDecode
+			if d := s.params.CmdDecode * sim.Time(m.avail); d > 0 {
+				h.Rearm(d)
+				return
+			}
+		case fetchDecode:
+			for i := 0; i < m.avail; i++ {
+				raw := s.fab.Mem().View(qp.sqBatch+mem.Addr(i*CommandSize), CommandSize)
+				cmd, err := DecodeCommand(raw)
+				sqHead := (qp.sqHead + 1) % qp.cfg.Entries
+				qp.sqHead = sqHead
+				if err != nil {
+					s.finishCmd(qp, Completion{CID: cmd.CID, SQHead: uint16(sqHead), SQID: qp.cfg.QID, Status: StatusInternalErr})
+					continue
+				}
+				// Execute concurrently up to the channel count; completions
+				// may land out of order, which the CID matching absorbs.
+				s.execs.Submit(execJob{qp: qp, cmd: cmd, sqHead: sqHead})
+			}
+			m.st = fetchWait
 		}
 	}
 }
+
+// exState enumerates where an exec worker resumes. A read runs media
+// latency, flash bandwidth, then the scatter DMA; a write runs the
+// gather DMA, program latency, then flash bandwidth.
+type exState int
+
+const (
+	exFetch     exState = iota // fetch the next job from the pool
+	exAcquire                  // acquire an execution channel
+	exSlot                     // take a staging slot
+	exFlush                    // charge the flush latency
+	exFlushed                  // flush latency elapsed
+	exReadLat                  // read media latency elapsed
+	exReadBW                   // acquire the flash read bandwidth
+	exReadHold                 // read bandwidth occupancy elapsed
+	exReadDMA                  // scatter the slot across the PRP pages
+	exWriteDMA                 // gather the PRP pages into the slot
+	exWriteLat                 // program latency elapsed
+	exWriteBW                  // acquire the flash write bandwidth
+	exWriteHold                // write bandwidth occupancy elapsed
+)
 
 // execWorker runs fetched commands for the lifetime of the SSD,
-// parking on the pool between commands; a primed worker (ok false)
-// fetches its first. The PRP-page and DMA-extent scratch slices live
-// for the worker's lifetime, so steady-state execution allocates
-// nothing.
-func (s *SSD) execWorker(ep *sim.Proc, job execJob, ok bool) {
-	pages := make([]mem.Addr, 0, MaxBlocksPerCmd)
-	exts := make([]mem.Extent, 0, MaxBlocksPerCmd)
-	if !ok {
-		job = s.execs.Get(ep)
-	}
+// waiting on the pool between commands; a primed worker starts at
+// exFetch. The PRP-page and DMA-extent scratch slices live for the
+// worker's lifetime, so steady-state execution allocates nothing.
+type execWorker struct {
+	s       *SSD
+	st      exState
+	job     execJob
+	slot    mem.Addr
+	hasSlot bool
+	pages   []mem.Addr
+	exts    []mem.Extent
+	v       pcie.XferVec
+}
+
+//dcslint:hotpath
+func (w *execWorker) run(h *sim.HandlerCtx) {
+	s := w.s
 	for {
-		s.exec.Acquire(ep)
-		status := s.execute(ep, job.cmd, &pages, &exts)
-		s.exec.Release()
-		s.finishCmd(job.qp, Completion{CID: job.cmd.CID, SQHead: uint16(job.sqHead), SQID: job.qp.cfg.QID, Status: status})
-		s.execs.Done()
-		job = s.execs.Get(ep)
+		switch w.st {
+		case exFetch:
+			job, ok := s.execs.GetH(h)
+			if !ok {
+				return
+			}
+			w.job = job
+			w.st = exAcquire
+		case exAcquire:
+			if !s.exec.AcquireH(h) {
+				return
+			}
+			if st, done := w.begin(); done {
+				w.finish(st)
+				continue
+			}
+		case exSlot:
+			slot, ok := s.slotQ.GetH(h)
+			if !ok {
+				return
+			}
+			w.slot, w.hasSlot = slot, true
+			if w.job.cmd.Opcode == OpRead {
+				// Media access: latency once, bandwidth for the span.
+				w.st = exReadLat
+				if d := s.params.ReadLatency; d > 0 {
+					h.Rearm(d)
+					return
+				}
+				continue
+			}
+			w.startDMA(false)
+			w.st = exWriteDMA
+		case exFlush:
+			w.st = exFlushed
+			if d := s.params.WriteLatency; d > 0 {
+				h.Rearm(d)
+				return
+			}
+		case exFlushed:
+			w.finish(StatusSuccess)
+		case exReadLat:
+			if s.params.Faults.Hit(fault.NVMeReadError) {
+				// Uncorrectable ECC on this access: fail before any data
+				// leaves the device. A retry re-reads the media.
+				w.finish(StatusMediaErr)
+				continue
+			}
+			w.st = exReadBW
+		case exReadBW:
+			if !s.readBW.AcquireH(h) {
+				return
+			}
+			w.st = exReadHold
+			if d := s.readBW.HoldTime(w.job.cmd.Bytes()); d > 0 {
+				h.Rearm(d)
+				return
+			}
+		case exReadHold:
+			cmd := w.job.cmd
+			s.readBW.CompleteH(cmd.Bytes())
+			for i := 0; i < cmd.Blocks(); i++ {
+				s.fab.Mem().Write(w.slot+mem.Addr(i*BlockSize), s.readBlock(cmd.SLBA+uint64(i)))
+			}
+			w.startDMA(true)
+			w.st = exReadDMA
+		case exReadDMA:
+			done, err := w.v.StepErr(h)
+			if err != nil {
+				w.finish(StatusInvalidPRP)
+				continue
+			}
+			if !done {
+				return
+			}
+			s.bytesRd += int64(w.job.cmd.Bytes())
+			s.cmdsDone++
+			w.finish(StatusSuccess)
+		case exWriteDMA:
+			done, err := w.v.StepErr(h)
+			if err != nil {
+				w.finish(StatusInvalidPRP)
+				continue
+			}
+			if !done {
+				return
+			}
+			w.st = exWriteLat
+			if d := s.params.WriteLatency; d > 0 {
+				h.Rearm(d)
+				return
+			}
+		case exWriteLat:
+			if s.params.Faults.Hit(fault.NVMeWriteError) {
+				// Program failure before commit: flash is untouched, so
+				// re-issuing the write is idempotent.
+				w.finish(StatusMediaErr)
+				continue
+			}
+			w.st = exWriteBW
+		case exWriteBW:
+			if !s.writeBW.AcquireH(h) {
+				return
+			}
+			w.st = exWriteHold
+			if d := s.writeBW.HoldTime(w.job.cmd.Bytes()); d > 0 {
+				h.Rearm(d)
+				return
+			}
+		case exWriteHold:
+			cmd := w.job.cmd
+			s.writeBW.CompleteH(cmd.Bytes())
+			for i := 0; i < cmd.Blocks(); i++ {
+				// Overwrites land in the existing block — the flash map
+				// is the device's deterministic block cache; only first
+				// writes to an LBA allocate. A first write over a staged
+				// LBA gets its own block, which hides the image block.
+				lba := cmd.SLBA + uint64(i)
+				blk, ok := s.flash[lba]
+				if !ok {
+					//dcslint:allow noalloc a first write to an LBA gives it its own flash block, kept for the SSD's lifetime
+					blk = make([]byte, BlockSize)
+					s.flash[lba] = blk
+				}
+				s.fab.Mem().ReadInto(w.slot+mem.Addr(i*BlockSize), blk)
+			}
+			s.bytesWr += int64(cmd.Bytes())
+			s.cmdsDone++
+			w.finish(StatusSuccess)
+		}
 	}
 }
 
-func (s *SSD) execute(p *sim.Proc, cmd Command, pageScratch *[]mem.Addr, extScratch *[]mem.Extent) uint16 {
+// begin starts executing the job's command once a channel is held: it
+// checks the opcode and the PRPs and picks the first stage. done means
+// the command already finished with status, before any stage.
+func (w *execWorker) begin() (status uint16, done bool) {
+	s, cmd := w.s, w.job.cmd
 	switch cmd.Opcode {
 	case OpFlush:
-		p.Sleep(s.params.WriteLatency)
-		return StatusSuccess
+		w.st = exFlush
+		return 0, false
 	case OpRead, OpWrite:
 	default:
-		return StatusInvalidOp
+		return StatusInvalidOp, true
 	}
 	if cmd.Blocks() > MaxBlocksPerCmd {
-		return StatusInvalidPRP
+		return StatusInvalidPRP, true
 	}
-	pages, err := AppendDataPages((*pageScratch)[:0], s.fab.Mem(), cmd)
+	pages, err := AppendDataPages(w.pages[:0], s.fab.Mem(), cmd)
 	if err != nil {
-		return StatusInvalidPRP
+		return StatusInvalidPRP, true
 	}
-	*pageScratch = pages
-	slot := s.slotQ.Get(p)
-	defer s.slotQ.Put(slot)
-	n := cmd.Bytes()
-
-	if cmd.Opcode == OpRead {
-		// Media access: latency once, bandwidth for the span.
-		p.Sleep(s.params.ReadLatency)
-		if s.params.Faults.Hit(fault.NVMeReadError) {
-			// Uncorrectable ECC on this access: fail before any data
-			// leaves the device. A retry re-reads the media.
-			return StatusMediaErr
-		}
-		s.readBW.Transfer(p, n)
-		for i := 0; i < cmd.Blocks(); i++ {
-			s.fab.Mem().Write(slot+mem.Addr(i*BlockSize), s.readBlock(cmd.SLBA+uint64(i)))
-		}
-		if err := s.dmaPages(p, pages, slot, true, extScratch); err != nil {
-			return StatusInvalidPRP
-		}
-		s.bytesRd += int64(n)
-	} else {
-		if err := s.dmaPages(p, pages, slot, false, extScratch); err != nil {
-			return StatusInvalidPRP
-		}
-		p.Sleep(s.params.WriteLatency)
-		if s.params.Faults.Hit(fault.NVMeWriteError) {
-			// Program failure before commit: flash is untouched, so
-			// re-issuing the write is idempotent.
-			return StatusMediaErr
-		}
-		s.writeBW.Transfer(p, n)
-		for i := 0; i < cmd.Blocks(); i++ {
-			// Overwrites land in the existing block — the flash map is
-			// the device's deterministic block cache; only first writes
-			// to an LBA allocate. A first write over a staged LBA gets
-			// its own block, which hides the image block.
-			lba := cmd.SLBA + uint64(i)
-			blk, ok := s.flash[lba]
-			if !ok {
-				blk = make([]byte, BlockSize)
-				s.flash[lba] = blk
-			}
-			s.fab.Mem().ReadInto(slot+mem.Addr(i*BlockSize), blk)
-		}
-		s.bytesWr += int64(n)
-	}
-	s.cmdsDone++
-	return StatusSuccess
+	w.pages = pages
+	w.st = exSlot
+	return 0, false
 }
 
-// dmaPages moves data between the staging slot and the PRP pages,
-// coalescing physically contiguous pages into extents and issuing one
-// vectored DMA. toPages=true moves staging->pages (a read command
+// startDMA stages the data movement between the staging slot and the
+// PRP pages, coalescing physically contiguous pages into extents for
+// one vectored DMA. toPages=true moves staging->pages (a read command
 // scatters the slot across the pages); toPages=false gathers the
 // pages into the slot.
-func (s *SSD) dmaPages(p *sim.Proc, pages []mem.Addr, slot mem.Addr, toPages bool, extScratch *[]mem.Extent) error {
-	exts := (*extScratch)[:0]
+func (w *execWorker) startDMA(toPages bool) {
+	exts := w.exts[:0]
+	pages := w.pages
 	for i := 0; i < len(pages); {
 		j := i + 1
 		for j < len(pages) && pages[j] == pages[j-1]+BlockSize {
 			j++
 		}
+		//dcslint:allow noalloc the worker's extent scratch holds MaxBlocksPerCmd extents, one per page at most
 		exts = append(exts, mem.Extent{Addr: pages[i], Len: (j - i) * BlockSize})
 		i = j
 	}
-	*extScratch = exts
-	return s.fab.DMAVec(p, s.port, slot, exts, !toPages)
+	w.exts = exts
+	w.v.Start(w.s.fab, w.s.port, w.slot, exts, !toPages)
+}
+
+// finish tears the finished command down in a fixed order — slot
+// back, channel released, completion handed to the completer, worker
+// counted idle — and sends the worker to fetch its next job.
+func (w *execWorker) finish(status uint16) {
+	s, job := w.s, w.job
+	if w.hasSlot {
+		s.slotQ.Put(w.slot)
+		w.slot, w.hasSlot = 0, false
+	}
+	s.exec.Release()
+	s.finishCmd(job.qp, Completion{CID: job.cmd.CID, SQHead: uint16(job.sqHead), SQID: job.qp.cfg.QID, Status: status})
+	s.execs.Done()
+	w.job = execJob{}
+	w.st = exFetch
 }
 
 // finishCmd hands a finished command to the QP's completer. It never
 // blocks: CQ flow control is absorbed by cplPend, which the submitter's
 // ring bounds to fewer than Entries outstanding commands.
 func (s *SSD) finishCmd(qp *devQP, cpl Completion) {
+	//dcslint:allow noalloc cplPend has the queue pair's depth in capacity, and the submitter's ring keeps fewer commands outstanding
 	qp.cplPend = append(qp.cplPend, cpl)
 	qp.cplWork.Broadcast()
 }
@@ -369,44 +546,79 @@ func (s *SSD) cqFree(qp *devQP) int {
 	return (qp.cqHeadSee - qp.cqTail - 1 + qp.cfg.Entries) % qp.cfg.Entries
 }
 
-// cplLoop is the QP's completion coalescer: it gathers every command
-// that finished at the current instant and posts their CQEs in one
-// pass — one vectored DMA (two extents on ring wrap) and at most one
-// MSI per batch, instead of a DMA and an interrupt per command.
+// cplState enumerates where a queue pair's completer resumes.
+type cplState int
+
+const (
+	cplWait cplState = iota // wait for a finished command
+	cplRoom                 // wait for a free CQ slot; post the batch
+	cplPost                 // the batch's CQE DMA is in flight
+)
+
+// cplMachine is the QP's completion coalescer: it gathers every
+// command that finished at the current instant and posts their CQEs in
+// one pass — one vectored DMA (two extents on ring wrap) and at most
+// one MSI per batch, instead of a DMA and an interrupt per command.
 // Submitters are insensitive to MSI count: ProcessCompletions drains
 // the CQ by phase bit regardless of how many interrupts coalesced.
-func (s *SSD) cplLoop(p *sim.Proc, qp *devQP) {
+type cplMachine struct {
+	s  *SSD
+	qp *devQP
+	st cplState
+	k  int
+	v  pcie.XferVec
+}
+
+//dcslint:hotpath
+func (m *cplMachine) run(h *sim.HandlerCtx) {
+	s, qp := m.s, m.qp
 	for {
-		for len(qp.cplPend) == 0 {
-			qp.cplWork.Wait(p)
-		}
-		// Let every command finishing at this instant land first.
-		p.Yield()
-		for s.cqFree(qp) == 0 {
-			qp.cqKick.Wait(p)
-		}
-		k := len(qp.cplPend)
-		if free := s.cqFree(qp); k > free {
-			k = free
-		}
-		qp.cqExts = mem.RingExtents(qp.cqExts[:0], qp.cfg.CQ.Base, qp.cqTail, k, qp.cfg.Entries, CompletionSize)
-		for i := 0; i < k; i++ {
-			cpl := qp.cplPend[i]
-			cpl.Phase = qp.phase
-			raw := cpl.Encode()
-			s.fab.Mem().Write(qp.cqBatch+mem.Addr(i*CompletionSize), raw[:])
-			qp.cqTail++
-			if qp.cqTail == qp.cfg.Entries {
-				qp.cqTail = 0
-				qp.phase = !qp.phase
+		switch m.st {
+		case cplWait:
+			if len(qp.cplPend) == 0 {
+				qp.cplWork.WaitH(h)
+				return
 			}
-		}
-		s.fab.MustDMAVec(p, s.port, qp.cqBatch, qp.cqExts, false)
-		n := copy(qp.cplPend, qp.cplPend[k:])
-		qp.cplPend = qp.cplPend[:n]
-		s.env.CountIO(k)
-		if qp.msiVector >= 0 {
-			s.fab.RaiseMSI(qp.msiVector)
+			// Let every command finishing at this instant land first.
+			m.st = cplRoom
+			if !h.Yield() {
+				return
+			}
+		case cplRoom:
+			if s.cqFree(qp) == 0 {
+				qp.cqKick.WaitH(h)
+				return
+			}
+			k := len(qp.cplPend)
+			if free := s.cqFree(qp); k > free {
+				k = free
+			}
+			qp.cqExts = mem.RingExtents(qp.cqExts[:0], qp.cfg.CQ.Base, qp.cqTail, k, qp.cfg.Entries, CompletionSize)
+			for i := 0; i < k; i++ {
+				cpl := qp.cplPend[i]
+				cpl.Phase = qp.phase
+				raw := cpl.Encode()
+				s.fab.Mem().Write(qp.cqBatch+mem.Addr(i*CompletionSize), raw[:])
+				qp.cqTail++
+				if qp.cqTail == qp.cfg.Entries {
+					qp.cqTail = 0
+					qp.phase = !qp.phase
+				}
+			}
+			m.k = k
+			m.v.Start(s.fab, s.port, qp.cqBatch, qp.cqExts, false)
+			m.st = cplPost
+		case cplPost:
+			if !m.v.Step(h) {
+				return
+			}
+			n := copy(qp.cplPend, qp.cplPend[m.k:])
+			qp.cplPend = qp.cplPend[:n]
+			s.env.CountIO(m.k)
+			if qp.msiVector >= 0 {
+				s.fab.RaiseMSI(qp.msiVector)
+			}
+			m.st = cplWait
 		}
 	}
 }

@@ -68,16 +68,17 @@ type Xfer struct {
 // policy or the bounds check panics (the MustDMA contract: handler
 // paths are validated at configuration time).
 func (x *Xfer) Start(f *Fabric, initiator *Port, dst, src mem.Addr, n int) {
-	if err := x.start(f, initiator, dst, src, n); err != nil {
+	if err := x.StartErr(f, initiator, dst, src, n); err != nil {
 		panic(err)
 	}
 }
 
-// start stages one transfer after resolving and checking both ends
+// StartErr stages one transfer after resolving and checking both ends
 // (endpoint) — the one resolution every DMA form shares. It stages
-// nothing and returns the error when a check fails. A zero-length
-// transfer touches no address and checks nothing.
-func (x *Xfer) start(f *Fabric, initiator *Port, dst, src mem.Addr, n int) error {
+// nothing and returns the error when a check fails, for a transfer
+// whose address comes from outside the model (a host-supplied table).
+// A zero-length transfer touches no address and checks nothing.
+func (x *Xfer) StartErr(f *Fabric, initiator *Port, dst, src mem.Addr, n int) error {
 	if x.st != xferIdle {
 		panic("pcie: Xfer started while a transfer is in flight")
 	}
@@ -244,16 +245,20 @@ func (v *XferVec) Start(f *Fabric, initiator *Port, base mem.Addr, exts []mem.Ex
 //
 //dcslint:hotpath
 func (v *XferVec) Step(h *sim.HandlerCtx) bool {
-	done, err := v.step(h)
+	done, err := v.StepErr(h)
 	if err != nil {
 		panic(err)
 	}
 	return done
 }
 
-// step is Step with the failing extent's error returned instead: the
-// machine is then idle again, with every earlier extent moved.
-func (v *XferVec) step(h *sim.HandlerCtx) (bool, error) {
+// StepErr is Step with the failing extent's error returned instead:
+// the machine is then idle again, with every earlier extent moved. A
+// device whose extents come from a command (an SSD's PRP pages) fails
+// the command on it.
+//
+//dcslint:hotpath
+func (v *XferVec) StepErr(h *sim.HandlerCtx) (bool, error) {
 	if !v.active {
 		panic("pcie: Step on idle XferVec")
 	}
@@ -269,7 +274,7 @@ func (v *XferVec) step(h *sim.HandlerCtx) (bool, error) {
 			if !v.gather {
 				dst, src = src, dst
 			}
-			if err := v.x.start(v.f, v.initiator, dst, src, e.Len); err != nil {
+			if err := v.x.StartErr(v.f, v.initiator, dst, src, e.Len); err != nil {
 				v.active = false
 				v.exts = nil
 				return false, err

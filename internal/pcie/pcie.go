@@ -243,7 +243,7 @@ func canReach(initiator *Port, owner *Port, r *mem.Region) error {
 // while it reports not done.
 func (f *Fabric) DMA(p *sim.Proc, initiator *Port, dst, src mem.Addr, n int) error {
 	var x Xfer
-	if err := x.start(f, initiator, dst, src, n); err != nil {
+	if err := x.StartErr(f, initiator, dst, src, n); err != nil {
 		return err
 	}
 	for !x.Step(p.Ctx()) {
@@ -323,7 +323,7 @@ func (f *Fabric) DMAVec(p *sim.Proc, initiator *Port, base mem.Addr, exts []mem.
 	var v XferVec
 	v.Start(f, initiator, base, exts, gather)
 	for {
-		done, err := v.step(p.Ctx())
+		done, err := v.StepErr(p.Ctx())
 		if done || err != nil {
 			return err
 		}

@@ -35,18 +35,14 @@ func NewBandwidthServer(e *Env, name string, bitsPerSecond float64, overhead Tim
 // Rate returns the configured bit rate.
 func (b *BandwidthServer) Rate() float64 { return b.bps }
 
-// Transfer occupies the server for the serialization time of n bytes:
-// the staged triple AcquireH, HoldTime and CompleteH, blocking.
-func (b *BandwidthServer) Transfer(p *Proc, n int) {
-	d := b.HoldTime(n)
-	b.res.Acquire(p)
-	p.Sleep(d)
-	b.CompleteH(n)
-}
+// A transfer occupies the server for the serialization time of its n
+// bytes, as a staged triple: AcquireH, a re-arm for HoldTime(n), and
+// CompleteH(n). Every user is a Start/Step machine (pcie.Xfer,
+// ndp.Op, the SSD's exec workers), so the triple has no blocking form.
 
-// AcquireH is the staged first leg of Transfer: it reports true once
-// the caller holds the server. The caller then re-arms for HoldTime(n)
-// and finishes with CompleteH(n).
+// AcquireH is a transfer's first leg: it reports true once the caller
+// holds the server. The caller then re-arms for HoldTime(n) and
+// finishes with CompleteH(n).
 //
 //dcslint:hotpath
 func (b *BandwidthServer) AcquireH(h *HandlerCtx) bool {
@@ -64,8 +60,8 @@ func (b *BandwidthServer) HoldTime(n int) Time {
 	return b.overhead + BpsToTime(n, b.bps)
 }
 
-// CompleteH is the staged last leg of Transfer: it releases the server
-// and accounts the n bytes moved.
+// CompleteH is a transfer's last leg: it releases the server and
+// accounts the n bytes moved.
 //
 //dcslint:hotpath
 func (b *BandwidthServer) CompleteH(n int) {

@@ -103,8 +103,7 @@ func (d *Deferred[T]) Pending() int { return d.pending }
 // counting it busy, or starts a new worker holding the job. Both
 // enqueue exactly one proc event at the current instant, so pooling
 // changes allocation cost, not the event timeline. A worker calls Done
-// when it finishes a job, then fetches the next one with Get (a
-// goroutine proc) or GetH (a handler proc).
+// when it finishes a job, then fetches the next one with GetH.
 //
 // The idle population is schedule state: a Put into a pool with parked
 // workers can chain-wake them (spurious re-parking dispatches that a
@@ -133,17 +132,17 @@ func (p *Pool[J]) Submit(job J) {
 		return
 	}
 	//dcslint:allow noblockhandler a start function only spawns the worker proc (Spawn or SpawnHandler), which never parks
+	//dcslint:allow noalloc pool-miss arm: a worker starts only while every worker is busy; the population then stays
 	p.start(job, true)
 }
 
 // Done counts a worker that finished its job as idle; it then fetches
-// its next job with Get or GetH.
+// its next job with GetH.
 func (p *Pool[J]) Done() { p.idle++ }
 
-// Get blocks a goroutine worker until its next job.
-func (p *Pool[J]) Get(w *Proc) J { return p.jobs.Get(w) }
-
-// GetH is Get's non-blocking form for a handler worker (Queue.GetH).
+// GetH takes a worker's next job (Queue.GetH): ok=false means the
+// worker is enrolled on the job queue and must return (a handler) or
+// park (a goroutine proc) and call again.
 func (p *Pool[J]) GetH(h *HandlerCtx) (J, bool) { return p.jobs.GetH(h) }
 
 // Prime starts n workers with no job, counted idle. A restore primes

@@ -186,17 +186,25 @@ func TestPoolSubmitReusesIdleWorkers(t *testing.T) {
 		started := 0
 		var done []int
 		var p *Pool[int]
+		get := func(w *Proc) int {
+			for {
+				if job, ok := p.GetH(w.Ctx()); ok {
+					return job
+				}
+				w.Park()
+			}
+		}
 		p = NewPool(env, "test", func(job int, ok bool) {
 			started++
 			env.Spawn("worker", func(w *Proc) {
 				if !ok {
-					job = p.Get(w)
+					job = get(w)
 				}
 				for {
 					w.Sleep(Time(job) * Microsecond)
 					done = append(done, job)
 					p.Done()
-					job = p.Get(w)
+					job = get(w)
 				}
 			})
 		})

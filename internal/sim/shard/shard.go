@@ -327,6 +327,7 @@ type task struct {
 // exactly one worker touches it.
 type pool struct {
 	tasks chan task
+	done  sync.WaitGroup // the workers still running
 }
 
 // startPool spawns the worker pool, or returns nil when the run is
@@ -341,8 +342,10 @@ func (k *Kernel) startPool() *pool {
 		return nil
 	}
 	p := &pool{tasks: make(chan task, len(k.domains))}
+	p.done.Add(w)
 	for i := 0; i < w; i++ {
 		go func() {
+			defer p.done.Done()
 			for t := range p.tasks {
 				t.d.env.Run(t.wend)
 				t.wg.Done()
@@ -363,5 +366,9 @@ func (p *pool) run(active []*Domain, wend sim.Time) {
 	wg.Wait()
 }
 
-// stop winds the pool down; workers exit once the queue drains.
-func (p *pool) stop() { close(p.tasks) }
+// stop winds the pool down and returns once every worker has exited,
+// so a finished run leaves no goroutine behind.
+func (p *pool) stop() {
+	close(p.tasks)
+	p.done.Wait()
+}

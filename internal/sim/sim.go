@@ -14,9 +14,9 @@
 // and the Start/Step machines built on them in device packages. A
 // handler proc (SpawnHandler) calls them from a run-to-completion body
 // and returns while they report not done. A goroutine proc (Spawn)
-// calls the blocking forms — Sleep, Wait, Get, Acquire, Transfer —
-// each of which is the same step in a loop around one park point
-// (Proc.Park), so both flavors produce the same schedule.
+// calls the blocking forms — Sleep, Yield, Wait, Get, Acquire — each of
+// which is the same step in a loop around one park point (Proc.Park),
+// so both flavors produce the same schedule.
 //
 // The dispatch core is built for throughput — simulated experiments
 // are embarrassingly parallel across environments (see
@@ -515,18 +515,32 @@ func (p *Proc) Sleep(d Time) {
 }
 
 // Yield lets every event already scheduled for the current instant run
-// before the process continues. When nothing is due at the current
-// instant, the round trip through the queue is skipped entirely: an
-// enqueued resume would pop straight back (park's own-wake case), so
-// returning immediately is schedule-identical.
+// before the process continues: HandlerCtx.Yield, then a park when it
+// reports false. When nothing is due at the current instant, the round
+// trip through the queue is skipped entirely: an enqueued resume would
+// pop straight back (park's own-wake case), so returning immediately
+// is schedule-identical.
 //
 //dcslint:hotpath
 func (p *Proc) Yield() {
-	e := p.env
+	if !p.ctx.Yield() {
+		p.park()
+	}
+}
+
+// Yield is Proc.Yield's step: it reports true, with no event, when
+// nothing is due at the current instant, so the body keeps running;
+// otherwise it re-arms the proc behind the queued events and reports
+// false, and the body must return and resume past the yield on its
+// next dispatch.
+//
+//dcslint:hotpath
+func (h *HandlerCtx) Yield() bool {
+	e := h.proc.env
 	if !e.pendingNow() {
 		e.fused++
-		return
+		return true
 	}
-	p.ctx.Rearm(0)
-	p.park()
+	h.Rearm(0)
+	return false
 }

@@ -331,6 +331,17 @@ func TestNegativeSleepPanics(t *testing.T) {
 	}
 }
 
+// transfer drives a bandwidth server's staged triple from a goroutine
+// proc.
+func transfer(p *Proc, b *BandwidthServer, n int) {
+	d := b.HoldTime(n)
+	for !b.AcquireH(p.Ctx()) {
+		p.Park()
+	}
+	p.Sleep(d)
+	b.CompleteH(n)
+}
+
 func TestBandwidthServer(t *testing.T) {
 	e := NewEnv()
 	// 8 Gbit/s: 1000 bytes take 1µs.
@@ -338,7 +349,7 @@ func TestBandwidthServer(t *testing.T) {
 	var done []Time
 	for i := 0; i < 3; i++ {
 		e.Spawn("tx", func(p *Proc) {
-			b.Transfer(p, 1000)
+			transfer(p, b, 1000)
 			done = append(done, p.Now())
 		})
 	}
@@ -359,7 +370,7 @@ func TestBandwidthServerOverhead(t *testing.T) {
 	b := NewBandwidthServer(e, "link", 8e9, 500*Nanosecond)
 	var end Time
 	e.Spawn("tx", func(p *Proc) {
-		b.Transfer(p, 1000)
+		transfer(p, b, 1000)
 		end = p.Now()
 	})
 	e.Run(-1)

@@ -105,52 +105,71 @@ func (a *CPUAccount) TotalUtilization(cores int) float64 {
 
 // Breakdown is an ordered latency decomposition of one operation:
 // phases appear in first-charge order, matching a stacked figure bar.
+// An operation charges a handful of phases, so one ordered slice
+// serves both the order and the lookup.
 type Breakdown struct {
-	order []Category
-	dur   map[Category]sim.Time
+	phases []phase
+}
+
+// phase is one category's accumulated time in a Breakdown.
+type phase struct {
+	cat Category
+	dur sim.Time
 }
 
 // NewBreakdown returns an empty breakdown.
-func NewBreakdown() *Breakdown {
-	return &Breakdown{dur: map[Category]sim.Time{}}
-}
+func NewBreakdown() *Breakdown { return &Breakdown{} }
 
 // Add charges d to phase c, appending c to the order on first use.
 func (b *Breakdown) Add(c Category, d sim.Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("trace: negative breakdown %v for %s", d, c))
 	}
-	if _, ok := b.dur[c]; !ok {
-		b.order = append(b.order, c)
+	for i := range b.phases {
+		if b.phases[i].cat == c {
+			b.phases[i].dur += d
+			return
+		}
 	}
-	b.dur[c] += d
+	b.phases = append(b.phases, phase{cat: c, dur: d})
 }
 
 // Get returns the time charged to phase c.
-func (b *Breakdown) Get(c Category) sim.Time { return b.dur[c] }
+func (b *Breakdown) Get(c Category) sim.Time {
+	for _, ph := range b.phases {
+		if ph.cat == c {
+			return ph.dur
+		}
+	}
+	return 0
+}
 
 // Total returns the sum over all phases.
 func (b *Breakdown) Total() sim.Time {
 	var t sim.Time
-	for _, v := range b.dur {
-		t += v
+	for _, ph := range b.phases {
+		t += ph.dur
 	}
 	return t
 }
 
 // Phases returns the phases in first-charge order.
 func (b *Breakdown) Phases() []Category {
-	return append([]Category(nil), b.order...)
+	var cs []Category
+	for _, ph := range b.phases {
+		cs = append(cs, ph.cat)
+	}
+	return cs
 }
 
 // String renders "phase=dur" pairs in order.
 func (b *Breakdown) String() string {
 	var sb strings.Builder
-	for i, c := range b.order {
+	for i, ph := range b.phases {
 		if i > 0 {
 			sb.WriteString(" ")
 		}
-		fmt.Fprintf(&sb, "%s=%v", c, b.dur[c])
+		fmt.Fprintf(&sb, "%s=%v", ph.cat, ph.dur)
 	}
 	return sb.String()
 }
