@@ -244,7 +244,8 @@ func (t *Testbed) SendFileEncrypted(p *Proc, f *File, off, n int, conn Conn, key
 	return out, err
 }
 
-// ClientSend transmits payload from the client.
+// ClientSend transmits payload from the client. The NIC DMAs payload
+// in place, so it must not change until the call returns.
 func (t *Testbed) ClientSend(p *Proc, conn Conn, payload []byte) {
 	t.Cluster.ClientSend(p, conn, payload)
 }

@@ -92,7 +92,9 @@ func connect(server, client *Node, id uint64, serverFlow ether.Flow, dataPlane b
 }
 
 // ClientSend transmits payload bytes from the client on a connection
-// (load-generation path; client CPU is charged but not reported).
+// (load-generation path; client CPU is charged but not reported). The
+// NIC DMAs payload in place, so it must not change until the call
+// returns.
 func (c *Cluster) ClientSend(p *sim.Proc, conn Conn, payload []byte) {
 	c.Client.sendPayload(p, trace.NewBreakdown(), conn.ID, payload)
 }
@@ -116,7 +118,8 @@ func (c *Cluster) ServerRecv(p *sim.Proc, bd *trace.Breakdown, conn Conn, n int)
 }
 
 // ServerSend transmits from the server host stack on a
-// host-terminated connection.
+// host-terminated connection. The NIC DMAs payload in place, so it
+// must not change until the call returns.
 func (c *Cluster) ServerSend(p *sim.Proc, bd *trace.Breakdown, conn Conn, payload []byte) {
 	if conn.ServerData {
 		panic("core: ServerSend on an engine-owned connection")

@@ -200,7 +200,7 @@ func TestStagingExhaustionFailsLoudly(t *testing.T) {
 // that later pushes never write into the returned slice.
 func TestTakeStreamDrainingHandsOff(t *testing.T) {
 	c := &hostConn{}
-	c.reserveStream(16) // a reader's reservation larger than this take
+	c.reserveStream(16) // a reservation larger than this take
 	c.pushStream([]byte("abcdefgh"))
 	out := c.takeStream(8)
 	if string(out) != "abcdefgh" {
@@ -250,7 +250,7 @@ func TestTakeStreamPartialCopies(t *testing.T) {
 }
 
 // TestStreamInterleavedPushTake drives one connection's stream with
-// random pushes, reader reservations and takes, and checks that the
+// random delivered runs, waiting readers and takes, and checks that the
 // takes reproduce the pushed byte stream and that no taken slice is
 // rewritten by anything that happens after it was returned.
 func TestStreamInterleavedPushTake(t *testing.T) {
@@ -264,13 +264,11 @@ func TestStreamInterleavedPushTake(t *testing.T) {
 		switch rng.Intn(4) {
 		case 0, 1: // a delivered frame run
 			k := min(rng.Intn(3*1460)+1, len(src)-pushed)
-			c.reserveStream(k)
+			c.reserveRun(k)
 			c.pushStream(src[pushed : pushed+k])
 			pushed += k
-		case 2: // a reader reserves the bytes its message misses
-			if missing := rng.Intn(8192) - c.streamLen(); missing > 0 {
-				c.reserveStream(missing)
-			}
+		case 2: // a reader starts to wait for its message
+			c.want = rng.Intn(8192)
 		case 3:
 			if c.streamLen() == 0 {
 				continue
@@ -279,6 +277,7 @@ func TestStreamInterleavedPushTake(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				want = rng.Intn(want) + 1
 			}
+			c.want = 0
 			outs = append(outs, c.takeStream(want))
 			offs = append(offs, taken)
 			taken += want
@@ -296,12 +295,50 @@ func TestStreamInterleavedPushTake(t *testing.T) {
 	}
 }
 
+// TestReaderSizesStreamOnArrival checks that a reader that has
+// received nothing has allocated nothing, and that its message's first
+// run sizes the stream once, to the message, with later runs landing
+// in that capacity.
+func TestReaderSizesStreamOnArrival(t *testing.T) {
+	const want = 64 << 10
+	env := sim.NewEnv()
+	cl := NewCluster(env, SWOpt, DefaultParams())
+	conn := cl.OpenConn(false)
+	var got []byte
+	env.Spawn("client-app", func(p *sim.Proc) { got = cl.ClientRecv(p, conn, want) })
+	env.Run(-1)
+	c := cl.Client.conns[conn.ID]
+	if c.want != want || cap(c.stream) != 0 {
+		t.Fatalf("waiting reader: want %d, stream capacity %d; expected want %d and nothing allocated", c.want, cap(c.stream), want)
+	}
+	payload := pattern(want)
+	env.Spawn("server-app", func(p *sim.Proc) { cl.ServerSend(p, nil, conn, payload) })
+	env.Run(-1)
+	if !bytes.Equal(got, payload) || c.want != 0 {
+		t.Fatalf("received %d bytes (equal %v), want left at %d", len(got), bytes.Equal(got, payload), c.want)
+	}
+
+	s := &hostConn{want: 10000}
+	s.reserveRun(1460)
+	if cap(s.stream) != 10000 {
+		t.Fatalf("first run sized the stream to %d, want the reader's 10000", cap(s.stream))
+	}
+	first := &s.stream[:1][0]
+	for k := 0; k < 6; k++ {
+		s.reserveRun(1460)
+		s.pushStream(pattern(1460))
+	}
+	if cap(s.stream) != 10000 || &s.stream[0] != first {
+		t.Fatalf("later runs regrew the stream to %d", cap(s.stream))
+	}
+}
+
 // TestClientRecvAllocBudget bounds the heap a fresh connection
 // allocates to receive one 64 KB message, the rack's pattern (every
 // flow is a new connection on a node whose NIC has already carried
-// traffic): the reader's reservation sizes the stream once and the
-// draining take hands it over, so the whole transfer allocates little
-// more than the message itself.
+// traffic): the message's first run sizes the stream once, for its
+// waiting reader, and the draining take hands it over, so the whole
+// transfer allocates little more than the message itself.
 func TestClientRecvAllocBudget(t *testing.T) {
 	const want = 64 << 10
 	env := sim.NewEnv()

@@ -82,6 +82,7 @@ type hostConn struct {
 	rxSeq  uint32
 	stream []byte // reassembled in-order payload; stream[rd:] is unconsumed
 	rd     int    // consumed prefix (head index, capacity-preserving)
+	want   int    // unconsumed bytes a waiting reader wants (awaitStream), else 0
 
 	// avail signals stream growth to this connection's readers. Waking
 	// per connection instead of per node matters at rack scale: a node
@@ -94,11 +95,8 @@ type hostConn struct {
 // compacting the consumed prefix and growing to at least double the
 // capacity: Go's native large-slice growth (~1.25x) plus the capacity
 // bleed of reslicing on consume made reassembly a top copy cost at
-// 40 GbE. Two callers size it: a reader reserves the bytes its message
-// still misses before it waits (awaitStream), so after a hand-off
-// (takeStream) the buffer grows once, to the exact message size; and
-// deliverNetRx reserves each frame run up front, so bytes nobody waits
-// for yet grow it once per run, not per frame.
+// 40 GbE. The stream is sized when bytes arrive (reserveRun), never
+// when a reader starts to wait.
 func (c *hostConn) reserveStream(extra int) {
 	if len(c.stream)+extra > cap(c.stream) && c.rd > 0 {
 		m := copy(c.stream, c.stream[c.rd:])
@@ -111,6 +109,14 @@ func (c *hostConn) reserveStream(extra int) {
 		c.stream = ns
 	}
 }
+
+// reserveRun sizes the stream for a delivered run of n bytes: the run
+// itself, or all that a waiting reader still misses (want) when that
+// is more. So after a hand-off (takeStream) a message's first run
+// grows the buffer once, to the exact message size; bytes nobody waits
+// for yet grow it once per run, not per frame; and a reader allocates
+// nothing before its bytes land.
+func (c *hostConn) reserveRun(n int) { c.reserveStream(max(n, c.want-c.streamLen())) }
 
 // pushStream appends payload bytes to the reassembled stream.
 func (c *hostConn) pushStream(b []byte) {

@@ -291,10 +291,8 @@ func (n *Node) integratedSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, 
 	p.Sleep(xfer)
 	bd.Add(trace.CatDevCtrl, xfer)
 
-	// Fetch the real bytes for functional fidelity.
-	size := uint64(nbytes) + 4096
-	buf := n.allocHost(size)
-	defer n.freeHost(buf, size)
+	// Fetch the real bytes for functional fidelity. The integrated NIC
+	// DMAs them in place, from a user mapping.
 	data := make([]byte, 0, nbytes)
 	ssd := n.SSDs[n.fileDev[f.Name]]
 	for _, r := range runsOf(f, off, nbytes) {
@@ -303,7 +301,8 @@ func (n *Node) integratedSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, 
 		}
 	}
 	data = data[:nbytes]
-	n.MM.Write(buf, data)
+	buf := n.mapUser("integrated-payload", data)
+	defer n.unmapUser(buf)
 
 	var digest []byte
 	if proc != ProcNone {
@@ -320,7 +319,7 @@ func (n *Node) integratedSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, 
 		return nil, fmt.Errorf("core: unknown conn %d", connID)
 	}
 	startTx := p.Now()
-	n.deviceSend(p, c, buf, nbytes)
+	n.deviceSend(p, c, buf.Base, nbytes)
 	bd.Add(trace.CatNICTransmit, p.Now()-startTx)
 	n.Host.RaiseIRQ(trace.CatInterrupt, 0, nil)
 	n.Host.Exec(p, trace.CatInterrupt, hp.CtxSwitch, bd)
@@ -328,18 +327,16 @@ func (n *Node) integratedSend(p *sim.Proc, bd *trace.Breakdown, f *hostos.File, 
 }
 
 // deviceSend pushes LSO jobs onto the host send ring without CPU cost
-// (hardware-initiated transmit for the integrated-device model). Every
-// job's header goes through one page: each job's fetch completes
-// before the next header is written.
+// (hardware-initiated transmit for the integrated-device model). Each
+// job's header stays mapped until its fetch completes.
 func (n *Node) deviceSend(p *sim.Proc, c *hostConn, src mem.Addr, nbytes int) {
-	hdrAddr := n.allocHost(64)
-	defer n.freeHost(hdrAddr, 64)
 	for off := 0; off < nbytes; off += lsoJob {
-		n.pushLSO(p, c, hdrAddr, src+mem.Addr(off), min(nbytes-off, lsoJob))
+		hdr := n.pushLSO(p, c, src+mem.Addr(off), min(nbytes-off, lsoJob))
 		sig := sim.NewSignal(n.Env)
 		n.sendRing.Track(sig)
 		n.sendRing.RingDoorbell()
 		n.sendRing.Arm()
 		n.waitSendCompleted(p, sig)
+		n.unmapUser(hdr)
 	}
 }

@@ -136,7 +136,8 @@ func (r *Rack) OpenConn(client, server int, dataPlane bool) Conn {
 
 // NodeSend transmits payload bytes from a node on a host-terminated
 // connection. The calling process must run on the node's own domain
-// Env (spawn it via r.Nodes[node].Env).
+// Env (spawn it via r.Nodes[node].Env). The NIC DMAs payload in
+// place, so it must not change until the call returns.
 func (r *Rack) NodeSend(p *sim.Proc, node int, conn Conn, payload []byte) {
 	r.Nodes[node].sendPayload(p, trace.NewBreakdown(), conn.ID, payload)
 }

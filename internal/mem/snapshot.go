@@ -21,8 +21,13 @@ import (
 // order — the regions slice is append-ordered by construction, so the
 // encode order is deterministic without sorting. The high-water mark
 // bounds the sparse scan: regions are sized like hardware, but only
-// the written prefix can hold non-zero pages.
+// the written prefix can hold non-zero pages. A live user mapping is a
+// send in progress, so a map holding one is refused: it is never
+// quiescent.
 func (m *Map) Snap(c *snap.Codec) {
+	if k := m.UserMappings(); k != 0 {
+		c.Failf("%d user mappings live (a send in progress)", k)
+	}
 	snap.Check(c, "regions", uint32(len(m.regions)), c.U32)
 	for _, r := range m.regions {
 		snap.Check(c, "region", r.Name, c.Str)

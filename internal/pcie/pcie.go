@@ -184,6 +184,29 @@ func (f *Fabric) Attach(port *Port, region *mem.Region) {
 	f.owner[region] = port
 }
 
+// Detach removes the owner Attach declared for region. A user mapping
+// (mem.Map.MapUser) is attached for one blocking call and detached
+// before it is unmapped, once no DMA reads it any more.
+func (f *Fabric) Detach(region *mem.Region) {
+	if _, ok := f.owner[region]; !ok {
+		panic(fmt.Sprintf("pcie: region %s is not attached", region.Name))
+	}
+	delete(f.owner, region)
+}
+
+// StaleOwners counts owner entries whose region the address map no
+// longer holds: a region unmapped without Detach. A quiescent fabric
+// has none.
+func (f *Fabric) StaleOwners() int {
+	stale := 0
+	for r := range f.owner {
+		if !f.mem.Holds(r) {
+			stale++
+		}
+	}
+	return stale
+}
+
 // OwnerOf returns the port owning the region containing addr.
 func (f *Fabric) OwnerOf(addr mem.Addr) (*Port, *mem.Region, error) {
 	r, _, err := f.mem.Resolve(addr)

@@ -4,7 +4,8 @@ import "dcsctrl/internal/sim/snap"
 
 // Checkpoint support (DESIGN.md §17). A quiescent fabric has every
 // posted write delivered (postedClock at or behind now), no MSI in
-// flight, and no DMA in any stage, so the state reduces to the byte
+// flight, no DMA in any stage and no owner entry for a region its map
+// no longer holds (StaleOwners), so the state reduces to the byte
 // counters and bandwidth-server accounting.
 // The object free lists (recycled signals, posted-write and MSI
 // records) restore empty: they trade allocations, not schedule. The
@@ -23,6 +24,9 @@ func (f *Fabric) Snap(c *snap.Codec, asyncMax int) {
 	}
 	if n := f.msis.Pending(); n != 0 {
 		c.Failf("%d MSIs in flight", n)
+	}
+	if n := f.StaleOwners(); n != 0 {
+		c.Failf("%d owner entries for unmapped regions", n)
 	}
 	c.I64((*int64)(&f.postedClock))
 	c.I64(&f.p2pBytes)
