@@ -387,8 +387,37 @@ func TestDirtyPageWrittenBackOnEverySSD(t *testing.T) {
 			if dirty := fs.Dirty(f.Name); len(dirty) != 0 {
 				t.Fatalf("pages %v still dirty", dirty)
 			}
+			for _, n := range []*Node{cl.Server, cl.Client} {
+				if k := n.MM.UserMappings(); k != 0 {
+					t.Errorf("%s holds %d user mappings after the run", n.Name, k)
+				}
+				if k := n.Fab.StaleOwners(); k != 0 {
+					t.Errorf("%s's fabric keeps %d owner entries for unmapped regions", n.Name, k)
+				}
+			}
 		})
 	}
+}
+
+// TestWritebackRejectsPartialPage: the SSD writes a whole block from
+// the mapped page, so a cached page shorter than a block is refused
+// before anything is mapped or submitted.
+func TestWritebackRejectsPartialPage(t *testing.T) {
+	env := sim.NewEnv()
+	cl := NewCluster(env, DCSCtrl, DefaultParams())
+	f, err := cl.Server.StageFile("obj", pattern(16<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 100-byte page was written back")
+		}
+		if k := cl.Server.MM.UserMappings(); k != 0 {
+			t.Fatalf("the refused writeback left %d user mappings", k)
+		}
+	}()
+	cl.Server.writebackPage(nil, f, 1, make([]byte, 100))
 }
 
 func TestMultiSSDUploadLandsOnRightDevice(t *testing.T) {

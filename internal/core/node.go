@@ -399,15 +399,20 @@ func (n *Node) postRecvBuffers(r *nic.RecvRing) {
 }
 
 // writebackPage flushes one dirty page to the SSD via the host NVMe
-// path (used by the HDC Driver's consistency check).
+// path (used by the HDC Driver's consistency check). The SSD DMAs the
+// cached page in place through a user mapping, so the page must be one
+// whole block.
 func (n *Node) writebackPage(p *sim.Proc, f *hostos.File, page int, data []byte) {
-	buf := n.allocHost(hostos.BlockSize)
-	defer n.freeHost(buf, hostos.BlockSize)
-	n.MM.Write(buf, data)
+	if len(data) != hostos.BlockSize {
+		panic(fmt.Sprintf("core: %s: writeback of page %d of %s holds %d bytes, not one %d-byte block",
+			n.Name, page, f.Name, len(data), hostos.BlockSize))
+	}
+	r := n.mapUser("writeback-page", data)
+	defer n.unmapUser(r)
 	lba := f.LBAs()[page]
 	sig := sim.NewSignal(n.Env)
 	n.Host.Exec(p, "block-layer", n.Params.Host.BlockSubmit, nil)
-	n.submitHostNVMe(p, n.fileDev[f.Name], true, lba, buf, 1, sig)
+	n.submitHostNVMe(p, n.fileDev[f.Name], true, lba, r.Base, 1, sig)
 	sig.Wait(p)
 }
 

@@ -112,5 +112,6 @@ func (t *Topology) NodeOfIP(ip IP) (int, bool) {
 // (end-to-end latency adds at least one more serialization and
 // propagation on top of the bound). Spine latencies do not constrain
 // the bound: spine events are created by fabric-internal processing,
-// which the engine's event heap already orders.
+// on the lanes of the ports that produce them, which the engine's lane
+// merge already orders.
 func (t *Topology) Lookahead() sim.Time { return t.spec.NodeLinkLat + t.spec.FwdDelay }

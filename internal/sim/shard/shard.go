@@ -14,11 +14,14 @@
 //     traffic — even between nodes of the same domain — crosses the
 //     fabric.
 //  2. The fabric is sequential. Cross-node frames become time-stamped
-//     messages gathered at each barrier, sorted by the decomposition-
-//     invariant key (departure time, source node, per-source order),
-//     and injected into a single-threaded fabric engine owned by the
-//     coordinator. Link contention is therefore resolved in one
-//     deterministic order regardless of sharding.
+//     messages gathered at each barrier and injected into a
+//     single-threaded fabric engine owned by the coordinator, node ids
+//     ascending and each node's departures in the order it sent them.
+//     The fabric orders events by time and equal times by call order,
+//     so it sees every frame in the decomposition-invariant order
+//     (departure time, source node, per-source order), and link
+//     contention is resolved in one deterministic order regardless of
+//     sharding.
 //  3. Windows only partition time. Running [B, W] on one goroutine or
 //     eight, or re-cutting window boundaries, never reorders any
 //     domain's own (at, seq) dispatch.
@@ -31,7 +34,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"dcsctrl/internal/sim"
@@ -47,6 +49,13 @@ import (
 // pending fabric event. Injections must never create fabric events at
 // or before already-processed times — the lookahead bound guarantees
 // this when windows are no longer than Lookahead.
+//
+// At each barrier the kernel calls Inject for the departures of the
+// window just run: node ids ascending, each node's departures in time
+// order, departures at equal times in the order the node sent them.
+// Departures of different nodes are not merged by time, so the fabric
+// must order its events by time itself and break ties between equal
+// times by call order.
 type Fabric interface {
 	Inject(src int, at sim.Time, frame []byte, wireLen int)
 	NextTime() (sim.Time, bool)
@@ -63,10 +72,9 @@ type Domain struct {
 // Env returns the domain's simulation environment.
 func (d *Domain) Env() *sim.Env { return d.env }
 
-// injection is one frame awaiting its barrier merge.
+// injection is one frame awaiting the next barrier.
 type injection struct {
 	at      sim.Time
-	src     int
 	wireLen int
 	frame   []byte
 }
@@ -85,7 +93,7 @@ type Outbox struct {
 // SendFrame records one frame leaving the node at the current instant.
 // The fabric takes ownership of the frame buffer.
 func (o *Outbox) SendFrame(frame []byte, wireLen, payLen int) {
-	o.buf = append(o.buf, injection{at: o.env.Now(), src: o.src, wireLen: wireLen, frame: frame})
+	o.buf = append(o.buf, injection{at: o.env.Now(), wireLen: wireLen, frame: frame})
 }
 
 // nodeReg is one node's routing entry: its domain, its outbox and its
@@ -126,8 +134,7 @@ type Kernel struct {
 	domains []*Domain
 	nodes   []nodeReg
 
-	merge  []injection // barrier merge scratch
-	active []*Domain   // barrier dispatch scratch
+	active []*Domain // barrier dispatch scratch
 	stats  Stats
 
 	winStart sim.Time // current window bounds (injection sanity check)
@@ -241,44 +248,29 @@ func (k *Kernel) Run(horizon sim.Time) sim.Time {
 	return end
 }
 
-// gather merges every outbox's departures in the decomposition-
-// invariant order (at, src, per-source FIFO) and injects them into the
-// fabric. Per-source FIFO order survives the stable sort because each
-// outbox is appended as a contiguous run.
+// gather injects every outbox's departures into the fabric in the
+// order the Fabric contract states: node ids ascending, each node's
+// departures in the order it sent them. Equal-time departures thus
+// reach the fabric in (source node, per-source FIFO) order whatever
+// the decomposition, and the fabric orders the rest by time.
 func (k *Kernel) gather() {
-	m := k.merge[:0]
 	for i := range k.nodes {
 		o := k.nodes[i].out
-		m = append(m, o.buf...)
 		for j := range o.buf {
-			o.buf[j] = injection{} // drop frame references for GC
+			inj := &o.buf[j]
+			if k.ran && (inj.at < k.winStart || inj.at > k.winEnd) {
+				panic(fmt.Sprintf("shard: node %d injected a frame at %v outside its window [%v, %v]",
+					o.src, inj.at, k.winStart, k.winEnd))
+			}
+			if k.fab == nil {
+				panic(fmt.Sprintf("shard: node %d sent a frame but the kernel has no fabric", o.src))
+			}
+			k.fab.Inject(o.src, inj.at, inj.frame, inj.wireLen)
+			k.stats.CrossFrames++
+			*inj = injection{} // drop the frame reference for GC
 		}
 		o.buf = o.buf[:0]
 	}
-	if len(m) == 0 {
-		k.merge = m
-		return
-	}
-	sort.SliceStable(m, func(a, b int) bool {
-		if m[a].at != m[b].at {
-			return m[a].at < m[b].at
-		}
-		return m[a].src < m[b].src
-	})
-	for i := range m {
-		inj := &m[i]
-		if k.ran && (inj.at < k.winStart || inj.at > k.winEnd) {
-			panic(fmt.Sprintf("shard: node %d injected a frame at %v outside its window [%v, %v]",
-				inj.src, inj.at, k.winStart, k.winEnd))
-		}
-		if k.fab == nil {
-			panic(fmt.Sprintf("shard: node %d sent a frame but the kernel has no fabric", inj.src))
-		}
-		k.fab.Inject(inj.src, inj.at, inj.frame, inj.wireLen)
-		k.stats.CrossFrames++
-		inj.frame = nil
-	}
-	k.merge = m[:0]
 }
 
 // next returns the earliest pending instant across every domain and

@@ -1,5 +1,5 @@
 // Kernel-level tests with a stub fixed-latency fabric: the coordinator
-// mechanics (window partition, barrier merge, worker dispatch) must be
+// mechanics (window partition, barrier gather, worker dispatch) must be
 // byte-identical at any worker count and any domain decomposition,
 // without dragging in the full ether/core stack.
 package shard
@@ -14,9 +14,10 @@ import (
 )
 
 // stubFabric delivers every frame exactly lat after injection, in
-// (time, injection order) order. Injection order is what the kernel's
-// barrier merge makes decomposition-invariant, so the stub inherits
-// the determinism guarantee the real FabricSim relies on.
+// (time, injection order) order, as the Fabric contract requires. The
+// kernel's gather makes injection order decomposition-invariant, so
+// the stub inherits the determinism guarantee the real FabricSim
+// relies on.
 type stubFabric struct {
 	lat  sim.Time
 	evs  []stubEvent
@@ -191,5 +192,110 @@ func TestKernelHorizon(t *testing.T) {
 	}
 	if fmt.Sprint(got) != fmt.Sprint([]sim.Time{11 * sim.Microsecond, 12 * sim.Microsecond}) {
 		t.Fatalf("arrival times %v", got)
+	}
+}
+
+// recordingFabric is stubFabric logging every Inject call, numbered by
+// the barrier (the AdvanceTo) that follows it.
+type recordingFabric struct {
+	stubFabric
+	barrier int
+	log     []injected
+}
+
+// injected is one Inject call: its source, departure time and the
+// source's send count for the frame (the frame's last two bytes).
+type injected struct {
+	Barrier int
+	Src     int
+	At      sim.Time
+	Sent    int
+}
+
+func (f *recordingFabric) Inject(src int, at sim.Time, frame []byte, wireLen int) {
+	sent := int(frame[len(frame)-2])<<8 | int(frame[len(frame)-1])
+	f.log = append(f.log, injected{Barrier: f.barrier, Src: src, At: at, Sent: sent})
+	f.stubFabric.Inject(src, at, frame, wireLen)
+}
+
+func (f *recordingFabric) AdvanceTo(t sim.Time, deliver func(dst int, at sim.Time, frame []byte)) {
+	f.barrier++
+	f.stubFabric.AdvanceTo(t, deliver)
+}
+
+// runGather builds a relay in which departures tie: every seed and
+// every arrival sends two frames at the same instant, and nodes i and
+// i+3 seed at the same instant, so their relays tie across nodes and
+// domains. It returns the fabric's Inject log.
+func runGather(t *testing.T, domains, workers int) []injected {
+	t.Helper()
+	const nodes, lat = 6, 500 * sim.Nanosecond
+	fab := &recordingFabric{stubFabric: stubFabric{lat: lat, dst: func(src int) int { return (src + 1) % nodes }}}
+	k := NewKernel(fab, lat, workers)
+	doms := make([]*Domain, domains)
+	for i := range doms {
+		doms[i] = k.AddDomain()
+	}
+	outs := make([]*Outbox, nodes)
+	sent := make([]int, nodes) // per node: only its domain writes it
+	send2 := func(i int, ttl byte) {
+		for j := 0; j < 2; j++ {
+			outs[i].SendFrame([]byte{ttl, byte(sent[i] >> 8), byte(sent[i])}, 64, 3)
+			sent[i]++
+		}
+	}
+	for i := 0; i < nodes; i++ {
+		i := i
+		d := doms[i*domains/nodes]
+		outs[i] = k.AddNode(i, d, func(frame []byte) {
+			if frame[0] > 0 && frame[len(frame)-1]%2 == 0 { // relay the first of each pair
+				send2(i, frame[0]-1)
+			}
+		})
+		d.Env().Schedule(sim.Time(1+(i%3)*137)*sim.Nanosecond, func() { send2(i, 4) })
+	}
+	k.Run(-1)
+	return fab.log
+}
+
+// TestGatherInjectOrder pins the order the barrier hands departures to
+// the fabric (the Fabric contract): within one barrier, node ids
+// ascend and each node's departures come in the order it sent them,
+// so in time order with ties in call order. The log must also be the
+// same at every decomposition and worker count.
+func TestGatherInjectOrder(t *testing.T) {
+	ref := runGather(t, 1, 1)
+	var crossTies, ownTies int
+	for i := 1; i < len(ref); i++ {
+		a, b := ref[i-1], ref[i]
+		if a.Barrier != b.Barrier {
+			continue
+		}
+		switch {
+		case b.Src < a.Src:
+			t.Fatalf("barrier %d: node %d injected after node %d", b.Barrier, b.Src, a.Src)
+		case b.Src == a.Src && b.At < a.At:
+			t.Fatalf("barrier %d: node %d's departure at %v after one at %v", b.Barrier, b.Src, b.At, a.At)
+		case b.Src == a.Src && b.Sent <= a.Sent:
+			t.Fatalf("barrier %d: node %d's frame %d after its frame %d", b.Barrier, b.Src, b.Sent, a.Sent)
+		case b.Src == a.Src && b.At == a.At:
+			ownTies++
+		}
+		for j := i - 1; j >= 0 && ref[j].Barrier == b.Barrier; j-- {
+			if ref[j].Src != b.Src && ref[j].At == b.At {
+				crossTies++
+				break
+			}
+		}
+	}
+	if ownTies == 0 || crossTies == 0 {
+		t.Fatalf("the relay produced %d same-node and %d cross-node ties; the order check needs both", ownTies, crossTies)
+	}
+	for _, domains := range []int{1, 2, 3} {
+		for _, workers := range []int{1, 4} {
+			if got := runGather(t, domains, workers); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("domains=%d workers=%d: Inject log differs from the serial run's", domains, workers)
+			}
+		}
 	}
 }
